@@ -23,7 +23,7 @@ from revmaps.verify import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     ap.add_argument("--budget", type=int, default=20000)
     args = ap.parse_args()
 

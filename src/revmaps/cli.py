@@ -2,15 +2,16 @@
 
 Subcommands:
     construct   build one map from the family construction and print its record
-    enumerate   exhaustive census of coprime-qualifying reversing triples
+    enumerate   exhaustive census of coprime-qualifying reversing triples,
+                scanned from one involution per conjugacy class
     verify      full verification report for one configuration (exit 2 on fail)
     export      DOT text of the underlying graph of a constructed map
     check       re-validate a stored map record (exit 2 on mismatch)
 
 Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
 3 budget exceeded.  The enumeration budget can also be set through the
-REVMAPS_BUDGET environment variable; --jobs only affects throughput, never
-output bytes.
+REVMAPS_BUDGET environment variable.  --jobs is accepted and ignored: the
+scan is serial.
 """
 
 from __future__ import annotations
@@ -224,9 +225,21 @@ def _cmd_export(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_check(cfg: JobConfig) -> int:
-    with open(cfg.input) as fh:
+def _load_record(path: str) -> dict:
+    with open(path) as fh:
         rec = json.load(fh)
+    if not isinstance(rec, dict):
+        raise GroupError(f"{path}: expected a map record object, got {type(rec).__name__}")
+    group, triple = rec.get("group"), rec.get("triple")
+    if not isinstance(group, dict) or not {"family", "p"} <= group.keys():
+        raise GroupError(f"{path}: a map record needs a group object with family and p")
+    if not isinstance(triple, dict) or not {"x", "y", "z"} <= triple.keys():
+        raise GroupError(f"{path}: a map record needs a triple object with x, y and z")
+    return rec
+
+
+def _cmd_check(cfg: JobConfig) -> int:
+    rec = _load_record(cfg.input)
     if rec.get("kind", "reversing") != "reversing":
         raise GroupError("check supports reversing map records")
     desc = rec["group"]

@@ -82,6 +82,7 @@ class GroupHandle:
         self._inverses: list[int] | None = None
         self._involutions: tuple[int, ...] | None = None
         self._pair_orders: dict[tuple[int, int], int] = {}
+        self._involution_classes: InvolutionClasses | None = None
 
     # -- element access ----------------------------------------------------
 
@@ -147,6 +148,15 @@ class GroupHandle:
                 i for i in range(self.order) if self.is_involution(i)
             )
         return self._involutions
+
+    def involution_classes(self) -> "InvolutionClasses":
+        """The conjugacy classes of involutions with their conjugation maps.
+
+        Built on first use and kept on the handle.
+        """
+        if self._involution_classes is None:
+            self._involution_classes = InvolutionClasses(self)
+        return self._involution_classes
 
     def pair_order(self, i: int, j: int) -> int:
         """Order of elements[i] * elements[j], memoized."""
@@ -219,9 +229,153 @@ def build_group(family: str, p: int, m: int = 1) -> GroupHandle:
     if handle is None:
         handle = GroupHandle(family, p, m)
         expected = {PSL2: psl_order(p), PGL2: pgl_order(p), EXT: m * pgl_order(p)}
-        assert handle.order == expected[family], (handle.order, expected[family])
+        if handle.order != expected[family]:
+            raise GroupError(
+                f"{family} p={p} m={m} built {handle.order} elements,"
+                f" expected {expected[family]}"
+            )
         _CACHE[key] = handle
     return handle
+
+
+class InvolutionClass:
+    """One conjugacy class of involutions, in positions of ``G.involutions()``.
+
+    ``rep`` is the least member.  ``maps[u]`` is the conjugation map of one
+    element t_u with rep^t_u = u: the list sending position i to the position
+    of involutions()[i]^t_u.  ``maps[rep]`` is the identity.
+    """
+
+    def __init__(
+        self, rep: int, maps: dict[int, list[int]], generators: list[list[int]], group_order: int
+    ):
+        self.rep = rep
+        self.maps = maps
+        self._generators = generators
+        self._centralizer_order = group_order // len(maps)
+        self._inverses: dict[int, list[int]] = {}
+        self._centralizer: list[tuple[int, ...]] | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.maps)
+
+    def inverse(self, u: int) -> list[int]:
+        """The conjugation map of t_u^-1, which sends u back to the rep."""
+        inv = self._inverses.get(u)
+        if inv is None:
+            inv = [0] * len(self.maps[u])
+            for i, j in enumerate(self.maps[u]):
+                inv[j] = i
+            self._inverses[u] = inv
+        return inv
+
+    def centralizer(self) -> list[tuple[int, ...]]:
+        """The conjugation maps of every element of the centralizer of the rep.
+
+        The centralizer is closed from Schreier generators t_u s t_{u^s}^-1
+        until it reaches its order |G| / |class|.
+        """
+        if self._centralizer is None:
+            ident = tuple(range(len(self.maps[self.rep])))
+            gens: list[tuple[int, ...]] = []
+            elems = {ident}
+            for u, mu in self.maps.items():
+                if len(elems) == self._centralizer_order:
+                    break
+                for g in self._generators:
+                    back = self.inverse(g[u])
+                    h = tuple([back[g[j]] for j in mu])
+                    if h not in elems:
+                        gens.append(h)
+                        elems = _close_maps(gens, ident)
+            self._centralizer = list(elems)
+        return self._centralizer
+
+
+def _close_maps(gens: list[tuple[int, ...]], ident: tuple[int, ...]) -> set[tuple[int, ...]]:
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                h = tuple([g[j] for j in e])
+                if h not in elems:
+                    elems.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return elems
+
+
+def _involution_generators(G: GroupHandle) -> list[int]:
+    """A few involutions generating G.
+
+    Two involutions u, v span a dihedral group of order 2|uv|, so the chosen
+    involutions generate a subgroup whose order the lcm of these dihedral
+    orders divides; once it reaches |G| they generate G.  Each step adds the
+    involution that raises the lcm most.  The lcm can stall below |G| (in
+    psl2 with p = 3 mod 4 no product of two involutions has order p); then
+    involutions are added until a closure test confirms generation.
+    """
+    invs = G.involutions()
+    chosen = [invs[0]]
+    reached = 2
+    while reached != G.order:
+
+        def gain(v: int) -> int:
+            return math.lcm(reached, *(2 * G.pair_order(u, v) for u in chosen if u != v))
+
+        best = max(invs, key=gain)
+        if gain(best) == reached:
+            for v in invs:
+                if generates(G, chosen):
+                    break
+                if v not in chosen:
+                    chosen.append(v)
+            break
+        reached = gain(best)
+        chosen.append(best)
+    return chosen
+
+
+class InvolutionClasses:
+    """The conjugacy classes of involutions of G, with conjugation maps.
+
+    The conjugation maps of a few generating involutions give the classes as
+    orbits; a breadth-first search from each class's least member composes
+    the maps of a transversal.  Every later step works with list lookups
+    instead of group multiplications.
+    """
+
+    def __init__(self, G: GroupHandle):
+        invs = G.involutions()
+        self.position = {v: i for i, v in enumerate(invs)}
+        gens = [
+            [self.position[G.conjugate(v, s)] for v in invs]
+            for s in _involution_generators(G)
+        ]
+        self.classes: list[InvolutionClass] = []
+        self.class_of: list[InvolutionClass | None] = [None] * len(invs)
+        for rep in range(len(invs)):
+            if self.class_of[rep] is not None:
+                continue
+            maps = {rep: list(range(len(invs)))}
+            frontier = [rep]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    mu = maps[u]
+                    for g in gens:
+                        w = g[u]
+                        if w not in maps:
+                            maps[w] = [g[j] for j in mu]
+                            nxt.append(w)
+                frontier = nxt
+            cls = InvolutionClass(rep, maps, gens, G.order)
+            self.classes.append(cls)
+            for u in maps:
+                self.class_of[u] = cls
 
 
 def involutions(G: GroupHandle) -> tuple[int, ...]:

@@ -316,7 +316,28 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
     return sorted(set(out))
 
 
-# -- exhaustive enumeration ----------------------------------------------------
+# -- the census engine -----------------------------------------------------------
+#
+# Pair orders, chi, the gcd filter and generation are all invariant under
+# simultaneous conjugation.  So the engine fixes x to the least member of
+# each class of involutions, scans only the (y, z) that complete it (the
+# class's fiber), and rebuilds every other triple by conjugating the fiber
+# with the class's transversal maps (see ``GroupHandle.involution_classes``).
+
+
+def _expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
+    """Every conjugate (u, y^t_u, z^t_u) of the fiber triples (rep, y, z).
+
+    ``fibers`` pairs each involution class with (y, z) positions at its rep;
+    u runs over the class, so each triple comes out once.
+    """
+    invs = G.involutions()
+    out: list[tuple[int, int, int]] = []
+    for cls, entries in fibers:
+        for u, mu in cls.maps.items():
+            x = invs[u]
+            out.extend((x, invs[mu[y]], invs[mu[z]]) for y, z in entries)
+    return out
 
 
 def enumerate_reversing_triples(
@@ -331,21 +352,26 @@ def enumerate_reversing_triples(
     """
     if G.order > budget:
         raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
-    invs = G.involutions()
     dv, d1, d2 = pattern.as_tuple()
-    out = []
-    for x in invs:
-        for y in invs:
-            if y == x or 2 * G.pair_order(x, y) != dv:
-                continue
-            for z in invs:
-                if z == x or z == y:
-                    continue
-                if 2 * G.pair_order(x, z) != d1 or 2 * G.pair_order(y, z) != d2:
-                    continue
-                if _triple_generates(G, x, y, z, dv, d1, d2):
-                    out.append(ReversingTriple(G, x, y, z, (dv, d1, d2), True))
-    return out
+    invs = G.involutions()
+    fibers = []
+    for cls in G.involution_classes().classes:
+        x = invs[cls.rep]
+        ys = [j for j, v in enumerate(invs) if v != x and 2 * G.pair_order(x, v) == dv]
+        zs = [k for k, v in enumerate(invs) if v != x and 2 * G.pair_order(x, v) == d1]
+        entries = [
+            (j, k)
+            for j in ys
+            for k in zs
+            if j != k
+            and 2 * G.pair_order(invs[j], invs[k]) == d2
+            and _triple_generates(G, x, invs[j], invs[k], dv, d1, d2)
+        ]
+        fibers.append((cls, entries))
+    return [
+        ReversingTriple(G, x, y, z, (dv, d1, d2), True)
+        for x, y, z in sorted(_expand(G, fibers))
+    ]
 
 
 # -- blind census over all involution triples ----------------------------------
@@ -404,32 +430,6 @@ def _qualifying_table(G: GroupHandle, table: list[list[int]]) -> dict:
     return qual
 
 
-def _scan_combos(table: list[list[int]], qual: dict, a_values) -> list[tuple[int, int, int]]:
-    n = len(table)
-    hits = []
-    for a in a_values:
-        row_a = table[a]
-        for b in range(a + 1, n):
-            d1 = row_a[b]
-            row_b = table[b]
-            for c in range(b + 1, n):
-                if qual[(d1, row_a[c], row_b[c])]:
-                    hits.append((a, b, c))
-    return hits
-
-
-_WORKER: dict = {}
-
-
-def _scan_worker_init(table, qual):
-    _WORKER["table"] = table
-    _WORKER["qual"] = qual
-
-
-def _scan_worker(a_values):
-    return _scan_combos(_WORKER["table"], _WORKER["qual"], a_values)
-
-
 def _normalize_hit(G: GroupHandle, e1: int, e2: int, e3: int):
     """Assign (x, y, z) roles inside an unordered qualifying triple.
 
@@ -459,35 +459,63 @@ def triple_conjugacy_classes(
     triples,
     check_closed: bool = True,
 ) -> list[tuple[tuple[int, int, int], int]]:
-    """Split triples into conjugation orbits; returns (orbit minimum, orbit size).
+    """Split involution triples into conjugation orbits; returns (orbit minimum, orbit size).
 
-    The orbit of a triple under simultaneous conjugation preserves all pair
-    orders, so a census built from a fixed pattern is closed under it; the
-    sweep checks that as a self-test when asked.  The representative is the
-    least member of the full orbit, so two subsets of the same orbit report
-    the same representative.
+    Each triple is folded onto the fiber of the least member r of its x's
+    class.  There its orbit is an orbit of the centralizer C(r), so the orbit
+    minimum is (r, least pair of that C(r)-orbit) and the orbit size is
+    |class of x| * |C(r)-orbit|.  The representative is the least member of
+    the full orbit, so two subsets of the same orbit report the same
+    representative.  Classes come in the order of their least listed member.
+
+    A triple whose two face orders tie stands for the pair {x, y}: it is read
+    with x < y, and its orbit joins those of (x, y, z) and (y, x, z).  With
+    ``check_closed`` the triples must be whole orbits; a census built from a
+    fixed pattern is.
     """
-    tset = set(triples)
-    visited: set[tuple[int, int, int]] = set()
+    C = G.involution_classes()
+    invs = G.involutions()
+    listed = set()
+    for x, y, z in triples:
+        if x > y and G.pair_order(x, z) == G.pair_order(y, z):
+            x, y = y, x
+        try:
+            listed.add((C.position[x], C.position[y], C.position[z]))
+        except KeyError as exc:
+            raise GroupError(f"element {exc} of a triple is not an involution") from None
+
+    def fold(x: int, y: int, z: int) -> tuple[int, int, int]:
+        cls = C.class_of[x]
+        back = cls.inverse(x)
+        return (cls.rep, back[y], back[z])
+
+    def orbit(key: tuple[int, int, int]) -> set[tuple[int, int, int]]:
+        r, y, z = key
+        return {(r, c[y], c[z]) for c in C.class_of[r].centralizer()}
+
+    seen: set[tuple[int, int, int]] = set()
     classes = []
-    for t in sorted(tset):
-        if t in visited:
+    covered = 0
+    for x, y, z in sorted(listed):
+        key = fold(x, y, z)
+        if key in seen:
             continue
-        x, y, z = t
-        tie = G.pair_order(x, z) == G.pair_order(y, z)
-        orbit = set()
-        for g in range(G.order):
-            gi = G.inv(g)
-            cx = G.mul(G.mul(gi, x), g)
-            cy = G.mul(G.mul(gi, y), g)
-            cz = G.mul(G.mul(gi, z), g)
-            if tie and cx > cy:
-                cx, cy = cy, cx
-            orbit.add((cx, cy, cz))
-        if check_closed and not orbit <= tset:
-            raise RuntimeError("triple set is not closed under conjugation")
-        visited |= orbit
-        classes.append((min(orbit), len(orbit)))
+        members = orbit(key)
+        seen |= members
+        size = C.class_of[x].size * len(members)
+        least = min(members)
+        if G.pair_order(invs[x], invs[z]) == G.pair_order(invs[y], invs[z]):
+            swapped = fold(y, x, z)
+            if swapped in members:
+                size //= 2
+            else:
+                other = orbit(swapped)
+                seen |= other
+                least = min(least, min(other))
+        covered += size
+        classes.append((tuple(invs[i] for i in least), size))
+    if check_closed and covered != len(listed):
+        raise RuntimeError("triple set is not closed under conjugation")
     return classes
 
 
@@ -496,49 +524,79 @@ def scan_reversing_census(
     budget: int = DEFAULT_ENUM_BUDGET,
     jobs: int = 1,
 ) -> CensusScan:
-    """Blind scan of all involution triples for coprime-qualifying patterns.
+    """Blind census of all involution triples for coprime-qualifying patterns.
 
-    Scans every unordered triple of distinct involutions (each stands for all
-    six orderings), keeps those whose cell counts give gcd(chi, |E|) = 1 and
-    which generate G, and groups them by dihedral pattern with conjugacy
-    class representatives.
+    Covers every unordered triple of distinct involutions (each stands for
+    all six orderings), keeps those whose cell counts give gcd(chi, |E|) = 1
+    and which generate G, and groups them by dihedral pattern with conjugacy
+    class representatives.  Only the triples through one involution per
+    class are scanned; the rest are their conjugates.  A slotted hit is kept
+    where the rep plays x; an unslotted one, whose roles follow element
+    indices and so do not commute with conjugation, is kept as an unordered
+    set, expanded, and then given its roles.  ``jobs`` is accepted and
+    ignored: the scan is serial.
     """
     if G.order > budget:
         raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     invs, table = _dihedral_table(G)
     qual = _qualifying_table(G, table)
     n = len(invs)
-    if jobs > 1 and n > 3 * jobs:
-        from multiprocessing import get_context
+    two_p = 2 * G.p
+    slotted: dict[tuple[int, int, int], list] = {}
+    loose = []
+    for cls in G.involution_classes().classes:
+        r = cls.rep
+        x = invs[r]
+        row_r = table[r]
+        here: dict[tuple[int, int, int], list] = {}
+        unordered = []
+        for y in range(n):
+            if y == r:
+                continue
+            a = row_r[y]
+            row_y = table[y]
+            for z in range(y + 1, n):
+                if z == r or not qual[(a, row_r[z], row_y[z])]:
+                    continue
+                b, c = row_r[z], row_y[z]
+                # the one pair at a p-divisible order is (x, y); x has the
+                # larger face order with z
+                divisible = (a % two_p == 0, b % two_p == 0, c % two_p == 0)
+                if divisible == (True, False, False) and b != c:
+                    entry, pat = (y, z), (a, b, c)
+                    mine = b > c
+                elif divisible == (False, True, False) and a != c:
+                    entry, pat = (z, y), (b, a, c)
+                    mine = a > c
+                elif divisible == (False, False, True) and a != b:
+                    mine = False
+                else:
+                    if _triple_generates(G, x, invs[y], invs[z], a, b, c):
+                        unordered.append((y, z))
+                    continue
+                # a hit where the rep is not x is the conjugate of one where it is
+                if mine and _triple_generates(G, x, invs[entry[0]], invs[entry[1]], *pat):
+                    here.setdefault(pat, []).append(entry)
+        for pat, entries in here.items():
+            slotted.setdefault(pat, []).append((cls, entries))
+        loose.append((cls, unordered))
 
-        ctx = get_context("fork")
-        chunks = [list(range(w, n, jobs)) for w in range(jobs)]
-        with ctx.Pool(jobs, _scan_worker_init, (table, qual)) as pool:
-            hits = [h for part in pool.map(_scan_worker, chunks) for h in part]
-        hits.sort()
-    else:
-        hits = _scan_combos(table, qual, range(n))
-
-    by_pattern: dict[tuple[int, int, int], list] = {}
-    slot_ok: dict[tuple[int, int, int], bool] = {}
-    for a, b, c in hits:
-        (x, y, z), pat, slotted = _normalize_hit(G, invs[a], invs[b], invs[c])
-        if not _triple_generates(G, x, y, z, *pat):
-            continue
-        by_pattern.setdefault(pat, []).append((x, y, z))
-        slot_ok[pat] = slot_ok.get(pat, True) and slotted
+    by_pattern = {pat: _expand(G, fibers) for pat, fibers in slotted.items()}
+    for hit in {tuple(sorted(t)) for t in _expand(G, loose)}:
+        t, pat, _ = _normalize_hit(G, *hit)
+        by_pattern.setdefault(pat, []).append(t)
 
     censuses = []
     edges = G.order // 2
     for pat in sorted(by_pattern):
-        triples = tuple(sorted(by_pattern[pat]))
         chi = sum(G.order // d for d in pat) - edges
-        if slot_ok[pat]:
-            classes = tuple(t for t, _ in triple_conjugacy_classes(G, triples))
+        if pat in slotted:
+            fiber = [(invs[c.rep], invs[y], invs[z]) for c, es in slotted[pat] for y, z in es]
+            classes = tuple(t for t, _ in triple_conjugacy_classes(G, fiber, check_closed=False))
         else:
             classes = ()
         censuses.append(
-            PatternCensus(pat, chi, slot_ok[pat], triples, classes)
+            PatternCensus(pat, chi, pat in slotted, tuple(sorted(by_pattern[pat])), classes)
         )
     return CensusScan(
         group=G.descriptor(),

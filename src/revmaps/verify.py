@@ -25,6 +25,7 @@ from .groups import (
     conjugacy_class,
     conjugacy_class_reps,
     generates,
+    pgl_order,
 )
 from .mapgeom import (
     MapGeometry,
@@ -35,6 +36,7 @@ from .mapgeom import (
     surface_invariants,
 )
 from .triples import (
+    DEFAULT_ENUM_BUDGET,
     ConstructionError,
     ReversingTriple,
     TriplePattern,
@@ -111,7 +113,7 @@ def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ROTARY_BUDGET) -> bool
     return True
 
 
-def check_pgl_action(p: int, budget: int = 20000) -> bool:
+def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     """Exhaustive check of the projective-line action of PGL(2,p).
 
     Verifies sharp 3-transitivity, the cyclic two-point stabilizer of order
@@ -322,7 +324,7 @@ def verify_theorem(
     p: int,
     m: int = 1,
     *,
-    budget: int = 20000,
+    budget: int = DEFAULT_ENUM_BUDGET,
     rotary_budget: int = DEFAULT_ROTARY_BUDGET,
     jobs: int = 1,
     expected_pattern: TriplePattern | None = None,
@@ -333,9 +335,15 @@ def verify_theorem(
     The verdict is "pass" iff the blind scan finds exactly the patterns the
     classification allows (the predicted pattern when its own map is coprime,
     nothing otherwise), every rebuilt map checks out (chi, nonorientability,
-    coprimality, stabilizer lcm), and all side checks hold.
+    coprimality, stabilizer lcm), and all side checks hold.  Every
+    exhaustive stage shares ``budget``, and all of it is checked before the
+    scan starts; ``jobs`` is accepted and ignored.
     """
     G = build_group(family, p, m)
+    # the action check builds PGL(2,p), which can exceed a budget the group
+    # fits; refuse now rather than after the scan
+    if pgl_order(p) > budget:
+        raise BudgetExceeded(f"PGL(2,{p}) exceeds the action-check budget {budget}")
     scan = scan_reversing_census(G, budget, jobs=jobs)
     predicted = expected_pattern or TriplePattern.predicted(family, p, m)
     edges = G.order // 2
@@ -394,7 +402,7 @@ def verify_theorem(
         "no_rotary": (
             check_no_rotary(G, rotary_budget) if G.order <= rotary_budget else None
         ),
-        "pgl_action": check_pgl_action(p),
+        "pgl_action": check_pgl_action(p, budget),
         "membership": _membership_split_ok(G, all_triples),
         "construction_agreement": (
             _construction_agreement(
@@ -457,7 +465,7 @@ VERIFY_MATRIX: tuple[tuple[str, int, int], ...] = (
 )
 
 
-def run_verify_matrix(jobs: int = 1, budget: int = 20000) -> dict:
+def run_verify_matrix(jobs: int = 1, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """All desk-scale configurations; the overall verdict ands the per-config ones."""
     reports = [
         verify_theorem(family, p, m, budget=budget, jobs=jobs)

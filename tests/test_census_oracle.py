@@ -1,0 +1,109 @@
+"""The census engine against the slow reference loops in ``oracle.py``.
+
+The engine scans one involution per conjugacy class and rebuilds the rest
+through conjugation maps; the oracle scans every triple and sweeps all of G.
+Both must give the same census, enumeration and conjugacy classes.
+"""
+
+from collections import defaultdict
+
+import pytest
+from oracle import oracle_classes, oracle_enumerate, oracle_scan
+
+from revmaps import triples
+from revmaps.groups import GroupError, build_group
+from revmaps.triples import (
+    TriplePattern,
+    construction_census,
+    enumerate_reversing_triples,
+    scan_reversing_census,
+    triple_conjugacy_classes,
+)
+from revmaps.verify import VERIFY_MATRIX
+
+SMALL_MATRIX = [cfg for cfg in VERIFY_MATRIX if cfg[1] <= 13]
+
+
+def _pattern(family, p, m):
+    # psl2 with p = 3 mod 4 has no classified pattern; its would-be one must be empty
+    return TriplePattern.predicted(family, p, m) or TriplePattern(2 * p, p + 1, p - 1)
+
+
+@pytest.mark.parametrize("family,p,m", SMALL_MATRIX)
+def test_scan_matches_oracle(family, p, m):
+    G = build_group(family, p, m)
+    assert scan_reversing_census(G) == oracle_scan(G)
+
+
+@pytest.mark.parametrize("family,p,m", SMALL_MATRIX)
+def test_enumeration_and_classes_match_oracle(family, p, m):
+    G = build_group(family, p, m)
+    pattern = _pattern(family, p, m)
+    enum = enumerate_reversing_triples(G, pattern)
+    assert enum == oracle_enumerate(G, pattern)
+    found = [t.indices() for t in enum]
+    assert triple_conjugacy_classes(G, found) == oracle_classes(G, found)
+    if enum:
+        # a subset of the orbits reports full-orbit minima and sizes
+        cons = construction_census(G)
+        assert triple_conjugacy_classes(G, cons, check_closed=False) == oracle_classes(
+            G, cons, check_closed=False
+        )
+
+
+@pytest.mark.parametrize("family", ["psl2", "pgl2"])
+def test_scan_matches_oracle_on_every_pattern(family, monkeypatch):
+    # accepting every pattern sends unslotted and tied patterns, whose roles
+    # follow element indices, through the engine's fallback
+    monkeypatch.setattr(
+        triples, "_qualifying_table", lambda G, table: defaultdict(lambda: True)
+    )
+    G = build_group(family, 5)
+    scan = scan_reversing_census(G)
+    assert not all(c.slotted for c in scan.qualifying)
+    assert scan == oracle_scan(G)
+
+
+def test_scan_matches_oracle_on_hits_inside_a_later_class(monkeypatch):
+    # the generating (12, 12, 12) triples of pgl2 13 lie wholly in the class
+    # outside PSL, which is not the first class: every class must be expanded
+    monkeypatch.setattr(
+        triples, "_qualifying_table", lambda G, table: defaultdict(bool, {(12, 12, 12): True})
+    )
+    G = build_group("pgl2", 13)
+    scan = scan_reversing_census(G)
+    C = G.involution_classes()
+    first = C.classes[0]
+    assert [c.pattern for c in scan.qualifying] == [(12, 12, 12)]
+    assert all(
+        C.class_of[C.position[v]] is not first for t in scan.qualifying[0].triples for v in t
+    )
+    assert scan == oracle_scan(G)
+
+
+def test_tied_face_orders_match_oracle():
+    # (10, 6, 6) ties the two face orders: a triple stands for the pair {x, y}
+    G = build_group("psl2", 5)
+    enum = [t.indices() for t in enumerate_reversing_triples(G, TriplePattern(10, 6, 6))]
+    tied = [(x, y, z) for x, y, z in enum if x < y]
+    assert tied and len(tied) * 2 == len(enum)
+    assert triple_conjugacy_classes(G, tied) == oracle_classes(G, tied)
+    assert triple_conjugacy_classes(G, tied[:3], check_closed=False) == oracle_classes(
+        G, tied[:3], check_closed=False
+    )
+
+
+def test_classes_reject_a_set_not_closed_under_conjugation():
+    G = build_group("pgl2", 5)
+    enum = [t.indices() for t in enumerate_reversing_triples(G, TriplePattern(10, 12, 8))]
+    with pytest.raises(RuntimeError):
+        triple_conjugacy_classes(G, enum[:-1])
+    with pytest.raises(RuntimeError):
+        oracle_classes(G, enum[:-1])
+
+
+def test_classes_reject_non_involutions():
+    G = build_group("psl2", 5)
+    x, y, _ = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))[0].indices()
+    with pytest.raises(GroupError):
+        triple_conjugacy_classes(G, [(x, y, G.identity)])

@@ -98,3 +98,37 @@ def test_worker_count_never_changes_output():
     one = run_cli("verify", "--family", "psl2", "--p", "5", "--jobs", "1")
     two = run_cli("verify", "--family", "psl2", "--p", "5", "--jobs", "2")
     assert one.stdout == two.stdout
+
+
+def test_check_rejects_malformed_records(tmp_path):
+    cases = {
+        "list.json": "[1, 2]",
+        "no_group.json": json.dumps({"triple": {}}),
+        "bad_group.json": json.dumps({"group": 5, "triple": {"x": 1, "y": 2, "z": 3}}),
+        "no_triple.json": json.dumps({"group": {"family": "psl2", "p": 5}}),
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        r = run_cli("check", "--input", str(path))
+        assert r.returncode == 1, name
+        assert r.stderr.startswith("error:"), name
+        assert len(r.stderr.strip().splitlines()) == 1, name
+
+
+def test_output_identical_across_hash_seeds_and_jobs():
+    import os
+
+    commands = [
+        ("enumerate", "--family", "pgl2", "--p", "7"),
+        ("verify", "--family", "ext", "--p", "7", "--m", "3"),
+    ]
+    for cmd in commands:
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            for jobs in ("1", "2"):
+                r = run_cli(*cmd, "--jobs", jobs, env=env)
+                assert r.returncode == 0, (cmd, seed, jobs, r.stderr)
+                outputs.add(r.stdout)
+        assert len(outputs) == 1, cmd

@@ -327,3 +327,55 @@ def test_ext_group_satisfies_lcm_of_classified_stabilizers():
     # the classified stabilizer orders recover the group order exactly
     X = build_group("ext", 7, 5)
     assert math.lcm(2 * 5 * 7, 2 * 8, 2 * 6, 2) == X.order
+
+
+def test_order_mismatch_raises_group_error(monkeypatch):
+    # a plain GroupError, not an assert that vanishes under python -O
+    import revmaps.groups as groups
+
+    monkeypatch.setattr(groups, "_CACHE", {})
+    monkeypatch.setattr(groups, "psl_order", lambda p: 1)
+    with pytest.raises(GroupError):
+        build_group("psl2", 5)
+
+
+# -- involution classes and conjugation maps ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family,p,m", [("psl2", 5, 1), ("psl2", 7, 1), ("pgl2", 7, 1), ("ext", 7, 3)]
+)
+def test_involution_classes_match_conjugacy(family, p, m):
+    # psl2 7 takes the closure fallback for its generating involutions
+    G = build_group(family, p, m)
+    C = G.involution_classes()
+    invs = G.involutions()
+    assert sorted(u for cls in C.classes for u in cls.maps) == list(range(len(invs)))
+    for cls in C.classes:
+        members = {invs[u] for u in cls.maps}
+        assert members == set(conjugacy_class(G, invs[cls.rep]))
+        assert cls.rep == min(cls.maps)
+        cent = cls.centralizer()
+        assert len(cent) * cls.size == G.order
+        commuting = [g for g in range(G.order) if G.conjugate(invs[cls.rep], g) == invs[cls.rep]]
+        assert sorted(cent) == sorted(
+            tuple(C.position[G.conjugate(v, g)] for v in invs) for g in commuting
+        )
+        for u, mu in list(cls.maps.items())[:5]:
+            # mu is conjugation by one element taking the rep to u
+            assert mu[cls.rep] == u
+            assert any(
+                all(invs[mu[i]] == G.conjugate(v, g) for i, v in enumerate(invs))
+                for g in range(G.order)
+                if G.conjugate(invs[cls.rep], g) == invs[u]
+            )
+            back = cls.inverse(u)
+            assert all(back[mu[i]] == i for i in range(len(invs)))
+
+
+def test_involution_classes_are_memoized_and_lazy():
+    G = build_group("pgl2", 5)
+    assert G.involution_classes() is G.involution_classes()
+    fresh = type(G)("pgl2", 5, 1)
+    fresh.involutions()
+    assert fresh._involution_classes is None

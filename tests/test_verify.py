@@ -208,3 +208,27 @@ def test_verify_generation_requirement_is_enforced():
         for t in census["class_reps"]:
             idx = tuple(G.element_from_json(t[n]) for n in ("x", "y", "z"))
             assert generates(G, idx)
+
+
+def test_verify_refuses_over_budget_before_scanning(monkeypatch):
+    # PSL(2,31) fits the default budget but PGL(2,31), which the action check
+    # builds, does not: the refusal must come before the census scan
+    import revmaps.verify as verify
+    from revmaps.groups import BudgetExceeded
+
+    def scan_must_not_run(*args, **kwargs):
+        raise AssertionError("the census scan ran before the budget check")
+
+    monkeypatch.setattr(verify, "scan_reversing_census", scan_must_not_run)
+    with pytest.raises(BudgetExceeded):
+        verify_theorem("psl2", 31)
+    with pytest.raises(BudgetExceeded):
+        verify_theorem("psl2", 13, budget=1000)
+
+
+def test_pgl_action_budget_is_configurable():
+    from revmaps.groups import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded):
+        check_pgl_action(7, budget=300)
+    assert check_pgl_action(7, budget=336)
