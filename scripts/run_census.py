@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from revmaps.triples import DEFAULT_ENUM_BUDGET
 from revmaps.verify import (
     VERIFY_MATRIX,
     a5_exceptional_case,
@@ -24,7 +25,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-    ap.add_argument("--budget", type=int, default=20000)
+    ap.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     args = ap.parse_args()
 
     out = Path(args.out)

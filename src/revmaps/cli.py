@@ -9,9 +9,9 @@ Subcommands:
     check       re-validate a stored map record (exit 2 on mismatch)
 
 Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
-3 budget exceeded.  The enumeration budget can also be set through the
-REVMAPS_BUDGET environment variable.  --jobs is accepted and ignored: the
-scan is serial.
+3 budget exceeded.  Every subcommand refuses a group of more elements than
+the budget (--budget, or the REVMAPS_BUDGET environment variable) before
+building it.  --jobs is accepted and ignored: the scan is serial.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ def _construct_triple(cfg: JobConfig):
 
 
 def _build_record(cfg: JobConfig) -> tuple[dict, object]:
-    build_group(cfg.family, cfg.p, cfg.m)  # surface parameter errors early
+    # surface parameter errors, and a group over the budget, before any work
+    build_group(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
     t = _construct_triple(cfg)
     M = build_revmap(t.group, t)
     return map_record(M), M
@@ -159,7 +160,7 @@ def _cmd_construct(cfg: JobConfig) -> int:
 
 
 def _cmd_enumerate(cfg: JobConfig) -> int:
-    G = build_group(cfg.family, cfg.p, cfg.m)
+    G = build_group(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
     scan = scan_reversing_census(G, cfg.budget, jobs=cfg.jobs)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -243,7 +244,7 @@ def _cmd_check(cfg: JobConfig) -> int:
     if rec.get("kind", "reversing") != "reversing":
         raise GroupError("check supports reversing map records")
     desc = rec["group"]
-    G = build_group(desc["family"], desc["p"], desc.get("m", 1))
+    G = build_group(desc["family"], desc["p"], desc.get("m", 1), budget=cfg.budget)
     idx = tuple(G.element_from_json(rec["triple"][n]) for n in ("x", "y", "z"))
     t = make_triple(G, *idx)
     M = build_revmap(G, t)

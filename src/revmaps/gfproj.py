@@ -18,7 +18,7 @@ affine points, the unique right action sending x to x+1 under [[1,1],[0,1]].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class GFProjError(ValueError):
@@ -107,15 +107,65 @@ def mat_inverse(m: ProjMatrix) -> ProjMatrix:
     return _normalized(m.d, -m.b, -m.c, m.a, m.p)
 
 
+@lru_cache(maxsize=None)
+def _invariant_orders(p: int) -> tuple[int, ...]:
+    """Orders of the non-scalar classes of PGL(2,p), indexed by s = tr^2/det.
+
+    s is unchanged by scaling, and it fixes the order (Dickson, *Linear
+    Groups*, 1901): a non-scalar matrix is conjugate to the companion matrix
+    of its characteristic polynomial, so matrices with the same nonzero s are
+    conjugate up to a scalar; at s = 0, M^2 = -det(M) I, so the order is 2.
+    Each order is found by repeated multiplication of one representative:
+    [[0, -1/s], [1, 1]] has trace 1 and determinant 1/s.
+    """
+    inv = _inv_table(p)
+    reps = [_normalized(0, -1, 1, 0, p)] + [_normalized(0, -inv[s], 1, 1, p) for s in range(1, p)]
+    ident = ProjMatrix(1, 0, 0, 1, p)
+    orders = []
+    for g in reps:
+        n, acc = 1, g
+        while acc != ident:
+            acc = mat_multiply(acc, g)
+            n += 1
+        orders.append(n)
+    return tuple(orders)
+
+
+def projective_order(a: int, b: int, c: int, d: int, p: int) -> int:
+    """Order in PGL(2,p) of the class of the invertible matrix [[a, b], [c, d]].
+
+    The entries need not be normalized or reduced mod p.  A scalar matrix has
+    order 1; any other has the order of its invariant tr^2/det (where s = 4
+    gives the unipotent order p).
+    """
+    if (a - d) % p == 0 and b % p == 0 and c % p == 0:
+        return 1
+    return _invariant_orders(p)[(a + d) ** 2 * _inv_table(p)[(a * d - b * c) % p] % p]
+
+
 def element_order(g: ProjMatrix) -> int:
     """Order of g as a projective class (smallest n >= 1 with g^n = I)."""
-    ident = identity(g.p)
-    n = 1
-    acc = g
-    while acc != ident:
-        acc = mat_multiply(acc, g)
-        n += 1
-    return n
+    return projective_order(*g)
+
+
+def product_orders(mats: list[ProjMatrix]) -> Iterator[list[int]]:
+    """Row x lists the orders of mats[x] * mats[y] for every y, as projective_order.
+
+    The n^2 products are never formed: each order comes from the trace, a dot
+    product of the entries, and the determinant, a product of the factors'.
+    """
+    p = mats[0].p
+    orders = _invariant_orders(p)
+    inv = _inv_table(p)
+    ents = [(a, b, c, d, inv[(a * d - b * c) % p]) for a, b, c, d, _ in mats]
+    at: dict[ProjMatrix, list[int]] = {}
+    for y, g in enumerate(mats):
+        at.setdefault(g, []).append(y)
+    for g, (a, b, c, d, w) in zip(mats, ents):
+        row = [orders[(a * e + b * u + c * f + d * v) ** 2 * w * k % p] for e, f, u, v, k in ents]
+        for y in at.get(mat_inverse(g), ()):
+            row[y] = 1  # a scalar product
+        yield row
 
 
 def in_psl(g: ProjMatrix) -> bool:

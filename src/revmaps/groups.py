@@ -5,6 +5,11 @@ a canonical sorted order, and all queries work on integer element indices,
 so handles double as lookup tables.  Handles are immutable once built and are
 cached per (family, p, m).
 
+Element and pair orders are read off the invariant tr^2/det of the matrix
+part (see ``gfproj.projective_order``) without multiplying, so the handle
+keeps no per-element or per-pair memo.  The only quadratic table is the
+dihedral table of the involutions, built on first use by the census scans.
+
 The extended family EXT realizes (Z_m x PSL(2,p)):2 inside Z_m x PGL(2,p)
 with the twisted product
 
@@ -16,6 +21,7 @@ so that every element outside Z_m x PSL(2,p) inverts the cyclic factor.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,9 +30,12 @@ from .gfproj import (
     ProjMatrix,
     all_matrices,
     check_prime,
+    element_order,
     in_psl,
     mat_inverse,
     mat_multiply,
+    product_orders,
+    projective_order,
 )
 
 PSL2 = "psl2"
@@ -50,6 +59,11 @@ def psl_order(p: int) -> int:
 
 def pgl_order(p: int) -> int:
     return p * (p - 1) * (p + 1)
+
+
+def group_order(family: str, p: int, m: int = 1) -> int:
+    """The order of the family's group, from its formula."""
+    return {PSL2: psl_order(p), PGL2: pgl_order(p), EXT: m * pgl_order(p)}[family]
 
 
 class GroupHandle:
@@ -78,11 +92,10 @@ class GroupHandle:
         else:
             self._psl = tuple(in_psl(g) for g in self.elements)
             self.identity = self.index[ProjMatrix(1, 0, 0, 1, p)]
-        self._orders: dict[int, int] = {}
         self._inverses: list[int] | None = None
         self._involutions: tuple[int, ...] | None = None
-        self._pair_orders: dict[tuple[int, int], int] = {}
         self._involution_classes: InvolutionClasses | None = None
+        self._dihedral: list[array] | None = None
 
     # -- element access ----------------------------------------------------
 
@@ -124,29 +137,35 @@ class GroupHandle:
         self._inverses[j] = i
         return j
 
+    def _cyclic_order(self, i: int, j: int) -> int:
+        """What the Z_m factor adds to the order of elements[i] * elements[j] (EXT).
+
+        With the product (e, g): (e, g)^k = (k*e, g^k) when g is in PSL, so
+        the order is lcm(|g|, m/gcd(e, m)); otherwise (e, g)^2 = (0, g^2) and
+        the order is |g|.
+        """
+        (e1, _), (e2, _) = self.elements[i], self.elements[j]
+        if self._psl[i] != self._psl[j]:
+            return 1
+        e = e1 + e2 if self._psl[i] else e1 - e2
+        return self.m // math.gcd(e, self.m)
+
     def element_order(self, i: int) -> int:
-        cached = self._orders.get(i)
-        if cached is not None:
-            return cached
-        n = 1
-        acc = i
-        while acc != self.identity:
-            acc = self.mul(acc, i)
-            n += 1
-        self._orders[i] = n
-        return n
+        if self.family == EXT:
+            # elements[i] is elements[i] * identity
+            order = element_order(self.elements[i][1])
+            return math.lcm(order, self._cyclic_order(i, self.identity))
+        return element_order(self.elements[i])
 
     def is_involution(self, i: int) -> bool:
-        return i != self.identity and self.mul(i, i) == self.identity
+        return self.element_order(i) == 2
 
     def conjugate(self, i: int, g: int) -> int:
         return self.mul(self.mul(self.inv(g), i), g)
 
     def involutions(self) -> tuple[int, ...]:
         if self._involutions is None:
-            self._involutions = tuple(
-                i for i in range(self.order) if self.is_involution(i)
-            )
+            self._involutions = tuple(i for i in range(self.order) if self.is_involution(i))
         return self._involutions
 
     def involution_classes(self) -> "InvolutionClasses":
@@ -159,14 +178,34 @@ class GroupHandle:
         return self._involution_classes
 
     def pair_order(self, i: int, j: int) -> int:
-        """Order of elements[i] * elements[j], memoized."""
-        key = (i, j) if i <= j else (j, i)
-        cached = self._pair_orders.get(key)
-        if cached is None:
-            # |uv| = |vu| always, so one entry serves both orders
-            cached = self.element_order(self.mul(key[0], key[1]))
-            self._pair_orders[key] = cached
-        return cached
+        """Order of elements[i] * elements[j], from the entries of both factors."""
+        a, b, c, d, p = self.matrix_part(i)
+        e, f, u, v, _ = self.matrix_part(j)
+        n = projective_order(a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v, p)
+        if self.family == EXT:
+            n = math.lcm(n, self._cyclic_order(i, j))
+        return n
+
+    def dihedral_table(self) -> list[array]:
+        """Dihedral orders 2|uv| of all pairs of involutions, by position.
+
+        Row x holds the orders of involutions()[x] with each involution, and
+        0 on the diagonal, 2 bytes an entry.  The orders come from the
+        entries, as in pair_order.  Built on first use and kept on the handle;
+        only the census scans ask for it.
+        """
+        if self._dihedral is None:
+            invs = self.involutions()
+            rows = []
+            mats = [self.matrix_part(u) for u in invs]
+            for x, row in enumerate(product_orders(mats)):
+                if self.family == EXT:
+                    u = invs[x]
+                    row = [math.lcm(n, self._cyclic_order(u, v)) for n, v in zip(row, invs)]
+                row[x] = 0
+                rows.append(array("H", [n + n for n in row]))
+            self._dihedral = rows
+        return self._dihedral
 
     # -- serialization -------------------------------------------------------
 
@@ -200,11 +239,13 @@ class GroupHandle:
 _CACHE: dict[tuple[str, int, int], GroupHandle] = {}
 
 
-def build_group(family: str, p: int, m: int = 1) -> GroupHandle:
+def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> GroupHandle:
     """Materialize a group of the given family.
 
     psl2 / pgl2 require m = 1.  ext requires p = 3 (mod 4), m odd > 1 and
-    gcd(m, p) = 1.  Handles are cached and shared; they are immutable.
+    gcd(m, p) = 1.  With a budget, a group of more elements raises
+    BudgetExceeded before anything is built.  Handles are cached and shared;
+    they are immutable.
     """
     if family not in FAMILIES:
         raise GroupError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -224,15 +265,16 @@ def build_group(family: str, p: int, m: int = 1) -> GroupHandle:
             raise GroupError(f"extended family needs odd m, got m = {m}")
         if math.gcd(m, p) != 1:
             raise GroupError(f"m = {m} must be coprime to p = {p}")
+    expected = group_order(family, p, m)
+    if budget is not None and expected > budget:
+        raise BudgetExceeded(f"group order {expected} exceeds budget {budget}")
     key = (family, p, m)
     handle = _CACHE.get(key)
     if handle is None:
         handle = GroupHandle(family, p, m)
-        expected = {PSL2: psl_order(p), PGL2: pgl_order(p), EXT: m * pgl_order(p)}
-        if handle.order != expected[family]:
+        if handle.order != expected:
             raise GroupError(
-                f"{family} p={p} m={m} built {handle.order} elements,"
-                f" expected {expected[family]}"
+                f"{family} p={p} m={m} built {handle.order} elements, expected {expected}"
             )
         _CACHE[key] = handle
     return handle

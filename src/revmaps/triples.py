@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import gfproj
 from .groups import (
@@ -354,18 +355,18 @@ def enumerate_reversing_triples(
         raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     dv, d1, d2 = pattern.as_tuple()
     invs = G.involutions()
+    table = G.dihedral_table()
     fibers = []
     for cls in G.involution_classes().classes:
         x = invs[cls.rep]
-        ys = [j for j, v in enumerate(invs) if v != x and 2 * G.pair_order(x, v) == dv]
-        zs = [k for k, v in enumerate(invs) if v != x and 2 * G.pair_order(x, v) == d1]
+        row = table[cls.rep]
+        ys = [j for j, d in enumerate(row) if d == dv]
+        zs = [k for k, d in enumerate(row) if d == d1]
         entries = [
             (j, k)
             for j in ys
             for k in zs
-            if j != k
-            and 2 * G.pair_order(invs[j], invs[k]) == d2
-            and _triple_generates(G, x, invs[j], invs[k], dv, d1, d2)
+            if table[j][k] == d2 and _triple_generates(G, x, invs[j], invs[k], dv, d1, d2)
         ]
         fibers.append((cls, entries))
     return [
@@ -404,21 +405,7 @@ class CensusScan:
         return sorted(c.multiset for c in self.qualifying)
 
 
-def _dihedral_table(G: GroupHandle) -> tuple[tuple[int, ...], list[list[int]]]:
-    invs = G.involutions()
-    n = len(invs)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ia = invs[a]
-        row = table[a]
-        for b in range(a + 1, n):
-            d = 2 * G.pair_order(ia, invs[b])
-            row[b] = d
-            table[b][a] = d
-    return invs, table
-
-
-def _qualifying_table(G: GroupHandle, table: list[list[int]]) -> dict:
+def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
     values = sorted({d for row in table for d in row if d})
     edges = G.order // 2
     qual = {}
@@ -438,11 +425,13 @@ def _normalize_hit(G: GroupHandle, e1: int, e2: int, e3: int):
     fall back to index order, flagged as unslotted.
     """
     two_p = 2 * G.p
+    table = G.dihedral_table()
+    at = G.involution_classes().position
     options = []
     for z, u, v in ((e3, e1, e2), (e2, e1, e3), (e1, e2, e3)):
-        dv = 2 * G.pair_order(u, v)
-        du = 2 * G.pair_order(u, z)
-        dw = 2 * G.pair_order(v, z)
+        dv = table[at[u]][at[v]]
+        du = table[at[u]][at[z]]
+        dw = table[at[v]][at[z]]
         if (du, -u) < (dw, -v):
             u, v, du, dw = v, u, dw, du
         options.append((0 if dv % two_p == 0 else 1, -dv, u, v, z, dv, du, dw))
@@ -475,14 +464,16 @@ def triple_conjugacy_classes(
     """
     C = G.involution_classes()
     invs = G.involutions()
+    table = G.dihedral_table()
     listed = set()
-    for x, y, z in triples:
-        if x > y and G.pair_order(x, z) == G.pair_order(y, z):
-            x, y = y, x
+    for triple in triples:
         try:
-            listed.add((C.position[x], C.position[y], C.position[z]))
+            x, y, z = (C.position[v] for v in triple)
         except KeyError as exc:
             raise GroupError(f"element {exc} of a triple is not an involution") from None
+        if x > y and table[x][z] == table[y][z]:
+            x, y = y, x
+        listed.add((x, y, z))
 
     def fold(x: int, y: int, z: int) -> tuple[int, int, int]:
         cls = C.class_of[x]
@@ -504,7 +495,7 @@ def triple_conjugacy_classes(
         seen |= members
         size = C.class_of[x].size * len(members)
         least = min(members)
-        if G.pair_order(invs[x], invs[z]) == G.pair_order(invs[y], invs[z]):
+        if table[x][z] == table[y][z]:
             swapped = fold(y, x, z)
             if swapped in members:
                 size //= 2
@@ -538,7 +529,8 @@ def scan_reversing_census(
     """
     if G.order > budget:
         raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
-    invs, table = _dihedral_table(G)
+    invs = G.involutions()
+    table = G.dihedral_table()
     qual = _qualifying_table(G, table)
     n = len(invs)
     two_p = 2 * G.p

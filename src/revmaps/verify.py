@@ -22,7 +22,6 @@ from .groups import (
     BudgetExceeded,
     GroupHandle,
     build_group,
-    conjugacy_class,
     conjugacy_class_reps,
     generates,
     pgl_order,
@@ -106,7 +105,7 @@ def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ROTARY_BUDGET) -> bool
             continue
         v = G.order // G.element_order(a)
         for z in invs:
-            f = G.order // G.element_order(G.mul(a, z))
+            f = G.order // G.pair_order(a, z)
             chi = v - edges + f
             if math.gcd(abs(chi), edges) == 1 and generates(G, {a, z}):
                 return False
@@ -166,7 +165,8 @@ def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
 
     inside = []
     outside = []
-    for i in G.involutions():
+    invs = G.involutions()
+    for i in invs:
         fixed = len(gfproj.fixed_points(G.elements[i]))
         if G.in_psl_part(i):
             inside.append(i)
@@ -176,11 +176,8 @@ def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
             outside.append(i)
             if p % 4 == 3 and fixed != 2:
                 return False
-    if conjugacy_class(G, inside[0]) != tuple(inside):
-        return False
-    if conjugacy_class(G, outside[0]) != tuple(outside):
-        return False
-    return True
+    classes = sorted(sorted(invs[u] for u in cls.maps) for cls in G.involution_classes().classes)
+    return classes == sorted([inside, outside])
 
 
 def _arc_stabilizer_order(M: MapGeometry) -> int:
@@ -339,7 +336,7 @@ def verify_theorem(
     exhaustive stage shares ``budget``, and all of it is checked before the
     scan starts; ``jobs`` is accepted and ignored.
     """
-    G = build_group(family, p, m)
+    G = build_group(family, p, m, budget=budget)
     # the action check builds PGL(2,p), which can exceed a budget the group
     # fits; refuse now rather than after the scan
     if pgl_order(p) > budget:

@@ -3,38 +3,91 @@
 These are the direct loops the engine in ``revmaps.triples`` replaces: the
 scan over every unordered involution triple, the x*y*z enumeration loop and
 the conjugation sweep over all |G| elements per class.  They share only the
-building blocks (dihedral table, qualifying table, role assignment,
-generation test) with the engine, and are compared with it at small p.
+building blocks (qualifying table, role assignment, generation test) with
+the engine, and are compared with it at small p.  Element and pair orders
+come from repeated multiplication, not from the closed form in
+``gfproj.projective_order``.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 from revmaps import triples
+from revmaps.gfproj import ProjMatrix, mat_multiply
 from revmaps.groups import GroupHandle
 from revmaps.triples import (
     CensusScan,
     PatternCensus,
     ReversingTriple,
     TriplePattern,
-    _dihedral_table,
     _normalize_hit,
     _triple_generates,
 )
 
 
+def oracle_matrix_order(g: ProjMatrix) -> int:
+    """Smallest n >= 1 with g^n = I, by repeated multiplication."""
+    ident = ProjMatrix(1, 0, 0, 1, g.p)
+    n, acc = 1, g
+    while acc != ident:
+        acc = mat_multiply(acc, g)
+        n += 1
+    return n
+
+
+@lru_cache(maxsize=None)
+def oracle_orders(G: GroupHandle) -> tuple[int, ...]:
+    """The order of every element of G, by repeated multiplication.
+
+    The powers g, g^2, ..., g^n = 1 of each element walked give the orders
+    of those powers too: |g^k| = n / gcd(n, k).
+    """
+    orders = [0] * G.order
+    for g in range(G.order):
+        if orders[g]:
+            continue
+        powers = [g]
+        while powers[-1] != G.identity:
+            powers.append(G.mul(powers[-1], g))
+        n = len(powers)
+        for k, h in enumerate(powers, 1):
+            orders[h] = n // math.gcd(n, k)
+    return tuple(orders)
+
+
+def oracle_involutions(G: GroupHandle) -> tuple[int, ...]:
+    return tuple(i for i in range(G.order) if i != G.identity and G.mul(i, i) == G.identity)
+
+
+def oracle_pair_order(G: GroupHandle, u: int, v: int) -> int:
+    return oracle_orders(G)[G.mul(u, v)]
+
+
+@lru_cache(maxsize=None)
+def oracle_dihedral_table(G: GroupHandle) -> tuple[tuple[int, ...], ...]:
+    """Dihedral orders 2|uv| of the involutions by position, 0 on the diagonal."""
+    invs = oracle_involutions(G)
+    return tuple(
+        tuple(2 * oracle_pair_order(G, u, v) if u != v else 0 for v in invs) for u in invs
+    )
+
+
 def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[ReversingTriple]:
     """Every ordered triple realizing the slotted pattern, by the x*y*z loop."""
-    invs = G.involutions()
+    invs = oracle_involutions(G)
+    table = oracle_dihedral_table(G)
     dv, d1, d2 = pattern.as_tuple()
     out = []
-    for x in invs:
-        for y in invs:
-            if y == x or 2 * G.pair_order(x, y) != dv:
+    for a, x in enumerate(invs):
+        for b, y in enumerate(invs):
+            if b == a or table[a][b] != dv:
                 continue
-            for z in invs:
-                if z == x or z == y:
+            for c, z in enumerate(invs):
+                if c == a or c == b:
                     continue
-                if 2 * G.pair_order(x, z) != d1 or 2 * G.pair_order(y, z) != d2:
+                if table[a][c] != d1 or table[b][c] != d2:
                     continue
                 if _triple_generates(G, x, y, z, dv, d1, d2):
                     out.append(ReversingTriple(G, x, y, z, (dv, d1, d2), True))
@@ -50,7 +103,7 @@ def oracle_classes(G: GroupHandle, triples, check_closed: bool = True):
         if t in visited:
             continue
         x, y, z = t
-        tie = G.pair_order(x, z) == G.pair_order(y, z)
+        tie = oracle_pair_order(G, x, z) == oracle_pair_order(G, y, z)
         orbit = set()
         for g in range(G.order):
             gi = G.inv(g)
@@ -69,7 +122,8 @@ def oracle_classes(G: GroupHandle, triples, check_closed: bool = True):
 
 def oracle_scan(G: GroupHandle) -> CensusScan:
     """The census by scanning all n(n-1)(n-2)/6 unordered involution triples."""
-    invs, table = _dihedral_table(G)
+    invs = oracle_involutions(G)
+    table = oracle_dihedral_table(G)
     # looked up at call time, so that a test can replace the filter
     qual = triples._qualifying_table(G, table)
     n = len(invs)

@@ -132,3 +132,28 @@ def test_output_identical_across_hash_seeds_and_jobs():
                 assert r.returncode == 0, (cmd, seed, jobs, r.stderr)
                 outputs.add(r.stdout)
         assert len(outputs) == 1, cmd
+
+
+def test_every_command_refuses_an_over_budget_group_before_building(monkeypatch, tmp_path, capsys):
+    # PSL(2,10007) has ~5*10^11 elements: the refusal must come from the order
+    # formula, before a single matrix is listed
+    from revmaps import cli, groups
+
+    def must_not_build(p):
+        raise AssertionError(f"built the elements of PGL(2,{p})")
+
+    monkeypatch.setattr(groups, "all_matrices", must_not_build)
+    big = ["--family", "psl2", "--p", "10007"]
+    for args in (["construct", *big], ["export", *big], ["enumerate", *big], ["verify", *big]):
+        assert cli.main(args) == 3, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, args
+    record = tmp_path / "rec.json"
+    triple = {"x": 0, "y": 0, "z": 0}
+    record.write_text(json.dumps({"group": {"family": "psl2", "p": 10007}, "triple": triple}))
+    assert cli.main(["check", "--input", str(record)]) == 3
+    # the environment budget applies to construct as well
+    monkeypatch.setenv("REVMAPS_BUDGET", "50")
+    assert cli.main(["construct", "--family", "psl2", "--p", "5"]) == 3
+    assert "exceeds budget 50" in capsys.readouterr().err
+

@@ -1,0 +1,96 @@
+"""Closed-form element and pair orders against repeated multiplication.
+
+``gfproj.projective_order`` reads the order of a matrix off tr^2/det, and
+``GroupHandle`` derives element orders, pair orders, the involution list and
+the dihedral table from it without multiplying.  The oracle walks powers.
+"""
+
+import random
+
+import pytest
+from oracle import (
+    oracle_dihedral_table,
+    oracle_involutions,
+    oracle_matrix_order,
+    oracle_orders,
+    oracle_pair_order,
+)
+
+from revmaps import cli, groups
+from revmaps.gfproj import all_matrices, element_order, projective_order
+from revmaps.groups import build_group
+from revmaps.triples import scan_reversing_census
+from revmaps.verify import VERIFY_MATRIX
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_matrix_orders_match_power_loop(p):
+    rng = random.Random(p)
+    for g in all_matrices(p):
+        n = oracle_matrix_order(g)
+        assert element_order(g) == n
+        # any representative of the class, unreduced
+        lam = rng.randrange(1, p)
+        a, b, c, d, _ = g
+        assert projective_order(lam * a + p, lam * b, lam * c - p, lam * d, p) == n
+
+
+def test_invariant_ends():
+    # tr = 0 gives an involution; tr^2 = 4 det a unipotent class, unless scalar
+    assert projective_order(0, 1, 1, 0, 7) == 2
+    assert projective_order(1, 1, 0, 1, 7) == 7
+    assert projective_order(3, 0, 0, 3, 7) == 1
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_element_orders_match_power_loop(family, p, m):
+    # for ext this covers every exponent of Z_m with every matrix part
+    G = build_group(family, p, m)
+    assert tuple(G.element_order(i) for i in range(G.order)) == oracle_orders(G)
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_involutions_match_power_loop(family, p, m):
+    G = build_group(family, p, m)
+    assert G.involutions() == oracle_involutions(G)
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_pair_orders_match_power_loop(family, p, m):
+    G = build_group(family, p, m)
+    invs = G.involutions()
+    for u in invs:
+        for v in invs:
+            assert G.pair_order(u, v) == oracle_pair_order(G, u, v)
+    rng = random.Random(f"{family}{p}{m}")
+    for i in rng.sample(range(G.order), min(200, G.order)):
+        j = rng.randrange(G.order)
+        assert G.pair_order(i, j) == oracle_pair_order(G, i, j)
+        # a product of mutual inverses is scalar, at tr^2/det = 4
+        assert G.pair_order(i, G.inv(i)) == 1
+        assert G.pair_order(G.inv(i), i) == 1
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_dihedral_table_matches_power_loop(family, p, m):
+    G = build_group(family, p, m)
+    table = G.dihedral_table()
+    assert tuple(tuple(row) for row in table) == oracle_dihedral_table(G)
+    assert G.dihedral_table() is table
+
+
+def test_dihedral_table_is_built_only_by_the_scans(monkeypatch, tmp_path):
+    # fresh handles: set-up, involutions() and the construct, check and export
+    # commands leave the quadratic table unbuilt
+    monkeypatch.setattr(groups, "_CACHE", {})
+    G = build_group("pgl2", 7)
+    G.involutions()
+    common = ["--family", "ext", "--p", "7", "--m", "3"]
+    record = str(tmp_path / "record.json")
+    assert cli.main(["construct", *common, "--output", record]) == 0
+    assert cli.main(["check", "--input", record, "--output", str(tmp_path / "c.json")]) == 0
+    assert cli.main(["export", *common, "--output", str(tmp_path / "g.dot")]) == 0
+    assert len(groups._CACHE) == 2
+    assert all(H._dihedral is None for H in groups._CACHE.values())
+    scan_reversing_census(G)
+    assert G._dihedral is not None

@@ -233,3 +233,19 @@ def test_generation_fast_paths_match_plain_closure():
         fast = _triple_generates(X, x, y, z, dv, d1, d2)
         slow = subgroup_closure(X, (x, y, z)).order == X.order
         assert fast == slow
+
+
+def test_mid_size_census_pgl2_19(tmp_path):
+    # a mid-size census through the command: 361 involutions, 7.8M unordered triples
+    import json
+
+    from revmaps import cli
+
+    out = tmp_path / "census.json"
+    assert cli.main(["enumerate", "--family", "pgl2", "--p", "19", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["group_order"] == 6840
+    assert payload["combos_scanned"] == 361 * 360 * 359 // 6
+    assert [
+        (q["pattern"], q["raw_triples"], q["classes"]) for q in payload["qualifying"]
+    ] == [([38, 40, 36], 164160, 24)]

@@ -232,3 +232,39 @@ def test_pgl_action_budget_is_configurable():
     with pytest.raises(BudgetExceeded):
         check_pgl_action(7, budget=300)
     assert check_pgl_action(7, budget=336)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pgl_action_involution_classes_match_conjugacy(p):
+    # check_pgl_action reads the two involution classes off involution_classes()
+    from revmaps.groups import conjugacy_class
+
+    G = build_group("pgl2", p)
+    invs = G.involutions()
+    classes = G.involution_classes().classes
+    assert len(classes) == 2
+    for cls in classes:
+        members = tuple(sorted(invs[u] for u in cls.maps))
+        assert members == conjugacy_class(G, invs[cls.rep])
+        assert len({G.in_psl_part(v) for v in members}) == 1
+    assert check_pgl_action(p)
+
+
+@pytest.mark.parametrize("split", ["one class", "two classes, one member swapped"])
+def test_pgl_action_fails_unless_classes_split_by_psl(monkeypatch, split):
+    from types import SimpleNamespace
+
+    from revmaps.groups import GroupHandle
+
+    def wrong_classes(G):
+        invs = G.involutions()
+        if split == "one class":
+            parts = [range(len(invs))]
+        else:
+            inside = [u for u, v in enumerate(invs) if G.in_psl_part(v)]
+            outside = [u for u, v in enumerate(invs) if not G.in_psl_part(v)]
+            parts = [inside[1:] + outside[:1], outside[1:] + inside[:1]]
+        return SimpleNamespace(classes=[SimpleNamespace(maps=dict.fromkeys(q)) for q in parts])
+
+    monkeypatch.setattr(GroupHandle, "involution_classes", wrong_classes)
+    assert not check_pgl_action(7)
