@@ -2,9 +2,10 @@
 """Run the full desk-scale verification matrix and write the reports.
 
 Produces one JSON report per configuration plus the exceptional flag-regular
-pair of PSL(2,5), a combined matrix report, and a plain-text summary table.
+pair of PSL(2,5), the combined matrix report, and a plain-text summary table
+with one line per configuration.
 
-    python scripts/run_census.py --out out/ [--jobs N] [--budget B]
+    python scripts/run_census.py --out out/ [--budget B]
 """
 
 import argparse
@@ -13,31 +14,25 @@ import time
 from pathlib import Path
 
 from revmaps.triples import DEFAULT_ENUM_BUDGET
-from revmaps.verify import (
-    VERIFY_MATRIX,
-    a5_exceptional_case,
-    report_json,
-    verify_theorem,
-)
+from revmaps.verify import report_json, run_verify_matrix
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     ap.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     args = ap.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    t0 = time.perf_counter()
+    matrix = run_verify_matrix(args.budget)
+    elapsed = time.perf_counter() - t0
+
     rows = []
-    reports = []
-    for family, p, m in VERIFY_MATRIX:
-        t0 = time.perf_counter()
-        rep = verify_theorem(family, p, m, budget=args.budget, jobs=args.jobs)
-        dt = time.perf_counter() - t0
-        reports.append(rep)
+    for rep in matrix["configs"]:
+        family, p, m = (rep["config"][k] for k in ("family", "p", "m"))
         name = f"{family}_p{p}" + (f"_m{m}" if m > 1 else "")
         (out / f"{name}.json").write_text(report_json(rep))
         chi = rep["census"][0]["chi"] if rep["census"] else "-"
@@ -45,30 +40,17 @@ def main() -> int:
         rows.append(
             f"{family:<5} p={p:<3} m={m:<2} order={rep['group_order']:<6}"
             f" patterns={patterns:<18} chi={chi!s:<6}"
-            f" verdict={rep['verdict']:<5} {dt:6.1f}s"
+            f" verdict={rep['verdict']}"
         )
-        print(rows[-1])
-
-    a5 = a5_exceptional_case()
+    a5 = matrix["flag_regular"]
     (out / "a5_flag_regular.json").write_text(report_json(a5))
     rows.append(f"a5 flag-regular pair: verdict={a5['verdict']}")
-    print(rows[-1])
 
-    combined = {
-        "schema_version": 1,
-        "configs": reports,
-        "flag_regular": a5,
-        "verdict": (
-            "pass"
-            if a5["verdict"] == "pass"
-            and all(r["verdict"] == "pass" for r in reports)
-            else "fail"
-        ),
-    }
-    (out / "matrix.json").write_text(report_json(combined))
+    (out / "matrix.json").write_text(report_json(matrix))
     (out / "summary.txt").write_text("\n".join(rows) + "\n")
-    print(f"verdict: {combined['verdict']}  (reports in {out}/)")
-    return 0 if combined["verdict"] == "pass" else 2
+    print("\n".join(rows))
+    print(f"verdict: {matrix['verdict']}  ({elapsed:.1f}s, reports in {out}/)")
+    return 0 if matrix["verdict"] == "pass" else 2
 
 
 if __name__ == "__main__":

@@ -3,75 +3,7 @@
 Construction and exhaustive desk-scale verification of the reversing maps of
 PSL(2,p), PGL(2,p) and (Z_m x PSL(2,p)):2, and of the two exceptional
 flag-regular maps of PSL(2,5) on the projective plane.
+
+The package re-exports nothing: import from the submodules ``gfproj``,
+``groups``, ``triples``, ``mapgeom``, ``verify`` and ``cli``.
 """
-
-from .gfproj import (
-    GFProjError,
-    ProjMatrix,
-    act,
-    all_points,
-    element_order,
-    fixed_points,
-    identity,
-    in_psl,
-    mat_inverse,
-    mat_multiply,
-    proj_matrix,
-)
-from .groups import (
-    EXT,
-    PGL2,
-    PSL2,
-    BudgetExceeded,
-    CosetPartition,
-    GroupError,
-    GroupHandle,
-    SubgroupHandle,
-    build_group,
-    conjugacy_class,
-    dihedral_order,
-    generates,
-    involutions,
-    right_cosets,
-    subgroup_closure,
-)
-from .mapgeom import (
-    FlagSystem,
-    MapError,
-    MapGeometry,
-    SurfaceInvariants,
-    UnderlyingGraph,
-    build_regular_map,
-    build_revmap,
-    flag_system,
-    map_record,
-    recognize_graph,
-    surface_invariants,
-    to_dot,
-    underlying_graph,
-)
-from .triples import (
-    ConstructionError,
-    ReversingTriple,
-    TriplePattern,
-    construction_census,
-    enumerate_reversing_triples,
-    ext_triple,
-    find_partner,
-    make_triple,
-    pgl_triple,
-    psl_triple,
-    scan_reversing_census,
-)
-from .verify import (
-    a5_exceptional_case,
-    check_coprime,
-    check_no_rotary,
-    check_pgl_action,
-    check_sylow_lemma,
-    report_json,
-    run_verify_matrix,
-    verify_theorem,
-)
-
-__version__ = "0.1.0"

@@ -6,12 +6,16 @@ Subcommands:
                 scanned from one involution per conjugacy class
     verify      full verification report for one configuration (exit 2 on fail)
     export      DOT text of the underlying graph of a constructed map
-    check       re-validate a stored map record (exit 2 on mismatch)
+    check       recompute a stored map record and compare every field
+                (exit 2 on any difference)
 
 Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
-3 budget exceeded.  Every subcommand refuses a group of more elements than
-the budget (--budget, or the REVMAPS_BUDGET environment variable) before
-building it.  --jobs is accepted and ignored: the scan is serial.
+3 budget exceeded, 4 internal error (a search the theory guarantees to
+succeed found nothing: a bug, not a usage error).  Every subcommand refuses
+a group of more elements than the budget (--budget, or the REVMAPS_BUDGET
+environment variable) before building it, and every exhaustive stage of
+verify, the rotary check included, runs under that budget.  --jobs is
+accepted and ignored: the scan is serial.
 """
 
 from __future__ import annotations
@@ -23,7 +27,15 @@ import sys
 from dataclasses import dataclass
 
 from .groups import EXT, FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
-from .mapgeom import MapError, build_revmap, flag_system, map_record, to_dot, underlying_graph
+from .mapgeom import (
+    SCHEMA_VERSION,
+    MapError,
+    build_revmap,
+    flag_system,
+    map_record,
+    to_dot,
+    underlying_graph,
+)
 from .triples import (
     ConstructionError,
     DEFAULT_ENUM_BUDGET,
@@ -33,12 +45,13 @@ from .triples import (
     psl_triple,
     scan_reversing_census,
 )
-from .verify import SCHEMA_VERSION, check_coprime, report_json, verify_theorem
+from .verify import check_coprime, report_json, verify_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -161,7 +174,7 @@ def _cmd_construct(cfg: JobConfig) -> int:
 
 def _cmd_enumerate(cfg: JobConfig) -> int:
     G = build_group(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
-    scan = scan_reversing_census(G, cfg.budget, jobs=cfg.jobs)
+    scan = scan_reversing_census(G, cfg.budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": G.descriptor(),
@@ -202,9 +215,7 @@ def _cmd_enumerate(cfg: JobConfig) -> int:
 
 
 def _cmd_verify(cfg: JobConfig) -> int:
-    report = verify_theorem(
-        cfg.family, cfg.p, cfg.m, budget=cfg.budget, jobs=cfg.jobs
-    )
+    report = verify_theorem(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
     if cfg.format == "text":
         lines = [
             f"config {report['config']} order={report['group_order']}",
@@ -249,12 +260,8 @@ def _cmd_check(cfg: JobConfig) -> int:
     t = make_triple(G, *idx)
     M = build_revmap(G, t)
     fresh = map_record(M, flag_system(M))
-    same = (
-        fresh["chi"] == rec["chi"]
-        and fresh["orientable"] == rec["orientable"]
-        and fresh["counts"] == rec["counts"]
-        and fresh["genus"] == rec["genus"]
-    )
+    # the stored record went through JSON, so compare the fresh one in that form
+    same = json.loads(json.dumps(fresh)) == rec
     verdict = {"verdict": "pass" if same else "fail", "recomputed": fresh}
     _emit(cfg, json.dumps(verdict, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if same else EXIT_FAIL
@@ -285,7 +292,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GroupError, MapError, ConstructionError, OSError, KeyError, ValueError) as exc:
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (GroupError, MapError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -88,11 +88,6 @@ def proj_matrix(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
     return m
 
 
-def identity(p: int) -> ProjMatrix:
-    check_prime(p)
-    return ProjMatrix(1, 0, 0, 1, p)
-
-
 def mat_multiply(lhs: ProjMatrix, rhs: ProjMatrix) -> ProjMatrix:
     """Normalized product of two projective matrices over the same F_p."""
     if lhs.p != rhs.p:

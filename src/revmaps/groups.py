@@ -420,29 +420,10 @@ class InvolutionClasses:
                 self.class_of[u] = cls
 
 
-def involutions(G: GroupHandle) -> tuple[int, ...]:
-    """All elements of order exactly 2, in canonical order."""
-    return G.involutions()
-
-
-def dihedral_order(G: GroupHandle, u: int, v: int) -> int:
-    """Order of the dihedral group generated by two distinct involutions.
-
-    Two distinct involutions always generate a dihedral group of order twice
-    the order of their product; order 4 (the Klein group) counts as dihedral.
-    """
-    if u == v:
-        raise GroupError("dihedral_order needs two distinct involutions")
-    if not G.is_involution(u) or not G.is_involution(v):
-        raise GroupError("dihedral_order arguments must be involutions")
-    return 2 * G.pair_order(u, v)
-
-
 @dataclass(frozen=True)
 class SubgroupHandle:
     group: GroupHandle
     members: tuple[int, ...]
-    structure: str
 
     @property
     def order(self) -> int:
@@ -485,28 +466,15 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
     return seen
 
 
-def _structure_tag(G: GroupHandle, members: tuple[int, ...]) -> str:
-    n = len(members)
-    if any(G.element_order(i) == n for i in members):
-        return f"cyclic({n})"
-    if n % 2 == 0:
-        invs = [i for i in members if G.is_involution(i)]
-        for a in range(len(invs)):
-            for b in range(a + 1, len(invs)):
-                if 2 * G.pair_order(invs[a], invs[b]) == n:
-                    return f"dihedral({n})"
-    return "other"
-
-
 def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> SubgroupHandle:
-    """Smallest subgroup containing gens, with a cyclic/dihedral structure tag."""
+    """Smallest subgroup containing gens."""
     gens = sorted(set(gens))
     if not gens:
         raise GroupError("subgroup_closure needs at least one generator")
     if any(not 0 <= g < G.order for g in gens):
         raise GroupError("generator index out of range")
     members = tuple(sorted(_closure(G, gens)))
-    return SubgroupHandle(G, members, _structure_tag(G, members))
+    return SubgroupHandle(G, members)
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:

@@ -20,6 +20,9 @@ from itertools import combinations
 from .groups import GroupHandle, SubgroupHandle, generates, right_cosets, subgroup_closure
 from .triples import ReversingTriple
 
+# the version of the record and report layout written by every writer
+SCHEMA_VERSION = 1
+
 
 class MapError(ValueError):
     """The given data does not describe a well-formed map."""
@@ -407,7 +410,7 @@ def map_record(M: MapGeometry, fs: FlagSystem | None = None) -> dict:
         raise MapError("face length is not constant on a face orbit")
     n1, n2 = M.face_counts_by_orbit()
     rec = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "group": {**M.group.descriptor(), "order": M.group.order},
         "kind": M.kind,
         "triple": {

@@ -138,23 +138,6 @@ def cyclic_subgroup_involution(G: GroupHandle, generator: int) -> int:
     return acc
 
 
-def find_partner(G: GroupHandle, z: int, delta: int, epsilon: int) -> int:
-    """First involution fixing delta whose dihedral order with z is 2(p+epsilon).
-
-    Existence holds whenever z is the involution of a cyclic subgroup of order
-    p+1 of PGL(2,p); a failed search signals an implementation bug.
-    """
-    if epsilon not in (1, -1):
-        raise GroupError(f"epsilon must be +1 or -1, got {epsilon}")
-    target = G.p + epsilon
-    for w in _fixing_involutions(G, delta):
-        if w != z and G.pair_order(z, w) == target:
-            return w
-    raise ConstructionError(
-        f"no involution fixing point {delta} at dihedral order {2 * target}"
-    )
-
-
 def _triple_generates(G: GroupHandle, x: int, y: int, z: int,
                       dv: int, d1: int, d2: int) -> bool:
     """Generation test for an involution triple with known dihedral orders.
@@ -510,11 +493,7 @@ def triple_conjugacy_classes(
     return classes
 
 
-def scan_reversing_census(
-    G: GroupHandle,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    jobs: int = 1,
-) -> CensusScan:
+def scan_reversing_census(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> CensusScan:
     """Blind census of all involution triples for coprime-qualifying patterns.
 
     Covers every unordered triple of distinct involutions (each stands for
@@ -524,8 +503,7 @@ def scan_reversing_census(
     class are scanned; the rest are their conjugates.  A slotted hit is kept
     where the rep plays x; an unslotted one, whose roles follow element
     indices and so do not commute with conjugation, is kept as an unordered
-    set, expanded, and then given its roles.  ``jobs`` is accepted and
-    ignored: the scan is serial.
+    set, expanded, and then given its roles.
     """
     if G.order > budget:
         raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")

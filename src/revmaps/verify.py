@@ -27,6 +27,7 @@ from .groups import (
     pgl_order,
 )
 from .mapgeom import (
+    SCHEMA_VERSION,
     MapGeometry,
     build_regular_map,
     build_revmap,
@@ -44,9 +45,6 @@ from .triples import (
     scan_reversing_census,
     triple_conjugacy_classes,
 )
-
-SCHEMA_VERSION = 1
-DEFAULT_ROTARY_BUDGET = 5000
 
 
 def check_coprime(chi: int, edges: int) -> bool:
@@ -89,7 +87,7 @@ def check_sylow_lemma(M: MapGeometry) -> bool:
     return stabilizer_lcm_identity(M.group.order, orders)
 
 
-def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ROTARY_BUDGET) -> bool:
+def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     """No generating pair (a, z), z an involution, gives a coprime rotary map.
 
     Rotary cell counts are |V| = |G|/|a|, |E| = |G|/2, |F| = |G|/|az|.  The
@@ -97,7 +95,7 @@ def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ROTARY_BUDGET) -> bool
     under simultaneous conjugation) and tries every involution z.
     """
     if G.order > budget:
-        raise BudgetExceeded(f"group order {G.order} exceeds rotary budget {budget}")
+        raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     edges = G.order // 2
     invs = G.involutions()
     for a in conjugacy_class_reps(G):
@@ -322,10 +320,8 @@ def verify_theorem(
     m: int = 1,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
-    rotary_budget: int = DEFAULT_ROTARY_BUDGET,
     jobs: int = 1,
     expected_pattern: TriplePattern | None = None,
-    with_maps: bool = True,
 ) -> dict:
     """Reproduce the classification for one (family, p, m) configuration.
 
@@ -333,15 +329,16 @@ def verify_theorem(
     classification allows (the predicted pattern when its own map is coprime,
     nothing otherwise), every rebuilt map checks out (chi, nonorientability,
     coprimality, stabilizer lcm), and all side checks hold.  Every
-    exhaustive stage shares ``budget``, and all of it is checked before the
-    scan starts; ``jobs`` is accepted and ignored.
+    exhaustive stage, the rotary check included, shares ``budget``, and all
+    of it is checked before the scan starts; ``jobs`` is accepted and
+    ignored.
     """
     G = build_group(family, p, m, budget=budget)
     # the action check builds PGL(2,p), which can exceed a budget the group
     # fits; refuse now rather than after the scan
     if pgl_order(p) > budget:
         raise BudgetExceeded(f"PGL(2,{p}) exceeds the action-check budget {budget}")
-    scan = scan_reversing_census(G, budget, jobs=jobs)
+    scan = scan_reversing_census(G, budget)
     predicted = expected_pattern or TriplePattern.predicted(family, p, m)
     edges = G.order // 2
 
@@ -373,8 +370,6 @@ def verify_theorem(
                 ],
             }
         )
-        if not with_maps:
-            continue
         reps = census.classes or census.triples[:1]
         for rep in reps:
             t = ReversingTriple(G, *rep, census.pattern, True)
@@ -395,10 +390,8 @@ def verify_theorem(
             )
 
     lemma_checks = {
-        "sylow": maps_ok if with_maps else None,
-        "no_rotary": (
-            check_no_rotary(G, rotary_budget) if G.order <= rotary_budget else None
-        ),
+        "sylow": maps_ok,
+        "no_rotary": check_no_rotary(G, budget),
         "pgl_action": check_pgl_action(p, budget),
         "membership": _membership_split_ok(G, all_triples),
         "construction_agreement": (
@@ -424,7 +417,7 @@ def verify_theorem(
         ),
     }
 
-    verdict = patterns_ok and all(v is not False for v in lemma_checks.values())
+    verdict = patterns_ok and all(lemma_checks.values())
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {"family": family, "p": p, "m": m},
@@ -462,14 +455,17 @@ VERIFY_MATRIX: tuple[tuple[str, int, int], ...] = (
 )
 
 
-def run_verify_matrix(jobs: int = 1, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """All desk-scale configurations; the overall verdict ands the per-config ones."""
-    reports = [
-        verify_theorem(family, p, m, budget=budget, jobs=jobs)
-        for family, p, m in VERIFY_MATRIX
-    ]
+def run_verify_matrix(budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+    """All desk-scale configurations plus the flag-regular pair of PSL(2,5).
+
+    The overall verdict ands the per-config ones and the pair's.
+    """
+    reports = [verify_theorem(family, p, m, budget=budget) for family, p, m in VERIFY_MATRIX]
+    a5 = a5_exceptional_case()
+    passed = a5["verdict"] == "pass" and all(r["verdict"] == "pass" for r in reports)
     return {
         "schema_version": SCHEMA_VERSION,
         "configs": reports,
-        "verdict": "pass" if all(r["verdict"] == "pass" for r in reports) else "fail",
+        "flag_regular": a5,
+        "verdict": "pass" if passed else "fail",
     }

@@ -1,11 +1,19 @@
 """Command line interface: subcommands, exit codes, deterministic bytes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, env=None):
+    # the child process finds the package in the checkout, installed or not
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(ROOT / "src")}
     cmd = [sys.executable, "-m", "revmaps.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
 
@@ -85,6 +93,64 @@ def test_check_round_trip(tmp_path):
     bad_path.write_text(json.dumps(tampered))
     r = run_cli("check", "--input", str(bad_path))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        None,
+        lambda rec: rec["stabilizer_orders"].update(vertex=2),
+        lambda rec: rec["graph"].update(recognized="petersen"),
+        lambda rec: rec["face_lengths"].update({"1": 3}),
+    ],
+    ids=["untampered", "stabilizer_orders", "graph.recognized", "face_lengths"],
+)
+def test_check_compares_the_whole_record(tmp_path, capsys, tamper):
+    from revmaps import cli
+
+    rec_path = tmp_path / "rec.json"
+    assert cli.main(["construct", "--family", "pgl2", "--p", "5", "--output", str(rec_path)]) == 0
+    if tamper is not None:
+        rec = json.loads(rec_path.read_text())
+        tamper(rec)
+        rec_path.write_text(json.dumps(rec))
+    assert cli.main(["check", "--input", str(rec_path)]) == (0 if tamper is None else 2)
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict == ("pass" if tamper is None else "fail")
+
+
+def test_construction_error_exits_four(monkeypatch, capsys):
+    # a failed search the theory guarantees is a bug, not a usage error
+    from revmaps import cli, triples
+
+    def no_anchor(G):
+        raise triples.ConstructionError("no two-point stabilizer involution")
+
+    monkeypatch.setattr(triples, "two_point_stabilizer_involution", no_anchor)
+    assert cli.main(["construct", "--family", "psl2", "--p", "5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_run_census_writes_the_matrix_report(monkeypatch, tmp_path, capsys):
+    import importlib.util
+
+    import revmaps.verify as verify
+
+    monkeypatch.setattr(verify, "VERIFY_MATRIX", (("psl2", 5, 1),))
+    spec = importlib.util.spec_from_file_location("run_census", ROOT / "scripts" / "run_census.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_census.py", "--out", str(tmp_path)])
+    assert script.main() == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["a5_flag_regular.json", "matrix.json", "psl2_p5.json", "summary.txt"]
+    matrix = verify.run_verify_matrix()
+    assert (tmp_path / "matrix.json").read_text() == verify.report_json(matrix)
+    assert (tmp_path / "psl2_p5.json").read_text() == verify.report_json(matrix["configs"][0])
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "a5 flag-regular pair: verdict=pass"
+    assert capsys.readouterr().out.splitlines()[:2] == summary
 
 
 def test_identical_runs_identical_bytes():

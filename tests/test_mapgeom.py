@@ -2,7 +2,7 @@
 
 import pytest
 
-from revmaps.groups import build_group, involutions, subgroup_closure
+from revmaps.groups import build_group, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,
@@ -22,7 +22,7 @@ from revmaps.verify import a5_exceptional_case
 
 
 def _triple_with_pair_orders(G, n_xy, n_xz, n_yz, require_generates=True):
-    invs = involutions(G)
+    invs = G.involutions()
     for x in invs:
         for y in invs:
             if y == x or G.pair_order(x, y) != n_xy:
@@ -130,7 +130,7 @@ def test_orientable_branch():
     # all three involutions outside PSL: every orientation word lands in PSL,
     # so the supporting surface is orientable and chi must be even
     G = build_group("pgl2", 7)
-    outside = [i for i in involutions(G) if not G.in_psl_part(i)]
+    outside = [i for i in G.involutions() if not G.in_psl_part(i)]
     t = None
     for x in outside:
         for y in outside:

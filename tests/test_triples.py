@@ -7,11 +7,8 @@ from revmaps.groups import GroupError, build_group
 from revmaps.triples import (
     TriplePattern,
     construction_census,
-    cyclic_subgroup_involution,
     enumerate_reversing_triples,
     ext_triple,
-    find_partner,
-    first_element_of_order,
     pgl_triple,
     psl_triple,
     scan_reversing_census,
@@ -70,26 +67,6 @@ def test_psl_members_fix_the_chosen_point():
     assert act(G.elements[t.y], delta) == delta
     # z stabilizes a point pair: exactly two fixed points
     assert len(fixed_points(G.elements[t.z])) == 2
-
-
-# -- partner search ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("eps,expected", [(1, 12), (-1, 8)])
-def test_find_partner_p5(eps, expected):
-    G = build_group("pgl2", 5)
-    z = cyclic_subgroup_involution(G, first_element_of_order(G, 6))
-    delta = all_points(5)[0]
-    w = find_partner(G, z, delta, eps)
-    assert 2 * G.pair_order(z, w) == expected
-    assert act(G.matrix_part(w), delta) == delta
-
-
-def test_find_partner_p7():
-    G = build_group("pgl2", 7)
-    z = cyclic_subgroup_involution(G, first_element_of_order(G, 8))
-    w = find_partner(G, z, all_points(7)[3], 1)
-    assert 2 * G.pair_order(z, w) == 16
 
 
 # -- construction over PGL(2,p) -----------------------------------------------------
@@ -197,13 +174,6 @@ def test_scan_respects_budget():
     G = build_group("psl2", 5)
     with pytest.raises(BudgetExceeded):
         scan_reversing_census(G, budget=10)
-
-
-def test_scan_parallel_matches_serial():
-    G = build_group("psl2", 5)
-    serial = scan_reversing_census(G, jobs=1)
-    parallel = scan_reversing_census(G, jobs=2)
-    assert serial == parallel
 
 
 def test_predicted_patterns():

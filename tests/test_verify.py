@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from revmaps.groups import build_group, generates, involutions
+from revmaps.groups import build_group, generates
 from revmaps.mapgeom import build_revmap
 from revmaps.triples import TriplePattern, make_triple
 from revmaps.verify import (
@@ -52,7 +52,7 @@ def test_sylow_lemma_on_classified_maps():
 def test_sylow_lemma_rejects_deficient_pattern():
     # a (10, 6, 6) triple generates but its stabilizers only reach lcm 30
     G = build_group("psl2", 5)
-    invs = involutions(G)
+    invs = G.involutions()
     t = None
     for x in invs:
         for y in invs:
@@ -122,6 +122,11 @@ def test_no_rotary_and_oracle_agree(family, p):
     G = build_group(family, p)
     assert check_no_rotary(G)
     assert _no_rotary_oracle(G)
+
+
+def test_no_rotary_runs_under_the_verify_budget():
+    # PSL(2,23) has order 6072; every lemma check runs under verify's budget
+    assert verify_theorem("psl2", 23)["lemma_checks"]["no_rotary"] is True
 
 
 def test_rotary_budget():
