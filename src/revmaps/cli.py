@@ -45,7 +45,7 @@ from .triples import (
     psl_triple,
     scan_reversing_census,
 )
-from .verify import check_coprime, report_json, verify_theorem
+from .verify import census_json, check_coprime, report_json, verify_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,37 +168,13 @@ def _cmd_construct(cfg: JobConfig) -> int:
     if cfg.format == "text":
         _emit(cfg, _record_text(rec))
     else:
-        _emit(cfg, json.dumps(rec, sort_keys=True, indent=2) + "\n")
+        _emit(cfg, report_json(rec))
     return EXIT_OK
 
 
 def _cmd_enumerate(cfg: JobConfig) -> int:
     G = build_group(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
     scan = scan_reversing_census(G, cfg.budget)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": G.descriptor(),
-        "group_order": G.order,
-        "involution_count": scan.involution_count,
-        "combos_scanned": scan.combos_scanned,
-        "qualifying": [
-            {
-                "pattern": list(c.pattern),
-                "chi": c.chi,
-                "raw_triples": len(c.triples),
-                "classes": len(c.classes),
-                "class_reps": [
-                    {
-                        "x": G.element_json(x),
-                        "y": G.element_json(y),
-                        "z": G.element_json(z),
-                    }
-                    for x, y, z in c.classes
-                ],
-            }
-            for c in scan.qualifying
-        ],
-    }
     if cfg.format == "text":
         lines = [f"{G.descriptor()} order={G.order}"]
         for c in scan.qualifying:
@@ -210,7 +186,15 @@ def _cmd_enumerate(cfg: JobConfig) -> int:
             lines.append("no qualifying reversing triples")
         _emit(cfg, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "config": G.descriptor(),
+            "group_order": G.order,
+            "involution_count": scan.involution_count,
+            "combos_scanned": scan.combos_scanned,
+            "qualifying": census_json(G, scan),
+        }
+        _emit(cfg, report_json(payload))
     return EXIT_OK
 
 
@@ -263,7 +247,7 @@ def _cmd_check(cfg: JobConfig) -> int:
     # the stored record went through JSON, so compare the fresh one in that form
     same = json.loads(json.dumps(fresh)) == rec
     verdict = {"verdict": "pass" if same else "fail", "recomputed": fresh}
-    _emit(cfg, json.dumps(verdict, sort_keys=True, indent=2) + "\n")
+    _emit(cfg, report_json(verdict))
     return EXIT_OK if same else EXIT_FAIL
 
 

@@ -227,7 +227,10 @@ class GroupHandle:
             g = proj_matrix(a, b, c, d, self.p)
         except (GFProjError, TypeError, ValueError) as exc:
             raise GroupError(f"bad element record {rec}: {exc}") from exc
-        key = (rec.get("exp", 0) % self.m, g) if self.family == EXT else g
+        exp = rec.get("exp", 0)
+        if not isinstance(exp, int):
+            raise GroupError(f"bad element record {rec}: exp must be an integer")
+        key = (exp % self.m, g) if self.family == EXT else g
         if key not in self.index:
             raise GroupError(f"element {rec} not in {self.family}(2,{self.p})")
         return self.index[key]
@@ -253,6 +256,8 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
         check_prime(p)
     except GFProjError as exc:
         raise GroupError(str(exc)) from exc
+    if not isinstance(m, int):
+        raise GroupError(f"m must be an integer, got {m!r}")
     if family in (PSL2, PGL2):
         if m != 1:
             raise GroupError(f"family {family} takes m = 1, got m = {m}")

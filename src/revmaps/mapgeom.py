@@ -21,7 +21,7 @@ from .groups import GroupHandle, SubgroupHandle, generates, right_cosets, subgro
 from .triples import ReversingTriple
 
 # the version of the record and report layout written by every writer
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class MapError(ValueError):

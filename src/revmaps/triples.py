@@ -73,16 +73,6 @@ class ReversingTriple:
     def indices(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
-    def to_json(self) -> dict:
-        G = self.group
-        return {
-            "group": G.descriptor(),
-            "x": G.element_json(self.x),
-            "y": G.element_json(self.y),
-            "z": G.element_json(self.z),
-            "pattern": list(self.pattern),
-        }
-
 
 class ConstructionError(RuntimeError):
     """A search the theory guarantees to succeed found nothing (a bug signal)."""
@@ -173,20 +163,44 @@ def make_triple(G: GroupHandle, x: int, y: int, z: int) -> ReversingTriple:
 # -- the three constructions --------------------------------------------------
 
 
-def _psl_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int]:
+def _point_indices(G: GroupHandle) -> range:
+    """Indices of the points a construction may use; the psl2 anchor fixes 0 and 1."""
+    return range(2 if G.family == PSL2 else 0, G.p + 1)
+
+
+def _point_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int]:
+    """The anchor z and the x, y candidates over the k-th projective point.
+
+    x and y fix the point and make the predicted face orders with z.
+    """
     p = G.p
-    if p % 4 != 1:
+    pattern = TriplePattern.predicted(G.family, p)
+    if pattern is None:
         raise GroupError(f"construction over PSL(2,p) needs p = 1 (mod 4), got {p}")
-    if not 2 <= k <= p:
-        raise GroupError(f"point index k must lie in 2..{p}, got {k}")
-    z = two_point_stabilizer_involution(G)
+    ks = _point_indices(G)
+    if k not in ks:
+        raise GroupError(f"point index k must lie in {ks.start}..{p}, got {k}")
+    if G.family == PSL2:
+        z = two_point_stabilizer_involution(G)
+    else:
+        z = cyclic_subgroup_involution(G, first_element_of_order(G, p + 1))
     delta = gfproj.all_points(p)[k]
     fixing = _fixing_involutions(G, delta)
-    xs = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == p + 1]
-    ys = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == p - 1]
+    xs = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == pattern.face1]
+    ys = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == pattern.face2]
     if not xs or not ys:
         raise ConstructionError(f"no qualifying involutions over point {delta}")
     return xs, ys, z
+
+
+def _point_triple(G: GroupHandle, k: int) -> ReversingTriple:
+    xs, ys, z = _point_candidates(G, k)
+    x = xs[0]
+    y = next(v for v in ys if v != x)
+    t = make_triple(G, x, y, z)
+    if t.pattern != TriplePattern.predicted(G.family, G.p).as_tuple() or not t.generates:
+        raise ConstructionError(f"malformed triple {t.pattern} at p={G.p}, k={k}")
+    return t
 
 
 def psl_triple(p: int, k: int) -> ReversingTriple:
@@ -196,29 +210,7 @@ def psl_triple(p: int, k: int) -> ReversingTriple:
     x and y are the first involutions fixing the k-th point at dihedral
     orders p+1 and p-1 with z.  Requires p = 1 (mod 4) and 2 <= k <= p.
     """
-    G = build_group(PSL2, p)
-    xs, ys, z = _psl_candidates(G, k)
-    x = xs[0]
-    y = next(v for v in ys if v != x)
-    t = make_triple(G, x, y, z)
-    if t.pattern != (2 * p, p + 1, p - 1) or not t.generates:
-        raise ConstructionError(f"malformed triple {t.pattern} at p={p}, k={k}")
-    return t
-
-
-def _pgl_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int]:
-    p = G.p
-    if not 0 <= k <= p:
-        raise GroupError(f"point index k must lie in 0..{p}, got {k}")
-    h = first_element_of_order(G, p + 1)
-    z = cyclic_subgroup_involution(G, h)
-    delta = gfproj.all_points(p)[k]
-    fixing = _fixing_involutions(G, delta)
-    xs = [u for u in fixing if u != z and G.pair_order(z, u) == p + 1]
-    ys = [u for u in fixing if u != z and G.pair_order(z, u) == p - 1]
-    if not xs or not ys:
-        raise ConstructionError(f"no qualifying involutions over point {delta}")
-    return xs, ys, z
+    return _point_triple(build_group(PSL2, p), k)
 
 
 def pgl_triple(p: int, k: int) -> ReversingTriple:
@@ -229,14 +221,7 @@ def pgl_triple(p: int, k: int) -> ReversingTriple:
     orders 2(p+1) and 2(p-1) with z.  Valid for every prime p >= 5 and
     0 <= k <= p.
     """
-    G = build_group(PGL2, p)
-    xs, ys, z = _pgl_candidates(G, k)
-    x = xs[0]
-    y = next(v for v in ys if v != x)
-    t = make_triple(G, x, y, z)
-    if t.pattern != (2 * p, 2 * (p + 1), 2 * (p - 1)) or not t.generates:
-        raise ConstructionError(f"malformed triple {t.pattern} at p={p}, k={k}")
-    return t
+    return _point_triple(build_group(PGL2, p), k)
 
 
 def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> ReversingTriple:
@@ -257,7 +242,7 @@ def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> ReversingTriple:
     y = X.index[(c2 % m, Gp.elements[base.y])]
     z = X.index[(0, Gp.elements[base.z])]
     t = make_triple(X, x, y, z)
-    if t.pattern != (2 * m * p, 2 * (p + 1), 2 * (p - 1)) or not t.generates:
+    if t.pattern != TriplePattern.predicted(EXT, p, m).as_tuple() or not t.generates:
         raise ConstructionError(f"malformed extended triple {t.pattern}")
     return t
 
@@ -272,15 +257,11 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
     """
     p = G.p
     out: list[tuple[int, int, int]] = []
-    if G.family == PSL2:
-        if p % 4 != 1:
+    if G.family != EXT:
+        if TriplePattern.predicted(G.family, p) is None:
             return []
-        for k in range(2, p + 1):
-            xs, ys, z = _psl_candidates(G, k)
-            out.extend((x, y, z) for x in xs for y in ys if x != y)
-    elif G.family == PGL2:
-        for k in range(0, p + 1):
-            xs, ys, z = _pgl_candidates(G, k)
+        for k in _point_indices(G):
+            xs, ys, z = _point_candidates(G, k)
             out.extend((x, y, z) for x in xs for y in ys if x != y)
     else:
         Gp = build_group(PGL2, p)

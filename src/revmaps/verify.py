@@ -31,12 +31,11 @@ from .mapgeom import (
     MapGeometry,
     build_regular_map,
     build_revmap,
-    flag_system,
     map_record,
-    surface_invariants,
 )
 from .triples import (
     DEFAULT_ENUM_BUDGET,
+    CensusScan,
     ConstructionError,
     ReversingTriple,
     TriplePattern,
@@ -68,15 +67,6 @@ def _prime_power_parts(n: int) -> list[int]:
     return parts
 
 
-def stabilizer_lcm_identity(group_order: int, stabilizer_orders) -> bool:
-    orders = list(stabilizer_orders)
-    if math.lcm(*orders) != group_order:
-        return False
-    return all(
-        any(s % q == 0 for s in orders) for q in _prime_power_parts(group_order)
-    )
-
-
 def check_sylow_lemma(M: MapGeometry) -> bool:
     """Stabilizer orders must cover every full prime power of |G| and lcm to |G|.
 
@@ -84,7 +74,36 @@ def check_sylow_lemma(M: MapGeometry) -> bool:
     stabilizers; it holds for every map whose chi is coprime to |E|.
     """
     orders = list(M.stabilizer_orders().values())
-    return stabilizer_lcm_identity(M.group.order, orders)
+    if math.lcm(*orders) != M.group.order:
+        return False
+    return all(
+        any(s % q == 0 for s in orders) for q in _prime_power_parts(M.group.order)
+    )
+
+
+def _checked_record(M: MapGeometry) -> dict:
+    """The map's record with its coprimality and Sylow-lemma checks."""
+    rec = map_record(M)
+    rec["coprime"] = check_coprime(rec["chi"], rec["counts"]["E"])
+    rec["lcm_identity"] = check_sylow_lemma(M)
+    return rec
+
+
+def census_json(G: GroupHandle, scan: CensusScan) -> list[dict]:
+    """The qualifying patterns of a scan, as ``enumerate`` and ``verify`` write them."""
+    return [
+        {
+            "pattern": list(c.pattern),
+            "chi": c.chi,
+            "raw_triples": len(c.triples),
+            "classes": len(c.classes),
+            "class_reps": [
+                {"x": G.element_json(x), "y": G.element_json(y), "z": G.element_json(z)}
+                for x, y, z in c.classes
+            ],
+        }
+        for c in scan.qualifying
+    ]
 
 
 def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
@@ -221,20 +240,10 @@ def a5_exceptional_case() -> dict:
     checks = True
     for gens in ((r0, r1, r2), (r2, r1, r0)):
         M = build_regular_map(G, *gens)
-        fs = flag_system(M)
-        rec = map_record(M, fs)
+        rec = _checked_record(M)
         rec["stabilizer_orders"]["arc"] = _arc_stabilizer_order(M)
-        rec["coprime"] = check_coprime(rec["chi"], rec["counts"]["E"])
-        rec["lcm_identity"] = stabilizer_lcm_identity(
-            G.order,
-            [
-                rec["stabilizer_orders"]["vertex"],
-                rec["stabilizer_orders"]["edge"],
-                rec["stabilizer_orders"]["face"],
-            ],
-        )
         checks &= rec["chi"] == 1 and not rec["orientable"] and rec["genus"] == 1
-        checks &= rec["coprime"] and rec["lcm_identity"] and len(fs) == G.order
+        checks &= rec["coprime"] and rec["lcm_identity"] and rec["flags"] == G.order
         maps.append(rec)
 
     counts = [tuple(r["counts"][k] for k in "VEF") for r in maps]
@@ -291,7 +300,7 @@ def _construction_agreement(
     G: GroupHandle,
     predicted: TriplePattern,
     budget: int,
-    scan_class_reps: tuple | None = None,
+    scan_class_reps: tuple | None,
 ) -> bool:
     """Construction closure equals pattern enumeration, up to conjugacy.
 
@@ -321,7 +330,6 @@ def verify_theorem(
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
     jobs: int = 1,
-    expected_pattern: TriplePattern | None = None,
 ) -> dict:
     """Reproduce the classification for one (family, p, m) configuration.
 
@@ -339,7 +347,7 @@ def verify_theorem(
     if pgl_order(p) > budget:
         raise BudgetExceeded(f"PGL(2,{p}) exceeds the action-check budget {budget}")
     scan = scan_reversing_census(G, budget)
-    predicted = expected_pattern or TriplePattern.predicted(family, p, m)
+    predicted = TriplePattern.predicted(family, p, m)
     edges = G.order // 2
 
     predicted_chi = None
@@ -354,64 +362,35 @@ def verify_theorem(
 
     maps = []
     maps_ok = True
-    census_summary = []
     all_triples: list[tuple[int, int, int]] = []
     for census in scan.qualifying:
         all_triples.extend(census.triples)
-        census_summary.append(
-            {
-                "pattern": list(census.pattern),
-                "chi": census.chi,
-                "raw_triples": len(census.triples),
-                "classes": len(census.classes),
-                "class_reps": [
-                    ReversingTriple(G, *rep, census.pattern, True).to_json()
-                    for rep in census.classes
-                ],
-            }
-        )
         reps = census.classes or census.triples[:1]
         for rep in reps:
-            t = ReversingTriple(G, *rep, census.pattern, True)
-            M = build_revmap(G, t)
-            fs = flag_system(M)
-            inv = surface_invariants(M, fs)
-            rec = map_record(M, fs)
-            rec["coprime"] = check_coprime(inv.chi, M.edge_count)
-            rec["lcm_identity"] = check_sylow_lemma(M)
+            M = build_revmap(G, ReversingTriple(G, *rep, census.pattern, True))
+            rec = _checked_record(M)
             maps.append(rec)
             maps_ok &= (
-                inv.chi == census.chi
-                and not inv.orientable
+                rec["chi"] == census.chi
+                and not rec["orientable"]
                 and rec["coprime"]
                 and rec["lcm_identity"]
-                and len(fs) == 4 * M.edge_count
-                and M.edge_count == edges
+                and rec["flags"] == 4 * rec["counts"]["E"]
+                and rec["counts"]["E"] == edges
             )
 
+    # the construction is compared with the scan's classes only where the
+    # predicted pattern qualified
+    scan_reps = None
+    if predicted_qualifies:
+        scan_reps = {c.pattern: c.classes for c in scan.qualifying}.get(predicted.as_tuple(), ())
     lemma_checks = {
         "sylow": maps_ok,
         "no_rotary": check_no_rotary(G, budget),
         "pgl_action": check_pgl_action(p, budget),
         "membership": _membership_split_ok(G, all_triples),
         "construction_agreement": (
-            _construction_agreement(
-                G,
-                predicted,
-                budget,
-                scan_class_reps=(
-                    next(
-                        (
-                            c.classes
-                            for c in scan.qualifying
-                            if c.pattern == predicted.as_tuple()
-                        ),
-                        (),
-                    )
-                    if predicted_qualifies
-                    else None
-                ),
-            )
+            _construction_agreement(G, predicted, budget, scan_reps)
             if predicted is not None
             else True
         ),
@@ -429,7 +408,7 @@ def verify_theorem(
         "predicted_chi": predicted_chi,
         "predicted_qualifies": predicted_qualifies,
         "patterns_found": [list(ms) for ms in found_multisets],
-        "census": census_summary,
+        "census": census_json(G, scan),
         "maps": maps,
         "lemma_checks": lemma_checks,
         "verdict": "pass" if verdict else "fail",

@@ -172,6 +172,20 @@ def test_check_rejects_malformed_records(tmp_path):
         "no_group.json": json.dumps({"triple": {}}),
         "bad_group.json": json.dumps({"group": 5, "triple": {"x": 1, "y": 2, "z": 3}}),
         "no_triple.json": json.dumps({"group": {"family": "psl2", "p": 5}}),
+        "string_m.json": json.dumps(
+            {"group": {"family": "ext", "p": 7, "m": "3"}, "triple": {"x": 1, "y": 2, "z": 3}}
+        ),
+        "null_m.json": json.dumps(
+            {"group": {"family": "ext", "p": 7, "m": None}, "triple": {"x": 1, "y": 2, "z": 3}}
+        ),
+        "string_exp.json": json.dumps(
+            {
+                "group": {"family": "ext", "p": 7, "m": 3},
+                "triple": {
+                    n: {"mat": [1, 0, 0, 1], "p": 7, "exp": "1"} for n in ("x", "y", "z")
+                },
+            }
+        ),
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -223,3 +237,34 @@ def test_every_command_refuses_an_over_budget_group_before_building(monkeypatch,
     assert cli.main(["construct", "--family", "psl2", "--p", "5"]) == 3
     assert "exceeds budget 50" in capsys.readouterr().err
 
+
+
+# Byte-exact outputs of the current schema; after a deliberate layout change,
+# rewrite a file with e.g. ``python -m revmaps.cli verify --family psl2 --p 5
+# --output tests/golden/verify_psl2_5.json``.
+GOLDEN = {
+    "verify_psl2_5.json": ["verify", "--family", "psl2", "--p", "5"],
+    "verify_pgl2_7.json": ["verify", "--family", "pgl2", "--p", "7"],
+    "enumerate_pgl2_7.json": ["enumerate", "--family", "pgl2", "--p", "7"],
+    "construct_pgl2_7.json": ["construct", "--family", "pgl2", "--p", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden_bytes(name, tmp_path):
+    from revmaps import cli
+
+    out = tmp_path / name
+    assert cli.main([*GOLDEN[name], "--output", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()
+
+
+def test_enumerate_and_verify_write_the_same_census(tmp_path):
+    from revmaps import cli
+
+    args = ["--family", "pgl2", "--p", "7"]
+    assert cli.main(["enumerate", *args, "--output", str(tmp_path / "e.json")]) == 0
+    assert cli.main(["verify", *args, "--output", str(tmp_path / "v.json")]) == 0
+    census = json.loads((tmp_path / "e.json").read_text())["qualifying"]
+    assert census
+    assert census == json.loads((tmp_path / "v.json").read_text())["census"]

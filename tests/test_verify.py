@@ -179,9 +179,11 @@ def test_verify_psl27_negative_control_is_empty():
     assert rep["predicted_pattern"] is None
 
 
-def test_verify_rejects_injected_wrong_pattern():
+def test_verify_rejects_injected_wrong_pattern(monkeypatch):
     # claiming faces (p+1, p+1) must fail: the scan finds the true pattern
-    rep = verify_theorem("psl2", 5, expected_pattern=TriplePattern(10, 6, 6))
+    wrong = classmethod(lambda cls, family, p, m=1: TriplePattern(10, 6, 6))
+    monkeypatch.setattr(TriplePattern, "predicted", wrong)
+    rep = verify_theorem("psl2", 5)
     assert rep["verdict"] == "fail"
 
 
