@@ -31,7 +31,6 @@ from .mapgeom import (
     SCHEMA_VERSION,
     MapError,
     build_revmap,
-    flag_system,
     map_record,
     to_dot,
     underlying_graph,
@@ -243,7 +242,7 @@ def _cmd_check(cfg: JobConfig) -> int:
     idx = tuple(G.element_from_json(rec["triple"][n]) for n in ("x", "y", "z"))
     t = make_triple(G, *idx)
     M = build_revmap(G, t)
-    fresh = map_record(M, flag_system(M))
+    fresh = map_record(M)
     # the stored record went through JSON, so compare the fresh one in that form
     same = json.loads(json.dumps(fresh)) == rec
     verdict = {"verdict": "pass" if same else "fail", "recomputed": fresh}

@@ -435,19 +435,6 @@ class SubgroupHandle:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    subgroup: SubgroupHandle
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(block[0] for block in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
 def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None) -> set[int] | None:
     """Right-multiplication closure of the identity under gens.
 
@@ -495,26 +482,27 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     return closed is None or len(closed) == G.order
 
 
-def right_cosets(G: GroupHandle, H: SubgroupHandle) -> CosetPartition:
-    """Partition of G into right cosets Hg, blocks ordered by least member."""
+def right_cosets(G: GroupHandle, H: SubgroupHandle) -> list[int]:
+    """The right coset Hg of every element g, as ids numbered by least member."""
     if H.group is not G:
         raise GroupError("subgroup belongs to a different group handle")
     if G.identity not in H.members:
         raise GroupError("subgroup must contain the identity")
     if G.order % len(H.members):
         raise GroupError("member count does not divide the group order")
-    assigned = bytearray(G.order)
-    blocks = []
+    label = [-1] * G.order
+    count = 0
     for g in range(G.order):
-        if assigned[g]:
+        if label[g] >= 0:
             continue
-        block = tuple(sorted(G.mul(h, g) for h in H.members))
-        if len(block) != len(H.members):
-            raise GroupError("members are not closed under multiplication")
-        for t in block:
-            assigned[t] = 1
-        blocks.append(block)
-    return CosetPartition(H, tuple(blocks))
+        # g is the least element not yet placed, hence the least of Hg
+        for h in H.members:
+            t = G.mul(h, g)
+            if label[t] >= 0:
+                raise GroupError("members are not closed under multiplication")
+            label[t] = count
+        count += 1
+    return label
 
 
 def conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:

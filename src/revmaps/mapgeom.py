@@ -1,15 +1,19 @@
-"""Maps as coset incidence geometries: cells, flags, surface invariants.
+"""Maps as coset labels over flags: cells, flags, surface invariants.
 
-A reversing map is assembled from a generating involution triple (x, y, z):
+A reversing map is built from a generating involution triple (x, y, z):
 vertices are the right cosets of <x,y>, edges of <z>, and the two face
-families of <x,z> and <y,z>; two cells are incident iff the cosets meet.
-A flag-regular map uses three involutions r0, r1, r2 with (r0 r2)^2 = 1 and
-cells <r1,r2>, <r0,r2>, <r0,r1>.
+families of <x,z> and <y,z>.  A flag-regular map uses three involutions
+r0, r1, r2 with (r0 r2)^2 = 1 and cells <r1,r2>, <r0,r2>, <r0,r1>, and one
+face family.
 
-Orientability is decided on the flag graph: flags are the mutually incident
-(vertex, edge, face) triples, each flag has exactly one partner differing in
-any single coordinate, and the supporting surface is orientable iff the graph
-on flags joined by the three partner involutions is bipartite.
+The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
+the element g in face family l, and it lies on the vertex, edge and face
+cosets through g.  A map is three label arrays over its flags, and every
+count, stabilizer order and incidence is read off them.  Two flags are
+partners when they share two of the three cells; each partner map must be a
+fixed-point-free involution that changes the third cell, otherwise the
+geometry is rejected.  The supporting surface is orientable iff the graph on
+flags joined by the three partner maps is bipartite.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groups import GroupHandle, SubgroupHandle, generates, right_cosets, subgroup_closure
+from .groups import GroupHandle, generates, right_cosets, subgroup_closure
 from .triples import ReversingTriple
 
 # the version of the record and report layout written by every writer
@@ -33,114 +37,62 @@ class MapGeometry:
     group: GroupHandle
     kind: str  # "reversing" or "flag_regular"
     generators: tuple[int, ...]
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[int, ...], ...]
-    face_orbit: tuple[int, ...]  # orbit label (1 or 2) per face
-    edge_vertices: tuple[tuple[int, ...], ...]
-    edge_faces: tuple[tuple[int, ...], ...]
-    vf_incidence: frozenset[tuple[int, int]]
+    # cell ids of each flag; faces of family 2 are numbered after family 1
+    vertex: tuple[int, ...]
+    edge: tuple[int, ...]
+    face: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return max(self.vertex) + 1
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return max(self.edge) + 1
 
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        return max(self.face) + 1
 
     def face_counts_by_orbit(self) -> tuple[int, int]:
-        one = sum(1 for o in self.face_orbit if o == 1)
-        return one, len(self.faces) - one
+        one = max(self.face[: self.group.order]) + 1
+        return one, self.face_count - one
 
     def chi(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
     def stabilizer_orders(self) -> dict[str, int]:
-        orders = {
-            "vertex": len(self.vertices[0]),
-            "edge": len(self.edges[0]),
-        }
-        n1, _ = self.face_counts_by_orbit()
+        n = self.group.order
+        orders = {"vertex": n // self.vertex_count, "edge": n // self.edge_count}
+        n1, n2 = self.face_counts_by_orbit()
         if self.kind == "reversing":
-            orders["face1"] = len(self.faces[0])
-            orders["face2"] = len(self.faces[n1])
+            orders["face1"] = n // n1
+            orders["face2"] = n // n2
         else:
-            orders["face"] = len(self.faces[0])
+            orders["face"] = n // n1
         return orders
-
-    def degeneracies(self) -> list[str]:
-        problems = []
-        for e, (vs, fs) in enumerate(zip(self.edge_vertices, self.edge_faces)):
-            if not 1 <= len(vs) <= 2:
-                problems.append(f"edge {e} touches {len(vs)} vertices")
-            if not 1 <= len(fs) <= 2:
-                problems.append(f"edge {e} touches {len(fs)} faces")
-            if len(vs) == 1:
-                problems.append(f"edge {e} is a loop")
-            if len(fs) == 1:
-                problems.append(f"edge {e} borders a single face")
-        return problems
 
 
 def _assemble(
     G: GroupHandle,
-    vertex_sub: SubgroupHandle,
-    edge_sub: SubgroupHandle,
-    face_subs: list[SubgroupHandle],
+    vertex_gens: tuple[int, ...],
+    edge_gens: tuple[int, ...],
+    face_gens: list[tuple[int, ...]],
     kind: str,
     generators: tuple[int, ...],
 ) -> MapGeometry:
-    vertex_blocks = right_cosets(G, vertex_sub).blocks
-    edge_blocks = right_cosets(G, edge_sub).blocks
-    face_blocks: list[tuple[int, ...]] = []
-    face_orbit: list[int] = []
-    face_of: list[list[int]] = []
-    for orbit, sub in enumerate(face_subs, start=1):
-        blocks = right_cosets(G, sub).blocks
-        offset = len(face_blocks)
-        face_blocks.extend(blocks)
-        face_orbit.extend([orbit] * len(blocks))
-        lookup = [0] * G.order
-        for fid, block in enumerate(blocks, start=offset):
-            for g in block:
-                lookup[g] = fid
-        face_of.append(lookup)
-
-    vertex_of = [0] * G.order
-    for vid, block in enumerate(vertex_blocks):
-        for g in block:
-            vertex_of[g] = vid
-    edge_of = [0] * G.order
-    for eid, block in enumerate(edge_blocks):
-        for g in block:
-            edge_of[g] = eid
-
-    edge_vertices = tuple(
-        tuple(sorted({vertex_of[g] for g in block})) for block in edge_blocks
-    )
-    edge_faces = tuple(
-        tuple(sorted({lookup[g] for lookup in face_of for g in block}))
-        for block in edge_blocks
-    )
-    vf = frozenset(
-        (vertex_of[g], lookup[g]) for g in range(G.order) for lookup in face_of
-    )
+    vertex = right_cosets(G, subgroup_closure(G, vertex_gens))
+    edge = right_cosets(G, subgroup_closure(G, edge_gens))
+    face: list[int] = []
+    offset = 0
+    for gens in face_gens:
+        sub = subgroup_closure(G, gens)
+        face.extend(offset + c for c in right_cosets(G, sub))
+        offset += G.order // sub.order
+    # one run of |G| flags per face family
+    families = len(face_gens)
     return MapGeometry(
-        group=G,
-        kind=kind,
-        generators=generators,
-        vertices=vertex_blocks,
-        edges=edge_blocks,
-        faces=tuple(face_blocks),
-        face_orbit=tuple(face_orbit),
-        edge_vertices=edge_vertices,
-        edge_faces=edge_faces,
-        vf_incidence=vf,
+        G, kind, generators, tuple(vertex * families), tuple(edge * families), tuple(face)
     )
 
 
@@ -149,14 +101,7 @@ def build_revmap(G: GroupHandle, t: ReversingTriple) -> MapGeometry:
     if not t.generates:
         raise MapError("the triple does not generate the group")
     x, y, z = t.indices()
-    return _assemble(
-        G,
-        subgroup_closure(G, (x, y)),
-        subgroup_closure(G, (z,)),
-        [subgroup_closure(G, (x, z)), subgroup_closure(G, (y, z))],
-        "reversing",
-        (x, y, z),
-    )
+    return _assemble(G, (x, y), (z,), [(x, z), (y, z)], "reversing", (x, y, z))
 
 
 def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
@@ -172,71 +117,55 @@ def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
         raise MapError("r0 and r2 must be distinct commuting involutions")
     if not generates(G, {r0, r1, r2}):
         raise MapError("generators do not generate the group")
-    return _assemble(
-        G,
-        subgroup_closure(G, (r1, r2)),
-        subgroup_closure(G, (r0, r2)),
-        [subgroup_closure(G, (r0, r1))],
-        "flag_regular",
-        (r0, r1, r2),
-    )
+    return _assemble(G, (r1, r2), (r0, r2), [(r0, r1)], "flag_regular", (r0, r1, r2))
 
 
 @dataclass(frozen=True)
 class FlagSystem:
-    flags: tuple[tuple[int, int, int], ...]
     rho_v: tuple[int, ...]
     rho_e: tuple[int, ...]
     rho_f: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.flags)
+        return len(self.rho_v)
 
 
-def _pairing(flags, key) -> tuple[int, ...]:
-    groups: dict = {}
-    for idx, flag in enumerate(flags):
-        groups.setdefault(key(flag), []).append(idx)
-    out = [0] * len(flags)
-    for k, members in groups.items():
-        if len(members) != 2:
-            raise MapError(
-                f"{len(members)} flags share coordinates {k}; geometry is not a map"
-            )
-        a, b = members
-        out[a], out[b] = b, a
+def _partners(keys: list[int], own: tuple[int, ...], cell: str) -> tuple[int, ...]:
+    """Pair the flags of equal key; each pair must differ in its own ``cell``."""
+    first: dict[int, int] = {}
+    out = [-1] * len(keys)
+    for i, k in enumerate(keys):
+        j = first.setdefault(k, i)
+        if j == i:
+            continue
+        if out[j] >= 0:
+            raise MapError(f"more than two flags share all but their {cell}; not a map")
+        if own[i] == own[j]:
+            raise MapError(f"flags {j} and {i} differ in no {cell}; the geometry is degenerate")
+        out[i], out[j] = j, i
+    if -1 in out:
+        raise MapError(f"flag {out.index(-1)} has no {cell} partner; not a map")
     return tuple(out)
 
 
 def flag_system(M: MapGeometry) -> FlagSystem:
-    """All mutually incident (vertex, edge, face) triples with partner maps.
+    """The three partner maps on the flags G x {face family}.
 
-    Each of the three partner maps swaps exactly one coordinate and must be a
-    fixed-point-free involution, otherwise the geometry is rejected.
+    Flags sharing their edge and face are vertex partners, flags sharing
+    their vertex and face edge partners, and flags sharing their vertex and
+    edge face partners.  Each partner map must be a fixed-point-free
+    involution that changes its own cell, otherwise the geometry is rejected.
     """
-    problems = M.degeneracies()
-    if problems:
-        raise MapError("; ".join(problems))
-    flags = []
-    for e, (vs, fs) in enumerate(zip(M.edge_vertices, M.edge_faces)):
-        for v in vs:
-            for f in fs:
-                if (v, f) in M.vf_incidence:
-                    flags.append((v, e, f))
-    flags = tuple(sorted(flags))
-    if len(flags) != 4 * M.edge_count:
-        raise MapError(
-            f"{len(flags)} flags for {M.edge_count} edges; expected {4 * M.edge_count}"
-        )
-    rho_v = _pairing(flags, lambda fl: (fl[1], fl[2]))
-    rho_e = _pairing(flags, lambda fl: (fl[0], fl[2]))
-    rho_f = _pairing(flags, lambda fl: (fl[0], fl[1]))
-    return FlagSystem(flags, rho_v, rho_e, rho_f)
+    E, F = M.edge_count, M.face_count
+    rho_v = _partners([e * F + f for e, f in zip(M.edge, M.face)], M.vertex, "vertex")
+    rho_e = _partners([v * F + f for v, f in zip(M.vertex, M.face)], M.edge, "edge")
+    rho_f = _partners([v * E + e for v, e in zip(M.vertex, M.edge)], M.face, "face")
+    return FlagSystem(rho_v, rho_e, rho_f)
 
 
 def _flag_graph_bipartite(fs: FlagSystem) -> bool:
     """2-colorability of the flag graph; also requires connectivity."""
-    n = len(fs.flags)
+    n = len(fs)
     color = [-1] * n
     color[0] = 0
     queue = [0]
@@ -312,31 +241,27 @@ class UnderlyingGraph:
         return adj
 
 
+def _cells_around(cells: tuple[int, ...], count: int, met: tuple[int, ...]) -> list[list[int]]:
+    """For each of ``count`` cells, the ``met`` cells it shares a flag with."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for c, m in set(zip(cells, met)):
+        out[c].append(m)
+    return out
+
+
 def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     """Multigraph on the vertex cells; one edge per edge cell."""
-    pairs = []
-    for vs in M.edge_vertices:
-        if len(vs) == 1:
-            pairs.append((vs[0], vs[0]))
-        else:
-            pairs.append((vs[0], vs[1]))
-    return UnderlyingGraph(M.vertex_count, tuple(sorted(pairs)))
+    ends = _cells_around(M.edge, M.edge_count, M.vertex)
+    pairs = sorted((min(vs), max(vs)) for vs in ends)
+    return UnderlyingGraph(M.vertex_count, tuple(pairs))
 
 
 def vertex_valencies(M: MapGeometry) -> tuple[int, ...]:
-    val = [0] * M.vertex_count
-    for vs in M.edge_vertices:
-        for v in set(vs):
-            val[v] += 1
-    return tuple(val)
+    return tuple(len(es) for es in _cells_around(M.vertex, M.vertex_count, M.edge))
 
 
 def face_lengths(M: MapGeometry) -> tuple[int, ...]:
-    lengths = [0] * M.face_count
-    for fs in M.edge_faces:
-        for f in set(fs):
-            lengths[f] += 1
-    return tuple(lengths)
+    return tuple(len(es) for es in _cells_around(M.face, M.face_count, M.edge))
 
 
 def _petersen_adjacency() -> list[set[int]]:
@@ -393,22 +318,20 @@ def recognize_graph(g: UnderlyingGraph) -> str:
     return "other"
 
 
-def map_record(M: MapGeometry, fs: FlagSystem | None = None) -> dict:
+def map_record(M: MapGeometry) -> dict:
     """JSON-ready summary of a map: counts, invariants, graph recognition."""
-    if fs is None:
-        fs = flag_system(M)
+    fs = flag_system(M)
     inv = surface_invariants(M, fs)
     graph = underlying_graph(M)
     vals = sorted(set(vertex_valencies(M)))
     if len(vals) != 1:
         raise MapError(f"vertex valency is not constant: {vals}")
-    lengths = face_lengths(M)
+    n1, n2 = M.face_counts_by_orbit()
     per_orbit: dict[int, set[int]] = {}
-    for f, length in enumerate(lengths):
-        per_orbit.setdefault(M.face_orbit[f], set()).add(length)
+    for f, length in enumerate(face_lengths(M)):
+        per_orbit.setdefault(1 if f < n1 else 2, set()).add(length)
     if any(len(v) != 1 for v in per_orbit.values()):
         raise MapError("face length is not constant on a face orbit")
-    n1, n2 = M.face_counts_by_orbit()
     rec = {
         "schema_version": SCHEMA_VERSION,
         "group": {**M.group.descriptor(), "order": M.group.order},

@@ -309,8 +309,8 @@ def enumerate_reversing_triples(
     G: GroupHandle,
     pattern: TriplePattern,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> list[ReversingTriple]:
-    """All ordered triples realizing the slotted pattern, ascending by indices.
+) -> list[tuple[int, int, int]]:
+    """All ordered (x, y, z) index triples realizing the slotted pattern, ascending.
 
     (x, y) is the pair at the vertex order, x the member at the face1 order
     with z.  Every returned triple generates G.
@@ -333,10 +333,7 @@ def enumerate_reversing_triples(
             if table[j][k] == d2 and _triple_generates(G, x, invs[j], invs[k], dv, d1, d2)
         ]
         fibers.append((cls, entries))
-    return [
-        ReversingTriple(G, x, y, z, (dv, d1, d2), True)
-        for x, y, z in sorted(_expand(G, fibers))
-    ]
+    return sorted(_expand(G, fibers))
 
 
 # -- blind census over all involution triples ----------------------------------

@@ -198,11 +198,9 @@ def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
 
 
 def _arc_stabilizer_order(M: MapGeometry) -> int:
-    # the blocks through the identity are the stabilizer subgroups themselves
-    e = M.group.identity
-    vblock = next(set(b) for b in M.vertices if e in b)
-    eblock = next(set(b) for b in M.edges if e in b)
-    return len(vblock & eblock)
+    # the elements on the vertex and edge through the identity form the arc stabilizer
+    v, e = M.vertex[M.group.identity], M.edge[M.group.identity]
+    return sum(1 for g in range(M.group.order) if M.vertex[g] == v and M.edge[g] == e)
 
 
 def a5_exceptional_case() -> dict:
@@ -310,9 +308,8 @@ def _construction_agreement(
     cons = construction_census(G)
     if not cons:
         return False
-    enum = [t.indices() for t in enumerate_reversing_triples(G, predicted, budget)]
-    enum_set = set(enum)
-    if not set(cons) <= enum_set:
+    enum = enumerate_reversing_triples(G, predicted, budget)
+    if not set(cons) <= set(enum):
         return False
     cons_reps = {rep for rep, _ in triple_conjugacy_classes(G, cons, check_closed=False)}
     enum_reps = {rep for rep, _ in triple_conjugacy_classes(G, enum)}

@@ -1,12 +1,18 @@
-"""Slow reference implementations of the census engine, for tests only.
+"""Slow reference implementations of the census engine and the map builder.
 
-These are the direct loops the engine in ``revmaps.triples`` replaces: the
-scan over every unordered involution triple, the x*y*z enumeration loop and
-the conjugation sweep over all |G| elements per class.  They share only the
-building blocks (qualifying table, role assignment, generation test) with
-the engine, and are compared with it at small p.  Element and pair orders
-come from repeated multiplication, not from the closed form in
-``gfproj.projective_order``.
+The census part holds the direct loops the engine in ``revmaps.triples``
+replaces: the scan over every unordered involution triple, the x*y*z
+enumeration loop and the conjugation sweep over all |G| elements per class.
+They share only the building blocks (qualifying table, role assignment,
+generation test) with the engine, and are compared with it at small p.
+Element and pair orders come from repeated multiplication, not from the
+closed form in ``gfproj.projective_order``.
+
+The map part builds a map as a coset incidence geometry, the way the paper
+states it: cells are coset blocks, two cells are incident iff their cosets
+meet, the flags are the mutually incident (vertex, edge, face) triples, and
+partners are found by grouping flags on tuple keys.  ``revmaps.mapgeom``
+instead labels the flags G x {face family} and is compared with this.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from functools import lru_cache
 
 from revmaps import triples
 from revmaps.gfproj import ProjMatrix, mat_multiply
-from revmaps.groups import GroupHandle
+from revmaps.groups import GroupHandle, subgroup_closure
+from revmaps.mapgeom import SCHEMA_VERSION, UnderlyingGraph, recognize_graph
 from revmaps.triples import (
     CensusScan,
     PatternCensus,
-    ReversingTriple,
     TriplePattern,
     _normalize_hit,
     _triple_generates,
@@ -74,7 +80,7 @@ def oracle_dihedral_table(G: GroupHandle) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[ReversingTriple]:
+def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[tuple[int, int, int]]:
     """Every ordered triple realizing the slotted pattern, by the x*y*z loop."""
     invs = oracle_involutions(G)
     table = oracle_dihedral_table(G)
@@ -90,7 +96,7 @@ def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[ReversingTr
                 if table[a][c] != d1 or table[b][c] != d2:
                     continue
                 if _triple_generates(G, x, y, z, dv, d1, d2):
-                    out.append(ReversingTriple(G, x, y, z, (dv, d1, d2), True))
+                    out.append((x, y, z))
     return out
 
 
@@ -154,3 +160,144 @@ def oracle_scan(G: GroupHandle) -> CensusScan:
         combos_scanned=n * (n - 1) * (n - 2) // 6,
         qualifying=tuple(censuses),
     )
+
+
+# -- maps as coset incidence geometries ------------------------------------------
+
+
+def _coset_blocks(G: GroupHandle, gens) -> list[tuple[int, ...]]:
+    """The right cosets of <gens> as sorted blocks, ordered by least member."""
+    members = subgroup_closure(G, gens).members
+    placed: set[int] = set()
+    blocks = []
+    for g in range(G.order):
+        if g not in placed:
+            block = tuple(sorted(G.mul(h, g) for h in members))
+            placed.update(block)
+            blocks.append(block)
+    return blocks
+
+
+def _cell_of(G: GroupHandle, blocks, offset: int = 0) -> list[int]:
+    of = [0] * G.order
+    for i, block in enumerate(blocks, start=offset):
+        for g in block:
+            of[g] = i
+    return of
+
+
+def _tuple_pairing(flags, drop: int) -> list[int]:
+    """Partners of the flags that agree off coordinate ``drop``."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for idx, flag in enumerate(flags):
+        groups.setdefault(flag[:drop] + flag[drop + 1 :], []).append(idx)
+    out = [0] * len(flags)
+    for members in groups.values():
+        if len(members) != 2:
+            raise RuntimeError(f"{len(members)} flags share two coordinates")
+        a, b = members
+        out[a], out[b] = b, a
+    return out
+
+
+def _bipartite(rhos) -> bool:
+    n = len(rhos[0])
+    color = [-1] * n
+    color[0] = 0
+    stack = [0]
+    ok = True
+    while stack:
+        i = stack.pop()
+        for rho in rhos:
+            j = rho[i]
+            if color[j] < 0:
+                color[j] = 1 - color[i]
+                stack.append(j)
+            elif color[j] == color[i]:
+                ok = False
+    if -1 in color:
+        raise RuntimeError("flag graph is disconnected")
+    return ok
+
+
+def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[int, int]]]:
+    """The map record and the sorted edge endpoint pairs of the incidence geometry.
+
+    ``kind`` and ``generators`` are as in ``revmaps.mapgeom``: (x, y, z) for
+    a reversing map, (r0, r1, r2) for a flag-regular one.
+    """
+    a, b, c = generators
+    if kind == "reversing":
+        names, cells = ("x", "y", "z"), ((a, b), (c,), [(a, c), (b, c)])
+    else:
+        names, cells = ("r0", "r1", "r2"), ((b, c), (a, c), [(a, b)])
+    vertices = _coset_blocks(G, cells[0])
+    edges = _coset_blocks(G, cells[1])
+    faces: list[tuple[int, ...]] = []
+    face_of = []
+    orbit_sizes = []
+    for gens in cells[2]:
+        blocks = _coset_blocks(G, gens)
+        face_of.append(_cell_of(G, blocks, len(faces)))
+        faces.extend(blocks)
+        orbit_sizes.append(len(blocks))
+    vertex_of = _cell_of(G, vertices)
+
+    edge_vertices = [sorted({vertex_of[g] for g in block}) for block in edges]
+    edge_faces = [sorted({of[g] for of in face_of for g in block}) for block in edges]
+    vf = {(vertex_of[g], of[g]) for g in range(G.order) for of in face_of}
+    flags = sorted(
+        (v, e, f)
+        for e, (vs, fs) in enumerate(zip(edge_vertices, edge_faces))
+        for v in vs
+        for f in fs
+        if (v, f) in vf
+    )
+    if len(flags) != 4 * len(edges):
+        raise RuntimeError(f"{len(flags)} flags for {len(edges)} edges")
+    orientable = _bipartite([_tuple_pairing(flags, drop) for drop in range(3)])
+
+    V, E, F = len(vertices), len(edges), len(faces)
+    chi = V - E + F
+    valency = [0] * V
+    length = [0] * F
+    for vs, fs in zip(edge_vertices, edge_faces):
+        for v in vs:
+            valency[v] += 1
+        for f in fs:
+            length[f] += 1
+    n1 = orbit_sizes[0]
+    n2 = F - n1
+    lengths = {"1": sorted(set(length[:n1]))}
+    stabilizers = {"vertex": len(vertices[0]), "edge": len(edges[0])}
+    if kind == "reversing":
+        lengths["2"] = sorted(set(length[n1:]))
+        stabilizers.update(face1=len(faces[0]), face2=len(faces[n1]))
+    else:
+        stabilizers["face"] = len(faces[0])
+    if len(set(valency)) != 1 or any(len(ls) != 1 for ls in lengths.values()):
+        raise RuntimeError("valency or face length is not constant")
+
+    pairs = sorted((vs[0], vs[-1]) for vs in edge_vertices)
+    graph = UnderlyingGraph(V, tuple(pairs))
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "group": {**G.descriptor(), "order": G.order},
+        "kind": kind,
+        "triple": {name: G.element_json(i) for name, i in zip(names, generators)},
+        "counts": {"V": V, "E": E, "F1": n1, "F2": n2, "F": F},
+        "chi": chi,
+        "orientable": orientable,
+        "genus": (2 - chi) // 2 if orientable else 2 - chi,
+        "flags": len(flags),
+        "stabilizer_orders": stabilizers,
+        "vertex_valency": valency[0],
+        "face_lengths": {k: ls[0] for k, ls in lengths.items()},
+        "graph": {
+            "recognized": recognize_graph(graph),
+            "degree_sequence": list(graph.degree_sequence()),
+            "loops": graph.loop_count,
+            "simple": graph.is_simple,
+        },
+    }
+    return record, pairs

@@ -247,6 +247,8 @@ GOLDEN = {
     "verify_pgl2_7.json": ["verify", "--family", "pgl2", "--p", "7"],
     "enumerate_pgl2_7.json": ["enumerate", "--family", "pgl2", "--p", "7"],
     "construct_pgl2_7.json": ["construct", "--family", "pgl2", "--p", "7"],
+    "export_pgl2_7.dot": ["export", "--family", "pgl2", "--p", "7"],
+    "construct_ext_7_5.json": ["construct", "--family", "ext", "--p", "7", "--m", "5"],
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from revmaps.gfproj import proj_matrix
 from revmaps.groups import (
     GroupError,
+    SubgroupHandle,
     build_group,
     conjugacy_class,
     generates,
@@ -200,27 +201,28 @@ def test_lagrange_on_sampled_closures():
 def test_cosets_of_whole_group():
     G = build_group("psl2", 5)
     full = subgroup_closure(G, list(range(G.order)))
-    assert len(right_cosets(G, full)) == 1
+    assert set(right_cosets(G, full)) == {0}
 
 
 def test_cosets_of_trivial_subgroup():
     G = build_group("psl2", 5)
     triv = subgroup_closure(G, [G.identity])
-    assert len(right_cosets(G, triv)) == G.order
+    assert len(set(right_cosets(G, triv))) == G.order
 
 
 def test_cosets_of_d10_in_psl25():
     G = build_group("psl2", 5)
     u, v = _pair_with_product_order(G, 5)
-    part = right_cosets(G, subgroup_closure(G, [u, v]))
-    assert len(part) == 6
-    seen = set()
-    for block in part.blocks:
+    sub = subgroup_closure(G, [u, v])
+    label = right_cosets(G, sub)
+    blocks = [[g for g in range(G.order) if label[g] == c] for c in range(max(label) + 1)]
+    assert len(blocks) == 6
+    assert sorted(g for block in blocks for g in block) == list(range(G.order))
+    for block in blocks:
         assert len(block) == 10
-        assert block[0] == min(block)
-        seen.update(block)
-    assert seen == set(range(G.order))
-    assert list(part.representatives) == sorted(part.representatives)
+        assert sorted(G.mul(h, block[0]) for h in sub.members) == block
+    # ids are numbered by least member
+    assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
 
 
 def test_coset_partition_rejects_foreign_subgroup():
@@ -229,6 +231,13 @@ def test_coset_partition_rejects_foreign_subgroup():
     sub = subgroup_closure(G7, [G7.identity])
     with pytest.raises(GroupError):
         right_cosets(G5, sub)
+
+
+def test_cosets_reject_members_not_closed():
+    G = build_group("psl2", 5)
+    u = G.index[proj_matrix(1, 1, 0, 1, 5)]  # order 5: {1, u} is no subgroup
+    with pytest.raises(GroupError, match="not closed"):
+        right_cosets(G, SubgroupHandle(G, (G.identity, u)))
 
 
 # -- generation ---------------------------------------------------------------------

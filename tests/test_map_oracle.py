@@ -1,0 +1,62 @@
+"""The flag-label map builder against the incidence geometry in ``oracle.py``.
+
+``revmaps.mapgeom`` labels the flags G x {face family} with their cells and
+pairs flags that share two cells; the oracle enumerates the mutually
+incident cell triples of the coset geometry.  Both must give the same
+record, flag count and edge endpoints on every map the program builds.
+"""
+
+import pytest
+from oracle import oracle_map
+
+from revmaps.groups import build_group
+from revmaps.mapgeom import (
+    build_regular_map,
+    build_revmap,
+    flag_system,
+    map_record,
+    underlying_graph,
+)
+from revmaps.triples import (
+    ReversingTriple,
+    ext_triple,
+    pgl_triple,
+    psl_triple,
+    scan_reversing_census,
+)
+from revmaps.verify import VERIFY_MATRIX, a5_exceptional_case
+
+
+def _assert_matches_oracle(M):
+    record, pairs = oracle_map(M.group, M.kind, M.generators)
+    assert map_record(M) == record
+    assert len(flag_system(M)) == record["flags"]
+    assert list(underlying_graph(M).edges) == pairs
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_rebuilt_maps_match_oracle(family, p, m):
+    # the maps verify_theorem rebuilds: one per class of each qualifying pattern
+    G = build_group(family, p, m)
+    for census in scan_reversing_census(G).qualifying:
+        for rep in census.classes or census.triples[:1]:
+            _assert_matches_oracle(build_revmap(G, ReversingTriple(G, *rep, census.pattern, True)))
+
+
+def test_a5_pair_matches_oracle():
+    G = build_group("psl2", 5)
+    triple = a5_exceptional_case()["triple"]
+    r0, r1, r2 = (G.element_from_json(triple[n]) for n in ("r0", "r1", "r2"))
+    for gens in ((r0, r1, r2), (r2, r1, r0)):
+        _assert_matches_oracle(build_regular_map(G, *gens))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: psl_triple(13, 2), lambda: pgl_triple(7, 0), lambda: ext_triple(7, 5, 0, 1, 0)],
+    ids=["psl2-13", "pgl2-7", "ext-7-5"],
+)
+def test_constructed_maps_match_oracle(make):
+    # the triples construct builds by default
+    t = make()
+    _assert_matches_oracle(build_revmap(t.group, t))

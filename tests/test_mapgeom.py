@@ -17,7 +17,7 @@ from revmaps.mapgeom import (
     underlying_graph,
     vertex_valencies,
 )
-from revmaps.triples import make_triple, ext_triple, pgl_triple, psl_triple
+from revmaps.triples import ReversingTriple, make_triple, ext_triple, pgl_triple, psl_triple
 from revmaps.verify import a5_exceptional_case
 
 
@@ -78,6 +78,20 @@ def test_non_generating_triple_rejected():
     assert not t.generates
     with pytest.raises(MapError):
         build_revmap(G, t)
+
+
+def test_edge_inside_the_vertex_stabilizer_is_rejected():
+    # z = x y x lies in <x,y>: both ends of every edge are one vertex, so the
+    # two flags on an edge and face differ in no vertex
+    t = psl_triple(5, 2)
+    G = t.group
+    z = G.mul(G.mul(t.x, t.y), t.x)
+    assert G.is_involution(z) and z not in (t.x, t.y)
+    M = build_revmap(G, ReversingTriple(G, t.x, t.y, z, t.pattern, True))
+    with pytest.raises(MapError, match="differ in no vertex"):
+        flag_system(M)
+    with pytest.raises(MapError, match="differ in no vertex"):
+        map_record(M)
 
 
 # -- flag systems ------------------------------------------------------------------

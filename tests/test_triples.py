@@ -122,9 +122,9 @@ def test_enumeration_psl25_nonempty_and_pairs_share_a_point():
     G = build_group("psl2", 5)
     triples = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))
     assert triples
-    for t in triples:
-        fx = set(fixed_points(G.elements[t.x]))
-        fy = set(fixed_points(G.elements[t.y]))
+    for x, y, _ in triples:
+        fx = set(fixed_points(G.elements[x]))
+        fy = set(fixed_points(G.elements[y]))
         assert fx & fy
 
 
@@ -135,7 +135,7 @@ def test_enumeration_psl27_empty():
 
 def test_enumeration_matches_construction_closure_psl25():
     G = build_group("psl2", 5)
-    enum = {t.indices() for t in enumerate_reversing_triples(G, TriplePattern(10, 6, 4))}
+    enum = set(enumerate_reversing_triples(G, TriplePattern(10, 6, 4)))
     cons = set(construction_census(G))
     assert cons <= enum
     cons_reps = {r for r, _ in triple_conjugacy_classes(G, cons, check_closed=False)}
@@ -145,7 +145,7 @@ def test_enumeration_matches_construction_closure_psl25():
 
 def test_enumeration_matches_construction_closure_pgl25():
     G = build_group("pgl2", 5)
-    enum = {t.indices() for t in enumerate_reversing_triples(G, TriplePattern(10, 12, 8))}
+    enum = set(enumerate_reversing_triples(G, TriplePattern(10, 12, 8)))
     cons = set(construction_census(G))
     assert cons <= enum
     cons_reps = {r for r, _ in triple_conjugacy_classes(G, cons, check_closed=False)}
@@ -164,7 +164,7 @@ def test_blind_scan_agrees_with_slotted_enumeration_psl25():
     G = build_group("psl2", 5)
     scan = scan_reversing_census(G)
     assert [c.pattern for c in scan.qualifying] == [(10, 6, 4)]
-    enum = {t.indices() for t in enumerate_reversing_triples(G, TriplePattern(10, 6, 4))}
+    enum = set(enumerate_reversing_triples(G, TriplePattern(10, 6, 4)))
     assert set(scan.qualifying[0].triples) == enum
 
 
