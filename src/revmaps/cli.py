@@ -24,12 +24,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .groups import EXT, FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
+from .groups import FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
 from .mapgeom import (
     SCHEMA_VERSION,
     MapError,
+    MapGeometry,
     build_revmap,
     map_record,
     to_dot,
@@ -51,22 +51,6 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass
-class JobConfig:
-    command: str
-    family: str = PSL2
-    p: int = 5
-    m: int = 1
-    k: int | None = None
-    c1: int = 1
-    c2: int = 0
-    budget: int = DEFAULT_ENUM_BUDGET
-    jobs: int = 1
-    output: str | None = None
-    format: str = "json"
-    input: str | None = None
 
 
 def _env_budget(default: int) -> int:
@@ -112,7 +96,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export", help="DOT of the underlying graph")
     common(sp, with_k=True)
-    sp.add_argument("--format", choices=("dot",), default="dot")
 
     sp = sub.add_parser("check", help="re-validate a stored map record")
     sp.add_argument("--input", required=True)
@@ -121,28 +104,27 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _construct_triple(cfg: JobConfig):
-    if cfg.family == PSL2:
-        k = 2 if cfg.k is None else cfg.k
-        return psl_triple(cfg.p, k)
-    if cfg.family == PGL2:
-        k = 0 if cfg.k is None else cfg.k
-        return pgl_triple(cfg.p, k)
-    k = 0 if cfg.k is None else cfg.k
-    return ext_triple(cfg.p, cfg.m, k, cfg.c1, cfg.c2)
+def _construct_triple(args: argparse.Namespace):
+    if args.family == PSL2:
+        k = 2 if args.k is None else args.k
+        return psl_triple(args.p, k)
+    if args.family == PGL2:
+        k = 0 if args.k is None else args.k
+        return pgl_triple(args.p, k)
+    k = 0 if args.k is None else args.k
+    return ext_triple(args.p, args.m, k, args.c1, args.c2)
 
 
-def _build_record(cfg: JobConfig) -> tuple[dict, object]:
+def _build_map(args: argparse.Namespace) -> MapGeometry:
     # surface parameter errors, and a group over the budget, before any work
-    build_group(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
-    t = _construct_triple(cfg)
-    M = build_revmap(t.group, t)
-    return map_record(M), M
+    build_group(args.family, args.p, args.m, budget=args.budget)
+    t = _construct_triple(args)
+    return build_revmap(t.group, t)
 
 
-def _emit(cfg: JobConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -162,19 +144,19 @@ def _record_text(rec: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_construct(cfg: JobConfig) -> int:
-    rec, _ = _build_record(cfg)
-    if cfg.format == "text":
-        _emit(cfg, _record_text(rec))
+def _cmd_construct(args: argparse.Namespace) -> int:
+    rec = map_record(_build_map(args))
+    if args.format == "text":
+        _emit(args, _record_text(rec))
     else:
-        _emit(cfg, report_json(rec))
+        _emit(args, report_json(rec))
     return EXIT_OK
 
 
-def _cmd_enumerate(cfg: JobConfig) -> int:
-    G = build_group(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
-    scan = scan_reversing_census(G, cfg.budget)
-    if cfg.format == "text":
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    G = build_group(args.family, args.p, args.m, budget=args.budget)
+    scan = scan_reversing_census(G, args.budget)
+    if args.format == "text":
         lines = [f"{G.descriptor()} order={G.order}"]
         for c in scan.qualifying:
             lines.append(
@@ -183,7 +165,7 @@ def _cmd_enumerate(cfg: JobConfig) -> int:
             )
         if not scan.qualifying:
             lines.append("no qualifying reversing triples")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -193,13 +175,13 @@ def _cmd_enumerate(cfg: JobConfig) -> int:
             "combos_scanned": scan.combos_scanned,
             "qualifying": census_json(G, scan),
         }
-        _emit(cfg, report_json(payload))
+        _emit(args, report_json(payload))
     return EXIT_OK
 
 
-def _cmd_verify(cfg: JobConfig) -> int:
-    report = verify_theorem(cfg.family, cfg.p, cfg.m, budget=cfg.budget)
-    if cfg.format == "text":
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_theorem(args.family, args.p, args.m, budget=args.budget)
+    if args.format == "text":
         lines = [
             f"config {report['config']} order={report['group_order']}",
             f"patterns found: {report['patterns_found']}"
@@ -208,15 +190,14 @@ def _cmd_verify(cfg: JobConfig) -> int:
             f"lemma checks: {report['lemma_checks']}",
             f"verdict: {report['verdict']}",
         ]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, report_json(report))
+        _emit(args, report_json(report))
     return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL
 
 
-def _cmd_export(cfg: JobConfig) -> int:
-    _, M = _build_record(cfg)
-    _emit(cfg, to_dot(underlying_graph(M)))
+def _cmd_export(args: argparse.Namespace) -> int:
+    _emit(args, to_dot(underlying_graph(_build_map(args))))
     return EXIT_OK
 
 
@@ -233,12 +214,12 @@ def _load_record(path: str) -> dict:
     return rec
 
 
-def _cmd_check(cfg: JobConfig) -> int:
-    rec = _load_record(cfg.input)
+def _cmd_check(args: argparse.Namespace) -> int:
+    rec = _load_record(args.input)
     if rec.get("kind", "reversing") != "reversing":
         raise GroupError("check supports reversing map records")
     desc = rec["group"]
-    G = build_group(desc["family"], desc["p"], desc.get("m", 1), budget=cfg.budget)
+    G = build_group(desc["family"], desc["p"], desc.get("m", 1), budget=args.budget)
     idx = tuple(G.element_from_json(rec["triple"][n]) for n in ("x", "y", "z"))
     t = make_triple(G, *idx)
     M = build_revmap(G, t)
@@ -246,7 +227,7 @@ def _cmd_check(cfg: JobConfig) -> int:
     # the stored record went through JSON, so compare the fresh one in that form
     same = json.loads(json.dumps(fresh)) == rec
     verdict = {"verdict": "pass" if same else "fail", "recomputed": fresh}
-    _emit(cfg, report_json(verdict))
+    _emit(args, report_json(verdict))
     return EXIT_OK if same else EXIT_FAIL
 
 
@@ -262,16 +243,17 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_USAGE if exc.code else EXIT_OK
-    cfg = JobConfig(**vars(ns))
     try:
-        cfg.budget = _env_budget(cfg.budget)
-        if cfg.jobs < 1:
-            raise GroupError(f"--jobs must be >= 1, got {cfg.jobs}")
-        return _COMMANDS[cfg.command](cfg)
+        args.budget = _env_budget(args.budget)
+        # check takes no --jobs
+        jobs = getattr(args, "jobs", 1)
+        if jobs < 1:
+            raise GroupError(f"--jobs must be >= 1, got {jobs}")
+        return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -285,9 +285,10 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
 #
 # Pair orders, chi, the gcd filter and generation are all invariant under
 # simultaneous conjugation.  So the engine fixes x to the least member of
-# each class of involutions, scans only the (y, z) that complete it (the
-# class's fiber), and rebuilds every other triple by conjugating the fiber
-# with the class's transversal maps (see ``GroupHandle.involution_classes``).
+# each class of involutions and scans only the (y, z) that complete it (the
+# class's fiber).  Class questions are settled on the fibers; the scan's raw
+# triple lists rebuild every other triple by conjugating the fiber with the
+# class's transversal maps (see ``GroupHandle.involution_classes``).
 
 
 def _expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
@@ -310,30 +311,32 @@ def enumerate_reversing_triples(
     pattern: TriplePattern,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> list[tuple[int, int, int]]:
-    """All ordered (x, y, z) index triples realizing the slotted pattern, ascending.
+    """The fiber triples realizing the slotted pattern, ascending.
 
     (x, y) is the pair at the vertex order, x the member at the face1 order
-    with z.  Every returned triple generates G.
+    with z, and x is the least member of its involution class.  Every
+    triple realizing the pattern is conjugate to one of these, so
+    ``triple_conjugacy_classes`` of the fibers gives every class of the
+    pattern with its full size.  Every returned triple generates G.
     """
     if G.order > budget:
         raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     dv, d1, d2 = pattern.as_tuple()
     invs = G.involutions()
     table = G.dihedral_table()
-    fibers = []
+    out = []
     for cls in G.involution_classes().classes:
         x = invs[cls.rep]
         row = table[cls.rep]
         ys = [j for j, d in enumerate(row) if d == dv]
         zs = [k for k, d in enumerate(row) if d == d1]
-        entries = [
-            (j, k)
+        out.extend(
+            (x, invs[j], invs[k])
             for j in ys
             for k in zs
             if table[j][k] == d2 and _triple_generates(G, x, invs[j], invs[k], dv, d1, d2)
-        ]
-        fibers.append((cls, entries))
-    return sorted(_expand(G, fibers))
+        )
+    return out
 
 
 # -- blind census over all involution triples ----------------------------------
@@ -378,38 +381,35 @@ def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
     return qual
 
 
-def _normalize_hit(G: GroupHandle, e1: int, e2: int, e3: int):
-    """Assign (x, y, z) roles inside an unordered qualifying triple.
+def _roles(G: GroupHandle, a: int, b: int, c: int):
+    """Assign (x, y, z) roles to the involutions at positions a, b, c.
 
-    z is the member outside the p-divisible (vertex) pair; x takes the larger
-    face order.  Ambiguous cases (possible only for unclassified patterns)
-    fall back to index order, flagged as unslotted.
+    z is the member outside the one pair at a dihedral order divisible by
+    2p (the vertex pair), and x the member of that pair with the larger face
+    order with z.  Without exactly one such pair, or with tied face orders
+    (possible only for unclassified patterns), the roles follow position
+    order, which is element order, and the hit is unslotted.  Returns the
+    positions in role order, the pattern and whether the hit is slotted.
     """
     two_p = 2 * G.p
     table = G.dihedral_table()
-    at = G.involution_classes().position
-    options = []
-    for z, u, v in ((e3, e1, e2), (e2, e1, e3), (e1, e2, e3)):
-        dv = table[at[u]][at[v]]
-        du = table[at[u]][at[z]]
-        dw = table[at[v]][at[z]]
-        if (du, -u) < (dw, -v):
-            u, v, du, dw = v, u, dw, du
-        options.append((0 if dv % two_p == 0 else 1, -dv, u, v, z, dv, du, dw))
-    options.sort()
-    p_divisible = sum(1 for o in options if o[0] == 0)
-    best = options[0]
-    slotted = p_divisible == 1 and best[6] != best[7]
-    _, _, x, y, z, dv, d1, d2 = best
-    return (x, y, z), (dv, d1, d2), slotted
+    vertex = [
+        (u, v, w)
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a))
+        if table[u][v] % two_p == 0
+    ]
+    if len(vertex) == 1:
+        x, y, z = vertex[0]
+        if table[x][z] != table[y][z]:
+            if table[x][z] < table[y][z]:
+                x, y = y, x
+            return (x, y, z), (table[x][y], table[x][z], table[y][z]), True
+    x, y, z = sorted((a, b, c))
+    return (x, y, z), (table[x][y], table[x][z], table[y][z]), False
 
 
-def triple_conjugacy_classes(
-    G: GroupHandle,
-    triples,
-    check_closed: bool = True,
-) -> list[tuple[tuple[int, int, int], int]]:
-    """Split involution triples into conjugation orbits; returns (orbit minimum, orbit size).
+def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, int, int], int]]:
+    """The conjugation orbits the involution triples meet, as (orbit minimum, orbit size).
 
     Each triple is folded onto the fiber of the least member r of its x's
     class.  There its orbit is an orbit of the centralizer C(r), so the orbit
@@ -418,10 +418,12 @@ def triple_conjugacy_classes(
     the full orbit, so two subsets of the same orbit report the same
     representative.  Classes come in the order of their least listed member.
 
+    The triples need not be whole orbits, and the fibers of
+    ``enumerate_reversing_triples`` and of the scan are not: an orbit with
+    any member listed is reported with its full size.
+
     A triple whose two face orders tie stands for the pair {x, y}: it is read
-    with x < y, and its orbit joins those of (x, y, z) and (y, x, z).  With
-    ``check_closed`` the triples must be whole orbits; a census built from a
-    fixed pattern is.
+    with x < y, and its orbit joins those of (x, y, z) and (y, x, z).
     """
     C = G.involution_classes()
     invs = G.involutions()
@@ -447,7 +449,6 @@ def triple_conjugacy_classes(
 
     seen: set[tuple[int, int, int]] = set()
     classes = []
-    covered = 0
     for x, y, z in sorted(listed):
         key = fold(x, y, z)
         if key in seen:
@@ -464,10 +465,7 @@ def triple_conjugacy_classes(
                 other = orbit(swapped)
                 seen |= other
                 least = min(least, min(other))
-        covered += size
         classes.append((tuple(invs[i] for i in least), size))
-    if check_closed and covered != len(listed):
-        raise RuntimeError("triple set is not closed under conjugation")
     return classes
 
 
@@ -489,12 +487,10 @@ def scan_reversing_census(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> 
     table = G.dihedral_table()
     qual = _qualifying_table(G, table)
     n = len(invs)
-    two_p = 2 * G.p
     slotted: dict[tuple[int, int, int], list] = {}
     loose = []
     for cls in G.involution_classes().classes:
         r = cls.rep
-        x = invs[r]
         row_r = table[r]
         here: dict[tuple[int, int, int], list] = {}
         unordered = []
@@ -506,33 +502,25 @@ def scan_reversing_census(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> 
             for z in range(y + 1, n):
                 if z == r or not qual[(a, row_r[z], row_y[z])]:
                     continue
-                b, c = row_r[z], row_y[z]
-                # the one pair at a p-divisible order is (x, y); x has the
-                # larger face order with z
-                divisible = (a % two_p == 0, b % two_p == 0, c % two_p == 0)
-                if divisible == (True, False, False) and b != c:
-                    entry, pat = (y, z), (a, b, c)
-                    mine = b > c
-                elif divisible == (False, True, False) and a != c:
-                    entry, pat = (z, y), (b, a, c)
-                    mine = a > c
-                elif divisible == (False, False, True) and a != b:
-                    mine = False
-                else:
-                    if _triple_generates(G, x, invs[y], invs[z], a, b, c):
-                        unordered.append((y, z))
+                (u, v, w), pat, slotted_hit = _roles(G, r, y, z)
+                # a slotted hit where the rep is not x is the conjugate of one
+                # where it is
+                if slotted_hit and u != r:
                     continue
-                # a hit where the rep is not x is the conjugate of one where it is
-                if mine and _triple_generates(G, x, invs[entry[0]], invs[entry[1]], *pat):
-                    here.setdefault(pat, []).append(entry)
+                if _triple_generates(G, invs[u], invs[v], invs[w], *pat):
+                    if slotted_hit:
+                        here.setdefault(pat, []).append((v, w))
+                    else:
+                        unordered.append((y, z))
         for pat, entries in here.items():
             slotted.setdefault(pat, []).append((cls, entries))
         loose.append((cls, unordered))
 
     by_pattern = {pat: _expand(G, fibers) for pat, fibers in slotted.items()}
-    for hit in {tuple(sorted(t)) for t in _expand(G, loose)}:
-        t, pat, _ = _normalize_hit(G, *hit)
-        by_pattern.setdefault(pat, []).append(t)
+    at = G.involution_classes().position
+    for hit in {tuple(sorted(at[v] for v in t)) for t in _expand(G, loose)}:
+        t, pat, _ = _roles(G, *hit)
+        by_pattern.setdefault(pat, []).append(tuple(invs[i] for i in t))
 
     censuses = []
     edges = G.order // 2
@@ -540,7 +528,7 @@ def scan_reversing_census(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> 
         chi = sum(G.order // d for d in pat) - edges
         if pat in slotted:
             fiber = [(invs[c.rep], invs[y], invs[z]) for c, es in slotted[pat] for y, z in es]
-            classes = tuple(t for t, _ in triple_conjugacy_classes(G, fiber, check_closed=False))
+            classes = tuple(t for t, _ in triple_conjugacy_classes(G, fiber))
         else:
             classes = ()
         censuses.append(

@@ -302,16 +302,17 @@ def _construction_agreement(
 ) -> bool:
     """Construction closure equals pattern enumeration, up to conjugacy.
 
-    When the pattern also passed the coprimality filter, the blind census
-    classes must coincide with the enumeration classes as well.
+    Both are compared at their class representatives, the orbit minima.  A
+    construction triple whose orbit minimum is an enumeration rep is
+    conjugate to an enumerated triple, so it realizes the pattern and
+    generates.  When the pattern also passed the coprimality filter, the
+    blind census classes must coincide with the enumeration classes as well.
     """
     cons = construction_census(G)
     if not cons:
         return False
     enum = enumerate_reversing_triples(G, predicted, budget)
-    if not set(cons) <= set(enum):
-        return False
-    cons_reps = {rep for rep, _ in triple_conjugacy_classes(G, cons, check_closed=False)}
+    cons_reps = {rep for rep, _ in triple_conjugacy_classes(G, cons)}
     enum_reps = {rep for rep, _ in triple_conjugacy_classes(G, enum)}
     if cons_reps != enum_reps:
         return False

@@ -3,8 +3,9 @@
 The census part holds the direct loops the engine in ``revmaps.triples``
 replaces: the scan over every unordered involution triple, the x*y*z
 enumeration loop and the conjugation sweep over all |G| elements per class.
-They share only the building blocks (qualifying table, role assignment,
-generation test) with the engine, and are compared with it at small p.
+They share only the qualifying table and the generation test with the
+engine, and are compared with it at small p; the roles of a hit follow the
+documented rule, written out here on elements.
 Element and pair orders come from repeated multiplication, not from the
 closed form in ``gfproj.projective_order``.
 
@@ -28,7 +29,6 @@ from revmaps.triples import (
     CensusScan,
     PatternCensus,
     TriplePattern,
-    _normalize_hit,
     _triple_generates,
 )
 
@@ -100,6 +100,40 @@ def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[tuple[int, 
     return out
 
 
+def oracle_roles(G: GroupHandle, hit) -> tuple[tuple[int, int, int], bool]:
+    """Roles (x, y, z) of an unordered involution triple, and whether it is slotted.
+
+    z is the member outside the one pair whose dihedral order 2p divides,
+    and x the member of that pair with the larger face order with z.
+    Otherwise the roles follow index order and the hit is unslotted.
+    """
+    a, b, c = sorted(hit)
+    divisible = [
+        (u, v, w)
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a))
+        if oracle_pair_order(G, u, v) % G.p == 0
+    ]
+    if len(divisible) == 1:
+        u, v, z = divisible[0]
+        du, dv = oracle_pair_order(G, u, z), oracle_pair_order(G, v, z)
+        if du > dv:
+            return (u, v, z), True
+        if dv > du:
+            return (v, u, z), True
+    return (a, b, c), False
+
+
+def oracle_class_minima(G: GroupHandle) -> set[int]:
+    """The least member of each class of involutions, by conjugating with all of G."""
+    left = set(oracle_involutions(G))
+    minima = set()
+    while left:
+        v = min(left)
+        minima.add(v)
+        left -= {G.conjugate(v, g) for g in range(G.order)}
+    return minima
+
+
 def oracle_classes(G: GroupHandle, triples, check_closed: bool = True):
     """Conjugation orbits by conjugating each new triple with all of G."""
     tset = set(triples)
@@ -140,7 +174,8 @@ def oracle_scan(G: GroupHandle) -> CensusScan:
             for c in range(b + 1, n):
                 if not qual[(table[a][b], table[a][c], table[b][c])]:
                     continue
-                (x, y, z), pat, slotted = _normalize_hit(G, invs[a], invs[b], invs[c])
+                (x, y, z), slotted = oracle_roles(G, (invs[a], invs[b], invs[c]))
+                pat = tuple(2 * oracle_pair_order(G, u, v) for u, v in ((x, y), (x, z), (y, z)))
                 if not _triple_generates(G, x, y, z, *pat):
                     continue
                 by_pattern.setdefault(pat, []).append((x, y, z))

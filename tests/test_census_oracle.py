@@ -2,13 +2,15 @@
 
 The engine scans one involution per conjugacy class and rebuilds the rest
 through conjugation maps; the oracle scans every triple and sweeps all of G.
-Both must give the same census, enumeration and conjugacy classes.
+Both must give the same census and conjugacy classes, and the engine's
+enumeration must be the oracle's full enumeration cut to the triples whose x
+is the least member of its involution class.
 """
 
 from collections import defaultdict
 
 import pytest
-from oracle import oracle_classes, oracle_enumerate, oracle_scan
+from oracle import oracle_class_minima, oracle_classes, oracle_enumerate, oracle_scan
 
 from revmaps import triples
 from revmaps.groups import GroupError, build_group
@@ -29,6 +31,11 @@ def _pattern(family, p, m):
     return TriplePattern.predicted(family, p, m) or TriplePattern(2 * p, p + 1, p - 1)
 
 
+def _fibers(G, full):
+    minima = oracle_class_minima(G)
+    return [t for t in full if t[0] in minima]
+
+
 @pytest.mark.parametrize("family,p,m", SMALL_MATRIX)
 def test_scan_matches_oracle(family, p, m):
     G = build_group(family, p, m)
@@ -39,15 +46,14 @@ def test_scan_matches_oracle(family, p, m):
 def test_enumeration_and_classes_match_oracle(family, p, m):
     G = build_group(family, p, m)
     pattern = _pattern(family, p, m)
-    enum = enumerate_reversing_triples(G, pattern)
-    assert enum == oracle_enumerate(G, pattern)
-    assert triple_conjugacy_classes(G, enum) == oracle_classes(G, enum)
-    if enum:
-        # a subset of the orbits reports full-orbit minima and sizes
+    full = oracle_enumerate(G, pattern)
+    fibers = enumerate_reversing_triples(G, pattern)
+    assert fibers == _fibers(G, full)
+    # the fibers meet every orbit and report full-orbit minima and sizes
+    assert triple_conjugacy_classes(G, fibers) == oracle_classes(G, full)
+    if fibers:
         cons = construction_census(G)
-        assert triple_conjugacy_classes(G, cons, check_closed=False) == oracle_classes(
-            G, cons, check_closed=False
-        )
+        assert triple_conjugacy_classes(G, cons) == oracle_classes(G, cons, check_closed=False)
 
 
 @pytest.mark.parametrize("family", ["psl2", "pgl2"])
@@ -83,22 +89,17 @@ def test_scan_matches_oracle_on_hits_inside_a_later_class(monkeypatch):
 def test_tied_face_orders_match_oracle():
     # (10, 6, 6) ties the two face orders: a triple stands for the pair {x, y}
     G = build_group("psl2", 5)
-    enum = enumerate_reversing_triples(G, TriplePattern(10, 6, 6))
-    tied = [(x, y, z) for x, y, z in enum if x < y]
-    assert tied and len(tied) * 2 == len(enum)
+    pattern = TriplePattern(10, 6, 6)
+    full = oracle_enumerate(G, pattern)
+    fibers = enumerate_reversing_triples(G, pattern)
+    assert fibers == _fibers(G, full)
+    tied = [(x, y, z) for x, y, z in full if x < y]
+    assert tied and len(tied) * 2 == len(full)
+    assert triple_conjugacy_classes(G, fibers) == oracle_classes(G, tied)
     assert triple_conjugacy_classes(G, tied) == oracle_classes(G, tied)
-    assert triple_conjugacy_classes(G, tied[:3], check_closed=False) == oracle_classes(
+    assert triple_conjugacy_classes(G, tied[:3]) == oracle_classes(
         G, tied[:3], check_closed=False
     )
-
-
-def test_classes_reject_a_set_not_closed_under_conjugation():
-    G = build_group("pgl2", 5)
-    enum = enumerate_reversing_triples(G, TriplePattern(10, 12, 8))
-    with pytest.raises(RuntimeError):
-        triple_conjugacy_classes(G, enum[:-1])
-    with pytest.raises(RuntimeError):
-        oracle_classes(G, enum[:-1])
 
 
 def test_classes_reject_non_involutions():

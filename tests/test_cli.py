@@ -245,6 +245,8 @@ def test_every_command_refuses_an_over_budget_group_before_building(monkeypatch,
 GOLDEN = {
     "verify_psl2_5.json": ["verify", "--family", "psl2", "--p", "5"],
     "verify_pgl2_7.json": ["verify", "--family", "pgl2", "--p", "7"],
+    # its predicted map is not coprime: the construction meets the enumeration alone
+    "verify_ext_7_3.json": ["verify", "--family", "ext", "--p", "7", "--m", "3"],
     "enumerate_pgl2_7.json": ["enumerate", "--family", "pgl2", "--p", "7"],
     "construct_pgl2_7.json": ["construct", "--family", "pgl2", "--p", "7"],
     "export_pgl2_7.dot": ["export", "--family", "pgl2", "--p", "7"],

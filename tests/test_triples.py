@@ -1,6 +1,7 @@
 """Triple constructions and exhaustive enumeration."""
 
 import pytest
+from oracle import oracle_enumerate
 
 from revmaps.gfproj import act, all_points, fixed_points
 from revmaps.groups import GroupError, build_group
@@ -9,6 +10,7 @@ from revmaps.triples import (
     construction_census,
     enumerate_reversing_triples,
     ext_triple,
+    make_triple,
     pgl_triple,
     psl_triple,
     scan_reversing_census,
@@ -133,24 +135,29 @@ def test_enumeration_psl27_empty():
     assert enumerate_reversing_triples(G, TriplePattern(14, 8, 6)) == []
 
 
-def test_enumeration_matches_construction_closure_psl25():
-    G = build_group("psl2", 5)
-    enum = set(enumerate_reversing_triples(G, TriplePattern(10, 6, 4)))
-    cons = set(construction_census(G))
-    assert cons <= enum
-    cons_reps = {r for r, _ in triple_conjugacy_classes(G, cons, check_closed=False)}
-    enum_reps = {r for r, _ in triple_conjugacy_classes(G, enum)}
+def _assert_construction_closure_matches_enumeration(G, pattern):
+    cons = construction_census(G)
+    # every construction triple realizes the pattern and generates, so it
+    # lies in the full enumeration
+    for t in cons:
+        triple = make_triple(G, *t)
+        assert triple.pattern == pattern.as_tuple() and triple.generates
+    fibers = enumerate_reversing_triples(G, pattern)
+    cons_reps = {r for r, _ in triple_conjugacy_classes(G, cons)}
+    enum_reps = {r for r, _ in triple_conjugacy_classes(G, fibers)}
     assert cons_reps == enum_reps
+
+
+def test_enumeration_matches_construction_closure_psl25():
+    _assert_construction_closure_matches_enumeration(
+        build_group("psl2", 5), TriplePattern(10, 6, 4)
+    )
 
 
 def test_enumeration_matches_construction_closure_pgl25():
-    G = build_group("pgl2", 5)
-    enum = set(enumerate_reversing_triples(G, TriplePattern(10, 12, 8)))
-    cons = set(construction_census(G))
-    assert cons <= enum
-    cons_reps = {r for r, _ in triple_conjugacy_classes(G, cons, check_closed=False)}
-    enum_reps = {r for r, _ in triple_conjugacy_classes(G, enum)}
-    assert cons_reps == enum_reps
+    _assert_construction_closure_matches_enumeration(
+        build_group("pgl2", 5), TriplePattern(10, 12, 8)
+    )
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -164,8 +171,14 @@ def test_blind_scan_agrees_with_slotted_enumeration_psl25():
     G = build_group("psl2", 5)
     scan = scan_reversing_census(G)
     assert [c.pattern for c in scan.qualifying] == [(10, 6, 4)]
-    enum = set(enumerate_reversing_triples(G, TriplePattern(10, 6, 4)))
-    assert set(scan.qualifying[0].triples) == enum
+    census = scan.qualifying[0]
+    assert set(census.triples) == set(oracle_enumerate(G, TriplePattern(10, 6, 4)))
+    fibers = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))
+    minima = {G.involutions()[c.rep] for c in G.involution_classes().classes}
+    assert [t for t in census.triples if t[0] in minima] == fibers
+    classes = triple_conjugacy_classes(G, fibers)
+    assert census.classes == tuple(r for r, _ in classes)
+    assert len(census.triples) == sum(size for _, size in classes)
 
 
 def test_scan_respects_budget():

@@ -6,7 +6,7 @@ import pytest
 
 from revmaps.groups import build_group, generates
 from revmaps.mapgeom import build_revmap
-from revmaps.triples import TriplePattern, make_triple
+from revmaps.triples import TriplePattern, make_triple, triple_conjugacy_classes
 from revmaps.verify import (
     a5_exceptional_case,
     check_coprime,
@@ -184,6 +184,32 @@ def test_verify_rejects_injected_wrong_pattern(monkeypatch):
     wrong = classmethod(lambda cls, family, p, m=1: TriplePattern(10, 6, 6))
     monkeypatch.setattr(TriplePattern, "predicted", wrong)
     rep = verify_theorem("psl2", 5)
+    assert rep["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("family,p,m", [("pgl2", 7, 1), ("ext", 7, 3)])
+@pytest.mark.parametrize("tamper", ["drop_a_class", "swap_slots"])
+def test_construction_agreement_fails_on_a_tampered_construction(family, p, m, tamper, monkeypatch):
+    # pgl2 7 compares the construction with the scan's class reps as well;
+    # ext 7 3, whose predicted map is not coprime, with the enumeration only
+    import revmaps.verify as verify
+
+    real = verify.construction_census
+
+    def tampered(G):
+        cons = real(G)
+        if tamper == "drop_a_class":
+            first = triple_conjugacy_classes(G, cons[:1])
+            rest = [t for t in cons if triple_conjugacy_classes(G, [t]) != first]
+            assert rest and len(rest) < len(cons)
+            return rest
+        x, y, z = cons[0]
+        return cons + [(y, x, z)]
+
+    monkeypatch.setattr(verify, "construction_census", tampered)
+    rep = verify_theorem(family, p, m)
+    assert rep["predicted_qualifies"] == (family == "pgl2")
+    assert rep["lemma_checks"]["construction_agreement"] is False
     assert rep["verdict"] == "fail"
 
 
