@@ -18,7 +18,7 @@ affine points, the unique right action sending x to x+1 under [[1,1],[0,1]].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class GFProjError(ValueError):
@@ -95,6 +95,33 @@ def mat_multiply(lhs: ProjMatrix, rhs: ProjMatrix) -> ProjMatrix:
     a, b, c, d, p = lhs
     e, f, g, h, _ = rhs
     return _normalized(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p)
+
+
+def left_products(
+    h: ProjMatrix, mats: Sequence[ProjMatrix]
+) -> list[tuple[int, int, int, int, int]]:
+    """The normalized products h*g for every g in mats, as plain tuples.
+
+    Multiplies and normalizes inline, without a ProjMatrix per product: a
+    plain tuple hashes and compares like the ProjMatrix of the same entries,
+    so each result is a key of any table keyed by ProjMatrix.
+    """
+    a, b, c, d, p = h
+    inv = _inv_table(p)
+    out = []
+    for e, f, g, k, _ in mats:
+        u = (a * e + b * g) % p
+        v = (a * f + b * k) % p
+        w = (c * e + d * g) % p
+        x = (c * f + d * k) % p
+        if u:
+            s = inv[u]
+            out.append((1, v * s % p, w * s % p, x * s % p, p))
+        else:
+            # the top row of an invertible product is nonzero, so v leads
+            s = inv[v]
+            out.append((0, 1, w * s % p, x * s % p, p))
+    return out
 
 
 def mat_inverse(m: ProjMatrix) -> ProjMatrix:

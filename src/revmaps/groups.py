@@ -10,6 +10,12 @@ part (see ``gfproj.projective_order``) without multiplying, so the handle
 keeps no per-element or per-pair memo.  The only quadratic table is the
 dihedral table of the involutions, built on first use by the census scans.
 
+Bulk questions go through one kernel, ``GroupHandle.left_perm``: the
+permutation g -> h*g of all element indices, computed in one sweep.  Right
+cosets Hg are the orbits of the left-multiplication permutations of H's
+generators, and conjugacy classes are the orbits of the conjugation
+permutations g -> s*g*s of a few generating involutions s.
+
 The extended family EXT realizes (Z_m x PSL(2,p)):2 inside Z_m x PGL(2,p)
 with the twisted product
 
@@ -32,6 +38,7 @@ from .gfproj import (
     check_prime,
     element_order,
     in_psl,
+    left_products,
     mat_inverse,
     mat_multiply,
     product_orders,
@@ -96,6 +103,7 @@ class GroupHandle:
         self._involutions: tuple[int, ...] | None = None
         self._involution_classes: InvolutionClasses | None = None
         self._dihedral: list[array] | None = None
+        self._conjugations: list[list[int]] | None = None
 
     # -- element access ----------------------------------------------------
 
@@ -118,6 +126,38 @@ class GroupHandle:
             e = (e1 + e2) % self.m if self._psl[i] else (e1 - e2) % self.m
             return self.index[(e, mat_multiply(g1, g2))]
         return self.index[mat_multiply(self.elements[i], self.elements[j])]
+
+    def left_perm(self, h: int) -> list[int]:
+        """The permutation g -> h*g of all element indices, in one sweep.
+
+        The products come from ``left_products`` as plain tuples and are looked
+        up in ``index`` directly.  In EXT the elements run through every
+        matrix once per exponent, so the matrix products of one exponent serve
+        all m of them, with the twist sign fixed by h.
+        """
+        index = self.index
+        if self.family != EXT:
+            return [index[k] for k in left_products(self.elements[h], self.elements)]
+        e, g = self.elements[h]
+        m = self.m
+        sign = 1 if self._psl[h] else -1
+        mats = [mat for _, mat in self.elements[: self.order // m]]
+        prods = left_products(g, mats)
+        return [index[((e + sign * f) % m, k)] for f in range(m) for k in prods]
+
+    def conjugation_perms(self) -> list[list[int]]:
+        """The permutations g -> s*g*s for the involutions s of ``_involution_generators``.
+
+        s*g*s = inv[L_s[inv[L_s[g]]]] with L_s = left_perm(s).  Built on first
+        use and kept on the handle.
+        """
+        if self._conjugations is None:
+            inv = [self.inv(g) for g in range(self.order)]
+            self._conjugations = []
+            for s in _involution_generators(self):
+                left = self.left_perm(s)
+                self._conjugations.append([inv[left[inv[t]]] for t in left])
+        return self._conjugations
 
     def inv(self, i: int) -> int:
         if self._inverses is None:
@@ -427,8 +467,14 @@ class InvolutionClasses:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
+    """A subgroup of ``group``: its sorted members and the generators it was closed from.
+
+    A handle built without generators uses its members as generators.
+    """
+
     group: GroupHandle
     members: tuple[int, ...]
+    generators: tuple[int, ...] = ()
 
     @property
     def order(self) -> int:
@@ -466,7 +512,7 @@ def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> SubgroupHandle:
     if any(not 0 <= g < G.order for g in gens):
         raise GroupError("generator index out of range")
     members = tuple(sorted(_closure(G, gens)))
-    return SubgroupHandle(G, members)
+    return SubgroupHandle(G, members, tuple(gens))
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
@@ -482,34 +528,61 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     return closed is None or len(closed) == G.order
 
 
-def right_cosets(G: GroupHandle, H: SubgroupHandle) -> list[int]:
-    """The right coset Hg of every element g, as ids numbered by least member."""
+def _orbit(start: int, perms: Sequence[Sequence[int]], label: list[int], mark: int) -> list[int]:
+    """The orbit of ``start`` under the group the permutations generate.
+
+    Sets ``label`` to ``mark`` on every point of the orbit; orbits are
+    disjoint, so a point labelled by an earlier orbit is never met.
+    """
+    label[start] = mark
+    orbit = [start]
+    for u in orbit:
+        for perm in perms:
+            w = perm[u]
+            if label[w] != mark:
+                label[w] = mark
+                orbit.append(w)
+    return orbit
+
+
+def right_cosets(
+    G: GroupHandle, H: SubgroupHandle, perms: dict[int, list[int]] | None = None
+) -> list[int]:
+    """The right coset Hg of every element g, as ids numbered by least member.
+
+    Hg is the orbit of g under left multiplication by the generators of H.
+    ``perms`` holds ``G.left_perm(s)`` of generators already computed; the
+    others are computed here.
+    """
     if H.group is not G:
         raise GroupError("subgroup belongs to a different group handle")
     if G.identity not in H.members:
         raise GroupError("subgroup must contain the identity")
     if G.order % len(H.members):
         raise GroupError("member count does not divide the group order")
+    perms = perms or {}
+    gens = [perms[s] if s in perms else G.left_perm(s) for s in H.generators or H.members]
     label = [-1] * G.order
     count = 0
     for g in range(G.order):
         if label[g] >= 0:
             continue
         # g is the least element not yet placed, hence the least of Hg
-        for h in H.members:
-            t = G.mul(h, g)
-            if label[t] >= 0:
-                raise GroupError("members are not closed under multiplication")
-            label[t] = count
+        if len(_orbit(g, gens, label, count)) != len(H.members):
+            raise GroupError("members are not closed under multiplication")
         count += 1
     return label
 
 
 def conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:
-    """The orbit of g under conjugation by the whole group."""
+    """The orbit of g under conjugation by the whole group.
+
+    G is generated by the involutions behind ``G.conjugation_perms()``, so
+    the orbit under their conjugation maps is the whole class.
+    """
     if not 0 <= g < G.order:
         raise GroupError("element index out of range")
-    return tuple(sorted({G.conjugate(g, h) for h in range(G.order)}))
+    return tuple(sorted(_orbit(g, G.conjugation_perms(), [-1] * G.order, 0)))
 
 
 def conjugacy_class_reps(G: GroupHandle) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ A reversing map is built from a generating involution triple (x, y, z):
 vertices are the right cosets of <x,y>, edges of <z>, and the two face
 families of <x,z> and <y,z>.  A flag-regular map uses three involutions
 r0, r1, r2 with (r0 r2)^2 = 1 and cells <r1,r2>, <r0,r2>, <r0,r1>, and one
-face family.
+face family.  Each cell is an orbit of the left-multiplication permutations
+of its generators; the three permutations of a map are computed once per
+build and shared by all its cell kinds.
 
 The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
 the element g in face family l, and it lies on the vertex, edge and face
@@ -81,13 +83,15 @@ def _assemble(
     kind: str,
     generators: tuple[int, ...],
 ) -> MapGeometry:
-    vertex = right_cosets(G, subgroup_closure(G, vertex_gens))
-    edge = right_cosets(G, subgroup_closure(G, edge_gens))
+    # one left-multiplication permutation per generator serves every cell kind
+    perms = {s: G.left_perm(s) for s in set(generators)}
+    vertex = right_cosets(G, subgroup_closure(G, vertex_gens), perms)
+    edge = right_cosets(G, subgroup_closure(G, edge_gens), perms)
     face: list[int] = []
     offset = 0
     for gens in face_gens:
         sub = subgroup_closure(G, gens)
-        face.extend(offset + c for c in right_cosets(G, sub))
+        face.extend(offset + c for c in right_cosets(G, sub, perms))
         offset += G.order // sub.order
     # one run of |G| flags per face family
     families = len(face_gens)

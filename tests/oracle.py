@@ -3,6 +3,8 @@
 The census part holds the direct loops the engine in ``revmaps.triples``
 replaces: the scan over every unordered involution triple, the x*y*z
 enumeration loop and the conjugation sweep over all |G| elements per class.
+The same sweep gives the element classes that ``revmaps.groups`` reads off
+conjugation orbits.
 They share only the qualifying table and the generation test with the
 engine, and are compared with it at small p; the roles of a hit follow the
 documented rule, written out here on elements.
@@ -123,6 +125,11 @@ def oracle_roles(G: GroupHandle, hit) -> tuple[tuple[int, int, int], bool]:
     return (a, b, c), False
 
 
+def oracle_conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:
+    """The conjugacy class of g, by conjugating it with every element of G."""
+    return tuple(sorted({G.conjugate(g, h) for h in range(G.order)}))
+
+
 def oracle_class_minima(G: GroupHandle) -> set[int]:
     """The least member of each class of involutions, by conjugating with all of G."""
     left = set(oracle_involutions(G))
@@ -130,7 +137,7 @@ def oracle_class_minima(G: GroupHandle) -> set[int]:
     while left:
         v = min(left)
         minima.add(v)
-        left -= {G.conjugate(v, g) for g in range(G.order)}
+        left -= set(oracle_conjugacy_class(G, v))
     return minima
 
 
@@ -139,11 +146,13 @@ def oracle_classes(G: GroupHandle, triples, check_closed: bool = True):
     tset = set(triples)
     visited: set[tuple[int, int, int]] = set()
     classes = []
-    for t in sorted(tset):
-        if t in visited:
-            continue
-        x, y, z = t
+    for x, y, z in sorted(tset):
         tie = oracle_pair_order(G, x, z) == oracle_pair_order(G, y, z)
+        # under a tie a triple stands for the pair {x, y}, listed as x < y
+        if tie and x > y:
+            x, y = y, x
+        if (x, y, z) in visited:
+            continue
         orbit = set()
         for g in range(G.order):
             gi = G.inv(g)

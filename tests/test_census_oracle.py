@@ -94,9 +94,12 @@ def test_tied_face_orders_match_oracle():
     fibers = enumerate_reversing_triples(G, pattern)
     assert fibers == _fibers(G, full)
     tied = [(x, y, z) for x, y, z in full if x < y]
-    assert tied and len(tied) * 2 == len(full)
-    assert triple_conjugacy_classes(G, fibers) == oracle_classes(G, tied)
-    assert triple_conjugacy_classes(G, tied) == oracle_classes(G, tied)
+    assert len(full) == 120 and len(tied) * 2 == len(full)
+    # the oracle folds (y, x, z) into (x, y, z), so the full list gives the same classes
+    classes = oracle_classes(G, full)
+    assert [size for _, size in classes] == [30, 30]
+    assert triple_conjugacy_classes(G, fibers) == classes
+    assert triple_conjugacy_classes(G, tied) == classes
     assert triple_conjugacy_classes(G, tied[:3]) == oracle_classes(
         G, tied[:3], check_closed=False
     )

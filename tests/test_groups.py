@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import oracle_conjugacy_class
 
 from revmaps.gfproj import proj_matrix
 from revmaps.groups import (
@@ -12,11 +13,13 @@ from revmaps.groups import (
     SubgroupHandle,
     build_group,
     conjugacy_class,
+    conjugacy_class_reps,
     generates,
     right_cosets,
     subgroup_closure,
 )
 from revmaps.triples import psl_triple
+from revmaps.verify import VERIFY_MATRIX
 
 
 # -- construction ---------------------------------------------------------------
@@ -57,6 +60,33 @@ def test_extended_group_closed_under_multiplication():
     for i in range(0, X.order, 13):
         for j in range(X.order):
             X.mul(j, i)
+
+
+# every h on the three small groups; on the two larger ones a stride of h,
+# since every h of ext 11 3 would cost 15.7M mul calls
+@pytest.mark.parametrize(
+    "family,p,m,step",
+    [
+        ("psl2", 5, 1, 1),
+        ("pgl2", 7, 1, 1),
+        ("ext", 7, 3, 1),
+        ("psl2", 13, 1, 7),
+        ("ext", 11, 3, 31),
+    ],
+)
+def test_left_perm_matches_mul(family, p, m, step):
+    G = build_group(family, p, m)
+    hs = range(0, G.order, step)
+
+    def kind(h):
+        # what the kernel branches on: exponent, twist sign, leading entry
+        return G.exponent_part(h), G.in_psl_part(h), G.matrix_part(h).a
+
+    assert {kind(h) for h in hs} == {kind(h) for h in range(G.order)}
+    for h in hs:
+        perm = G.left_perm(h)
+        assert perm == [G.mul(h, g) for g in range(G.order)]
+        assert len(set(perm)) == G.order
 
 
 @given(st.data())
@@ -281,6 +311,22 @@ def test_pgl27_outside_involutions_form_one_class():
     assert tuple(orbit) == outside
     assert len(outside) == 28
     assert conjugacy_class(G, seed) == outside
+
+
+@pytest.mark.parametrize("family,p,m", [*VERIFY_MATRIX, ("pgl2", 13, 1), ("psl2", 17, 1)])
+def test_conjugacy_classes_match_full_sweep(family, p, m):
+    # the rotary check is a "for all a" claim: the reps must meet every class
+    G = build_group(family, p, m)
+    left = set(range(G.order))
+    reps = []
+    while left:
+        g = min(left)
+        cls = oracle_conjugacy_class(G, g)
+        assert conjugacy_class(G, g) == cls
+        reps.append(g)
+        left -= set(cls)
+    assert conjugacy_class_reps(G) == tuple(reps)
+    assert sum(len(conjugacy_class(G, g)) for g in reps) == G.order
 
 
 # -- the extended family ---------------------------------------------------------------
