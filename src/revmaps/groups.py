@@ -528,23 +528,6 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     return closed is None or len(closed) == G.order
 
 
-def _orbit(start: int, perms: Sequence[Sequence[int]], label: list[int], mark: int) -> list[int]:
-    """The orbit of ``start`` under the group the permutations generate.
-
-    Sets ``label`` to ``mark`` on every point of the orbit; orbits are
-    disjoint, so a point labelled by an earlier orbit is never met.
-    """
-    label[start] = mark
-    orbit = [start]
-    for u in orbit:
-        for perm in perms:
-            w = perm[u]
-            if label[w] != mark:
-                label[w] = mark
-                orbit.append(w)
-    return orbit
-
-
 def right_cosets(
     G: GroupHandle, H: SubgroupHandle, perms: dict[int, list[int]] | None = None
 ) -> list[int]:
@@ -568,7 +551,15 @@ def right_cosets(
         if label[g] >= 0:
             continue
         # g is the least element not yet placed, hence the least of Hg
-        if len(_orbit(g, gens, label, count)) != len(H.members):
+        label[g] = count
+        orbit = [g]
+        for u in orbit:
+            for perm in gens:
+                w = perm[u]
+                if label[w] != count:
+                    label[w] = count
+                    orbit.append(w)
+        if len(orbit) != len(H.members):
             raise GroupError("members are not closed under multiplication")
         count += 1
     return label
@@ -582,7 +573,15 @@ def conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:
     """
     if not 0 <= g < G.order:
         raise GroupError("element index out of range")
-    return tuple(sorted(_orbit(g, G.conjugation_perms(), [-1] * G.order, 0)))
+    perms = G.conjugation_perms()
+    orbit, seen = [g], {g}
+    for u in orbit:
+        for perm in perms:
+            w = perm[u]
+            if w not in seen:
+                seen.add(w)
+                orbit.append(w)
+    return tuple(sorted(orbit))
 
 
 def conjugacy_class_reps(G: GroupHandle) -> tuple[int, ...]:

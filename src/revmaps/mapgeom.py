@@ -4,23 +4,25 @@ A reversing map is built from a generating involution triple (x, y, z):
 vertices are the right cosets of <x,y>, edges of <z>, and the two face
 families of <x,z> and <y,z>.  A flag-regular map uses three involutions
 r0, r1, r2 with (r0 r2)^2 = 1 and cells <r1,r2>, <r0,r2>, <r0,r1>, and one
-face family.  Each cell is an orbit of the left-multiplication permutations
-of its generators; the three permutations of a map are computed once per
-build and shared by all its cell kinds.
+face family.  Each cell is an orbit of the left multiplications
+L_s: g -> s*g of its generators, computed once per build and kept with the map.
 
 The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
 the element g in face family l, and it lies on the vertex, edge and face
-cosets through g.  A map is three label arrays over its flags, and every
-count, stabilizer order and incidence is read off them.  Two flags are
-partners when they share two of the three cells; each partner map must be a
-fixed-point-free involution that changes the third cell, otherwise the
-geometry is rejected.  The supporting surface is orientable iff the graph on
-flags joined by the three partner maps is bipartite.
+cosets through g.  A map is three label arrays over its flags.  Two flags
+are partners when they share two cells, and the partner maps are left
+multiplications (the monodromy group): in a reversing map L_z changes the
+vertex, L_x on face family 1 and L_y on family 2 the edge, and the family
+swap the face; in a flag-regular map L_r0, L_r1 and L_r2 do.  Right
+multiplication g -> g*a keeps every right-coset partition and commutes with
+every left multiplication, so the partner checks run at the identity flag
+of each family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .groups import GroupHandle, generates, right_cosets, subgroup_closure
@@ -43,36 +45,33 @@ class MapGeometry:
     vertex: tuple[int, ...]
     edge: tuple[int, ...]
     face: tuple[int, ...]
+    # member sets of the cells through the identity: its vertex, edge and
+    # face (per family) stabilizers
+    stabilizers: tuple[frozenset[int], ...]
+    perms: dict[int, list[int]] = field(repr=False, compare=False)  # L_s per generator
 
     @property
     def vertex_count(self) -> int:
-        return max(self.vertex) + 1
+        return self.group.order // len(self.stabilizers[0])
 
     @property
     def edge_count(self) -> int:
-        return max(self.edge) + 1
+        return self.group.order // len(self.stabilizers[1])
 
     @property
     def face_count(self) -> int:
-        return max(self.face) + 1
+        return sum(self.face_counts_by_orbit())
 
     def face_counts_by_orbit(self) -> tuple[int, int]:
-        one = max(self.face[: self.group.order]) + 1
-        return one, self.face_count - one
+        one, *two = (self.group.order // len(f) for f in self.stabilizers[2:])
+        return one, sum(two)
 
     def chi(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
     def stabilizer_orders(self) -> dict[str, int]:
-        n = self.group.order
-        orders = {"vertex": n // self.vertex_count, "edge": n // self.edge_count}
-        n1, n2 = self.face_counts_by_orbit()
-        if self.kind == "reversing":
-            orders["face1"] = n // n1
-            orders["face2"] = n // n2
-        else:
-            orders["face"] = n // n1
-        return orders
+        faces = ("face1", "face2") if self.kind == "reversing" else ("face",)
+        return dict(zip(("vertex", "edge", *faces), map(len, self.stabilizers)))
 
 
 def _assemble(
@@ -85,18 +84,16 @@ def _assemble(
 ) -> MapGeometry:
     # one left-multiplication permutation per generator serves every cell kind
     perms = {s: G.left_perm(s) for s in set(generators)}
-    vertex = right_cosets(G, subgroup_closure(G, vertex_gens), perms)
-    edge = right_cosets(G, subgroup_closure(G, edge_gens), perms)
-    face: list[int] = []
-    offset = 0
-    for gens in face_gens:
-        sub = subgroup_closure(G, gens)
-        face.extend(offset + c for c in right_cosets(G, sub, perms))
-        offset += G.order // sub.order
+    subs = [subgroup_closure(G, gens) for gens in (vertex_gens, edge_gens, *face_gens)]
+    vertex, edge, *faces = (right_cosets(G, sub, perms) for sub in subs)
+    # family 2 numbers its faces after the |G|/|F1| faces of family 1
+    shift = G.order // subs[2].order
+    face = [c + i * shift for i, cells in enumerate(faces) for c in cells]
     # one run of |G| flags per face family
     families = len(face_gens)
     return MapGeometry(
-        G, kind, generators, tuple(vertex * families), tuple(edge * families), tuple(face)
+        G, kind, generators, tuple(vertex * families), tuple(edge * families), tuple(face),
+        tuple(frozenset(sub.members) for sub in subs), perms,
     )
 
 
@@ -134,22 +131,32 @@ class FlagSystem:
         return len(self.rho_v)
 
 
-def _partners(keys: list[int], own: tuple[int, ...], cell: str) -> tuple[int, ...]:
-    """Pair the flags of equal key; each pair must differ in its own ``cell``."""
-    first: dict[int, int] = {}
-    out = [-1] * len(keys)
-    for i, k in enumerate(keys):
-        j = first.setdefault(k, i)
-        if j == i:
-            continue
-        if out[j] >= 0:
-            raise MapError(f"more than two flags share all but their {cell}; not a map")
-        if own[i] == own[j]:
-            raise MapError(f"flags {j} and {i} differ in no {cell}; the geometry is degenerate")
-        out[i], out[j] = j, i
-    if -1 in out:
-        raise MapError(f"flag {out.index(-1)} has no {cell} partner; not a map")
-    return tuple(out)
+def _identity_partners(M: MapGeometry) -> list[tuple[tuple[int, int], ...]]:
+    """The vertex, edge and face partner (s, k) of each identity flag (e, l).
+
+    The partner of flag (g, l) is (s*g, k), where s = e is the family swap.
+    Exactly two flags must share each two cells of (e, l): they lie on both
+    stabilizers, in family l unless the face is the cell not shared.  The
+    partner must change the third cell.
+    """
+    n, e = M.group.order, M.group.identity
+    if M.kind == "reversing":
+        x, y, z = M.generators
+        table = [((z, 0), (x, 0), (e, 1)), ((z, 1), (y, 1), (e, 0))]
+    else:
+        r0, r1, r2 = M.generators
+        table = [((r0, 0), (r1, 0), (r2, 0))]
+    V, E, *faces = M.stabilizers
+    for c, cell in enumerate(("vertex", "edge", "face")):
+        for l, F in enumerate(faces):
+            # how many flags share the other two cells, then whether s keeps this one
+            if (len(E & F), len(V & F), len(V & E) * len(faces))[c] > 2:
+                raise MapError(f"more than two flags share all but their {cell}; not a map")
+            s, k = table[l][c]
+            if (s in V, s in E, k == l and s in F)[c]:
+                i, j = l * n + e, k * n + s
+                raise MapError(f"flags {i} and {j} differ in no {cell}; the geometry is degenerate")
+    return table
 
 
 def flag_system(M: MapGeometry) -> FlagSystem:
@@ -157,39 +164,15 @@ def flag_system(M: MapGeometry) -> FlagSystem:
 
     Flags sharing their edge and face are vertex partners, flags sharing
     their vertex and face edge partners, and flags sharing their vertex and
-    edge face partners.  Each partner map must be a fixed-point-free
-    involution that changes its own cell, otherwise the geometry is rejected.
+    edge face partners; each is a left multiplication on each family.
     """
-    E, F = M.edge_count, M.face_count
-    rho_v = _partners([e * F + f for e, f in zip(M.edge, M.face)], M.vertex, "vertex")
-    rho_e = _partners([v * F + f for v, f in zip(M.vertex, M.face)], M.edge, "edge")
-    rho_f = _partners([v * E + e for v, e in zip(M.vertex, M.edge)], M.face, "face")
-    return FlagSystem(rho_v, rho_e, rho_f)
-
-
-def _flag_graph_bipartite(fs: FlagSystem) -> bool:
-    """2-colorability of the flag graph; also requires connectivity."""
-    n = len(fs)
-    color = [-1] * n
-    color[0] = 0
-    queue = [0]
-    seen = 1
-    bipartite = True
-    while queue:
-        nxt = []
-        for i in queue:
-            for rho in (fs.rho_v, fs.rho_e, fs.rho_f):
-                j = rho[i]
-                if color[j] < 0:
-                    color[j] = 1 - color[i]
-                    nxt.append(j)
-                    seen += 1
-                elif color[j] == color[i]:
-                    bipartite = False
-        queue = nxt
-    if seen != n:
-        raise MapError("flag graph is disconnected; not a map of a connected graph")
-    return bipartite
+    n = M.group.order
+    rhos: tuple[list[int], ...] = ([], [], [])
+    for partners in _identity_partners(M):
+        for rho, (s, k) in zip(rhos, partners):
+            perm = range(n) if s == M.group.identity else M.perms[s]
+            rho.extend([k * n + h for h in perm] if k else perm)
+    return FlagSystem(*map(tuple, rhos))
 
 
 @dataclass(frozen=True)
@@ -199,17 +182,30 @@ class SurfaceInvariants:
     genus: int
 
 
-def surface_invariants(M: MapGeometry, fs: FlagSystem | None = None) -> SurfaceInvariants:
+def surface_invariants(M: MapGeometry) -> SurfaceInvariants:
     """Euler characteristic, orientability and genus of the supporting surface.
 
-    chi = |V| - |E| + |F|; orientability comes from flag graph bipartiteness
-    and is cross-checked against the parity of chi (an odd chi can never be
-    orientable).
+    chi = |V| - |E| + |F|; the surface is orientable iff the flag graph is
+    bipartite, that is iff every generator's L_s can flip a colouring of G,
+    which is cross-checked against the parity of chi.
     """
-    if fs is None:
-        fs = flag_system(M)
+    _identity_partners(M)  # rejects a degenerate geometry
+    colour = [-1] * M.group.order
+    colour[0] = 0
+    queue = [0]
+    orientable = True
+    for i in queue:
+        flip = 1 - colour[i]
+        for perm in M.perms.values():
+            j = perm[i]
+            if colour[j] < 0:
+                colour[j] = flip
+                queue.append(j)
+            elif colour[j] != flip:
+                orientable = False
+    if len(queue) != len(colour):
+        raise MapError("flag graph is disconnected; not a map of a connected graph")
     chi = M.chi()
-    orientable = _flag_graph_bipartite(fs)
     if orientable and chi % 2:
         raise MapError(f"orientable surface with odd Euler characteristic {chi}")
     genus = (2 - chi) // 2 if orientable else 2 - chi
@@ -245,27 +241,33 @@ class UnderlyingGraph:
         return adj
 
 
-def _cells_around(cells: tuple[int, ...], count: int, met: tuple[int, ...]) -> list[list[int]]:
-    """For each of ``count`` cells, the ``met`` cells it shares a flag with."""
-    out: list[list[int]] = [[] for _ in range(count)]
-    for c, m in set(zip(cells, met)):
-        out[c].append(m)
-    return out
-
-
 def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
-    """Multigraph on the vertex cells; one edge per edge cell."""
-    ends = _cells_around(M.edge, M.edge_count, M.vertex)
-    pairs = sorted((min(vs), max(vs)) for vs in ends)
-    return UnderlyingGraph(M.vertex_count, tuple(pairs))
+    """Multigraph on the vertex cells; one edge per edge cell.
+
+    The ends of the edge through flag g are the vertex cells of g and of its
+    vertex partner.
+    """
+    n, count = M.group.order, M.vertex_count
+    (s, _), _, _ = _identity_partners(M)[0]
+    partner, vertex = M.perms[s], M.vertex
+    ends = [(vertex[g], vertex[partner[g]]) for g in dict(zip(M.edge[:n], range(n))).values()]
+    # each pair a <= b as the integer a*count + b, which sorts alike and faster
+    keys = sorted(a * count + b if a <= b else b * count + a for a, b in ends)
+    return UnderlyingGraph(count, tuple(divmod(k, count) for k in keys))
+
+
+# On a checked map exactly two flags share each (vertex, edge) and each
+# (face, edge) pair, so a cell meets half as many edges as it has flags.
 
 
 def vertex_valencies(M: MapGeometry) -> tuple[int, ...]:
-    return tuple(len(es) for es in _cells_around(M.vertex, M.vertex_count, M.edge))
+    flags = Counter(M.vertex)
+    return tuple(flags[v] // 2 for v in range(M.vertex_count))
 
 
 def face_lengths(M: MapGeometry) -> tuple[int, ...]:
-    return tuple(len(es) for es in _cells_around(M.face, M.face_count, M.edge))
+    flags = Counter(M.face)
+    return tuple(flags[f] // 2 for f in range(M.face_count))
 
 
 def _petersen_adjacency() -> list[set[int]]:
@@ -325,15 +327,14 @@ def recognize_graph(g: UnderlyingGraph) -> str:
 def map_record(M: MapGeometry) -> dict:
     """JSON-ready summary of a map: counts, invariants, graph recognition."""
     fs = flag_system(M)
-    inv = surface_invariants(M, fs)
+    inv = surface_invariants(M)
     graph = underlying_graph(M)
     vals = sorted(set(vertex_valencies(M)))
     if len(vals) != 1:
         raise MapError(f"vertex valency is not constant: {vals}")
     n1, n2 = M.face_counts_by_orbit()
-    per_orbit: dict[int, set[int]] = {}
-    for f, length in enumerate(face_lengths(M)):
-        per_orbit.setdefault(1 if f < n1 else 2, set()).add(length)
+    lengths = face_lengths(M)
+    per_orbit = {"1": set(lengths[:n1]), "2": set(lengths[n1:])} if n2 else {"1": set(lengths)}
     if any(len(v) != 1 for v in per_orbit.values()):
         raise MapError("face length is not constant on a face orbit")
     rec = {
@@ -360,9 +361,7 @@ def map_record(M: MapGeometry) -> dict:
         "flags": len(fs),
         "stabilizer_orders": M.stabilizer_orders(),
         "vertex_valency": vals[0],
-        "face_lengths": {
-            str(orbit): sorted(vals_)[0] for orbit, vals_ in sorted(per_orbit.items())
-        },
+        "face_lengths": {orbit: min(ls) for orbit, ls in per_orbit.items()},
         "graph": {
             "recognized": recognize_graph(graph),
             "degree_sequence": list(graph.degree_sequence()),

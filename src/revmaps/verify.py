@@ -275,7 +275,8 @@ def _membership_split_ok(G: GroupHandle, triples) -> bool:
 
     The vertex pair lies inside PSL iff p = 1 (mod 4) (outside otherwise),
     and z sits on the opposite side; in the extended family this applies to
-    the matrix parts and z must carry exponent 0.
+    the matrix parts and z must carry exponent 0.  Both are unchanged by
+    conjugation, so the class representatives of a pattern settle it.
     """
     inside_xy = G.p % 4 == 1
     for x, y, z in triples:
@@ -360,9 +361,7 @@ def verify_theorem(
 
     maps = []
     maps_ok = True
-    all_triples: list[tuple[int, int, int]] = []
     for census in scan.qualifying:
-        all_triples.extend(census.triples)
         reps = census.classes or census.triples[:1]
         for rep in reps:
             M = build_revmap(G, ReversingTriple(G, *rep, census.pattern, True))
@@ -377,6 +376,8 @@ def verify_theorem(
                 and rec["counts"]["E"] == edges
             )
 
+    # class reps, or every triple of an unslotted pattern (its roles follow element order)
+    membership_triples = [t for c in scan.qualifying for t in c.classes or c.triples]
     # the construction is compared with the scan's classes only where the
     # predicted pattern qualified
     scan_reps = None
@@ -386,7 +387,7 @@ def verify_theorem(
         "sylow": maps_ok,
         "no_rotary": check_no_rotary(G, budget),
         "pgl_action": check_pgl_action(p, budget),
-        "membership": _membership_split_ok(G, all_triples),
+        "membership": _membership_split_ok(G, membership_triples),
         "construction_agreement": (
             _construction_agreement(G, predicted, budget, scan_reps)
             if predicted is not None

@@ -15,7 +15,10 @@ The map part builds a map as a coset incidence geometry, the way the paper
 states it: cells are coset blocks, two cells are incident iff their cosets
 meet, the flags are the mutually incident (vertex, edge, face) triples, and
 partners are found by grouping flags on tuple keys.  ``revmaps.mapgeom``
-instead labels the flags G x {face family} and is compared with this.
+instead labels the flags G x {face family} and is compared with this.  On
+those flags it reads the partner maps off left multiplications, checked at
+the identity flags; ``oracle_flag_system`` pairs every flag by its labels
+instead and colours the whole flag graph.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 from revmaps import triples
 from revmaps.gfproj import ProjMatrix, mat_multiply
 from revmaps.groups import GroupHandle, subgroup_closure
-from revmaps.mapgeom import SCHEMA_VERSION, UnderlyingGraph, recognize_graph
+from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry, UnderlyingGraph, recognize_graph
 from revmaps.triples import (
     CensusScan,
     PatternCensus,
@@ -345,3 +348,34 @@ def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[
         },
     }
     return record, pairs
+
+
+def _label_pairing(keys: list[int], own: tuple[int, ...], cell: str) -> tuple[int, ...]:
+    """Pair the flags of equal key; each pair must differ in its own ``cell``."""
+    first: dict[int, int] = {}
+    out = [-1] * len(keys)
+    for i, k in enumerate(keys):
+        j = first.setdefault(k, i)
+        if j == i:
+            continue
+        if out[j] >= 0:
+            raise MapError(f"more than two flags share all but their {cell}; not a map")
+        if own[i] == own[j]:
+            raise MapError(f"flags {j} and {i} differ in no {cell}; the geometry is degenerate")
+        out[i], out[j] = j, i
+    if -1 in out:
+        raise MapError(f"flag {out.index(-1)} has no {cell} partner; not a map")
+    return tuple(out)
+
+
+def oracle_flag_system(M: MapGeometry) -> tuple:
+    """rho_v, rho_e, rho_f and the orientability, from the flag labels of ``M``.
+
+    Flags sharing two cells are paired on integer keys over all flags, and
+    the orientability is the bipartiteness of the whole flag graph.
+    """
+    E, F = M.edge_count, M.face_count
+    rho_v = _label_pairing([e * F + f for e, f in zip(M.edge, M.face)], M.vertex, "vertex")
+    rho_e = _label_pairing([v * F + f for v, f in zip(M.vertex, M.face)], M.edge, "edge")
+    rho_f = _label_pairing([v * E + e for v, e in zip(M.vertex, M.edge)], M.face, "face")
+    return rho_v, rho_e, rho_f, _bipartite([rho_v, rho_e, rho_f])

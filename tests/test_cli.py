@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, deterministic bytes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -261,6 +262,29 @@ def test_output_matches_golden_bytes(name, tmp_path):
     out = tmp_path / name
     assert cli.main([*GOLDEN[name], "--output", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()
+
+
+# SHA-256 of the default ``construct`` JSON on the larger groups that have
+# no golden file; rewritten together with the golden files after a
+# deliberate layout change.
+CONSTRUCT_DIGESTS = {
+    ("psl2", 17, 1): "494aaa7f9aad393a5c1471638979b2f78783794976d23ec8bcb1e4c412153c3d",
+    ("pgl2", 19, 1): "6a777602c39cfe259264ee7995d2aeb84510dcd524fc6d959c51804fd900bfbf",
+    ("ext", 7, 9): "e207c0d45d995d83209151925ed31847f40d80d188cc862fe5df9ae1fe894185",
+    ("ext", 11, 5): "a00d9f847551f675a8edbdd88557913cd8af9c094e73d9db5adfe9ef4ad54f4b",
+}
+
+
+def test_construct_bytes_are_pinned(tmp_path):
+    from revmaps import cli
+
+    got = {}
+    for family, p, m in CONSTRUCT_DIGESTS:
+        out = tmp_path / f"{family}_{p}_{m}.json"
+        args = ["--family", family, "--p", str(p), "--m", str(m), "--output", str(out)]
+        assert cli.main(["construct", *args]) == 0
+        got[(family, p, m)] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == CONSTRUCT_DIGESTS
 
 
 def test_enumerate_and_verify_write_the_same_census(tmp_path):

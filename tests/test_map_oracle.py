@@ -1,25 +1,30 @@
 """The flag-label map builder against the incidence geometry in ``oracle.py``.
 
 ``revmaps.mapgeom`` labels the flags G x {face family} with their cells and
-pairs flags that share two cells; the oracle enumerates the mutually
-incident cell triples of the coset geometry.  Both must give the same
-record, flag count and edge endpoints on every map the program builds.
+reads the partner maps off left multiplications; the oracle enumerates the
+mutually incident cell triples of the coset geometry, and pairs the labelled
+flags on keys over all of them.  Both must give the same record, partner
+maps, orientability, flag count and edge endpoints on every map the program
+builds.
 """
 
 import pytest
-from oracle import oracle_map
+from oracle import oracle_flag_system, oracle_map
 
-from revmaps.groups import build_group
+from revmaps.groups import build_group, subgroup_closure
 from revmaps.mapgeom import (
+    MapError,
     build_regular_map,
     build_revmap,
     flag_system,
     map_record,
+    surface_invariants,
     underlying_graph,
 )
 from revmaps.triples import (
     ReversingTriple,
     ext_triple,
+    make_triple,
     pgl_triple,
     psl_triple,
     scan_reversing_census,
@@ -30,7 +35,11 @@ from revmaps.verify import VERIFY_MATRIX, a5_exceptional_case
 def _assert_matches_oracle(M):
     record, pairs = oracle_map(M.group, M.kind, M.generators)
     assert map_record(M) == record
-    assert len(flag_system(M)) == record["flags"]
+    fs = flag_system(M)
+    assert len(fs) == record["flags"]
+    rho_v, rho_e, rho_f, orientable = oracle_flag_system(M)
+    assert (fs.rho_v, fs.rho_e, fs.rho_f) == (rho_v, rho_e, rho_f)
+    assert surface_invariants(M).orientable is orientable
     assert list(underlying_graph(M).edges) == pairs
 
 
@@ -60,3 +69,19 @@ def test_constructed_maps_match_oracle(make):
     # the triples construct builds by default
     t = make()
     _assert_matches_oracle(build_revmap(t.group, t))
+
+
+def test_four_flags_sharing_a_vertex_and_face_are_rejected():
+    # |<x,y> & <x,z>| = 4: four flags of face family 1 share each vertex and
+    # face, so there is no edge partner map; the check at the identity flag
+    # and the pairing over all flags must both refuse the geometry
+    G = build_group("psl2", 7)
+    x, y, z = 0, 50, 59
+    assert all(G.is_involution(s) for s in (x, y, z))
+    vertex = set(subgroup_closure(G, (x, y)).members)
+    assert len(vertex & set(subgroup_closure(G, (x, z)).members)) == 4
+    assert z not in vertex  # the vertex partners pass
+    M = build_revmap(G, ReversingTriple(G, x, y, z, make_triple(G, x, y, z).pattern, True))
+    for build in (flag_system, oracle_flag_system):
+        with pytest.raises(MapError, match="more than two flags share all but their edge"):
+            build(M)

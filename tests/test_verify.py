@@ -7,8 +7,15 @@ import pytest
 
 from revmaps.groups import build_group, generates
 from revmaps.mapgeom import build_revmap
-from revmaps.triples import TriplePattern, make_triple, triple_conjugacy_classes
+from revmaps.triples import (
+    TriplePattern,
+    make_triple,
+    scan_reversing_census,
+    triple_conjugacy_classes,
+)
 from revmaps.verify import (
+    VERIFY_MATRIX,
+    _membership_split_ok,
     a5_exceptional_case,
     check_coprime,
     check_no_rotary,
@@ -240,6 +247,21 @@ def test_report_bytes_are_pinned(matrix_reports):
     got = {cfg: report_json(reports[cfg]) for cfg in REPORT_DIGESTS if cfg != "a5"}
     got["a5"] = report_json(a5_exceptional_case())
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in got.items()} == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_membership_at_class_reps_matches_all_triples(family, p, m):
+    G = build_group(family, p, m)
+    qualifying = scan_reversing_census(G).qualifying
+    assert all(c.slotted for c in qualifying)
+    reps = [t for c in qualifying for t in c.classes]
+    everything = [t for c in qualifying for t in c.triples]
+    assert _membership_split_ok(G, reps) is _membership_split_ok(G, everything) is True
+    if reps and family != "psl2":
+        # x and z trade sides of PSL: one wrong rep must fail the check
+        x, y, z = reps[-1]
+        assert G.in_psl_part(x) != G.in_psl_part(z)
+        assert not _membership_split_ok(G, [*reps[:-1], (z, y, x)])
 
 
 def test_report_wire_shape():
