@@ -6,6 +6,9 @@ pair of PSL(2,5), the combined matrix report, and a plain-text summary table
 with one line per configuration.
 
     python scripts/run_census.py --out out/ [--budget B]
+
+Exit codes as for ``revmaps``: 0 pass, 2 a failed verdict, and with one
+``error:`` line 3 over the budget and 1 when the reports cannot be written.
 """
 
 import argparse
@@ -13,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+from revmaps.cli import EXIT_BUDGET, EXIT_USAGE
+from revmaps.groups import BudgetExceeded
 from revmaps.triples import DEFAULT_ENUM_BUDGET
 from revmaps.verify import report_json, run_verify_matrix
 
@@ -22,12 +27,18 @@ def main() -> int:
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     args = ap.parse_args()
+    try:
+        return _run(Path(args.out), args.budget)
+    except (BudgetExceeded, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_USAGE
 
-    out = Path(args.out)
+
+def _run(out: Path, budget: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    matrix = run_verify_matrix(args.budget)
+    matrix = run_verify_matrix(budget)
     elapsed = time.perf_counter() - t0
 
     rows = []

@@ -265,7 +265,7 @@ class GroupHandle:
         try:
             a, b, c, d = rec["mat"]
             g = proj_matrix(a, b, c, d, self.p)
-        except (GFProjError, TypeError, ValueError) as exc:
+        except (GFProjError, KeyError, TypeError, ValueError) as exc:
             raise GroupError(f"bad element record {rec}: {exc}") from exc
         exp = rec.get("exp", 0)
         if not isinstance(exp, int):

@@ -1,4 +1,4 @@
-"""Maps as coset labels over flags: cells, flags, surface invariants.
+"""Maps as generator permutations over flags: cells, flags, surface invariants.
 
 A reversing map is built from a generating involution triple (x, y, z):
 vertices are the right cosets of <x,y>, edges of <z>, and the two face
@@ -9,19 +9,20 @@ L_s: g -> s*g of its generators, computed once per build and kept with the map.
 
 The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
 the element g in face family l, and it lies on the vertex, edge and face
-cosets through g.  A map is three label arrays over its flags.  Two flags
-are partners when they share two cells, and the partner maps are left
-multiplications (the monodromy group): in a reversing map L_z changes the
-vertex, L_x on face family 1 and L_y on family 2 the edge, and the family
-swap the face; in a flag-regular map L_r0, L_r1 and L_r2 do.  Right
-multiplication g -> g*a keeps every right-coset partition and commutes with
-every left multiplication, so the partner checks run at the identity flag
-of each family.
+cosets through g.  A map is its generator permutations, the stabilizers of
+the cells through the identity and the vertex cell of every element; all
+cells of a kind are right cosets of one stabilizer, so counts, valencies
+and face lengths are stabilizer orders.  Two flags are partners when they
+share two cells, and the partner maps are left multiplications (the
+monodromy group): in a reversing map L_z changes the vertex, L_x on face
+family 1 and L_y on family 2 the edge, and the family swap the face; in a
+flag-regular map L_r0, L_r1 and L_r2 do.  Right multiplication g -> g*a
+keeps every right-coset partition and commutes with every left
+multiplication, so the partner checks run at the identity flag of each family.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -41,10 +42,8 @@ class MapGeometry:
     group: GroupHandle
     kind: str  # "reversing" or "flag_regular"
     generators: tuple[int, ...]
-    # cell ids of each flag; faces of family 2 are numbered after family 1
+    # vertex cell id of each element, numbered by least member
     vertex: tuple[int, ...]
-    edge: tuple[int, ...]
-    face: tuple[int, ...]
     # member sets of the cells through the identity: its vertex, edge and
     # face (per family) stabilizers
     stabilizers: tuple[frozenset[int], ...]
@@ -85,14 +84,8 @@ def _assemble(
     # one left-multiplication permutation per generator serves every cell kind
     perms = {s: G.left_perm(s) for s in set(generators)}
     subs = [subgroup_closure(G, gens) for gens in (vertex_gens, edge_gens, *face_gens)]
-    vertex, edge, *faces = (right_cosets(G, sub, perms) for sub in subs)
-    # family 2 numbers its faces after the |G|/|F1| faces of family 1
-    shift = G.order // subs[2].order
-    face = [c + i * shift for i, cells in enumerate(faces) for c in cells]
-    # one run of |G| flags per face family
-    families = len(face_gens)
     return MapGeometry(
-        G, kind, generators, tuple(vertex * families), tuple(edge * families), tuple(face),
+        G, kind, generators, tuple(right_cosets(G, subs[0], perms)),
         tuple(frozenset(sub.members) for sub in subs), perms,
     )
 
@@ -244,30 +237,21 @@ class UnderlyingGraph:
 def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     """Multigraph on the vertex cells; one edge per edge cell.
 
-    The ends of the edge through flag g are the vertex cells of g and of its
-    vertex partner.
+    The ends of the edge through element g are the vertex cells of g and of
+    its vertex partner.  They are the same for every element of the edge
+    cell, so each edge gives |G_e| equal keys and every |G_e|-th sorted key
+    is kept.
     """
-    n, count = M.group.order, M.vertex_count
+    count = M.vertex_count
     (s, _), _, _ = _identity_partners(M)[0]
     partner, vertex = M.perms[s], M.vertex
-    ends = [(vertex[g], vertex[partner[g]]) for g in dict(zip(M.edge[:n], range(n))).values()]
     # each pair a <= b as the integer a*count + b, which sorts alike and faster
-    keys = sorted(a * count + b if a <= b else b * count + a for a, b in ends)
-    return UnderlyingGraph(count, tuple(divmod(k, count) for k in keys))
-
-
-# On a checked map exactly two flags share each (vertex, edge) and each
-# (face, edge) pair, so a cell meets half as many edges as it has flags.
-
-
-def vertex_valencies(M: MapGeometry) -> tuple[int, ...]:
-    flags = Counter(M.vertex)
-    return tuple(flags[v] // 2 for v in range(M.vertex_count))
-
-
-def face_lengths(M: MapGeometry) -> tuple[int, ...]:
-    flags = Counter(M.face)
-    return tuple(flags[f] // 2 for f in range(M.face_count))
+    keys = sorted(
+        a * count + b if a <= b else b * count + a
+        for a, b in zip(vertex, (vertex[h] for h in partner))
+    )
+    step = len(M.stabilizers[1])
+    return UnderlyingGraph(count, tuple(divmod(k, count) for k in keys[::step]))
 
 
 def _petersen_adjacency() -> list[set[int]]:
@@ -329,15 +313,12 @@ def map_record(M: MapGeometry) -> dict:
     fs = flag_system(M)
     inv = surface_invariants(M)
     graph = underlying_graph(M)
-    vals = sorted(set(vertex_valencies(M)))
-    if len(vals) != 1:
-        raise MapError(f"vertex valency is not constant: {vals}")
     n1, n2 = M.face_counts_by_orbit()
-    lengths = face_lengths(M)
-    per_orbit = {"1": set(lengths[:n1]), "2": set(lengths[n1:])} if n2 else {"1": set(lengths)}
-    if any(len(v) != 1 for v in per_orbit.values()):
-        raise MapError("face length is not constant on a face orbit")
-    rec = {
+    # exactly two flags share each (vertex, edge) and each (face, edge) pair,
+    # so a cell meets half as many edges as it has flags: families*|G_v| at a
+    # vertex and |F_l| at a face of family l
+    V, _, *faces = M.stabilizers
+    return {
         "schema_version": SCHEMA_VERSION,
         "group": {**M.group.descriptor(), "order": M.group.order},
         "kind": M.kind,
@@ -360,8 +341,8 @@ def map_record(M: MapGeometry) -> dict:
         "genus": inv.genus,
         "flags": len(fs),
         "stabilizer_orders": M.stabilizer_orders(),
-        "vertex_valency": vals[0],
-        "face_lengths": {orbit: min(ls) for orbit, ls in per_orbit.items()},
+        "vertex_valency": len(faces) * len(V) // 2,
+        "face_lengths": {str(l): len(F) // 2 for l, F in enumerate(faces, 1)},
         "graph": {
             "recognized": recognize_graph(graph),
             "degree_sequence": list(graph.degree_sequence()),
@@ -369,7 +350,6 @@ def map_record(M: MapGeometry) -> dict:
             "simple": graph.is_simple,
         },
     }
-    return rec
 
 
 def to_dot(g: UnderlyingGraph, name: str = "underlying") -> str:

@@ -197,12 +197,6 @@ def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     return classes == sorted([inside, outside])
 
 
-def _arc_stabilizer_order(M: MapGeometry) -> int:
-    # the elements on the vertex and edge through the identity form the arc stabilizer
-    v, e = M.vertex[M.group.identity], M.edge[M.group.identity]
-    return sum(1 for g in range(M.group.order) if M.vertex[g] == v and M.edge[g] == e)
-
-
 def a5_exceptional_case() -> dict:
     """Build and check the two dual flag-regular maps of PSL(2,5).
 
@@ -212,24 +206,18 @@ def a5_exceptional_case() -> dict:
     """
     G = build_group(PSL2, 5)
     invs = G.involutions()
-    found = None
-    for r0 in invs:
-        for r1 in invs:
-            if r1 == r0:
-                continue
-            if G.pair_order(r0, r1) != 3:
-                continue
-            for r2 in invs:
-                if r2 in (r0, r1):
-                    continue
-                if G.pair_order(r0, r2) == 2 and G.pair_order(r1, r2) == 5:
-                    if generates(G, {r0, r1, r2}):
-                        found = (r0, r1, r2)
-                        break
-            if found:
-                break
-        if found:
-            break
+    found = next(
+        (
+            (r0, r1, r2)
+            for r0 in invs
+            for r1 in invs
+            if r1 != r0 and G.pair_order(r0, r1) == 3
+            for r2 in invs
+            if r2 not in (r0, r1) and G.pair_order(r0, r2) == 2 and G.pair_order(r1, r2) == 5
+            and generates(G, {r0, r1, r2})
+        ),
+        None,
+    )
     if found is None:
         raise ConstructionError("no flag-regular generator triple in PSL(2,5)")
     r0, r1, r2 = found
@@ -239,7 +227,9 @@ def a5_exceptional_case() -> dict:
     for gens in ((r0, r1, r2), (r2, r1, r0)):
         M = build_regular_map(G, *gens)
         rec = _checked_record(M)
-        rec["stabilizer_orders"]["arc"] = _arc_stabilizer_order(M)
+        # the elements on the vertex and edge through the identity form the arc stabilizer
+        V, E, _ = M.stabilizers
+        rec["stabilizer_orders"]["arc"] = len(V & E)
         checks &= rec["chi"] == 1 and not rec["orientable"] and rec["genus"] == 1
         checks &= rec["coprime"] and rec["lcm_identity"] and rec["flags"] == G.order
         maps.append(rec)
@@ -248,16 +238,8 @@ def a5_exceptional_case() -> dict:
     recognized = {r["graph"]["recognized"] for r in maps}
     checks &= sorted(counts) == [(6, 15, 10), (10, 15, 6)]
     checks &= recognized == {"complete(6)", "petersen"}
-    stab_sets = [
-        {
-            r["stabilizer_orders"]["vertex"],
-            r["stabilizer_orders"]["edge"],
-            r["stabilizer_orders"]["face"],
-            r["stabilizer_orders"]["arc"],
-        }
-        for r in maps
-    ]
-    checks &= all(s == {10, 6, 4, 2} for s in stab_sets)
+    # the vertex, edge, face and arc stabilizer orders of each map
+    checks &= all(set(r["stabilizer_orders"].values()) == {10, 6, 4, 2} for r in maps)
 
     return {
         "schema_version": SCHEMA_VERSION,

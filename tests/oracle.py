@@ -15,10 +15,10 @@ The map part builds a map as a coset incidence geometry, the way the paper
 states it: cells are coset blocks, two cells are incident iff their cosets
 meet, the flags are the mutually incident (vertex, edge, face) triples, and
 partners are found by grouping flags on tuple keys.  ``revmaps.mapgeom``
-instead labels the flags G x {face family} and is compared with this.  On
-those flags it reads the partner maps off left multiplications, checked at
-the identity flags; ``oracle_flag_system`` pairs every flag by its labels
-instead and colours the whole flag graph.
+instead takes the flags G x {face family} and reads the partner maps off
+left multiplications, checked at the identity flags, and is compared with
+this; ``oracle_flag_system`` labels every one of those flags with its coset
+blocks, pairs them by their labels and colours the whole flag graph.
 """
 
 from __future__ import annotations
@@ -267,17 +267,21 @@ def _bipartite(rhos) -> bool:
     return ok
 
 
+def _cell_generators(kind: str, generators) -> tuple[tuple[str, ...], tuple]:
+    """Role names, and the generators of the vertex, edge and each face family's cells."""
+    a, b, c = generators
+    if kind == "reversing":
+        return ("x", "y", "z"), ((a, b), (c,), [(a, c), (b, c)])
+    return ("r0", "r1", "r2"), ((b, c), (a, c), [(a, b)])
+
+
 def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[int, int]]]:
     """The map record and the sorted edge endpoint pairs of the incidence geometry.
 
     ``kind`` and ``generators`` are as in ``revmaps.mapgeom``: (x, y, z) for
     a reversing map, (r0, r1, r2) for a flag-regular one.
     """
-    a, b, c = generators
-    if kind == "reversing":
-        names, cells = ("x", "y", "z"), ((a, b), (c,), [(a, c), (b, c)])
-    else:
-        names, cells = ("r0", "r1", "r2"), ((b, c), (a, c), [(a, b)])
+    names, cells = _cell_generators(kind, generators)
     vertices = _coset_blocks(G, cells[0])
     edges = _coset_blocks(G, cells[1])
     faces: list[tuple[int, ...]] = []
@@ -350,7 +354,7 @@ def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[
     return record, pairs
 
 
-def _label_pairing(keys: list[int], own: tuple[int, ...], cell: str) -> tuple[int, ...]:
+def _label_pairing(keys: list[int], own: list[int], cell: str) -> tuple[int, ...]:
     """Pair the flags of equal key; each pair must differ in its own ``cell``."""
     first: dict[int, int] = {}
     out = [-1] * len(keys)
@@ -369,13 +373,22 @@ def _label_pairing(keys: list[int], own: tuple[int, ...], cell: str) -> tuple[in
 
 
 def oracle_flag_system(M: MapGeometry) -> tuple:
-    """rho_v, rho_e, rho_f and the orientability, from the flag labels of ``M``.
+    """rho_v, rho_e, rho_f and the orientability of ``M``, from flag labels of its own.
 
-    Flags sharing two cells are paired on integer keys over all flags, and
-    the orientability is the bipartiteness of the whole flag graph.
+    The flags G x {face family} are labelled with coset blocks of the cell
+    generators of ``M``, faces of family 2 numbered after family 1.  Flags
+    sharing two cells are paired on integer keys over all flags, and the
+    orientability is the bipartiteness of the whole flag graph.
     """
-    E, F = M.edge_count, M.face_count
-    rho_v = _label_pairing([e * F + f for e, f in zip(M.edge, M.face)], M.vertex, "vertex")
-    rho_e = _label_pairing([v * F + f for v, f in zip(M.vertex, M.face)], M.edge, "edge")
-    rho_f = _label_pairing([v * E + e for v, e in zip(M.vertex, M.edge)], M.face, "face")
+    G = M.group
+    _, (vertex_gens, edge_gens, face_gens) = _cell_generators(M.kind, M.generators)
+    vertex = _cell_of(G, _coset_blocks(G, vertex_gens)) * len(face_gens)
+    edge = _cell_of(G, _coset_blocks(G, edge_gens)) * len(face_gens)
+    face: list[int] = []
+    for gens in face_gens:
+        face += _cell_of(G, _coset_blocks(G, gens), len(set(face)))
+    E, F = len(set(edge)), len(set(face))
+    rho_v = _label_pairing([e * F + f for e, f in zip(edge, face)], vertex, "vertex")
+    rho_e = _label_pairing([v * F + f for v, f in zip(vertex, face)], edge, "edge")
+    rho_f = _label_pairing([v * E + e for v, e in zip(vertex, edge)], face, "face")
     return rho_v, rho_e, rho_f, _bipartite([rho_v, rho_e, rho_f])

@@ -154,6 +154,21 @@ def test_run_census_writes_the_matrix_report(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[:2] == summary
 
 
+def test_run_census_errors_are_one_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = [sys.executable, str(ROOT / "scripts" / "run_census.py")]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for args, code in (
+        (["--budget", "100", "--out", str(tmp_path / "out")], 3),
+        (["--out", str(taken)], 1),
+    ):
+        r = subprocess.run([*script, *args], capture_output=True, text=True, env=env, timeout=300)
+        assert r.returncode == code, args
+        assert r.stderr.startswith("error:"), args
+        assert len(r.stderr.strip().splitlines()) == 1, args
+
+
 def test_identical_runs_identical_bytes():
     a = run_cli("verify", "--family", "psl2", "--p", "5")
     b = run_cli("verify", "--family", "psl2", "--p", "5")
@@ -179,6 +194,9 @@ def test_check_rejects_malformed_records(tmp_path):
         "null_m.json": json.dumps(
             {"group": {"family": "ext", "p": 7, "m": None}, "triple": {"x": 1, "y": 2, "z": 3}}
         ),
+        "no_mat.json": json.dumps(
+            {"group": {"family": "psl2", "p": 13}, "triple": {n: {"p": 13} for n in "xyz"}}
+        ),
         "string_exp.json": json.dumps(
             {
                 "group": {"family": "ext", "p": 7, "m": 3},
@@ -195,6 +213,8 @@ def test_check_rejects_malformed_records(tmp_path):
         assert r.returncode == 1, name
         assert r.stderr.startswith("error:"), name
         assert len(r.stderr.strip().splitlines()) == 1, name
+        if name == "no_mat.json":
+            assert r.stderr.startswith("error: bad element record") and "'mat'" in r.stderr
 
 
 def test_output_identical_across_hash_seeds_and_jobs():
@@ -275,16 +295,26 @@ CONSTRUCT_DIGESTS = {
 }
 
 
+# SHA-256 of the default ``export`` DOT text on the same groups.
+EXPORT_DIGESTS = {
+    ("psl2", 17, 1): "d54c883e1e927e771da8df1758f0ba36ba55538d93c777bfd89f205e96cfd2aa",
+    ("pgl2", 19, 1): "94a81b222a0d22b94bd70074a3a0e52d8c09bb2cfae5b2f9a4fe4059356524e8",
+    ("ext", 7, 9): "b29addf7bb3c9d5c521af2105d522904e197c110dd1726ddfaf8c17fe5014d55",
+    ("ext", 11, 5): "8869ccf195eec15071aea24a89df6bd3c0556263ed53ef529a8ebf920c5e56cb",
+}
+
+
 def test_construct_bytes_are_pinned(tmp_path):
     from revmaps import cli
 
-    got = {}
-    for family, p, m in CONSTRUCT_DIGESTS:
-        out = tmp_path / f"{family}_{p}_{m}.json"
-        args = ["--family", family, "--p", str(p), "--m", str(m), "--output", str(out)]
-        assert cli.main(["construct", *args]) == 0
-        got[(family, p, m)] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == CONSTRUCT_DIGESTS
+    for command, digests in (("construct", CONSTRUCT_DIGESTS), ("export", EXPORT_DIGESTS)):
+        got = {}
+        for family, p, m in digests:
+            out = tmp_path / f"{command}_{family}_{p}_{m}"
+            args = ["--family", family, "--p", str(p), "--m", str(m), "--output", str(out)]
+            assert cli.main([command, *args]) == 0
+            got[(family, p, m)] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == digests, command
 
 
 def test_enumerate_and_verify_write_the_same_census(tmp_path):

@@ -1,11 +1,11 @@
-"""The flag-label map builder against the incidence geometry in ``oracle.py``.
+"""The permutation map builder against the incidence geometry in ``oracle.py``.
 
-``revmaps.mapgeom`` labels the flags G x {face family} with their cells and
-reads the partner maps off left multiplications; the oracle enumerates the
-mutually incident cell triples of the coset geometry, and pairs the labelled
-flags on keys over all of them.  Both must give the same record, partner
-maps, orientability, flag count and edge endpoints on every map the program
-builds.
+``revmaps.mapgeom`` reads the partner maps on the flags G x {face family}
+off left multiplications; the oracle enumerates the mutually incident cell
+triples of the coset geometry, and labels those flags with coset blocks of
+its own and pairs them on keys over all of them.  Both must give the same
+record, partner maps, orientability, flag count and edge endpoints on every
+map the program builds.
 """
 
 import pytest

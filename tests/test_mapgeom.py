@@ -8,14 +8,12 @@ from revmaps.mapgeom import (
     UnderlyingGraph,
     build_regular_map,
     build_revmap,
-    face_lengths,
     flag_system,
     map_record,
     recognize_graph,
     surface_invariants,
     to_dot,
     underlying_graph,
-    vertex_valencies,
 )
 from revmaps.triples import ReversingTriple, make_triple, ext_triple, pgl_triple, psl_triple
 from revmaps.verify import a5_exceptional_case
@@ -228,16 +226,15 @@ def test_reversing_multigraph_is_other():
     assert g.vertex_count == 6
     assert not g.is_simple
     assert recognize_graph(g) == "other"
-    assert vertex_valencies(M) == (10,) * 6
+    assert map_record(M)["vertex_valency"] == 10
 
 
 def test_face_lengths_are_half_the_stabilizer_orders():
     t = psl_triple(5, 2)
     M = build_revmap(t.group, t)
-    lengths = face_lengths(M)
-    n1, _ = M.face_counts_by_orbit()
-    assert set(lengths[:n1]) == {3}  # faces of the D6 family
-    assert set(lengths[n1:]) == {2}  # faces of the Klein family
+    lengths = map_record(M)["face_lengths"]
+    assert lengths["1"] == 3  # faces of the D6 family
+    assert lengths["2"] == 2  # faces of the Klein family
 
 
 def test_recognize_plain_graphs():
