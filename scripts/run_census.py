@@ -17,15 +17,14 @@ import time
 from pathlib import Path
 
 from revmaps.cli import EXIT_BUDGET, EXIT_USAGE
-from revmaps.groups import BudgetExceeded
-from revmaps.triples import DEFAULT_ENUM_BUDGET
+from revmaps.groups import DEFAULT_BUDGET, BudgetExceeded
 from revmaps.verify import report_json, run_verify_matrix
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = ap.parse_args()
     try:
         return _run(Path(args.out), args.budget)
@@ -35,11 +34,11 @@ def main() -> int:
 
 
 def _run(out: Path, budget: int) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
     matrix = run_verify_matrix(budget)
     elapsed = time.perf_counter() - t0
+    # only now, so that a refused budget leaves nothing behind
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for rep in matrix["configs"]:

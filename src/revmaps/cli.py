@@ -11,11 +11,11 @@ Subcommands:
 
 Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
 3 budget exceeded, 4 internal error (a search the theory guarantees to
-succeed found nothing: a bug, not a usage error).  Every subcommand refuses
-a group of more elements than the budget (--budget, or the REVMAPS_BUDGET
-environment variable) before building it, and every exhaustive stage of
-verify, the rotary check included, runs under that budget.  --jobs is
-accepted and ignored: the scan is serial.
+succeed found nothing: a bug, not a usage error).  No command builds a
+group of more elements than the budget (--budget, or the REVMAPS_BUDGET
+environment variable); that includes the PGL(2,p) of verify's action check.
+A group over it is refused from its order formula, before any work.  --jobs
+is accepted and ignored: the scan is serial.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .groups import FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
+from .groups import DEFAULT_BUDGET, FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
 from .mapgeom import (
     SCHEMA_VERSION,
     MapError,
@@ -37,7 +37,6 @@ from .mapgeom import (
 )
 from .triples import (
     ConstructionError,
-    DEFAULT_ENUM_BUDGET,
     ext_triple,
     make_triple,
     pgl_triple,
@@ -78,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--k", type=int, default=None, help="point index")
             sp.add_argument("--c1", type=int, default=1)
             sp.add_argument("--c2", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--output", default=None)
 
@@ -100,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="re-validate a stored map record")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     return top
 
 
@@ -155,7 +154,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     G = build_group(args.family, args.p, args.m, budget=args.budget)
-    scan = scan_reversing_census(G, args.budget)
+    scan = scan_reversing_census(G)
     if args.format == "text":
         lines = [f"{G.descriptor()} order={G.order}"]
         for c in scan.qualifying:

@@ -51,13 +51,16 @@ EXT = "ext"
 
 FAMILIES = (PSL2, PGL2, EXT)
 
+# the most elements an entry point lets a group have unless told otherwise
+DEFAULT_BUDGET = 20000
+
 
 class GroupError(ValueError):
     """Invalid group parameters or element arguments."""
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive scan was requested beyond the configured size budget."""
+    """A group of more elements than the size budget was requested."""
 
 
 def psl_order(p: int) -> int:
@@ -102,6 +105,7 @@ class GroupHandle:
         self._inverses: list[int] | None = None
         self._involutions: tuple[int, ...] | None = None
         self._involution_classes: InvolutionClasses | None = None
+        self._generators: list[int] | None = None
         self._dihedral: list[array] | None = None
         self._conjugations: list[list[int]] | None = None
 
@@ -145,8 +149,17 @@ class GroupHandle:
         prods = left_products(g, mats)
         return [index[((e + sign * f) % m, k)] for f in range(m) for k in prods]
 
+    def involution_generators(self) -> list[int]:
+        """A few involutions generating the group (see ``_involution_generators``).
+
+        Searched on first use and kept on the handle.
+        """
+        if self._generators is None:
+            self._generators = _involution_generators(self)
+        return self._generators
+
     def conjugation_perms(self) -> list[list[int]]:
-        """The permutations g -> s*g*s for the involutions s of ``_involution_generators``.
+        """The permutations g -> s*g*s for the involutions s of ``involution_generators``.
 
         s*g*s = inv[L_s[inv[L_s[g]]]] with L_s = left_perm(s).  Built on first
         use and kept on the handle.
@@ -154,7 +167,7 @@ class GroupHandle:
         if self._conjugations is None:
             inv = [self.inv(g) for g in range(self.order)]
             self._conjugations = []
-            for s in _involution_generators(self):
+            for s in self.involution_generators():
                 left = self.left_perm(s)
                 self._conjugations.append([inv[left[inv[t]]] for t in left])
         return self._conjugations
@@ -287,8 +300,9 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
 
     psl2 / pgl2 require m = 1.  ext requires p = 3 (mod 4), m odd > 1 and
     gcd(m, p) = 1.  With a budget, a group of more elements raises
-    BudgetExceeded before anything is built.  Handles are cached and shared;
-    they are immutable.
+    BudgetExceeded before anything is built; this is the one place the budget
+    is checked, so every caller passes it here.  Handles are cached and
+    shared; they are immutable.
     """
     if family not in FAMILIES:
         raise GroupError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -310,17 +324,15 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
             raise GroupError(f"extended family needs odd m, got m = {m}")
         if math.gcd(m, p) != 1:
             raise GroupError(f"m = {m} must be coprime to p = {p}")
-    expected = group_order(family, p, m)
-    if budget is not None and expected > budget:
-        raise BudgetExceeded(f"group order {expected} exceeds budget {budget}")
+    n = group_order(family, p, m)
+    if budget is not None and n > budget:
+        raise BudgetExceeded(f"{family} p={p} m={m}: group order {n} exceeds budget {budget}")
     key = (family, p, m)
     handle = _CACHE.get(key)
     if handle is None:
         handle = GroupHandle(family, p, m)
-        if handle.order != expected:
-            raise GroupError(
-                f"{family} p={p} m={m} built {handle.order} elements, expected {expected}"
-            )
+        if handle.order != n:
+            raise GroupError(f"{family} p={p} m={m} built {handle.order} elements, expected {n}")
         _CACHE[key] = handle
     return handle
 
@@ -440,7 +452,7 @@ class InvolutionClasses:
         self.position = {v: i for i, v in enumerate(invs)}
         gens = [
             [self.position[G.conjugate(v, s)] for v in invs]
-            for s in _involution_generators(G)
+            for s in G.involution_generators()
         ]
         self.classes: list[InvolutionClass] = []
         self.class_of: list[InvolutionClass | None] = [None] * len(invs)

@@ -23,14 +23,11 @@ from .groups import (
     EXT,
     PGL2,
     PSL2,
-    BudgetExceeded,
     GroupError,
     GroupHandle,
     build_group,
     generates,
 )
-
-DEFAULT_ENUM_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -307,9 +304,7 @@ def _expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
 
 
 def enumerate_reversing_triples(
-    G: GroupHandle,
-    pattern: TriplePattern,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    G: GroupHandle, pattern: TriplePattern
 ) -> list[tuple[int, int, int]]:
     """The fiber triples realizing the slotted pattern, ascending.
 
@@ -319,8 +314,6 @@ def enumerate_reversing_triples(
     ``triple_conjugacy_classes`` of the fibers gives every class of the
     pattern with its full size.  Every returned triple generates G.
     """
-    if G.order > budget:
-        raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     dv, d1, d2 = pattern.as_tuple()
     invs = G.involutions()
     table = G.dihedral_table()
@@ -469,7 +462,7 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     return classes
 
 
-def scan_reversing_census(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> CensusScan:
+def scan_reversing_census(G: GroupHandle) -> CensusScan:
     """Blind census of all involution triples for coprime-qualifying patterns.
 
     Covers every unordered triple of distinct involutions (each stands for
@@ -481,8 +474,6 @@ def scan_reversing_census(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> 
     indices and so do not commute with conjugation, is kept as an unordered
     set, expanded, and then given its roles.
     """
-    if G.order > budget:
-        raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     invs = G.involutions()
     table = G.dihedral_table()
     qual = _qualifying_table(G, table)

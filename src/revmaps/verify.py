@@ -19,12 +19,11 @@ from .groups import (
     EXT,
     PGL2,
     PSL2,
-    BudgetExceeded,
+    DEFAULT_BUDGET,
     GroupHandle,
     build_group,
     conjugacy_class_reps,
     generates,
-    pgl_order,
 )
 from .mapgeom import (
     SCHEMA_VERSION,
@@ -34,7 +33,6 @@ from .mapgeom import (
     map_record,
 )
 from .triples import (
-    DEFAULT_ENUM_BUDGET,
     CensusScan,
     ConstructionError,
     ReversingTriple,
@@ -106,15 +104,13 @@ def census_json(G: GroupHandle, scan: CensusScan) -> list[dict]:
     ]
 
 
-def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+def check_no_rotary(G: GroupHandle) -> bool:
     """No generating pair (a, z), z an involution, gives a coprime rotary map.
 
     Rotary cell counts are |V| = |G|/|a|, |E| = |G|/2, |F| = |G|/|az|.  The
     scan fixes a up to conjugacy (all the tested quantities are invariant
     under simultaneous conjugation) and tries every involution z.
     """
-    if G.order > budget:
-        raise BudgetExceeded(f"group order {G.order} exceeds budget {budget}")
     edges = G.order // 2
     invs = G.involutions()
     for a in conjugacy_class_reps(G):
@@ -129,7 +125,7 @@ def check_no_rotary(G: GroupHandle, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     return True
 
 
-def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+def check_pgl_action(p: int) -> bool:
     """Exhaustive check of the projective-line action of PGL(2,p).
 
     Verifies sharp 3-transitivity, the cyclic two-point stabilizer of order
@@ -138,8 +134,6 @@ def check_pgl_action(p: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     residue of p mod 4, and that the involutions inside and outside PSL each
     form a single conjugacy class.
     """
-    if (p + 1) * p * (p - 1) > budget:
-        raise BudgetExceeded(f"PGL(2,{p}) exceeds the action-check budget {budget}")
     G = build_group(PGL2, p)
     pts = gfproj.all_points(p)
     expected = (p + 1) * p * (p - 1)
@@ -278,10 +272,7 @@ def _membership_split_ok(G: GroupHandle, triples) -> bool:
 
 
 def _construction_agreement(
-    G: GroupHandle,
-    predicted: TriplePattern,
-    budget: int,
-    scan_class_reps: tuple | None,
+    G: GroupHandle, predicted: TriplePattern, scan_class_reps: tuple | None
 ) -> bool:
     """Construction closure equals pattern enumeration, up to conjugacy.
 
@@ -294,7 +285,7 @@ def _construction_agreement(
     cons = construction_census(G)
     if not cons:
         return False
-    enum = enumerate_reversing_triples(G, predicted, budget)
+    enum = enumerate_reversing_triples(G, predicted)
     cons_reps = {rep for rep, _ in triple_conjugacy_classes(G, cons)}
     enum_reps = {rep for rep, _ in triple_conjugacy_classes(G, enum)}
     if cons_reps != enum_reps:
@@ -309,7 +300,7 @@ def verify_theorem(
     p: int,
     m: int = 1,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> dict:
     """Reproduce the classification for one (family, p, m) configuration.
@@ -317,17 +308,15 @@ def verify_theorem(
     The verdict is "pass" iff the blind scan finds exactly the patterns the
     classification allows (the predicted pattern when its own map is coprime,
     nothing otherwise), every rebuilt map checks out (chi, nonorientability,
-    coprimality, stabilizer lcm), and all side checks hold.  Every
-    exhaustive stage, the rotary check included, shares ``budget``, and all
-    of it is checked before the scan starts; ``jobs`` is accepted and
-    ignored.
+    coprimality, stabilizer lcm), and all side checks hold.  No group of
+    more than ``budget`` elements is built: neither the group nor the
+    PGL(2,p) of the action check, and both are refused before the scan
+    starts.  ``jobs`` is accepted and ignored.
     """
     G = build_group(family, p, m, budget=budget)
-    # the action check builds PGL(2,p), which can exceed a budget the group
-    # fits; refuse now rather than after the scan
-    if pgl_order(p) > budget:
-        raise BudgetExceeded(f"PGL(2,{p}) exceeds the action-check budget {budget}")
-    scan = scan_reversing_census(G, budget)
+    # the action check builds PGL(2,p), which can exceed a budget the group fits
+    build_group(PGL2, p, budget=budget)
+    scan = scan_reversing_census(G)
     predicted = TriplePattern.predicted(family, p, m)
     edges = G.order // 2
 
@@ -367,11 +356,11 @@ def verify_theorem(
         scan_reps = {c.pattern: c.classes for c in scan.qualifying}.get(predicted.as_tuple(), ())
     lemma_checks = {
         "sylow": maps_ok,
-        "no_rotary": check_no_rotary(G, budget),
-        "pgl_action": check_pgl_action(p, budget),
+        "no_rotary": check_no_rotary(G),
+        "pgl_action": check_pgl_action(p),
         "membership": _membership_split_ok(G, membership_triples),
         "construction_agreement": (
-            _construction_agreement(G, predicted, budget, scan_reps)
+            _construction_agreement(G, predicted, scan_reps)
             if predicted is not None
             else True
         ),
@@ -415,7 +404,7 @@ VERIFY_MATRIX: tuple[tuple[str, int, int], ...] = (
 )
 
 
-def run_verify_matrix(budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+def run_verify_matrix(budget: int = DEFAULT_BUDGET) -> dict:
     """All desk-scale configurations plus the flag-regular pair of PSL(2,5).
 
     The overall verdict ands the per-config ones and the pair's.

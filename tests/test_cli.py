@@ -159,14 +159,17 @@ def test_run_census_errors_are_one_line(tmp_path):
     script = [sys.executable, str(ROOT / "scripts" / "run_census.py")]
     taken = tmp_path / "taken"
     taken.write_text("")
+    fresh = tmp_path / "out"
     for args, code in (
-        (["--budget", "100", "--out", str(tmp_path / "out")], 3),
+        (["--budget", "100", "--out", str(fresh)], 3),
         (["--out", str(taken)], 1),
     ):
         r = subprocess.run([*script, *args], capture_output=True, text=True, env=env, timeout=300)
         assert r.returncode == code, args
         assert r.stderr.startswith("error:"), args
         assert len(r.stderr.strip().splitlines()) == 1, args
+    # the refused run left no directory behind
+    assert not fresh.exists()
 
 
 def test_identical_runs_identical_bytes():

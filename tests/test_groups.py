@@ -367,6 +367,14 @@ def test_ext_group_satisfies_lcm_of_classified_stabilizers():
     assert math.lcm(2 * 5 * 7, 2 * 8, 2 * 6, 2) == X.order
 
 
+def test_budget_refuses_past_the_group_order():
+    from revmaps.groups import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded, match="psl2 p=5 m=1: group order 60 exceeds budget 59"):
+        build_group("psl2", 5, budget=59)
+    assert build_group("psl2", 5, budget=60).order == 60
+
+
 def test_order_mismatch_raises_group_error(monkeypatch):
     # a plain GroupError, not an assert that vanishes under python -O
     import revmaps.groups as groups
@@ -409,6 +417,24 @@ def test_involution_classes_match_conjugacy(family, p, m):
             )
             back = cls.inverse(u)
             assert all(back[mu[i]] == i for i in range(len(invs)))
+
+
+def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
+    # in psl2 7 the lcm stalls and the search falls back to closure tests
+    import revmaps.groups as groups
+
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return search(G)
+
+    search = groups._involution_generators
+    monkeypatch.setattr(groups, "_involution_generators", counted)
+    fresh = groups.GroupHandle("psl2", 7, 1)
+    fresh.involution_classes()
+    fresh.conjugation_perms()
+    assert calls == [fresh]
 
 
 def test_involution_classes_are_memoized_and_lazy():

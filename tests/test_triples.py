@@ -181,14 +181,6 @@ def test_blind_scan_agrees_with_slotted_enumeration_psl25():
     assert len(census.triples) == sum(size for _, size in classes)
 
 
-def test_scan_respects_budget():
-    from revmaps.groups import BudgetExceeded
-
-    G = build_group("psl2", 5)
-    with pytest.raises(BudgetExceeded):
-        scan_reversing_census(G, budget=10)
-
-
 def test_predicted_patterns():
     assert TriplePattern.predicted("psl2", 13).as_tuple() == (26, 14, 12)
     assert TriplePattern.predicted("psl2", 7) is None

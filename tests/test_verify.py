@@ -137,14 +137,6 @@ def test_no_rotary_runs_under_the_verify_budget():
     assert verify_theorem("psl2", 23)["lemma_checks"]["no_rotary"] is True
 
 
-def test_rotary_budget():
-    from revmaps.groups import BudgetExceeded
-
-    G = build_group("psl2", 13)
-    with pytest.raises(BudgetExceeded):
-        check_no_rotary(G, budget=1000)
-
-
 # -- projective action suite ---------------------------------------------------------------
 
 
@@ -304,12 +296,18 @@ def test_verify_refuses_over_budget_before_scanning(monkeypatch):
         verify_theorem("psl2", 13, budget=1000)
 
 
-def test_pgl_action_budget_is_configurable():
+def test_verify_refuses_the_action_check_group_over_budget(monkeypatch):
+    # PSL(2,7) has 168 elements and fits; the PGL(2,7) of the action check
+    # has 336 and does not
+    import revmaps.verify as verify
     from revmaps.groups import BudgetExceeded
 
-    with pytest.raises(BudgetExceeded):
-        check_pgl_action(7, budget=300)
-    assert check_pgl_action(7, budget=336)
+    def scan_must_not_run(*args, **kwargs):
+        raise AssertionError("the census scan ran before the budget check")
+
+    monkeypatch.setattr(verify, "scan_reversing_census", scan_must_not_run)
+    with pytest.raises(BudgetExceeded, match="pgl2 p=7 m=1: group order 336 exceeds budget 300"):
+        verify_theorem("psl2", 7, budget=300)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
