@@ -160,7 +160,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for c in scan.qualifying:
             lines.append(
                 f"pattern {c.pattern}: chi={c.chi}"
-                f" triples={len(c.triples)} classes={len(c.classes)}"
+                f" triples={c.raw_triples} classes={len(c.classes)}"
             )
         if not scan.qualifying:
             lines.append("no qualifying reversing triples")

@@ -283,24 +283,17 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
 # Pair orders, chi, the gcd filter and generation are all invariant under
 # simultaneous conjugation.  So the engine fixes x to the least member of
 # each class of involutions and scans only the (y, z) that complete it (the
-# class's fiber).  Class questions are settled on the fibers; the scan's raw
-# triple lists rebuild every other triple by conjugating the fiber with the
-# class's transversal maps (see ``GroupHandle.involution_classes``).
+# class's fiber).  Class questions, and the count of all triples, are
+# settled on the fibers: each class comes with its orbit size (see
+# ``triple_conjugacy_classes``).
 
 
-def _expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
-    """Every conjugate (u, y^t_u, z^t_u) of the fiber triples (rep, y, z).
+def pattern_chi(order: int, pattern: Sequence[int]) -> int:
+    """Euler characteristic of the reversing map of a group of this order.
 
-    ``fibers`` pairs each involution class with (y, z) positions at its rep;
-    u runs over the class, so each triple comes out once.
+    The cells are |G|/d per dihedral order d of the pattern, and |G|/2 edges.
     """
-    invs = G.involutions()
-    out: list[tuple[int, int, int]] = []
-    for cls, entries in fibers:
-        for u, mu in cls.maps.items():
-            x = invs[u]
-            out.extend((x, invs[mu[y]], invs[mu[z]]) for y, z in entries)
-    return out
+    return sum(order // d for d in pattern) - order // 2
 
 
 def enumerate_reversing_triples(
@@ -337,12 +330,18 @@ def enumerate_reversing_triples(
 
 @dataclass(frozen=True)
 class PatternCensus:
-    """All coprime-qualifying reversing triples sharing one dihedral pattern."""
+    """The coprime-qualifying reversing triples sharing one dihedral pattern.
+
+    For a slotted pattern ``triples`` holds the scanned fiber triples, x the
+    least member of its involution class, and ``classes`` the orbit minima;
+    ``raw_triples`` counts every ordered triple, summed from the orbit sizes.
+    An unslotted pattern lists all its triples and has no classes.
+    """
 
     pattern: tuple[int, int, int]
     chi: int
-    slotted: bool
     triples: tuple[tuple[int, int, int], ...]
+    raw_triples: int
     classes: tuple[tuple[int, int, int], ...]
 
     @property
@@ -352,8 +351,6 @@ class PatternCensus:
 
 @dataclass(frozen=True)
 class CensusScan:
-    group: dict
-    group_order: int
     involution_count: int
     combos_scanned: int
     qualifying: tuple[PatternCensus, ...]
@@ -365,13 +362,12 @@ class CensusScan:
 def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
     values = sorted({d for row in table for d in row if d})
     edges = G.order // 2
-    qual = {}
-    for u in values:
-        for v in values:
-            for w in values:
-                chi = G.order // u + G.order // v + G.order // w - edges
-                qual[(u, v, w)] = math.gcd(abs(chi), edges) == 1
-    return qual
+    return {
+        (u, v, w): math.gcd(abs(pattern_chi(G.order, (u, v, w))), edges) == 1
+        for u in values
+        for v in values
+        for w in values
+    }
 
 
 def _roles(G: GroupHandle, a: int, b: int, c: int):
@@ -470,20 +466,20 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
     and which generate G, and groups them by dihedral pattern with conjugacy
     class representatives.  Only the triples through one involution per
     class are scanned; the rest are their conjugates.  A slotted hit is kept
-    where the rep plays x; an unslotted one, whose roles follow element
-    indices and so do not commute with conjugation, is kept as an unordered
-    set, expanded, and then given its roles.
+    where the rep plays x, and its pattern is counted from the orbit sizes
+    of its classes.  An unslotted hit, whose roles follow element indices
+    and so do not commute with conjugation, is kept as an unordered set,
+    expanded over its class, and then given its roles.
     """
     invs = G.involutions()
     table = G.dihedral_table()
     qual = _qualifying_table(G, table)
     n = len(invs)
-    slotted: dict[tuple[int, int, int], list] = {}
-    loose = []
+    fibers: dict[tuple[int, int, int], list] = {}
+    loose = set()
     for cls in G.involution_classes().classes:
         r = cls.rep
         row_r = table[r]
-        here: dict[tuple[int, int, int], list] = {}
         unordered = []
         for y in range(n):
             if y == r:
@@ -500,35 +496,32 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
                     continue
                 if _triple_generates(G, invs[u], invs[v], invs[w], *pat):
                     if slotted_hit:
-                        here.setdefault(pat, []).append((v, w))
+                        fibers.setdefault(pat, []).append((invs[u], invs[v], invs[w]))
                     else:
                         unordered.append((y, z))
-        for pat, entries in here.items():
-            slotted.setdefault(pat, []).append((cls, entries))
-        loose.append((cls, unordered))
+        for u, mu in cls.maps.items():
+            loose.update(tuple(sorted((u, mu[y], mu[z]))) for y, z in unordered)
 
-    by_pattern = {pat: _expand(G, fibers) for pat, fibers in slotted.items()}
-    at = G.involution_classes().position
-    for hit in {tuple(sorted(at[v] for v in t)) for t in _expand(G, loose)}:
+    censuses = {}
+    for pat, fiber in fibers.items():
+        classes = triple_conjugacy_classes(G, fiber)
+        censuses[pat] = PatternCensus(
+            pat,
+            pattern_chi(G.order, pat),
+            tuple(sorted(fiber)),
+            sum(size for _, size in classes),
+            tuple(t for t, _ in classes),
+        )
+    unslotted: dict[tuple[int, int, int], list] = {}
+    for hit in loose:
         t, pat, _ = _roles(G, *hit)
-        by_pattern.setdefault(pat, []).append(tuple(invs[i] for i in t))
-
-    censuses = []
-    edges = G.order // 2
-    for pat in sorted(by_pattern):
-        chi = sum(G.order // d for d in pat) - edges
-        if pat in slotted:
-            fiber = [(invs[c.rep], invs[y], invs[z]) for c, es in slotted[pat] for y, z in es]
-            classes = tuple(t for t, _ in triple_conjugacy_classes(G, fiber))
-        else:
-            classes = ()
-        censuses.append(
-            PatternCensus(pat, chi, pat in slotted, tuple(sorted(by_pattern[pat])), classes)
+        unslotted.setdefault(pat, []).append(tuple(invs[i] for i in t))
+    for pat, found in unslotted.items():
+        censuses[pat] = PatternCensus(
+            pat, pattern_chi(G.order, pat), tuple(sorted(found)), len(found), ()
         )
     return CensusScan(
-        group=G.descriptor(),
-        group_order=G.order,
         involution_count=n,
         combos_scanned=n * (n - 1) * (n - 2) // 6,
-        qualifying=tuple(censuses),
+        qualifying=tuple(censuses[pat] for pat in sorted(censuses)),
     )

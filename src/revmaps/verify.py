@@ -39,6 +39,7 @@ from .triples import (
     TriplePattern,
     construction_census,
     enumerate_reversing_triples,
+    pattern_chi,
     scan_reversing_census,
     triple_conjugacy_classes,
 )
@@ -93,7 +94,7 @@ def census_json(G: GroupHandle, scan: CensusScan) -> list[dict]:
         {
             "pattern": list(c.pattern),
             "chi": c.chi,
-            "raw_triples": len(c.triples),
+            "raw_triples": c.raw_triples,
             "classes": len(c.classes),
             "class_reps": [
                 {"x": G.element_json(x), "y": G.element_json(y), "z": G.element_json(z)}
@@ -136,30 +137,17 @@ def check_pgl_action(p: int) -> bool:
     """
     G = build_group(PGL2, p)
     pts = gfproj.all_points(p)
-    expected = (p + 1) * p * (p - 1)
-    if G.order != expected:
+    # the images of the first three points, one per element
+    images = [tuple(gfproj.act(mat, pt) for pt in pts[:3]) for mat in G.elements]
+    if len(set(images)) != G.order:
         return False
 
-    base = pts[:3]
-    images: dict[tuple[int, int, int], int] = {}
-    for g in range(G.order):
-        mat = G.elements[g]
-        key = (gfproj.act(mat, base[0]), gfproj.act(mat, base[1]), gfproj.act(mat, base[2]))
-        images[key] = images.get(key, 0) + 1
-    if len(images) != expected or any(v != 1 for v in images.values()):
-        return False
-
-    stab = [
-        g
-        for g in range(G.order)
-        if gfproj.act(G.elements[g], pts[0]) == pts[0]
-        and gfproj.act(G.elements[g], pts[1]) == pts[1]
-    ]
+    stab = [g for g, (a, b, _) in enumerate(images) if a == pts[0] and b == pts[1]]
     if len(stab) != p - 1:
         return False
     if not any(G.element_order(g) == p - 1 for g in stab):
         return False
-    rest = {gfproj.act(G.elements[g], pts[2]) for g in stab}
+    rest = {images[g][2] for g in stab}
     if len(rest) != p - 1 or pts[0] in rest or pts[1] in rest:
         return False
 
@@ -323,7 +311,7 @@ def verify_theorem(
     predicted_chi = None
     predicted_qualifies = False
     if predicted is not None:
-        predicted_chi = sum(G.order // d for d in predicted.as_tuple()) - edges
+        predicted_chi = pattern_chi(G.order, predicted.as_tuple())
         predicted_qualifies = check_coprime(predicted_chi, edges)
 
     expected_multisets = [predicted.multiset()] if predicted_qualifies else []

@@ -195,18 +195,38 @@ def oracle_scan(G: GroupHandle) -> CensusScan:
 
     censuses = []
     edges = G.order // 2
+    minima = oracle_class_minima(G)
     for pat in sorted(by_pattern):
         found = tuple(sorted(by_pattern[pat]))
         chi = sum(G.order // d for d in pat) - edges
-        classes = tuple(t for t, _ in oracle_classes(G, found)) if slot_ok[pat] else ()
-        censuses.append(PatternCensus(pat, chi, slot_ok[pat], found, classes))
+        if slot_ok[pat]:
+            # a slotted pattern keeps the triples whose x is least in its class
+            kept = tuple(t for t in found if t[0] in minima)
+            classes = tuple(t for t, _ in oracle_classes(G, found))
+        else:
+            kept, classes = found, ()
+        censuses.append(PatternCensus(pat, chi, kept, len(found), classes))
     return CensusScan(
-        group=G.descriptor(),
-        group_order=G.order,
         involution_count=n,
         combos_scanned=n * (n - 1) * (n - 2) // 6,
         qualifying=tuple(censuses),
     )
+
+
+def oracle_expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
+    """Every conjugate (u, y^t_u, z^t_u) of the fiber triples (rep, y, z), ascending.
+
+    u runs over the class of the rep, through the class's transversal maps,
+    so each triple of a slotted census comes out once.
+    """
+    C = G.involution_classes()
+    invs = G.involutions()
+    out: list[tuple[int, int, int]] = []
+    for x, y, z in fibers:
+        rep, y, z = (C.position[v] for v in (x, y, z))
+        for u, mu in C.class_of[rep].maps.items():
+            out.append((invs[u], invs[mu[y]], invs[mu[z]]))
+    return sorted(out)
 
 
 # -- maps as coset incidence geometries ------------------------------------------

@@ -7,6 +7,8 @@ matrix once and records per-configuration wall times.
 
 import time
 
+from oracle import oracle_expand
+
 from revmaps.groups import build_group
 from revmaps.triples import ext_triple, scan_reversing_census
 from revmaps.verify import (
@@ -80,13 +82,15 @@ def test_criterion_4_psl213(matrix_reports):
     G = build_group("psl2", 13)
     scan = scan_reversing_census(G)
     assert len(scan.qualifying) == 1
-    for x, y, z in scan.qualifying[0].triples:
+    everything = oracle_expand(G, scan.qualifying[0].triples)
+    assert len(everything) == scan.qualifying[0].raw_triples == 13104
+    for x, y, z in everything:
         fx = set(fixed_points(G.elements[x]))
         fy = set(fixed_points(G.elements[y]))
         assert fx & fy
         assert len(fixed_points(G.elements[z])) == 2
     assert durations[("psl2", 13, 1)] < 300.0
-    _announce(4, f"PSL(2,13): chi=-335, {len(scan.qualifying[0].triples)} triples all in standard form")
+    _announce(4, f"PSL(2,13): chi=-335, {len(everything)} triples all in standard form")
 
 
 def test_criterion_5_pgl_family(matrix_reports):

@@ -1,10 +1,10 @@
 """The census engine against the slow reference loops in ``oracle.py``.
 
-The engine scans one involution per conjugacy class and rebuilds the rest
-through conjugation maps; the oracle scans every triple and sweeps all of G.
-Both must give the same census and conjugacy classes, and the engine's
-enumeration must be the oracle's full enumeration cut to the triples whose x
-is the least member of its involution class.
+The engine scans one involution per conjugacy class and counts the rest
+from orbit sizes; the oracle scans every triple and sweeps all of G.  Both
+must give the same census and conjugacy classes, and the engine's
+enumeration, like a slotted census, must be the oracle's full enumeration
+cut to the triples whose x is the least member of its involution class.
 """
 
 from collections import defaultdict
@@ -65,7 +65,7 @@ def test_scan_matches_oracle_on_every_pattern(family, monkeypatch):
     )
     G = build_group(family, 5)
     scan = scan_reversing_census(G)
-    assert not all(c.slotted for c in scan.qualifying)
+    assert not all(c.classes for c in scan.qualifying)
     assert scan == oracle_scan(G)
 
 

@@ -54,6 +54,20 @@ def test_enumerate_lists_the_census():
     assert payload["qualifying"][0]["classes"] == 2
 
 
+@pytest.mark.parametrize(
+    "p,line",
+    [
+        (5, "pattern (10, 6, 4): chi=1 triples=120 classes=2"),
+        (7, "no qualifying reversing triples"),
+    ],
+)
+def test_enumerate_text(p, line):
+    r = run_cli("enumerate", "--family", "psl2", "--p", str(p), "--format", "text")
+    assert r.returncode == 0
+    order = p * (p * p - 1) // 2
+    assert r.stdout == f"{{'family': 'psl2', 'p': {p}, 'm': 1}} order={order}\n{line}\n"
+
+
 def test_budget_flag_exit_code():
     r = run_cli("enumerate", "--family", "psl2", "--p", "5", "--budget", "10")
     assert r.returncode == 3

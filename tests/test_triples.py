@@ -1,7 +1,7 @@
 """Triple constructions and exhaustive enumeration."""
 
 import pytest
-from oracle import oracle_enumerate
+from oracle import oracle_enumerate, oracle_expand
 
 from revmaps.gfproj import act, all_points, fixed_points
 from revmaps.groups import GroupError, build_group
@@ -172,13 +172,28 @@ def test_blind_scan_agrees_with_slotted_enumeration_psl25():
     scan = scan_reversing_census(G)
     assert [c.pattern for c in scan.qualifying] == [(10, 6, 4)]
     census = scan.qualifying[0]
-    assert set(census.triples) == set(oracle_enumerate(G, TriplePattern(10, 6, 4)))
+    everything = oracle_expand(G, census.triples)
+    assert set(everything) == set(oracle_enumerate(G, TriplePattern(10, 6, 4)))
     fibers = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))
     minima = {G.involutions()[c.rep] for c in G.involution_classes().classes}
-    assert [t for t in census.triples if t[0] in minima] == fibers
+    assert [t for t in everything if t[0] in minima] == fibers
     classes = triple_conjugacy_classes(G, fibers)
     assert census.classes == tuple(r for r, _ in classes)
-    assert len(census.triples) == sum(size for _, size in classes)
+    assert len(everything) == census.raw_triples == sum(size for _, size in classes)
+
+
+@pytest.mark.parametrize(
+    "family,p,fibers,raw", [("psl2", 13, 144, 13104), ("pgl2", 19, 864, 164160)]
+)
+def test_slotted_census_keeps_only_the_scanned_fibers(family, p, fibers, raw):
+    G = build_group(family, p)
+    (census,) = scan_reversing_census(G).qualifying
+    C = G.involution_classes()
+    invs = G.involutions()
+    assert all(invs[C.class_of[C.position[x]].rep] == x for x, _, _ in census.triples)
+    pattern = TriplePattern(*census.pattern)
+    assert sorted(census.triples) == sorted(enumerate_reversing_triples(G, pattern))
+    assert (len(census.triples), census.raw_triples) == (fibers, raw)
 
 
 def test_predicted_patterns():

@@ -4,7 +4,9 @@ import hashlib
 import math
 
 import pytest
+from oracle import oracle_expand
 
+from revmaps import gfproj
 from revmaps.groups import build_group, generates
 from revmaps.mapgeom import build_revmap
 from revmaps.triples import (
@@ -145,6 +147,12 @@ def test_pgl_action_small(p):
     assert check_pgl_action(p)
 
 
+def test_pgl_action_fails_under_the_trivial_action(monkeypatch):
+    # every element then sends the first three points to themselves
+    monkeypatch.setattr(gfproj, "act", lambda g, x: x)
+    assert not check_pgl_action(7)
+
+
 # -- the exceptional flag-regular pair -------------------------------------------------------
 
 
@@ -245,9 +253,9 @@ def test_report_bytes_are_pinned(matrix_reports):
 def test_membership_at_class_reps_matches_all_triples(family, p, m):
     G = build_group(family, p, m)
     qualifying = scan_reversing_census(G).qualifying
-    assert all(c.slotted for c in qualifying)
+    assert all(c.classes for c in qualifying)
     reps = [t for c in qualifying for t in c.classes]
-    everything = [t for c in qualifying for t in c.triples]
+    everything = [t for c in qualifying for t in oracle_expand(G, c.triples)]
     assert _membership_split_ok(G, reps) is _membership_split_ok(G, everything) is True
     if reps and family != "psl2":
         # x and z trade sides of PSL: one wrong rep must fail the check
