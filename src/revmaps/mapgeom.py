@@ -1,32 +1,37 @@
-"""Maps as generator permutations over flags: cells, flags, surface invariants.
+"""Maps as coset geometries of generator triples: cells, flags, surface invariants.
 
 A reversing map is built from a generating involution triple (x, y, z):
 vertices are the right cosets of <x,y>, edges of <z>, and the two face
 families of <x,z> and <y,z>.  A flag-regular map uses three involutions
 r0, r1, r2 with (r0 r2)^2 = 1 and cells <r1,r2>, <r0,r2>, <r0,r1>, and one
-face family.  Each cell is an orbit of the left multiplications
-L_s: g -> s*g of its generators, computed once per build and kept with the map.
+face family.
 
 The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
 the element g in face family l, and it lies on the vertex, edge and face
-cosets through g.  A map is its generator permutations, the stabilizers of
-the cells through the identity and the vertex cell of every element; all
-cells of a kind are right cosets of one stabilizer, so counts, valencies
-and face lengths are stabilizer orders.  Two flags are partners when they
-share two cells, and the partner maps are left multiplications (the
-monodromy group): in a reversing map L_z changes the vertex, L_x on face
-family 1 and L_y on family 2 the edge, and the family swap the face; in a
-flag-regular map L_r0, L_r1 and L_r2 do.  Right multiplication g -> g*a
-keeps every right-coset partition and commutes with every left
-multiplication, so the partner checks run at the identity flag of each family.
+cosets through g.  A map is its generators and the stabilizers of the cells
+through the identity.  All cells of a kind are right cosets of one
+stabilizer (Jones & Singerman, Proc. LMS 37, 1978), and right
+multiplication g -> g*a keeps every right-coset partition and commutes with
+every left multiplication, so each record field is read at the identity:
+counts, valencies and face lengths are stabilizer orders, the partner checks
+run at the identity flag of each family, and the underlying graph's degree,
+loops and simplicity follow from the vertex stabilizer and the vertex
+partner (see ``map_record``).  Two flags are partners when they share two
+cells, and the partner maps are left multiplications (the monodromy group):
+in a reversing map L_z changes the vertex, L_x on face family 1 and L_y on
+family 2 the edge, and the family swap the face; in a flag-regular map
+L_r0, L_r1 and L_r2 do.  The permutations L_s: g -> s*g of the generators,
+the vertex cell of every element and the flag system sweep G; they are
+built on first use, by ``underlying_graph`` alone (DOT export and the
+Petersen test).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property
 
-from .groups import GroupHandle, generates, right_cosets, subgroup_closure
+from .groups import GroupHandle, SubgroupHandle, generates, right_cosets, subgroup_closure
 from .triples import ReversingTriple
 
 # the version of the record and report layout written by every writer
@@ -37,17 +42,34 @@ class MapError(ValueError):
     """The given data does not describe a well-formed map."""
 
 
+def _cell_generators(kind: str, generators: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The generators of the vertex, edge and each face family's cells."""
+    a, b, c = generators
+    if kind == "reversing":
+        return [(a, b), (c,), (a, c), (b, c)]
+    return [(b, c), (a, c), (a, b)]
+
+
 @dataclass(frozen=True)
 class MapGeometry:
     group: GroupHandle
     kind: str  # "reversing" or "flag_regular"
     generators: tuple[int, ...]
-    # vertex cell id of each element, numbered by least member
-    vertex: tuple[int, ...]
     # member sets of the cells through the identity: its vertex, edge and
     # face (per family) stabilizers
     stabilizers: tuple[frozenset[int], ...]
-    perms: dict[int, list[int]] = field(repr=False, compare=False)  # L_s per generator
+
+    @cached_property
+    def perms(self) -> dict[int, list[int]]:
+        """L_s per generator, built on first use."""
+        return {s: self.group.left_perm(s) for s in set(self.generators)}
+
+    @cached_property
+    def vertex(self) -> tuple[int, ...]:
+        """The vertex cell id of each element, numbered by least member; built on first use."""
+        gens = _cell_generators(self.kind, self.generators)[0]
+        H = SubgroupHandle(self.group, tuple(sorted(self.stabilizers[0])), gens)
+        return tuple(right_cosets(self.group, H, self.perms))
 
     @property
     def vertex_count(self) -> int:
@@ -73,29 +95,16 @@ class MapGeometry:
         return dict(zip(("vertex", "edge", *faces), map(len, self.stabilizers)))
 
 
-def _assemble(
-    G: GroupHandle,
-    vertex_gens: tuple[int, ...],
-    edge_gens: tuple[int, ...],
-    face_gens: list[tuple[int, ...]],
-    kind: str,
-    generators: tuple[int, ...],
-) -> MapGeometry:
-    # one left-multiplication permutation per generator serves every cell kind
-    perms = {s: G.left_perm(s) for s in set(generators)}
-    subs = [subgroup_closure(G, gens) for gens in (vertex_gens, edge_gens, *face_gens)]
-    return MapGeometry(
-        G, kind, generators, tuple(right_cosets(G, subs[0], perms)),
-        tuple(frozenset(sub.members) for sub in subs), perms,
-    )
+def _assemble(G: GroupHandle, kind: str, generators: tuple[int, ...]) -> MapGeometry:
+    subs = [subgroup_closure(G, gens) for gens in _cell_generators(kind, generators)]
+    return MapGeometry(G, kind, generators, tuple(frozenset(sub.members) for sub in subs))
 
 
 def build_revmap(G: GroupHandle, t: ReversingTriple) -> MapGeometry:
     """Coset geometry of a generating reversing triple."""
     if not t.generates:
         raise MapError("the triple does not generate the group")
-    x, y, z = t.indices()
-    return _assemble(G, (x, y), (z,), [(x, z), (y, z)], "reversing", (x, y, z))
+    return _assemble(G, "reversing", t.indices())
 
 
 def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
@@ -111,7 +120,7 @@ def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
         raise MapError("r0 and r2 must be distinct commuting involutions")
     if not generates(G, {r0, r1, r2}):
         raise MapError("generators do not generate the group")
-    return _assemble(G, (r1, r2), (r0, r2), [(r0, r1)], "flag_regular", (r0, r1, r2))
+    return _assemble(G, "flag_regular", (r0, r1, r2))
 
 
 @dataclass(frozen=True)
@@ -178,26 +187,19 @@ class SurfaceInvariants:
 def surface_invariants(M: MapGeometry) -> SurfaceInvariants:
     """Euler characteristic, orientability and genus of the supporting surface.
 
-    chi = |V| - |E| + |F|; the surface is orientable iff the flag graph is
-    bipartite, that is iff every generator's L_s can flip a colouring of G,
-    which is cross-checked against the parity of chi.
+    chi = |V| - |E| + |F|.  The surface is orientable iff the flag graph is
+    bipartite.  Its partner maps are the L_s of the generators and the
+    family swap, and the generators generate G, so a two-colouring is a
+    homomorphism G -> Z_2 that sends every generator to 1: one exists iff G
+    has an index-2 subgroup containing no generator.  PSL(2,p), p >= 5, is
+    simple and has none.  PGL(2,p) and (Z_m x PSL(2,p)):2 with m odd have
+    abelianization Z_2, so their one index-2 subgroup is the part whose
+    matrices lie in PSL(2,p), which ``in_psl_part`` tests (it holds on all
+    of PSL(2,p)).  An orientable surface is cross-checked against the parity
+    of chi.
     """
     _identity_partners(M)  # rejects a degenerate geometry
-    colour = [-1] * M.group.order
-    colour[0] = 0
-    queue = [0]
-    orientable = True
-    for i in queue:
-        flip = 1 - colour[i]
-        for perm in M.perms.values():
-            j = perm[i]
-            if colour[j] < 0:
-                colour[j] = flip
-                queue.append(j)
-            elif colour[j] != flip:
-                orientable = False
-    if len(queue) != len(colour):
-        raise MapError("flag graph is disconnected; not a map of a connected graph")
+    orientable = not any(M.group.in_psl_part(s) for s in M.generators)
     chi = M.chi()
     if orientable and chi % 2:
         raise MapError(f"orientable surface with odd Euler characteristic {chi}")
@@ -211,19 +213,8 @@ class UnderlyingGraph:
     edges: tuple[tuple[int, int], ...]  # endpoint pairs, loops as (v, v)
 
     @property
-    def loop_count(self) -> int:
-        return sum(1 for a, b in self.edges if a == b)
-
-    @property
     def is_simple(self) -> bool:
-        return self.loop_count == 0 and len(set(self.edges)) == len(self.edges)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(sorted(deg))
+        return all(a != b for a, b in self.edges) and len(set(self.edges)) == len(self.edges)
 
     def adjacency(self) -> list[set[int]]:
         adj = [set() for _ in range(self.vertex_count)]
@@ -238,13 +229,14 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     """Multigraph on the vertex cells; one edge per edge cell.
 
     The ends of the edge through element g are the vertex cells of g and of
-    its vertex partner.  They are the same for every element of the edge
-    cell, so each edge gives |G_e| equal keys and every |G_e|-th sorted key
-    is kept.
+    its vertex partner, read off ``flag_system(M).rho_v`` on face family 1.
+    They are the same for every element of the edge cell, so each edge gives
+    |G_e| equal keys and every |G_e|-th sorted key is kept.  This sweeps G
+    and builds the vertex cells and the generators' L_s; only DOT export and
+    the Petersen test in ``map_record`` ask for it.
     """
-    count = M.vertex_count
-    (s, _), _, _ = _identity_partners(M)[0]
-    partner, vertex = M.perms[s], M.vertex
+    count, vertex = M.vertex_count, M.vertex
+    partner = flag_system(M).rho_v[: M.group.order]
     # each pair a <= b as the integer a*count + b, which sorts alike and faster
     keys = sorted(
         a * count + b if a <= b else b * count + a
@@ -254,83 +246,68 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     return UnderlyingGraph(count, tuple(divmod(k, count) for k in keys[::step]))
 
 
-def _petersen_adjacency() -> list[set[int]]:
-    verts = list(combinations(range(5), 2))
-    return [
-        {j for j, w in enumerate(verts) if not set(v) & set(w)}
-        for v in verts
-    ]
-
-
-def _isomorphic(adj_a: list[set[int]], adj_b: list[set[int]]) -> bool:
-    n = len(adj_a)
-    if n != len(adj_b):
-        return False
-    if sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
-        return False
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or len(adj_b[w]) != len(adj_a[v]):
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj_a[v]) != (mapping[u] in adj_b[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
-
-
 def recognize_graph(g: UnderlyingGraph) -> str:
-    """Classify as complete(n), petersen, or other; multigraphs are other."""
+    """Classify as complete(n), petersen, or other; multigraphs are other.
+
+    The Petersen graph is the one cubic graph of girth 5 on ten vertices
+    (the Moore graph of degree 3), that is the one where each vertex sees all
+    ten vertices within distance two.
+    """
     if not g.is_simple:
         return "other"
     n = g.vertex_count
     if len(g.edges) == n * (n - 1) // 2:
         if set(g.edges) == {(a, b) for a in range(n) for b in range(a + 1, n)}:
             return f"complete({n})"
-    if n == 10 and len(g.edges) == 15 and g.degree_sequence() == (3,) * 10:
-        if _isomorphic(g.adjacency(), _petersen_adjacency()):
-            return "petersen"
+    adj = g.adjacency()
+    if n == 10 and all(len(a) == 3 and len(a.union(*(adj[w] for w in a))) == 10 for a in adj):
+        return "petersen"
     return "other"
 
 
 def map_record(M: MapGeometry) -> dict:
-    """JSON-ready summary of a map: counts, invariants, graph recognition."""
-    fs = flag_system(M)
+    """JSON-ready summary of a map: counts, invariants, graph recognition.
+
+    Every field is read off the stabilizers and the generators, in O(|G_v|)
+    work.  Exactly two flags share each (vertex, edge) and each (face, edge)
+    pair, so a cell meets half as many edges as it has flags: families*|G_v|
+    at a vertex and |F_l| at a face of family l.  With H the vertex
+    stabilizer and s the vertex partner (z, or r0 in a flag-regular map),
+    the edges at the vertex H run to the vertices Hsh, h in H, one edge cell
+    per |H & E| of them.  Every vertex has degree 2|E|/|V|.  s in H would
+    make every edge a loop, and ``_identity_partners`` refuses it, so there
+    are none.  Hsh = Hsh' iff h h'^-1 lies in H & sHs, so the graph is
+    simple iff |H & sHs| = |H & E|, and complete iff it is simple of degree
+    |V| - 1.  Only a simple cubic graph on ten vertices is compared with the
+    Petersen graph, on ``underlying_graph``.
+    """
     inv = surface_invariants(M)
-    graph = underlying_graph(M)
+    G = M.group
+    H, E, *faces = M.stabilizers
+    (s, _), _, _ = _identity_partners(M)[0]
+    count = M.vertex_count
+    degree = 2 * M.edge_count // count
+    simple = sum(G.mul(G.mul(s, h), s) in H for h in H) == len(H & E)
+    if simple and degree == count - 1:
+        recognized = f"complete({count})"
+    elif simple and (count, degree) == (10, 3):
+        recognized = recognize_graph(underlying_graph(M))
+    else:
+        recognized = "other"
     n1, n2 = M.face_counts_by_orbit()
-    # exactly two flags share each (vertex, edge) and each (face, edge) pair,
-    # so a cell meets half as many edges as it has flags: families*|G_v| at a
-    # vertex and |F_l| at a face of family l
-    V, _, *faces = M.stabilizers
     return {
         "schema_version": SCHEMA_VERSION,
-        "group": {**M.group.descriptor(), "order": M.group.order},
+        "group": {**G.descriptor(), "order": G.order},
         "kind": M.kind,
         "triple": {
-            name: M.group.element_json(i)
+            name: G.element_json(i)
             for name, i in zip(
                 ("x", "y", "z") if M.kind == "reversing" else ("r0", "r1", "r2"),
                 M.generators,
             )
         },
         "counts": {
-            "V": M.vertex_count,
+            "V": count,
             "E": M.edge_count,
             "F1": n1,
             "F2": n2,
@@ -339,15 +316,15 @@ def map_record(M: MapGeometry) -> dict:
         "chi": inv.chi,
         "orientable": inv.orientable,
         "genus": inv.genus,
-        "flags": len(fs),
+        "flags": len(faces) * G.order,
         "stabilizer_orders": M.stabilizer_orders(),
-        "vertex_valency": len(faces) * len(V) // 2,
+        "vertex_valency": len(faces) * len(H) // 2,
         "face_lengths": {str(l): len(F) // 2 for l, F in enumerate(faces, 1)},
         "graph": {
-            "recognized": recognize_graph(graph),
-            "degree_sequence": list(graph.degree_sequence()),
-            "loops": graph.loop_count,
-            "simple": graph.is_simple,
+            "recognized": recognized,
+            "degree_sequence": [degree] * count,
+            "loops": 0,
+            "simple": simple,
         },
     }
 

@@ -19,17 +19,20 @@ instead takes the flags G x {face family} and reads the partner maps off
 left multiplications, checked at the identity flags, and is compared with
 this; ``oracle_flag_system`` labels every one of those flags with its coset
 blocks, pairs them by their labels and colours the whole flag graph.
+``oracle_graph`` classifies the underlying graph from its edge list, the
+Petersen graph by an explicit isomorphism.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 from revmaps import triples
 from revmaps.gfproj import ProjMatrix, mat_multiply
 from revmaps.groups import GroupHandle, subgroup_closure
-from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry, UnderlyingGraph, recognize_graph
+from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
 from revmaps.triples import (
     CensusScan,
     PatternCensus,
@@ -295,6 +298,64 @@ def _cell_generators(kind: str, generators) -> tuple[tuple[str, ...], tuple]:
     return ("r0", "r1", "r2"), ((b, c), (a, c), [(a, b)])
 
 
+def _isomorphic(adj_a: list[set[int]], adj_b: list[set[int]]) -> bool:
+    """Whether two simple graphs are isomorphic, by backtracking over vertex maps."""
+    n = len(adj_a)
+    if n != len(adj_b) or sorted(map(len, adj_a)) != sorted(map(len, adj_b)):
+        return False
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if used[w] or len(adj_b[w]) != len(adj_a[v]):
+                continue
+            if all((u in adj_a[v]) == (mapping[u] in adj_b[w]) for u in range(v)):
+                mapping[v], used[w] = w, True
+                if extend(v + 1):
+                    return True
+                mapping[v], used[w] = -1, False
+        return False
+
+    return extend(0)
+
+
+def oracle_graph(V: int, pairs) -> dict:
+    """The graph part of a map record, from the edge endpoint pairs alone.
+
+    The Petersen graph is matched by an explicit isomorphism with the
+    disjointness graph of the 2-subsets of a 5-set.
+    """
+    degree = [0] * V
+    for a, b in pairs:
+        degree[a] += 1
+        degree[b] += 1
+    loops = sum(a == b for a, b in pairs)
+    simple = loops == 0 and len(set(pairs)) == len(pairs)
+    adj: list[set[int]] = [set() for _ in range(V)]
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    verts = list(combinations(range(5), 2))
+    petersen = [{j for j, w in enumerate(verts) if not set(v) & set(w)} for v in verts]
+    if not simple:
+        recognized = "other"
+    elif all(len(a) == V - 1 for a in adj):
+        recognized = f"complete({V})"
+    elif _isomorphic(adj, petersen):
+        recognized = "petersen"
+    else:
+        recognized = "other"
+    return {
+        "recognized": recognized,
+        "degree_sequence": sorted(degree),
+        "loops": loops,
+        "simple": simple,
+    }
+
+
 def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[int, int]]]:
     """The map record and the sorted edge endpoint pairs of the incidence geometry.
 
@@ -350,7 +411,6 @@ def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[
         raise RuntimeError("valency or face length is not constant")
 
     pairs = sorted((vs[0], vs[-1]) for vs in edge_vertices)
-    graph = UnderlyingGraph(V, tuple(pairs))
     record = {
         "schema_version": SCHEMA_VERSION,
         "group": {**G.descriptor(), "order": G.order},
@@ -364,12 +424,7 @@ def oracle_map(G: GroupHandle, kind: str, generators) -> tuple[dict, list[tuple[
         "stabilizer_orders": stabilizers,
         "vertex_valency": valency[0],
         "face_lengths": {k: ls[0] for k, ls in lengths.items()},
-        "graph": {
-            "recognized": recognize_graph(graph),
-            "degree_sequence": list(graph.degree_sequence()),
-            "loops": graph.loop_count,
-            "simple": graph.is_simple,
-        },
+        "graph": oracle_graph(V, pairs),
     }
     return record, pairs
 

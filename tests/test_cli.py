@@ -334,6 +334,30 @@ def test_construct_bytes_are_pinned(tmp_path):
         assert got == digests, command
 
 
+def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
+    # a record is read off the cell stabilizers; only export (and the
+    # Petersen test, at ten vertices) builds the left multiplications
+    from revmaps import cli
+    from revmaps.groups import GroupHandle
+    from revmaps.mapgeom import build_revmap, map_record
+    from revmaps.triples import psl_triple
+
+    def refuse(self, h):
+        raise AssertionError("left_perm called")
+
+    monkeypatch.setattr(GroupHandle, "left_perm", refuse)
+    t = psl_triple(5, 2)
+    assert map_record(build_revmap(t.group, t))["counts"]["V"] == 6
+    args = ["--family", "pgl2", "--p", "11"]
+    rec, verdict = tmp_path / "rec.json", tmp_path / "verdict.json"
+    assert cli.main(["construct", *args, "--output", str(rec)]) == 0
+    assert json.loads(rec.read_text())["counts"]["V"] == 60
+    assert cli.main(["check", "--input", str(rec), "--output", str(verdict)]) == 0
+    assert json.loads(verdict.read_text())["verdict"] == "pass"
+    with pytest.raises(AssertionError, match="left_perm called"):
+        cli.main(["export", *args, "--output", str(tmp_path / "graph.dot")])
+
+
 def test_enumerate_and_verify_write_the_same_census(tmp_path):
     from revmaps import cli
 

@@ -1,23 +1,30 @@
-"""The permutation map builder against the incidence geometry in ``oracle.py``.
+"""The map builder against the incidence geometry in ``oracle.py``.
 
-``revmaps.mapgeom`` reads the partner maps on the flags G x {face family}
-off left multiplications; the oracle enumerates the mutually incident cell
-triples of the coset geometry, and labels those flags with coset blocks of
-its own and pairs them on keys over all of them.  Both must give the same
-record, partner maps, orientability, flag count and edge endpoints on every
-map the program builds.
+``revmaps.mapgeom`` reads a map record off the cell stabilizers and the
+generators, and the partner maps on the flags G x {face family} off left
+multiplications; the oracle enumerates the mutually incident cell triples
+of the coset geometry, labels those flags with coset blocks of its own,
+pairs them on keys over all of them, two-colours the whole flag graph and
+classifies the underlying graph by explicit isomorphism.  Both must give the
+same record, partner maps, orientability, flag count and edge endpoints on
+every map the program builds, orientable ones included.
 """
 
+import random
+from itertools import combinations
+
 import pytest
-from oracle import oracle_flag_system, oracle_map
+from oracle import oracle_flag_system, oracle_graph, oracle_map
 
 from revmaps.groups import build_group, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
+    UnderlyingGraph,
     build_regular_map,
     build_revmap,
     flag_system,
     map_record,
+    recognize_graph,
     surface_invariants,
     underlying_graph,
 )
@@ -60,15 +67,72 @@ def test_a5_pair_matches_oracle():
         _assert_matches_oracle(build_regular_map(G, *gens))
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: psl_triple(13, 2), lambda: pgl_triple(7, 0), lambda: ext_triple(7, 5, 0, 1, 0)],
-    ids=["psl2-13", "pgl2-7", "ext-7-5"],
+# every group the construct benchmark draws from: the default triple (named
+# by the group alone) and one at another point k and, in EXT, another
+# exponent pair (c1, c2) with c1 - c2 a unit mod m
+CONSTRUCT_CALLS = (
+    [
+        pytest.param(psl_triple, (p, k), id=f"psl2-{p}" + (f"-k{k}" if k != 2 else ""))
+        for p in (5, 13, 17)
+        for k in (2, p)
+    ]
+    + [
+        pytest.param(pgl_triple, (p, k), id=f"pgl2-{p}" + (f"-k{k}" if k else ""))
+        for p in (5, 7, 11, 13, 17, 19)
+        for k in (0, p)
+    ]
+    + [
+        pytest.param(ext_triple, (p, m, *kc), id=f"ext-{p}-{m}" + (f"-k{p}" if kc[0] else ""))
+        for p, m in ((7, 3), (7, 5), (7, 9), (11, 3), (11, 5))
+        for kc in ((0, 1, 0), (p, m - 1, 1))
+    ]
 )
-def test_constructed_maps_match_oracle(make):
-    # the triples construct builds by default
-    t = make()
+
+
+@pytest.mark.parametrize("make,args", CONSTRUCT_CALLS)
+def test_constructed_maps_match_oracle(make, args):
+    t = make(*args)
     _assert_matches_oracle(build_revmap(t.group, t))
+
+
+@pytest.mark.parametrize("family,p,m,idx", [("pgl2", 7, 1, (0, 7, 53)), ("ext", 7, 3, (0, 7, 389))])
+def test_orientable_maps_match_oracle(family, p, m, idx):
+    # x, y and z all lie outside the index-2 subgroup (the PSL part), so the
+    # map is orientable; the rebuilt and default constructed maps are not
+    G = build_group(family, p, m)
+    assert not any(G.in_psl_part(s) for s in idx)
+    M = build_revmap(G, make_triple(G, *idx))
+    assert map_record(M)["orientable"] is True
+    _assert_matches_oracle(M)
+
+
+def _random_cubic_graph(rng: random.Random) -> list[tuple[int, int]]:
+    """A random simple cubic graph on ten vertices, by pairing three stubs per vertex."""
+    while True:
+        stubs = [v for v in range(10) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 30, 2)}
+        if len(edges) == 15 and all(a != b for a, b in edges):
+            return sorted(edges)
+
+
+def test_graph_recognition_matches_oracle():
+    # relabelled Petersen graphs and random cubic graphs on ten vertices: the
+    # girth test in recognize_graph against an explicit isomorphism
+    rng = random.Random(0)
+    verts = list(combinations(range(5), 2))
+    petersen = [(i, j) for i, j in combinations(range(10), 2) if not set(verts[i]) & set(verts[j])]
+    seen = set()
+    for trial in range(60):
+        if trial % 2:
+            pairs = _random_cubic_graph(rng)
+        else:
+            relabel = rng.sample(range(10), 10)
+            pairs = sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in petersen)
+        got = recognize_graph(UnderlyingGraph(10, tuple(pairs)))
+        assert got == oracle_graph(10, pairs)["recognized"]
+        seen.add(got)
+    assert seen == {"petersen", "other"}
 
 
 def test_four_flags_sharing_a_vertex_and_face_are_rejected():
