@@ -12,10 +12,10 @@ Subcommands:
 Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
 3 budget exceeded, 4 internal error (a search the theory guarantees to
 succeed found nothing: a bug, not a usage error).  No command builds a
-group of more elements than the budget (--budget, or the REVMAPS_BUDGET
-environment variable); that includes the PGL(2,p) of verify's action check.
-A group over it is refused from its order formula, before any work.  --jobs
-is accepted and ignored: the scan is serial.
+group of more elements than the budget (--budget, else the REVMAPS_BUDGET
+environment variable, else 20000); that includes the PGL(2,p) of verify's
+action check.  A group over it is refused from its order formula, before
+any work.  --jobs is accepted and ignored: the scan is serial.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _env_budget(default: int) -> int:
-    raw = os.environ.get("REVMAPS_BUDGET")
-    if raw is None:
-        return default
+def _budget(flag: int | None) -> int:
+    """--budget if given, else REVMAPS_BUDGET if set, else the default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get("REVMAPS_BUDGET", str(DEFAULT_BUDGET))
     try:
         return int(raw)
     except ValueError:
@@ -77,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--k", type=int, default=None, help="point index")
             sp.add_argument("--c1", type=int, default=1)
             sp.add_argument("--c2", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        sp.add_argument("--budget", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--output", default=None)
 
@@ -99,7 +100,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="re-validate a stored map record")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=None)
     return top
 
 
@@ -247,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        args.budget = _env_budget(args.budget)
+        args.budget = _budget(args.budget)
         # check takes no --jobs
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:

@@ -1,9 +1,18 @@
 """Materialized finite groups: PSL(2,p), PGL(2,p) and (Z_m x PSL(2,p)):2.
 
-Groups at this scale (order <= ~2*10^4) are kept as complete element lists in
-a canonical sorted order, and all queries work on integer element indices,
-so handles double as lookup tables.  Handles are immutable once built and are
-cached per (family, p, m).
+All three families are one twisted product of Z_m with a matrix group M:
+M = PSL(2,p) for psl2 and PGL(2,p) otherwise, m = 1 outside ext, and
+
+    (i, g) * (j, h) = (i + eps(g)*j mod m, g*h),   eps(g) = +1 iff g in PSL,
+
+so that every element outside Z_m x PSL(2,p) inverts the cyclic factor.
+Groups at this scale (order <= ~2*10^4) keep M as its normalized matrices
+in ascending tuple order, ``mats``, and every query works on integer element
+indices: element ``e*|M| + a`` is the pair ``(e, mats[a])``, so the elements
+ascend as pairs.  Only this module knows that encoding; other modules use
+``GroupHandle.element(e, g)``, ``exponent_part``, ``matrix_part`` and
+``in_psl_part``.  Handles are immutable once built and are cached per
+(family, p, m).
 
 Element and pair orders are read off the invariant tr^2/det of the matrix
 part (see ``gfproj.projective_order``) without multiplying, so the handle
@@ -15,13 +24,6 @@ permutation g -> h*g of all element indices, computed in one sweep.  Right
 cosets Hg are the orbits of the left-multiplication permutations of H's
 generators, and conjugacy classes are the orbits of the conjugation
 permutations g -> s*g*s of a few generating involutions s.
-
-The extended family EXT realizes (Z_m x PSL(2,p)):2 inside Z_m x PGL(2,p)
-with the twisted product
-
-    (i, g) * (j, h) = (i + eps(g)*j mod m, g*h),   eps(g) = +1 iff g in PSL,
-
-so that every element outside Z_m x PSL(2,p) inverts the cyclic factor.
 """
 
 from __future__ import annotations
@@ -79,29 +81,25 @@ def group_order(family: str, p: int, m: int = 1) -> int:
 class GroupHandle:
     """A fully materialized group with index-based multiplication.
 
-    ``elements[i]`` is either a ProjMatrix (psl2/pgl2) or an
-    (exponent, ProjMatrix) pair (ext), listed in ascending tuple order.
+    Element ``e*|M| + a`` is the pair ``(e, mats[a])``: exponent e in Z_m
+    and the a-th matrix of M in ascending tuple order (see the module
+    docstring).  ``element(e, g)`` gives the index of a pair, and
+    ``exponent_part``, ``matrix_part`` and ``in_psl_part`` read one back.
     """
 
     def __init__(self, family: str, p: int, m: int):
         self.family = family
         self.p = p
         self.m = m
+        mats = all_matrices(p)
         if family == PSL2:
-            self.elements = tuple(g for g in all_matrices(p) if in_psl(g))
-        elif family == PGL2:
-            self.elements = tuple(all_matrices(p))
-        else:
-            mats = all_matrices(p)
-            self.elements = tuple((i, g) for i in range(m) for g in mats)
-        self.order = len(self.elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        if family == EXT:
-            self._psl = tuple(in_psl(g) for _, g in self.elements)
-            self.identity = self.index[(0, ProjMatrix(1, 0, 0, 1, p))]
-        else:
-            self._psl = tuple(in_psl(g) for g in self.elements)
-            self.identity = self.index[ProjMatrix(1, 0, 0, 1, p)]
+            mats = [g for g in mats if in_psl(g)]
+        self._mats = tuple(mats)
+        self._pos = {g: a for a, g in enumerate(mats)}
+        self._psl = tuple(in_psl(g) for g in mats)
+        self._width = len(mats)
+        self.order = m * self._width
+        self.identity = self.element(0, ProjMatrix(1, 0, 0, 1, p))
         self._inverses: list[int] | None = None
         self._involutions: tuple[int, ...] | None = None
         self._involution_classes: InvolutionClasses | None = None
@@ -111,43 +109,52 @@ class GroupHandle:
 
     # -- element access ----------------------------------------------------
 
+    def element(self, exp: int, g: ProjMatrix) -> int:
+        """The index of the pair (exp mod m, g); g must be a matrix of M."""
+        a = self._pos.get(g)
+        if a is None:
+            raise GroupError(f"matrix {list(g)} not in {self.family}(2,{self.p})")
+        return exp % self.m * self._width + a
+
     def matrix_part(self, i: int) -> ProjMatrix:
-        return self.elements[i][1] if self.family == EXT else self.elements[i]
+        return self._mats[i % self._width]
 
     def exponent_part(self, i: int) -> int:
-        return self.elements[i][0] if self.family == EXT else 0
+        return i // self._width
 
     def in_psl_part(self, i: int) -> bool:
-        """PSL membership of the matrix part (the twist sign for EXT)."""
-        return self._psl[i]
+        """PSL membership of the matrix part (the twist sign)."""
+        return self._psl[i % self._width]
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _twist(self, i: int, j: int) -> tuple[int, int, int]:
+        """The exponent of element i * element j and the positions of both matrix parts."""
+        e1, a = divmod(i, self._width)
+        e2, b = divmod(j, self._width)
+        return (e1 + e2 if self._psl[a] else e1 - e2) % self.m, a, b
+
     def mul(self, i: int, j: int) -> int:
-        if self.family == EXT:
-            e1, g1 = self.elements[i]
-            e2, g2 = self.elements[j]
-            e = (e1 + e2) % self.m if self._psl[i] else (e1 - e2) % self.m
-            return self.index[(e, mat_multiply(g1, g2))]
-        return self.index[mat_multiply(self.elements[i], self.elements[j])]
+        if self.m == 1:
+            # no exponent to carry: a direct lookup keeps the scans' closures
+            # as fast as in a plain matrix group
+            return self._pos[mat_multiply(self._mats[i], self._mats[j])]
+        e, a, b = self._twist(i, j)
+        return e * self._width + self._pos[mat_multiply(self._mats[a], self._mats[b])]
 
     def left_perm(self, h: int) -> list[int]:
         """The permutation g -> h*g of all element indices, in one sweep.
 
-        The products come from ``left_products`` as plain tuples and are looked
-        up in ``index`` directly.  In EXT the elements run through every
-        matrix once per exponent, so the matrix products of one exponent serve
-        all m of them, with the twist sign fixed by h.
+        The matrix products h*g over M come from ``left_products`` as plain
+        tuples and are looked up by position once; every exponent f then
+        shifts them by the block of h's exponent plus eps(h)*f.
         """
-        index = self.index
-        if self.family != EXT:
-            return [index[k] for k in left_products(self.elements[h], self.elements)]
-        e, g = self.elements[h]
-        m = self.m
-        sign = 1 if self._psl[h] else -1
-        mats = [mat for _, mat in self.elements[: self.order // m]]
-        prods = left_products(g, mats)
-        return [index[((e + sign * f) % m, k)] for f in range(m) for k in prods]
+        e, a = divmod(h, self._width)
+        sign = 1 if self._psl[a] else -1
+        pos = self._pos
+        prods = [pos[k] for k in left_products(self._mats[a], self._mats)]
+        shifts = [(e + sign * f) % self.m * self._width for f in range(self.m)]
+        return [s + b for s in shifts for b in prods]
 
     def involution_generators(self) -> list[int]:
         """A few involutions generating the group (see ``_involution_generators``).
@@ -178,37 +185,29 @@ class GroupHandle:
         cached = self._inverses[i]
         if cached >= 0:
             return cached
-        if self.family == EXT:
-            e, g = self.elements[i]
-            gi = mat_inverse(g)
-            # (i,g)^-1 = (-eps(g^-1)*i, g^-1); eps(g^-1) = eps(g)
-            ei = (-e if self._psl[i] else e) % self.m
-            j = self.index[(ei, gi)]
-        else:
-            j = self.index[mat_inverse(self.elements[i])]
+        # (e, g)^-1 = (-eps(g)*e, g^-1), as eps(g^-1) = eps(g)
+        e, a = divmod(i, self._width)
+        e = -e if self._psl[a] else e
+        j = e % self.m * self._width + self._pos[mat_inverse(self._mats[a])]
         self._inverses[i] = j
         self._inverses[j] = i
         return j
 
     def _cyclic_order(self, i: int, j: int) -> int:
-        """What the Z_m factor adds to the order of elements[i] * elements[j] (EXT).
+        """What the Z_m factor adds to the order (e, g) of element i * element j.
 
-        With the product (e, g): (e, g)^k = (k*e, g^k) when g is in PSL, so
-        the order is lcm(|g|, m/gcd(e, m)); otherwise (e, g)^2 = (0, g^2) and
-        the order is |g|.
+        When g is in PSL, (e, g)^k = (k*e, g^k), so the order is
+        lcm(|g|, m/gcd(e, m)); otherwise (e, g)^2 = (0, g^2) and it is |g|.
         """
-        (e1, _), (e2, _) = self.elements[i], self.elements[j]
-        if self._psl[i] != self._psl[j]:
-            return 1
-        e = e1 + e2 if self._psl[i] else e1 - e2
-        return self.m // math.gcd(e, self.m)
+        e, a, b = self._twist(i, j)
+        return self.m // math.gcd(e, self.m) if self._psl[a] == self._psl[b] else 1
 
     def element_order(self, i: int) -> int:
-        if self.family == EXT:
-            # elements[i] is elements[i] * identity
-            order = element_order(self.elements[i][1])
-            return math.lcm(order, self._cyclic_order(i, self.identity))
-        return element_order(self.elements[i])
+        # element i is element i * identity, so the Z_m factor is m/gcd(e, m)
+        # when the matrix part is in PSL and e != 0 (see _cyclic_order)
+        e, a = divmod(i, self._width)
+        n = element_order(self._mats[a])
+        return math.lcm(n, self.m // math.gcd(e, self.m)) if e and self._psl[a] else n
 
     def is_involution(self, i: int) -> bool:
         return self.element_order(i) == 2
@@ -231,13 +230,12 @@ class GroupHandle:
         return self._involution_classes
 
     def pair_order(self, i: int, j: int) -> int:
-        """Order of elements[i] * elements[j], from the entries of both factors."""
+        """Order of element i * element j, from the entries of both factors."""
         a, b, c, d, p = self.matrix_part(i)
         e, f, u, v, _ = self.matrix_part(j)
         n = projective_order(a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v, p)
-        if self.family == EXT:
-            n = math.lcm(n, self._cyclic_order(i, j))
-        return n
+        # with m = 1 there is no Z_m factor, and the scans skip its divmods
+        return n if self.m == 1 else math.lcm(n, self._cyclic_order(i, j))
 
     def dihedral_table(self) -> list[array]:
         """Dihedral orders 2|uv| of all pairs of involutions, by position.
@@ -249,12 +247,19 @@ class GroupHandle:
         """
         if self._dihedral is None:
             invs = self.involutions()
+            # the Z_m part of a pair order depends on the exponents and twist
+            # signs alone, so it is read once per kind of involution
+            kinds: dict[tuple[int, bool], list[int]] = {}
+            for y, v in enumerate(invs):
+                kinds.setdefault((self.exponent_part(v), self.in_psl_part(v)), []).append(y)
             rows = []
             mats = [self.matrix_part(u) for u in invs]
             for x, row in enumerate(product_orders(mats)):
-                if self.family == EXT:
-                    u = invs[x]
-                    row = [math.lcm(n, self._cyclic_order(u, v)) for n, v in zip(row, invs)]
+                for ys in kinds.values():
+                    c = self._cyclic_order(invs[x], invs[ys[0]])
+                    if c > 1:
+                        for y in ys:
+                            row[y] = math.lcm(row[y], c)
                 row[x] = 0
                 rows.append(array("H", [n + n for n in row]))
             self._dihedral = rows
@@ -283,10 +288,7 @@ class GroupHandle:
         exp = rec.get("exp", 0)
         if not isinstance(exp, int):
             raise GroupError(f"bad element record {rec}: exp must be an integer")
-        key = (exp % self.m, g) if self.family == EXT else g
-        if key not in self.index:
-            raise GroupError(f"element {rec} not in {self.family}(2,{self.p})")
-        return self.index[key]
+        return self.element(exp, g)
 
     def __repr__(self) -> str:
         return f"GroupHandle({self.family}, p={self.p}, m={self.m}, order={self.order})"
@@ -300,18 +302,23 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
 
     psl2 / pgl2 require m = 1.  ext requires p = 3 (mod 4), m odd > 1 and
     gcd(m, p) = 1.  With a budget, a group of more elements raises
-    BudgetExceeded before anything is built; this is the one place the budget
-    is checked, so every caller passes it here.  Handles are cached and
-    shared; they are immutable.
+    BudgetExceeded before anything is built, before even the primality test
+    of p (trial division, too slow for a p far over any budget); this is the
+    one place the budget is checked, so every caller passes it here.  Handles
+    are cached and shared; they are immutable.
     """
     if family not in FAMILIES:
         raise GroupError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    if not isinstance(m, int):
+        raise GroupError(f"m must be an integer, got {m!r}")
+    if isinstance(p, int):
+        n = group_order(family, p, m)
+        if budget is not None and n > budget:
+            raise BudgetExceeded(f"{family} p={p} m={m}: group order {n} exceeds budget {budget}")
     try:
         check_prime(p)
     except GFProjError as exc:
         raise GroupError(str(exc)) from exc
-    if not isinstance(m, int):
-        raise GroupError(f"m must be an integer, got {m!r}")
     if family in (PSL2, PGL2):
         if m != 1:
             raise GroupError(f"family {family} takes m = 1, got m = {m}")
@@ -324,9 +331,6 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
             raise GroupError(f"extended family needs odd m, got m = {m}")
         if math.gcd(m, p) != 1:
             raise GroupError(f"m = {m} must be coprime to p = {p}")
-    n = group_order(family, p, m)
-    if budget is not None and n > budget:
-        raise BudgetExceeded(f"{family} p={p} m={m}: group order {n} exceeds budget {budget}")
     key = (family, p, m)
     handle = _CACHE.get(key)
     if handle is None:

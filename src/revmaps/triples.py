@@ -138,7 +138,7 @@ def _triple_generates(G: GroupHandle, x: int, y: int, z: int,
         return True
     if G.family == EXT and dv == 2 * G.m * G.p:
         Gp = build_group(PGL2, G.p)
-        px, py, pz = (Gp.index[G.matrix_part(i)] for i in (x, y, z))
+        px, py, pz = (Gp.element(0, G.matrix_part(i)) for i in (x, y, z))
         dvp = 2 * Gp.pair_order(px, py)
         d1p = 2 * Gp.pair_order(px, pz)
         d2p = 2 * Gp.pair_order(py, pz)
@@ -235,9 +235,9 @@ def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> ReversingTriple:
         )
     base = pgl_triple(p, k)
     Gp = base.group
-    x = X.index[(c1 % m, Gp.elements[base.x])]
-    y = X.index[(c2 % m, Gp.elements[base.y])]
-    z = X.index[(0, Gp.elements[base.z])]
+    x = X.element(c1, Gp.matrix_part(base.x))
+    y = X.element(c2, Gp.matrix_part(base.y))
+    z = X.element(0, Gp.matrix_part(base.z))
     t = make_triple(X, x, y, z)
     if t.pattern != TriplePattern.predicted(EXT, p, m).as_tuple() or not t.generates:
         raise ConstructionError(f"malformed extended triple {t.pattern}")
@@ -263,18 +263,11 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
     else:
         Gp = build_group(PGL2, p)
         m = G.m
-        pairs = [
-            (c1, c2)
-            for c1 in range(m)
-            for c2 in range(m)
-            if math.gcd((c1 - c2) % m, m) == 1
-        ]
+        pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if math.gcd(c1 - c2, m) == 1]
         for bx, by, bz in construction_census(Gp):
-            mx, my, mz = Gp.elements[bx], Gp.elements[by], Gp.elements[bz]
-            zi = G.index[(0, mz)]
-            out.extend(
-                (G.index[(c1, mx)], G.index[(c2, my)], zi) for c1, c2 in pairs
-            )
+            mx, my = Gp.matrix_part(bx), Gp.matrix_part(by)
+            zi = G.element(0, Gp.matrix_part(bz))
+            out.extend((G.element(c1, mx), G.element(c2, my), zi) for c1, c2 in pairs)
     return sorted(set(out))
 
 

@@ -138,7 +138,7 @@ def check_pgl_action(p: int) -> bool:
     G = build_group(PGL2, p)
     pts = gfproj.all_points(p)
     # the images of the first three points, one per element
-    images = [tuple(gfproj.act(mat, pt) for pt in pts[:3]) for mat in G.elements]
+    images = [tuple(gfproj.act(G.matrix_part(g), pt) for pt in pts[:3]) for g in range(G.order)]
     if len(set(images)) != G.order:
         return False
 
@@ -153,7 +153,7 @@ def check_pgl_action(p: int) -> bool:
 
     for g in range(G.order):
         if G.element_order(g) == p + 1:
-            mat = G.elements[g]
+            mat = G.matrix_part(g)
             orbit = {pts[0]}
             x = pts[0]
             for _ in range(p + 1):
@@ -166,7 +166,7 @@ def check_pgl_action(p: int) -> bool:
     outside = []
     invs = G.involutions()
     for i in invs:
-        fixed = len(gfproj.fixed_points(G.elements[i]))
+        fixed = len(gfproj.fixed_points(G.matrix_part(i)))
         if G.in_psl_part(i):
             inside.append(i)
             if p % 4 == 1 and fixed != 2:
@@ -251,9 +251,8 @@ def _membership_split_ok(G: GroupHandle, triples) -> bool:
                 G.in_psl_part(x) == inside_xy
                 and G.in_psl_part(y) == inside_xy
                 and G.in_psl_part(z) != inside_xy
+                and G.exponent_part(z) == 0
             )
-            if G.family == EXT:
-                ok = ok and G.exponent_part(z) == 0
         if not ok:
             return False
     return True

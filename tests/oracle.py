@@ -11,6 +11,10 @@ documented rule, written out here on elements.
 Element and pair orders come from repeated multiplication, not from the
 closed form in ``gfproj.projective_order``.
 
+The group part builds the elements of each family as (exponent, matrix)
+pairs and multiplies them by the twisted product of the ``revmaps.groups``
+docstring, with no use of the handle's index encoding.
+
 The map part builds a map as a coset incidence geometry, the way the paper
 states it: cells are coset blocks, two cells are incident iff their cosets
 meet, the flags are the mutually incident (vertex, edge, face) triples, and
@@ -30,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from revmaps import triples
-from revmaps.gfproj import ProjMatrix, mat_multiply
+from revmaps.gfproj import ProjMatrix, all_matrices, in_psl, mat_multiply
 from revmaps.groups import GroupHandle, subgroup_closure
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
 from revmaps.triples import (
@@ -49,6 +53,38 @@ def oracle_matrix_order(g: ProjMatrix) -> int:
         acc = mat_multiply(acc, g)
         n += 1
     return n
+
+
+Pair = tuple[int, ProjMatrix]
+
+
+def oracle_elements(family: str, p: int, m: int) -> list[Pair]:
+    """The family's group as ascending (exponent, matrix) pairs.
+
+    The matrix part runs over PSL(2,p) for psl2 and PGL(2,p) otherwise, the
+    exponent over Z_m.
+    """
+    mats = [g for g in all_matrices(p) if family != "psl2" or in_psl(g)]
+    return sorted((e, g) for e in range(m) for g in mats)
+
+
+def oracle_product(x: Pair, y: Pair, m: int) -> Pair:
+    """(i, g) * (j, h) = (i + eps(g)*j mod m, g*h), eps(g) = +1 iff g in PSL."""
+    (i, g), (j, h) = x, y
+    return ((i + j if in_psl(g) else i - j) % m, mat_multiply(g, h))
+
+
+def oracle_twisted_orders(pairs: list[Pair], m: int) -> dict[Pair, int]:
+    """The order of every pair, by repeated twisted multiplication."""
+    ident = (0, ProjMatrix(1, 0, 0, 1, pairs[0][1].p))
+    orders = {}
+    for x in pairs:
+        n, acc = 1, x
+        while acc != ident:
+            acc = oracle_product(acc, x, m)
+            n += 1
+        orders[x] = n
+    return orders
 
 
 @lru_cache(maxsize=None)

@@ -85,10 +85,10 @@ def test_criterion_4_psl213(matrix_reports):
     everything = oracle_expand(G, scan.qualifying[0].triples)
     assert len(everything) == scan.qualifying[0].raw_triples == 13104
     for x, y, z in everything:
-        fx = set(fixed_points(G.elements[x]))
-        fy = set(fixed_points(G.elements[y]))
+        fx = set(fixed_points(G.matrix_part(x)))
+        fy = set(fixed_points(G.matrix_part(y)))
         assert fx & fy
-        assert len(fixed_points(G.elements[z])) == 2
+        assert len(fixed_points(G.matrix_part(z))) == 2
     assert durations[("psl2", 13, 1)] < 300.0
     _announce(4, f"PSL(2,13): chi=-335, {len(everything)} triples all in standard form")
 

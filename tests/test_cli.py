@@ -81,6 +81,39 @@ def test_budget_env_override():
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("env,flag,code", [("10000", "100", 3), ("100", "10000", 0)])
+def test_budget_flag_beats_env(monkeypatch, tmp_path, env, flag, code):
+    # PGL(2,7) has 336 elements: only the flag decides whether it fits
+    from revmaps import cli
+
+    monkeypatch.setenv("REVMAPS_BUDGET", env)
+    args = ["construct", "--family", "pgl2", "--p", "7", "--budget", flag]
+    assert cli.main([*args, "--output", str(tmp_path / "rec.json")]) == code
+
+
+def test_a_huge_p_is_refused_before_its_primality_test(monkeypatch, tmp_path, capsys):
+    # trial division of these p would run for hours; the order formula is instant
+    from revmaps import cli, gfproj
+
+    def must_not_test(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(gfproj, "is_prime", must_not_test)
+    huge = "1000000000000000000000007"
+    assert cli.main(["construct", "--family", "psl2", "--p", huge]) == 3
+    assert cli.main(["enumerate", "--family", "pgl2", "--p", "100000000000000000039"]) == 3
+    record = tmp_path / "rec.json"
+    triple = {"x": 0, "y": 0, "z": 0}
+    record.write_text(json.dumps({"group": {"family": "psl2", "p": int(huge)}, "triple": triple}))
+    assert cli.main(["check", "--input", str(record)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("exceeds budget 20000") == 3
+    # a p that fits the budget still gets the primality test
+    monkeypatch.undo()
+    assert cli.main(["construct", "--family", "psl2", "--p", "25"]) == 1
+    assert "prime" in capsys.readouterr().err
+
+
 def test_export_dot():
     r = run_cli("export", "--family", "psl2", "--p", "5", "--k", "2")
     assert r.returncode == 0

@@ -5,9 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import oracle_conjugacy_class
+from oracle import oracle_conjugacy_class, oracle_elements, oracle_product, oracle_twisted_orders
 
-from revmaps.gfproj import proj_matrix
+from revmaps.gfproj import in_psl, proj_matrix
 from revmaps.groups import (
     GroupError,
     SubgroupHandle,
@@ -47,8 +47,44 @@ def test_small_group_closed_under_multiplication():
 
 @pytest.mark.parametrize("family,p,m", [("psl2", 5, 1), ("pgl2", 7, 1), ("ext", 7, 3)])
 def test_elements_are_sorted_and_distinct(family, p, m):
+    # class reps, and so the output bytes, are read off this order
     G = build_group(family, p, m)
-    assert list(G.elements) == sorted(set(G.elements))
+    pairs = [(G.exponent_part(i), G.matrix_part(i)) for i in range(G.order)]
+    assert pairs == sorted(set(pairs))
+    assert all(G.element(e, g) == i for i, (e, g) in enumerate(pairs))
+
+
+# every element on the three small groups; on ext 11 3 a stride of rows and
+# of columns, every column of the strided rows for left_perm
+@pytest.mark.parametrize(
+    "family,p,m,step",
+    [("psl2", 5, 1, 1), ("pgl2", 7, 1, 1), ("ext", 7, 3, 1), ("ext", 11, 3, 37)],
+)
+def test_arithmetic_matches_twisted_product_oracle(family, p, m, step):
+    G = build_group(family, p, m)
+    pairs = oracle_elements(family, p, m)
+    assert len(pairs) == G.order
+    at = {x: i for i, x in enumerate(pairs)}
+    orders = oracle_twisted_orders(pairs, m)
+    for h in range(0, G.order, step):
+        x = pairs[h]
+        assert (G.exponent_part(h), G.matrix_part(h)) == x
+        assert G.in_psl_part(h) == in_psl(x[1])
+        row = [at[oracle_product(x, y, m)] for y in pairs]
+        assert G.left_perm(h) == row
+        assert G.inv(h) == row.index(G.identity)
+        assert G.element_order(h) == orders[x]
+        for g in range(0, G.order, step):
+            assert G.mul(h, g) == row[g]
+            assert G.pair_order(h, g) == orders[pairs[row[g]]]
+
+
+def test_element_rejects_a_matrix_outside_the_matrix_part():
+    G = build_group("psl2", 7)
+    with pytest.raises(GroupError):
+        G.element(0, proj_matrix(3, 0, 0, 1, 7))  # det 3 is no square mod 7
+    X = build_group("ext", 7, 3)
+    assert X.element(4, proj_matrix(3, 0, 0, 1, 7)) == X.element(1, proj_matrix(3, 0, 0, 1, 7))
 
 
 def test_extended_group_closed_under_multiplication():
@@ -211,8 +247,8 @@ def test_closure_of_identity_is_trivial():
 def test_closure_of_point_stabilizer_generators():
     # unipotent of order 13 with a diagonal of order 6 close to Z13 : Z6
     G = build_group("psl2", 13)
-    u = G.index[proj_matrix(1, 1, 0, 1, 13)]
-    dgn = G.index[proj_matrix(1, 0, 0, 4, 13)]
+    u = G.element(0, proj_matrix(1, 1, 0, 1, 13))
+    dgn = G.element(0, proj_matrix(1, 0, 0, 4, 13))
     assert (G.element_order(u), G.element_order(dgn)) == (13, 6)
     sub = subgroup_closure(G, [u, dgn])
     assert sub.order == 78
@@ -265,7 +301,7 @@ def test_coset_partition_rejects_foreign_subgroup():
 
 def test_cosets_reject_members_not_closed():
     G = build_group("psl2", 5)
-    u = G.index[proj_matrix(1, 1, 0, 1, 5)]  # order 5: {1, u} is no subgroup
+    u = G.element(0, proj_matrix(1, 1, 0, 1, 5))  # order 5: {1, u} is no subgroup
     with pytest.raises(GroupError, match="not closed"):
         right_cosets(G, SubgroupHandle(G, (G.identity, u)))
 
@@ -334,8 +370,8 @@ def test_conjugacy_classes_match_full_sweep(family, p, m):
 
 def test_ext_twist_inverts_the_cyclic_factor():
     X = build_group("ext", 7, 3)
-    c = X.index[(1, proj_matrix(1, 0, 0, 1, 7))]
-    c_inv = X.index[(2, proj_matrix(1, 0, 0, 1, 7))]
+    c = X.element(1, proj_matrix(1, 0, 0, 1, 7))
+    c_inv = X.element(2, proj_matrix(1, 0, 0, 1, 7))
     for g in range(X.order):
         conj = X.mul(X.mul(X.inv(g), c), g)
         if X.in_psl_part(g):

@@ -51,12 +51,12 @@ def test_anchor_involution_is_unique_in_two_point_stabilizer():
     G = build_group("psl2", 5)
     z = two_point_stabilizer_involution(G)
     pts = all_points(5)
-    mat = G.elements[z]
+    mat = G.matrix_part(z)
     assert act(mat, pts[0]) == pts[0] and act(mat, pts[1]) == pts[1]
     others = [
         i
         for i in G.involutions()
-        if act(G.elements[i], pts[0]) == pts[0] and act(G.elements[i], pts[1]) == pts[1]
+        if act(G.matrix_part(i), pts[0]) == pts[0] and act(G.matrix_part(i), pts[1]) == pts[1]
     ]
     assert others == [z]
 
@@ -65,10 +65,10 @@ def test_psl_members_fix_the_chosen_point():
     t = psl_triple(13, 4)
     G = t.group
     delta = all_points(13)[4]
-    assert act(G.elements[t.x], delta) == delta
-    assert act(G.elements[t.y], delta) == delta
+    assert act(G.matrix_part(t.x), delta) == delta
+    assert act(G.matrix_part(t.y), delta) == delta
     # z stabilizes a point pair: exactly two fixed points
-    assert len(fixed_points(G.elements[t.z])) == 2
+    assert len(fixed_points(G.matrix_part(t.z))) == 2
 
 
 # -- construction over PGL(2,p) -----------------------------------------------------
@@ -125,8 +125,8 @@ def test_enumeration_psl25_nonempty_and_pairs_share_a_point():
     triples = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))
     assert triples
     for x, y, _ in triples:
-        fx = set(fixed_points(G.elements[x]))
-        fy = set(fixed_points(G.elements[y]))
+        fx = set(fixed_points(G.matrix_part(x)))
+        fy = set(fixed_points(G.matrix_part(y)))
         assert fx & fy
 
 
