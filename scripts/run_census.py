@@ -7,8 +7,11 @@ with one line per configuration.
 
     python scripts/run_census.py --out out/ [--budget B]
 
-Exit codes as for ``revmaps``: 0 pass, 2 a failed verdict, and with one
-``error:`` line 3 over the budget and 1 when the reports cannot be written.
+The size budget is resolved as for ``revmaps``: --budget, else the
+REVMAPS_BUDGET environment variable, else 20000.  Exit codes as for
+``revmaps``: 0 pass, 2 a failed verdict, and with one ``error:`` line 3 over
+the budget, 4 an internal error (a search the theory guarantees to succeed
+found nothing) and 1 a bad budget or reports that cannot be written.
 """
 
 import argparse
@@ -16,21 +19,16 @@ import sys
 import time
 from pathlib import Path
 
-from revmaps.cli import EXIT_BUDGET, EXIT_USAGE
-from revmaps.groups import DEFAULT_BUDGET, BudgetExceeded
+from revmaps.cli import resolve_budget, run_guarded
 from revmaps.verify import report_json, run_verify_matrix
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args()
-    try:
-        return _run(Path(args.out), args.budget)
-    except (BudgetExceeded, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_USAGE
+    return run_guarded(lambda: _run(Path(args.out), resolve_budget(args.budget)))
 
 
 def _run(out: Path, budget: int) -> int:

@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .groups import DEFAULT_BUDGET, FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
 from .mapgeom import (
@@ -35,14 +36,7 @@ from .mapgeom import (
     to_dot,
     underlying_graph,
 )
-from .triples import (
-    ConstructionError,
-    ext_triple,
-    make_triple,
-    pgl_triple,
-    psl_triple,
-    scan_reversing_census,
-)
+from .triples import ConstructionError, ext_triple, pgl_triple, psl_triple, scan_reversing_census
 from .verify import census_json, check_coprime, report_json, verify_theorem
 
 EXIT_OK = 0
@@ -52,7 +46,7 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _budget(flag: int | None) -> int:
+def resolve_budget(flag: int | None) -> int:
     """--budget if given, else REVMAPS_BUDGET if set, else the default."""
     if flag is not None:
         return flag
@@ -119,7 +113,7 @@ def _build_map(args: argparse.Namespace) -> MapGeometry:
     # surface parameter errors, and a group over the budget, before any work
     build_group(args.family, args.p, args.m, budget=args.budget)
     t = _construct_triple(args)
-    return build_revmap(t.group, t)
+    return build_revmap(t.group, *t.indices())
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -221,9 +215,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     desc = rec["group"]
     G = build_group(desc["family"], desc["p"], desc.get("m", 1), budget=args.budget)
     idx = tuple(G.element_from_json(rec["triple"][n]) for n in ("x", "y", "z"))
-    t = make_triple(G, *idx)
-    M = build_revmap(G, t)
-    fresh = map_record(M)
+    fresh = map_record(build_revmap(G, *idx))
     # the stored record went through JSON, so compare the fresh one in that form
     same = json.loads(json.dumps(fresh)) == rec
     verdict = {"verdict": "pass" if same else "fail", "recomputed": fresh}
@@ -240,6 +232,20 @@ _COMMANDS = {
 }
 
 
+def run_guarded(work: Callable[[], int]) -> int:
+    """work()'s exit code, or one ``error:`` line on stderr and the code of what it raised."""
+    try:
+        return work()
+    except BudgetExceeded as exc:
+        code, message = EXIT_BUDGET, exc
+    except ConstructionError as exc:
+        code, message = EXIT_INTERNAL, exc
+    except (GroupError, MapError, OSError, KeyError, ValueError) as exc:
+        code, message = EXIT_USAGE, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
@@ -247,22 +253,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        args.budget = _budget(args.budget)
+
+    def work() -> int:
+        args.budget = resolve_budget(args.budget)
         # check takes no --jobs
         jobs = getattr(args, "jobs", 1)
         if jobs < 1:
             raise GroupError(f"--jobs must be >= 1, got {jobs}")
         return _COMMANDS[args.command](args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (GroupError, MapError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+    return run_guarded(work)
 
 
 if __name__ == "__main__":

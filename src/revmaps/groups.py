@@ -19,6 +19,10 @@ part (see ``gfproj.projective_order``) without multiplying, so the handle
 keeps no per-element or per-pair memo.  The only quadratic table is the
 dihedral table of the involutions, built on first use by the census scans.
 
+Whether elements generate the group is asked of ``generates`` alone: an lcm
+of element and dihedral orders, then in ext a projection to PGL(2,p), and
+only then a closure.
+
 Bulk questions go through one kernel, ``GroupHandle.left_perm``: the
 permutation g -> h*g of all element indices, computed in one sweep.  Right
 cosets Hg are the orbits of the left-multiplication permutations of H's
@@ -419,7 +423,7 @@ def _involution_generators(G: GroupHandle) -> list[int]:
     orders divides; once it reaches |G| they generate G.  Each step adds the
     involution that raises the lcm most.  The lcm can stall below |G| (in
     psl2 with p = 3 mod 4 no product of two involutions has order p); then
-    involutions are added until a closure test confirms generation.
+    involutions are added until ``generates`` confirms generation.
     """
     invs = G.involutions()
     chosen = [invs[0]]
@@ -532,14 +536,28 @@ def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> SubgroupHandle:
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
-    """True iff the closure of gens is the whole group.
+    """True iff gens generate the whole group; the one generation test.
 
-    Any proper subgroup has at most half the elements, so the breadth first
-    closure stops as soon as it passes |G|/2.
+    Three checks, in order.  First, the order of each generator and the
+    dihedral order 2|uv| of each pair of involution generators divide
+    |<gens>|, so an lcm of |G| settles it.  Second, in ext, a pair of
+    involutions with |uv| = m*p has uv = (e, g) with |g| = p and e a unit,
+    so (uv)^p = (p*e, 1) generates all of Z_m; then gens generate G iff
+    their matrix parts generate G/Z_m = PGL(2,p), which is tested there.
+    Last, the closure: any proper subgroup has at most half the elements,
+    so it stops as soon as it passes |G|/2.
     """
     gens = sorted(set(gens))
     if not gens:
         return False
+    orders = [G.element_order(g) for g in gens]
+    invs = [g for g, n in zip(gens, orders) if n == 2]
+    pairs = [G.pair_order(u, v) for k, u in enumerate(invs) for v in invs[k + 1 :]]
+    if math.lcm(*orders, *(n + n for n in pairs)) == G.order:
+        return True
+    if G.family == EXT and G.m * G.p in pairs:
+        Gp = build_group(PGL2, G.p)
+        return generates(Gp, [Gp.element(0, G.matrix_part(g)) for g in gens])
     closed = _closure(G, gens, stop_above=G.order // 2)
     return closed is None or len(closed) == G.order
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import GroupHandle, SubgroupHandle, generates, right_cosets, subgroup_closure
-from .triples import ReversingTriple
 
 # the version of the record and report layout written by every writer
 SCHEMA_VERSION = 2
@@ -100,27 +99,33 @@ def _assemble(G: GroupHandle, kind: str, generators: tuple[int, ...]) -> MapGeom
     return MapGeometry(G, kind, generators, tuple(frozenset(sub.members) for sub in subs))
 
 
-def build_revmap(G: GroupHandle, t: ReversingTriple) -> MapGeometry:
-    """Coset geometry of a generating reversing triple."""
-    if not t.generates:
-        raise MapError("the triple does not generate the group")
-    return _assemble(G, "reversing", t.indices())
+def _checked(G: GroupHandle, kind: str, generators: tuple[int, int, int]) -> MapGeometry:
+    """The geometry of three distinct involutions generating G, else a MapError.
+
+    The two ends r0, r2 of a flag-regular triple must also commute.
+    """
+    if len(set(generators)) < 3 or not all(map(G.is_involution, generators)):
+        raise MapError("the generators are not three distinct involutions")
+    r0, _, r2 = generators
+    if kind == "flag_regular" and not G.is_involution(G.mul(r0, r2)):
+        raise MapError("r0 and r2 must commute")
+    if not generates(G, generators):
+        raise MapError("the generators do not generate the group")
+    return _assemble(G, kind, generators)
+
+
+def build_revmap(G: GroupHandle, x: int, y: int, z: int) -> MapGeometry:
+    """Coset geometry of a reversing triple: three distinct involutions generating G."""
+    return _checked(G, "reversing", (x, y, z))
 
 
 def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
     """Coset geometry of a flag-regular generator triple.
 
-    r0, r1, r2 must be involutions generating G with r0 and r2 commuting;
-    the flag count then equals |G|.
+    r0, r1, r2 must be distinct involutions generating G with r0 and r2
+    commuting; the flag count then equals |G|.
     """
-    for r in (r0, r1, r2):
-        if not G.is_involution(r):
-            raise MapError("flag-regular generators must be involutions")
-    if G.mul(r0, r2) == G.identity or not G.is_involution(G.mul(r0, r2)):
-        raise MapError("r0 and r2 must be distinct commuting involutions")
-    if not generates(G, {r0, r1, r2}):
-        raise MapError("generators do not generate the group")
-    return _assemble(G, "flag_regular", (r0, r1, r2))
+    return _checked(G, "flag_regular", (r0, r1, r2))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Reversing triples: constructions, exhaustive enumeration, conjugacy classes.
 
 A reversing triple for a group G is an ordered triple (x, y, z) of distinct
-involutions generating G; it carries the multiset of the three dihedral orders
-|<x,y>|, |<x,z>|, |<y,z>|.  The classified families have slotted patterns
+involutions generating G, as ``groups.generates`` decides; it carries the
+multiset of the three dihedral orders |<x,y>|, |<x,z>|, |<y,z>|.  The
+classified families have slotted patterns
 
     psl2 (p = 1 mod 4):  (2p,   p+1,    p-1)
     pgl2:                (2p,   2(p+1), 2(p-1))
@@ -125,36 +126,11 @@ def cyclic_subgroup_involution(G: GroupHandle, generator: int) -> int:
     return acc
 
 
-def _triple_generates(G: GroupHandle, x: int, y: int, z: int,
-                      dv: int, d1: int, d2: int) -> bool:
-    """Generation test for an involution triple with known dihedral orders.
-
-    The three dihedral orders all divide |<x,y,z>|, so when their lcm is the
-    whole group order, generation is automatic.  In the extended family a
-    vertex order 2mp forces the full cyclic factor into the closure (the
-    p-th power of xy generates it), leaving only the matrix parts to check.
-    """
-    if math.lcm(dv, d1, d2) == G.order:
-        return True
-    if G.family == EXT and dv == 2 * G.m * G.p:
-        Gp = build_group(PGL2, G.p)
-        px, py, pz = (Gp.element(0, G.matrix_part(i)) for i in (x, y, z))
-        dvp = 2 * Gp.pair_order(px, py)
-        d1p = 2 * Gp.pair_order(px, pz)
-        d2p = 2 * Gp.pair_order(py, pz)
-        if math.lcm(dvp, d1p, d2p) == Gp.order:
-            return True
-        return generates(Gp, {px, py, pz})
-    return generates(G, {x, y, z})
-
-
 def make_triple(G: GroupHandle, x: int, y: int, z: int) -> ReversingTriple:
     dv = 2 * G.pair_order(x, y)
     d1 = 2 * G.pair_order(x, z)
     d2 = 2 * G.pair_order(y, z)
-    return ReversingTriple(
-        G, x, y, z, (dv, d1, d2), _triple_generates(G, x, y, z, dv, d1, d2)
-    )
+    return ReversingTriple(G, x, y, z, (dv, d1, d2), generates(G, (x, y, z)))
 
 
 # -- the three constructions --------------------------------------------------
@@ -298,7 +274,8 @@ def enumerate_reversing_triples(
     with z, and x is the least member of its involution class.  Every
     triple realizing the pattern is conjugate to one of these, so
     ``triple_conjugacy_classes`` of the fibers gives every class of the
-    pattern with its full size.  Every returned triple generates G.
+    pattern with its full size.  Every returned triple generates G
+    (``groups.generates``).
     """
     dv, d1, d2 = pattern.as_tuple()
     invs = G.involutions()
@@ -313,7 +290,7 @@ def enumerate_reversing_triples(
             (x, invs[j], invs[k])
             for j in ys
             for k in zs
-            if table[j][k] == d2 and _triple_generates(G, x, invs[j], invs[k], dv, d1, d2)
+            if table[j][k] == d2 and generates(G, (x, invs[j], invs[k]))
         )
     return out
 
@@ -456,13 +433,13 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
 
     Covers every unordered triple of distinct involutions (each stands for
     all six orderings), keeps those whose cell counts give gcd(chi, |E|) = 1
-    and which generate G, and groups them by dihedral pattern with conjugacy
-    class representatives.  Only the triples through one involution per
-    class are scanned; the rest are their conjugates.  A slotted hit is kept
-    where the rep plays x, and its pattern is counted from the orbit sizes
-    of its classes.  An unslotted hit, whose roles follow element indices
-    and so do not commute with conjugation, is kept as an unordered set,
-    expanded over its class, and then given its roles.
+    and which generate G (``groups.generates``), and groups them by dihedral
+    pattern with conjugacy class representatives.  Only the triples through
+    one involution per class are scanned; the rest are their conjugates.  A
+    slotted hit is kept where the rep plays x, and its pattern is counted
+    from the orbit sizes of its classes.  An unslotted hit, whose roles
+    follow element indices and so do not commute with conjugation, is kept
+    as an unordered set, expanded over its class, and then given its roles.
     """
     invs = G.involutions()
     table = G.dihedral_table()
@@ -487,7 +464,7 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
                 # where it is
                 if slotted_hit and u != r:
                     continue
-                if _triple_generates(G, invs[u], invs[v], invs[w], *pat):
+                if generates(G, (invs[u], invs[v], invs[w])):
                     if slotted_hit:
                         fibers.setdefault(pat, []).append((invs[u], invs[v], invs[w]))
                     else:

@@ -35,7 +35,6 @@ from .mapgeom import (
 from .triples import (
     CensusScan,
     ConstructionError,
-    ReversingTriple,
     TriplePattern,
     construction_census,
     enumerate_reversing_triples,
@@ -322,7 +321,7 @@ def verify_theorem(
     for census in scan.qualifying:
         reps = census.classes or census.triples[:1]
         for rep in reps:
-            M = build_revmap(G, ReversingTriple(G, *rep, census.pattern, True))
+            M = build_revmap(G, *rep)
             rec = _checked_record(M)
             maps.append(rec)
             maps_ok &= (

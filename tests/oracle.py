@@ -35,14 +35,9 @@ from itertools import combinations
 
 from revmaps import triples
 from revmaps.gfproj import ProjMatrix, all_matrices, in_psl, mat_multiply
-from revmaps.groups import GroupHandle, subgroup_closure
+from revmaps.groups import GroupHandle, generates, subgroup_closure
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
-from revmaps.triples import (
-    CensusScan,
-    PatternCensus,
-    TriplePattern,
-    _triple_generates,
-)
+from revmaps.triples import CensusScan, PatternCensus, TriplePattern
 
 
 def oracle_matrix_order(g: ProjMatrix) -> int:
@@ -139,7 +134,7 @@ def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[tuple[int, 
                     continue
                 if table[a][c] != d1 or table[b][c] != d2:
                     continue
-                if _triple_generates(G, x, y, z, dv, d1, d2):
+                if generates(G, (x, y, z)):
                     out.append((x, y, z))
     return out
 
@@ -227,7 +222,7 @@ def oracle_scan(G: GroupHandle) -> CensusScan:
                     continue
                 (x, y, z), slotted = oracle_roles(G, (invs[a], invs[b], invs[c]))
                 pat = tuple(2 * oracle_pair_order(G, u, v) for u, v in ((x, y), (x, z), (y, z)))
-                if not _triple_generates(G, x, y, z, *pat):
+                if not generates(G, (x, y, z)):
                     continue
                 by_pattern.setdefault(pat, []).append((x, y, z))
                 slot_ok[pat] = slot_ok.get(pat, True) and slotted

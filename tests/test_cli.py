@@ -202,21 +202,48 @@ def test_run_census_writes_the_matrix_report(monkeypatch, tmp_path, capsys):
 
 
 def test_run_census_errors_are_one_line(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     script = [sys.executable, str(ROOT / "scripts" / "run_census.py")]
     taken = tmp_path / "taken"
     taken.write_text("")
     fresh = tmp_path / "out"
-    for args, code in (
-        (["--budget", "100", "--out", str(fresh)], 3),
-        (["--out", str(taken)], 1),
+    for args, budget_env, code in (
+        (["--budget", "100", "--out", str(fresh)], None, 3),
+        (["--out", str(taken)], None, 1),
+        (["--out", str(fresh)], "10", 3),
+        (["--out", str(fresh)], "abc", 1),
     ):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("REVMAPS_BUDGET", None)
+        if budget_env is not None:
+            env["REVMAPS_BUDGET"] = budget_env
         r = subprocess.run([*script, *args], capture_output=True, text=True, env=env, timeout=300)
-        assert r.returncode == code, args
-        assert r.stderr.startswith("error:"), args
-        assert len(r.stderr.strip().splitlines()) == 1, args
-    # the refused run left no directory behind
-    assert not fresh.exists()
+        assert r.returncode == code, (args, budget_env)
+        assert r.stderr.startswith("error:"), (args, budget_env)
+        assert len(r.stderr.strip().splitlines()) == 1, (args, budget_env)
+        # a refused run leaves no directory behind
+        assert not fresh.exists()
+
+
+def test_run_census_construction_error_exits_four(monkeypatch, tmp_path, capsys):
+    import importlib.util
+
+    import revmaps.verify as verify
+    from revmaps.triples import ConstructionError
+
+    def no_construction(G):
+        raise ConstructionError("no qualifying involutions over point [0:1]")
+
+    monkeypatch.setattr(verify, "VERIFY_MATRIX", (("psl2", 5, 1),))
+    monkeypatch.setattr(verify, "construction_census", no_construction)
+    spec = importlib.util.spec_from_file_location("run_census", ROOT / "scripts" / "run_census.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_census.py", "--out", str(out)])
+    assert script.main() == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: no qualifying involutions") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_identical_runs_identical_bytes():
@@ -233,6 +260,8 @@ def test_worker_count_never_changes_output():
 
 
 def test_check_rejects_malformed_records(tmp_path):
+    from revmaps.triples import psl_triple
+
     cases = {
         "list.json": "[1, 2]",
         "no_group.json": json.dumps({"triple": {}}),
@@ -256,6 +285,17 @@ def test_check_rejects_malformed_records(tmp_path):
             }
         ),
     }
+    # a well-formed record of psl2 5 whose triple is not three distinct involutions:
+    # z of order p, or y equal to x
+    t = psl_triple(5, 2)
+    good = {n: t.group.element_json(i) for n, i in zip("xyz", t.indices())}
+    group = {"family": "psl2", "p": 5}
+    not_involutions = {
+        "order_p_z.json": {**good, "z": {"mat": [1, 1, 0, 1], "p": 5}},
+        "y_is_x.json": {**good, "y": good["x"]},
+    }
+    for name, triple in not_involutions.items():
+        cases[name] = json.dumps({"group": group, "triple": triple})
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -265,6 +305,8 @@ def test_check_rejects_malformed_records(tmp_path):
         assert len(r.stderr.strip().splitlines()) == 1, name
         if name == "no_mat.json":
             assert r.stderr.startswith("error: bad element record") and "'mat'" in r.stderr
+        if name in not_involutions:
+            assert r.stderr == "error: the generators are not three distinct involutions\n"
 
 
 def test_output_identical_across_hash_seeds_and_jobs():
@@ -380,7 +422,7 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
 
     monkeypatch.setattr(GroupHandle, "left_perm", refuse)
     t = psl_triple(5, 2)
-    assert map_record(build_revmap(t.group, t))["counts"]["V"] == 6
+    assert map_record(build_revmap(t.group, *t.indices()))["counts"]["V"] == 6
     args = ["--family", "pgl2", "--p", "11"]
     rec, verdict = tmp_path / "rec.json", tmp_path / "verdict.json"
     assert cli.main(["construct", *args, "--output", str(rec)]) == 0

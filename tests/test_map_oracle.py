@@ -16,10 +16,11 @@ from itertools import combinations
 import pytest
 from oracle import oracle_flag_system, oracle_graph, oracle_map
 
-from revmaps.groups import build_group, subgroup_closure
+from revmaps.groups import build_group, generates, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,
+    _assemble,
     build_regular_map,
     build_revmap,
     flag_system,
@@ -28,14 +29,7 @@ from revmaps.mapgeom import (
     surface_invariants,
     underlying_graph,
 )
-from revmaps.triples import (
-    ReversingTriple,
-    ext_triple,
-    make_triple,
-    pgl_triple,
-    psl_triple,
-    scan_reversing_census,
-)
+from revmaps.triples import ext_triple, pgl_triple, psl_triple, scan_reversing_census
 from revmaps.verify import VERIFY_MATRIX, a5_exceptional_case
 
 
@@ -56,7 +50,7 @@ def test_rebuilt_maps_match_oracle(family, p, m):
     G = build_group(family, p, m)
     for census in scan_reversing_census(G).qualifying:
         for rep in census.classes or census.triples[:1]:
-            _assert_matches_oracle(build_revmap(G, ReversingTriple(G, *rep, census.pattern, True)))
+            _assert_matches_oracle(build_revmap(G, *rep))
 
 
 def test_a5_pair_matches_oracle():
@@ -92,7 +86,7 @@ CONSTRUCT_CALLS = (
 @pytest.mark.parametrize("make,args", CONSTRUCT_CALLS)
 def test_constructed_maps_match_oracle(make, args):
     t = make(*args)
-    _assert_matches_oracle(build_revmap(t.group, t))
+    _assert_matches_oracle(build_revmap(t.group, *t.indices()))
 
 
 @pytest.mark.parametrize("family,p,m,idx", [("pgl2", 7, 1, (0, 7, 53)), ("ext", 7, 3, (0, 7, 389))])
@@ -101,7 +95,7 @@ def test_orientable_maps_match_oracle(family, p, m, idx):
     # map is orientable; the rebuilt and default constructed maps are not
     G = build_group(family, p, m)
     assert not any(G.in_psl_part(s) for s in idx)
-    M = build_revmap(G, make_triple(G, *idx))
+    M = build_revmap(G, *idx)
     assert map_record(M)["orientable"] is True
     _assert_matches_oracle(M)
 
@@ -145,7 +139,9 @@ def test_four_flags_sharing_a_vertex_and_face_are_rejected():
     vertex = set(subgroup_closure(G, (x, y)).members)
     assert len(vertex & set(subgroup_closure(G, (x, z)).members)) == 4
     assert z not in vertex  # the vertex partners pass
-    M = build_revmap(G, ReversingTriple(G, x, y, z, make_triple(G, x, y, z).pattern, True))
+    # the triple does not generate PSL(2,7), so build_revmap would refuse it first
+    assert not generates(G, (x, y, z))
+    M = _assemble(G, "reversing", (x, y, z))
     for build in (flag_system, oracle_flag_system):
         with pytest.raises(MapError, match="more than two flags share all but their edge"):
             build(M)

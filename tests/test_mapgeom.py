@@ -6,6 +6,7 @@ from revmaps.groups import build_group, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,
+    _assemble,
     build_regular_map,
     build_revmap,
     flag_system,
@@ -15,7 +16,7 @@ from revmaps.mapgeom import (
     to_dot,
     underlying_graph,
 )
-from revmaps.triples import ReversingTriple, make_triple, ext_triple, pgl_triple, psl_triple
+from revmaps.triples import make_triple, ext_triple, pgl_triple, psl_triple
 from revmaps.verify import a5_exceptional_case
 
 
@@ -40,7 +41,7 @@ def _triple_with_pair_orders(G, n_xy, n_xz, n_yz, require_generates=True):
 
 def test_psl25_map_cells():
     t = psl_triple(5, 2)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     assert (M.vertex_count, M.edge_count, M.face_count) == (6, 30, 25)
     assert M.face_counts_by_orbit() == (10, 15)
     assert M.chi() == 1
@@ -48,7 +49,7 @@ def test_psl25_map_cells():
 
 def test_pgl27_map_cells():
     t = pgl_triple(7, 0)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     assert (M.vertex_count, M.edge_count, M.face_count) == (24, 168, 49)
     assert M.face_counts_by_orbit() == (21, 28)
     assert M.chi() == -95
@@ -57,7 +58,7 @@ def test_pgl27_map_cells():
 def test_cell_count_identity():
     # |V|*|G_v| = 2|E| * ... = |G| for each cell family
     t = pgl_triple(5, 0)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     n = t.group.order
     stabs = M.stabilizer_orders()
     n1, n2 = M.face_counts_by_orbit()
@@ -74,8 +75,17 @@ def test_non_generating_triple_rejected():
     mirrored = G.conjugate(y, x)  # third reflection inside the same D10
     t = make_triple(G, x, y, mirrored)
     assert not t.generates
-    with pytest.raises(MapError):
-        build_revmap(G, t)
+    with pytest.raises(MapError, match="do not generate the group"):
+        build_revmap(G, *t.indices())
+
+
+@pytest.mark.parametrize("bad_z", ["repeated", "order_p"])
+def test_builder_refuses_what_is_not_three_distinct_involutions(bad_z):
+    t = psl_triple(5, 2)
+    G = t.group
+    z = t.x if bad_z == "repeated" else G.mul(t.x, t.y)  # xy has order p = 5
+    with pytest.raises(MapError, match="not three distinct involutions"):
+        build_revmap(G, t.x, t.y, z)
 
 
 def test_edge_inside_the_vertex_stabilizer_is_rejected():
@@ -85,7 +95,8 @@ def test_edge_inside_the_vertex_stabilizer_is_rejected():
     G = t.group
     z = G.mul(G.mul(t.x, t.y), t.x)
     assert G.is_involution(z) and z not in (t.x, t.y)
-    M = build_revmap(G, ReversingTriple(G, t.x, t.y, z, t.pattern, True))
+    # (x, y, xyx) generates only <x,y>, which build_revmap refuses first
+    M = _assemble(G, "reversing", (t.x, t.y, z))
     with pytest.raises(MapError, match="differ in no vertex"):
         flag_system(M)
     with pytest.raises(MapError, match="differ in no vertex"):
@@ -97,19 +108,19 @@ def test_edge_inside_the_vertex_stabilizer_is_rejected():
 
 def test_flag_count_reversing():
     t = psl_triple(5, 2)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     assert len(flag_system(M)) == 120
 
 
 def test_flag_count_pgl25():
     t = pgl_triple(5, 0)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     assert len(flag_system(M)) == 240
 
 
 def test_flag_partner_maps_are_fixed_point_free_involutions():
     t = psl_triple(5, 2)
-    fs = flag_system(build_revmap(t.group, t))
+    fs = flag_system(build_revmap(t.group, *t.indices()))
     for rho in (fs.rho_v, fs.rho_e, fs.rho_f):
         for i, j in enumerate(rho):
             assert j != i
@@ -118,7 +129,7 @@ def test_flag_partner_maps_are_fixed_point_free_involutions():
 
 def test_vertex_and_face_partners_commute():
     t = pgl_triple(5, 0)
-    fs = flag_system(build_revmap(t.group, t))
+    fs = flag_system(build_revmap(t.group, *t.indices()))
     for i in range(len(fs)):
         assert fs.rho_f[fs.rho_v[i]] == fs.rho_v[fs.rho_f[i]]
 
@@ -128,13 +139,13 @@ def test_vertex_and_face_partners_commute():
 
 def test_psl25_surface():
     t = psl_triple(5, 2)
-    inv = surface_invariants(build_revmap(t.group, t))
+    inv = surface_invariants(build_revmap(t.group, *t.indices()))
     assert (inv.chi, inv.orientable, inv.genus) == (1, False, 1)
 
 
 def test_pgl27_surface():
     t = pgl_triple(7, 0)
-    inv = surface_invariants(build_revmap(t.group, t))
+    inv = surface_invariants(build_revmap(t.group, *t.indices()))
     assert (inv.chi, inv.orientable, inv.genus) == (-95, False, 97)
 
 
@@ -158,7 +169,7 @@ def test_orientable_branch():
                 break
         if t:
             break
-    M = build_revmap(G, t)
+    M = build_revmap(G, *t.indices())
     inv = surface_invariants(M)
     assert inv.orientable
     assert inv.chi % 2 == 0
@@ -170,7 +181,7 @@ def test_duality_rotating_roles_keeps_chi():
     G = t.group
     chis = set()
     for order in ((t.x, t.y, t.z), (t.y, t.z, t.x), (t.z, t.x, t.y)):
-        chis.add(build_revmap(G, make_triple(G, *order)).chi())
+        chis.add(build_revmap(G, *order).chi())
     assert chis == {1}
 
 
@@ -209,7 +220,7 @@ def test_k6_and_petersen_recognition():
 
 def test_underlying_graphs_are_connected():
     for t in (psl_triple(5, 2), pgl_triple(5, 0)):
-        g = underlying_graph(build_revmap(t.group, t))
+        g = underlying_graph(build_revmap(t.group, *t.indices()))
         reached = {0}
         frontier = [0]
         adj = g.adjacency()
@@ -221,7 +232,7 @@ def test_underlying_graphs_are_connected():
 
 def test_reversing_multigraph_is_other():
     t = psl_triple(5, 2)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     g = underlying_graph(M)
     assert g.vertex_count == 6
     assert not g.is_simple
@@ -231,7 +242,7 @@ def test_reversing_multigraph_is_other():
 
 def test_face_lengths_are_half_the_stabilizer_orders():
     t = psl_triple(5, 2)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     lengths = map_record(M)["face_lengths"]
     assert lengths["1"] == 3  # faces of the D6 family
     assert lengths["2"] == 2  # faces of the Klein family
@@ -260,7 +271,7 @@ def test_recognize_plain_graphs():
 
 def test_dot_export_carries_multiplicities():
     t = psl_triple(5, 2)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     dot = to_dot(underlying_graph(M))
     assert dot.startswith("graph underlying {")
     assert 'label="x2"' in dot
@@ -272,7 +283,7 @@ def test_dot_export_carries_multiplicities():
 
 def test_map_record_shape():
     t = ext_triple(7, 5, 0, 1, 0)
-    M = build_revmap(t.group, t)
+    M = build_revmap(t.group, *t.indices())
     rec = map_record(M)
     assert rec["counts"] == {"V": 24, "E": 840, "F1": 105, "F2": 140, "F": 245}
     assert rec["chi"] == -571

@@ -4,7 +4,8 @@ import pytest
 from oracle import oracle_enumerate, oracle_expand
 
 from revmaps.gfproj import act, all_points, fixed_points
-from revmaps.groups import GroupError, build_group
+from revmaps import groups
+from revmaps.groups import GroupError, build_group, conjugacy_class_reps, subgroup_closure
 from revmaps.triples import (
     TriplePattern,
     construction_census,
@@ -203,26 +204,78 @@ def test_predicted_patterns():
     assert TriplePattern.predicted("ext", 7, 5).as_tuple() == (70, 16, 12)
 
 
-def test_generation_fast_paths_match_plain_closure():
-    from revmaps.groups import subgroup_closure
-    from revmaps.triples import _triple_generates
+@pytest.fixture
+def generation_path(monkeypatch):
+    """Run ``groups.generates`` against the plain closure and name the path that answered.
 
+    The path is "ext" when the test recursed into PGL(2,p), "closure" when
+    it closed the generators in G, and "lcm" when neither ran.
+    """
+    calls = []
+    real_closure, real_generates = groups._closure, groups.generates
+
+    def closure(G, gens, stop_above=None):
+        calls.append(("closure", G.family))
+        return real_closure(G, gens, stop_above)
+
+    def generates(G, gens):
+        calls.append(("generates", G.family))
+        return real_generates(G, gens)
+
+    monkeypatch.setattr(groups, "_closure", closure)
+    monkeypatch.setattr(groups, "generates", generates)
+
+    def run(G, gens):
+        slow = subgroup_closure(G, gens).order == G.order
+        calls.clear()
+        fast = groups.generates(G, gens)
+        assert fast == slow, (G, gens)
+        if ("generates", "pgl2") in calls[1:]:
+            return "ext", fast
+        return ("closure" if calls[-1][0] == "closure" else "lcm"), fast
+
+    return run
+
+
+def test_generation_fast_paths_match_plain_closure(generation_path):
+    # lcm: the pgl2 7 construction triples have dihedral orders (14, 16, 12),
+    # whose lcm 336 is |PGL(2,7)|
+    G = build_group("pgl2", 7)
+    cons = construction_census(G)
+    assert {generation_path(G, t) for t in cons} == {("lcm", True)}
+    # EXT projection: in ext 7 3, lcm(42, 16, 12) = 336 < 1008, and |xy| = 21 = m*p
     X = build_group("ext", 7, 3)
-    invs = X.involutions()
-    samples = [
-        (invs[i % len(invs)], invs[(i * 7 + 3) % len(invs)], invs[(i * 13 + 5) % len(invs)])
-        for i in range(0, 60, 3)
-    ]
-    samples += [ext_triple(7, 3, k, 1, 0).indices() for k in range(3)]
-    for x, y, z in samples:
-        if len({x, y, z}) < 3:
-            continue
-        dv = 2 * X.pair_order(x, y)
-        d1 = 2 * X.pair_order(x, z)
-        d2 = 2 * X.pair_order(y, z)
-        fast = _triple_generates(X, x, y, z, dv, d1, d2)
-        slow = subgroup_closure(X, (x, y, z)).order == X.order
-        assert fast == slow
+    ext_cons = construction_census(X)
+    assert {generation_path(X, t) for t in ext_cons[::7]} == {("ext", True)}
+    # (x, y, xyx) keeps |xy| = 21, but its matrix parts span a dihedral group
+    x, y, _ = ext_cons[0]
+    assert generation_path(X, (x, y, X.conjugate(y, x))) == ("ext", False)
+    # closure: in psl2 7 no product of two involutions has order 7
+    P = build_group("psl2", 7)
+    invs = P.involutions()
+    got = {
+        generation_path(P, (invs[0], invs[i], invs[j]))
+        for i in range(1, 16)
+        for j in range(i + 1, 16)
+    }
+    assert got == {("closure", True), ("closure", False)}
+    # non-involution pairs (a, z), as check_no_rotary passes them
+    for H in (G, X):
+        answers = {
+            generation_path(H, (a, z))[1]
+            for a in conjugacy_class_reps(H)
+            for z in H.involutions()[::11]
+        }
+        assert answers == {True, False}
+    # one, two and four generators
+    for H in (G, X, P):
+        assert not any(generation_path(H, (a,))[1] for a in conjugacy_class_reps(H))
+    tx, ty, tz = cons[0]
+    assert generation_path(G, (tx, ty)) == ("closure", False)
+    assert generation_path(G, (tx, ty, tz, cons[-1][0])) == ("lcm", True)
+    assert generation_path(X, (x, y)) == ("ext", False)
+    assert generation_path(X, (*ext_cons[0], ext_cons[-1][1])) == ("ext", True)
+    assert generation_path(P, invs[:4])[0] == "closure"
 
 
 def test_mid_size_census_pgl2_19(tmp_path):

@@ -53,7 +53,7 @@ def test_sylow_lemma_on_classified_maps():
     from revmaps.triples import pgl_triple, psl_triple
 
     for t in (psl_triple(5, 2), pgl_triple(7, 0)):
-        M = build_revmap(t.group, t)
+        M = build_revmap(t.group, *t.indices())
         assert check_sylow_lemma(M)
         stabs = M.stabilizer_orders()
         assert math.lcm(*stabs.values()) == t.group.order
@@ -81,7 +81,7 @@ def test_sylow_lemma_rejects_deficient_pattern():
         if t:
             break
     assert t is not None and t.pattern == (10, 6, 6)
-    M = build_revmap(G, t)
+    M = build_revmap(G, *t.indices())
     assert not check_sylow_lemma(M)
     assert not check_coprime(M.chi(), M.edge_count)
 
