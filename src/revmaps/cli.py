@@ -9,13 +9,17 @@ Subcommands:
     check       recompute a stored map record and compare every field
                 (exit 2 on any difference)
 
+construct and export take the point index --k (default 2 for psl2, else 0)
+and, for ext only, the exponents --c1 and --c2 of x and y (default 1 and 0).
+
 Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
 3 budget exceeded, 4 internal error (a search the theory guarantees to
-succeed found nothing: a bug, not a usage error).  No command builds a
-group of more elements than the budget (--budget, else the REVMAPS_BUDGET
-environment variable, else 20000); that includes the PGL(2,p) of verify's
-action check.  A group over it is refused from its order formula, before
-any work.  --jobs is accepted and ignored: the scan is serial.
+succeed found nothing, or a constructed triple is malformed or does not
+generate G: a bug, not a usage error).  No command builds a group of more
+elements than the budget (--budget, else the REVMAPS_BUDGET environment
+variable, else 20000); that includes the PGL(2,p) of verify's action check.
+A group over it is refused from its order formula, before any work.
+--jobs is accepted and ignored: the scan is serial.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=1)
         if with_k:
             sp.add_argument("--k", type=int, default=None, help="point index")
-            sp.add_argument("--c1", type=int, default=1)
-            sp.add_argument("--c2", type=int, default=0)
+            sp.add_argument("--c1", type=int, default=None, help="ext only, default 1")
+            sp.add_argument("--c2", type=int, default=None, help="ext only, default 0")
         sp.add_argument("--budget", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--output", default=None)
@@ -98,22 +102,25 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _construct_triple(args: argparse.Namespace):
-    if args.family == PSL2:
-        k = 2 if args.k is None else args.k
-        return psl_triple(args.p, k)
-    if args.family == PGL2:
-        k = 0 if args.k is None else args.k
-        return pgl_triple(args.p, k)
-    k = 0 if args.k is None else args.k
-    return ext_triple(args.p, args.m, k, args.c1, args.c2)
-
-
 def _build_map(args: argparse.Namespace) -> MapGeometry:
+    """The map of the family construction; ``build_revmap`` tests its generation."""
+    if args.family in (PSL2, PGL2) and (args.c1, args.c2) != (None, None):
+        raise GroupError("--c1 and --c2 apply only to --family ext")
     # surface parameter errors, and a group over the budget, before any work
-    build_group(args.family, args.p, args.m, budget=args.budget)
-    t = _construct_triple(args)
-    return build_revmap(t.group, *t.indices())
+    G = build_group(args.family, args.p, args.m, budget=args.budget)
+    if args.family == PSL2:
+        triple = psl_triple(args.p, 2 if args.k is None else args.k)
+    elif args.family == PGL2:
+        triple = pgl_triple(args.p, args.k or 0)
+    else:
+        c1 = 1 if args.c1 is None else args.c1
+        c2 = 0 if args.c2 is None else args.c2
+        triple = ext_triple(args.p, args.m, args.k or 0, c1, c2)
+    try:
+        return build_revmap(G, *triple)
+    except MapError as exc:
+        # the construction, not the user, handed over a bad triple
+        raise ConstructionError(f"constructed triple {triple}: {exc}") from None
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

@@ -11,6 +11,11 @@ classified families have slotted patterns
 
 where the (x, y) pair always realizes the p-divisible vertex order and x is
 the member whose dihedral order with z is the larger face order.
+
+Triples and patterns are plain tuples: a triple is (x, y, z), element
+indices into the cached ``build_group`` handle of its family, and a pattern
+is (vertex, face1, face2).  The constructions check each triple's pattern
+(``make_triple``) and leave generation to the map builder.
 """
 
 from __future__ import annotations
@@ -31,59 +36,27 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    """Slotted dihedral-order pattern (vertex pair, larger face, smaller face)."""
-
-    vertex: int
-    face1: int
-    face2: int
-
-    def multiset(self) -> tuple[int, int, int]:
-        return tuple(sorted((self.vertex, self.face1, self.face2), reverse=True))
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.vertex, self.face1, self.face2)
-
-    @classmethod
-    def predicted(cls, family: str, p: int, m: int = 1) -> "TriplePattern | None":
-        """The pattern the classification allows for the family, if any."""
-        if family == PSL2:
-            if p % 4 != 1:
-                return None
-            return cls(2 * p, p + 1, p - 1)
-        if family == PGL2:
-            return cls(2 * p, 2 * (p + 1), 2 * (p - 1))
-        if family == EXT:
-            return cls(2 * m * p, 2 * (p + 1), 2 * (p - 1))
-        raise GroupError(f"unknown family {family!r}")
+def predicted_pattern(family: str, p: int, m: int = 1) -> tuple[int, int, int] | None:
+    """The slotted pattern the classification allows for the family, if any."""
+    if family == PSL2:
+        return (2 * p, p + 1, p - 1) if p % 4 == 1 else None
+    if family == PGL2:
+        return (2 * p, 2 * (p + 1), 2 * (p - 1))
+    if family == EXT:
+        return (2 * m * p, 2 * (p + 1), 2 * (p - 1))
+    raise GroupError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class ReversingTriple:
-    group: GroupHandle
-    x: int
-    y: int
-    z: int
-    pattern: tuple[int, int, int]
-    generates: bool
-
-    def indices(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
+def multiset(pattern: Sequence[int]) -> tuple[int, int, int]:
+    """The dihedral orders of a pattern, largest first, with the slots forgotten."""
+    return tuple(sorted(pattern, reverse=True))
 
 
 class ConstructionError(RuntimeError):
-    """A search the theory guarantees to succeed found nothing (a bug signal)."""
+    """A construction the theory guarantees failed, in a search or a triple check (a bug)."""
 
 
 # -- building blocks ---------------------------------------------------------
-
-
-def _fixing_involutions(G: GroupHandle, point: int) -> list[int]:
-    """Involutions whose matrix part fixes the given projective point."""
-    return [
-        i for i in G.involutions() if gfproj.act(G.matrix_part(i), point) == point
-    ]
 
 
 def two_point_stabilizer_involution(G: GroupHandle) -> int:
@@ -108,29 +81,30 @@ def two_point_stabilizer_involution(G: GroupHandle) -> int:
     return hits[0]
 
 
-def first_element_of_order(G: GroupHandle, n: int) -> int:
-    for i in range(G.order):
-        if G.element_order(i) == n:
-            return i
-    raise ConstructionError(f"no element of order {n} in {G!r}")
-
-
-def cyclic_subgroup_involution(G: GroupHandle, generator: int) -> int:
-    """The unique involution of the cyclic group generated by an even-order element."""
-    n = G.element_order(generator)
-    if n % 2:
-        raise GroupError(f"element order {n} is odd, no involution")
-    acc = generator
+def cyclic_subgroup_involution(G: GroupHandle, n: int) -> int:
+    """The involution of the cyclic group of the first element of even order n."""
+    g = next((i for i in range(G.order) if G.element_order(i) == n), None)
+    if g is None:
+        raise ConstructionError(f"no element of order {n} in {G!r}")
+    acc = g
     for _ in range(n // 2 - 1):
-        acc = G.mul(acc, generator)
+        acc = G.mul(acc, g)
     return acc
 
 
-def make_triple(G: GroupHandle, x: int, y: int, z: int) -> ReversingTriple:
-    dv = 2 * G.pair_order(x, y)
-    d1 = 2 * G.pair_order(x, z)
-    d2 = 2 * G.pair_order(y, z)
-    return ReversingTriple(G, x, y, z, (dv, d1, d2), generates(G, (x, y, z)))
+def make_triple(G: GroupHandle, x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The constructed triple (x, y, z), checked against the family's pattern.
+
+    The one check of a constructed triple: its dihedral orders |<x,y>|,
+    |<x,z>|, |<y,z>| must be ``predicted_pattern`` slot for slot, else
+    ConstructionError.  Generation is left to the map builder, which tests
+    it once.
+    """
+    got = (2 * G.pair_order(x, y), 2 * G.pair_order(x, z), 2 * G.pair_order(y, z))
+    want = predicted_pattern(G.family, G.p, G.m)
+    if got != want:
+        raise ConstructionError(f"constructed triple has dihedral orders {got}, expected {want}")
+    return (x, y, z)
 
 
 # -- the three constructions --------------------------------------------------
@@ -147,7 +121,7 @@ def _point_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int
     x and y fix the point and make the predicted face orders with z.
     """
     p = G.p
-    pattern = TriplePattern.predicted(G.family, p)
+    pattern = predicted_pattern(G.family, p)
     if pattern is None:
         raise GroupError(f"construction over PSL(2,p) needs p = 1 (mod 4), got {p}")
     ks = _point_indices(G)
@@ -156,68 +130,63 @@ def _point_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int
     if G.family == PSL2:
         z = two_point_stabilizer_involution(G)
     else:
-        z = cyclic_subgroup_involution(G, first_element_of_order(G, p + 1))
+        z = cyclic_subgroup_involution(G, p + 1)
     delta = gfproj.all_points(p)[k]
-    fixing = _fixing_involutions(G, delta)
-    xs = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == pattern.face1]
-    ys = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == pattern.face2]
+    fixing = [u for u in G.involutions() if gfproj.act(G.matrix_part(u), delta) == delta]
+    _, face1, face2 = pattern
+    xs = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == face1]
+    ys = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == face2]
     if not xs or not ys:
         raise ConstructionError(f"no qualifying involutions over point {delta}")
     return xs, ys, z
 
 
-def _point_triple(G: GroupHandle, k: int) -> ReversingTriple:
+def _point_triple(G: GroupHandle, k: int) -> tuple[int, int, int]:
     xs, ys, z = _point_candidates(G, k)
     x = xs[0]
-    y = next(v for v in ys if v != x)
-    t = make_triple(G, x, y, z)
-    if t.pattern != TriplePattern.predicted(G.family, G.p).as_tuple() or not t.generates:
-        raise ConstructionError(f"malformed triple {t.pattern} at p={G.p}, k={k}")
-    return t
+    return make_triple(G, x, next(v for v in ys if v != x), z)
 
 
-def psl_triple(p: int, k: int) -> ReversingTriple:
-    """Reversing triple of PSL(2,p) through the point with canonical index k.
+def psl_triple(p: int, k: int) -> tuple[int, int, int]:
+    """Reversing triple (x, y, z) of PSL(2,p) through the point with canonical index k.
 
     z is the unique involution of the two-point stabilizer of ([0:1], [1:0]);
     x and y are the first involutions fixing the k-th point at dihedral
     orders p+1 and p-1 with z.  Requires p = 1 (mod 4) and 2 <= k <= p.
+    The indices are into ``build_group("psl2", p)``.
     """
     return _point_triple(build_group(PSL2, p), k)
 
 
-def pgl_triple(p: int, k: int) -> ReversingTriple:
-    """Reversing triple of PGL(2,p) through the point with canonical index k.
+def pgl_triple(p: int, k: int) -> tuple[int, int, int]:
+    """Reversing triple (x, y, z) of PGL(2,p) through the point with canonical index k.
 
     z is the involution of a fixed cyclic subgroup of order p+1 (generated by
     the first element of that order); x and y fix the k-th point at dihedral
     orders 2(p+1) and 2(p-1) with z.  Valid for every prime p >= 5 and
-    0 <= k <= p.
+    0 <= k <= p.  The indices are into ``build_group("pgl2", p)``.
     """
     return _point_triple(build_group(PGL2, p), k)
 
 
-def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> ReversingTriple:
-    """Reversing triple of (Z_m x PSL(2,p)):2 lifted from a PGL(2,p) triple.
+def _lift(X: GroupHandle, Gp: GroupHandle, base, c1: int, c2: int) -> tuple[int, int, int]:
+    """The PGL(2,p) triple base = (x, y, z) of Gp lifted to (c1, x), (c2, y), (0, z) in X."""
+    return tuple(X.element(c, Gp.matrix_part(u)) for c, u in zip((c1, c2, 0), base))
+
+
+def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> tuple[int, int, int]:
+    """Reversing triple (x, y, z) of (Z_m x PSL(2,p)):2 lifted from a PGL(2,p) triple.
 
     The PGL triple (x_k, y_k, z) through point k is decorated with cyclic
     exponents: x = (c1, x_k), y = (c2, y_k), z = (0, z).  The difference
     c1 - c2 must be a unit mod m so that the product xy has full order mp.
+    The indices are into ``build_group("ext", p, m)``.
     """
     X = build_group(EXT, p, m)
     if math.gcd((c1 - c2) % m, m) != 1:
-        raise GroupError(
-            f"c1 - c2 = {(c1 - c2) % m} must generate Z_{m} (be coprime to m)"
-        )
-    base = pgl_triple(p, k)
-    Gp = base.group
-    x = X.element(c1, Gp.matrix_part(base.x))
-    y = X.element(c2, Gp.matrix_part(base.y))
-    z = X.element(0, Gp.matrix_part(base.z))
-    t = make_triple(X, x, y, z)
-    if t.pattern != TriplePattern.predicted(EXT, p, m).as_tuple() or not t.generates:
-        raise ConstructionError(f"malformed extended triple {t.pattern}")
-    return t
+        raise GroupError(f"c1 - c2 = {(c1 - c2) % m} must generate Z_{m} (be coprime to m)")
+    Gp = build_group(PGL2, p)
+    return make_triple(X, *_lift(X, Gp, _point_triple(Gp, k), c1, c2))
 
 
 def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
@@ -228,23 +197,20 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
     with unit difference.  The anchor involution z is fixed once per family;
     all other triples are conjugates and are compared class-wise.
     """
-    p = G.p
-    out: list[tuple[int, int, int]] = []
-    if G.family != EXT:
-        if TriplePattern.predicted(G.family, p) is None:
-            return []
-        for k in _point_indices(G):
-            xs, ys, z = _point_candidates(G, k)
-            out.extend((x, y, z) for x in xs for y in ys if x != y)
-    else:
-        Gp = build_group(PGL2, p)
+    if G.family == EXT:
+        Gp = build_group(PGL2, G.p)
         m = G.m
         pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if math.gcd(c1 - c2, m) == 1]
-        for bx, by, bz in construction_census(Gp):
-            mx, my = Gp.matrix_part(bx), Gp.matrix_part(by)
-            zi = G.element(0, Gp.matrix_part(bz))
-            out.extend((G.element(c1, mx), G.element(c2, my), zi) for c1, c2 in pairs)
-    return sorted(set(out))
+        return sorted(
+            {_lift(G, Gp, base, c1, c2) for base in construction_census(Gp) for c1, c2 in pairs}
+        )
+    if predicted_pattern(G.family, G.p) is None:
+        return []
+    out = set()
+    for k in _point_indices(G):
+        xs, ys, z = _point_candidates(G, k)
+        out.update((x, y, z) for x in xs for y in ys if x != y)
+    return sorted(out)
 
 
 # -- the census engine -----------------------------------------------------------
@@ -266,7 +232,7 @@ def pattern_chi(order: int, pattern: Sequence[int]) -> int:
 
 
 def enumerate_reversing_triples(
-    G: GroupHandle, pattern: TriplePattern
+    G: GroupHandle, pattern: Sequence[int]
 ) -> list[tuple[int, int, int]]:
     """The fiber triples realizing the slotted pattern, ascending.
 
@@ -277,7 +243,7 @@ def enumerate_reversing_triples(
     pattern with its full size.  Every returned triple generates G
     (``groups.generates``).
     """
-    dv, d1, d2 = pattern.as_tuple()
+    dv, d1, d2 = pattern
     invs = G.involutions()
     table = G.dihedral_table()
     out = []
@@ -314,19 +280,12 @@ class PatternCensus:
     raw_triples: int
     classes: tuple[tuple[int, int, int], ...]
 
-    @property
-    def multiset(self) -> tuple[int, int, int]:
-        return tuple(sorted(self.pattern, reverse=True))
-
 
 @dataclass(frozen=True)
 class CensusScan:
     involution_count: int
     combos_scanned: int
     qualifying: tuple[PatternCensus, ...]
-
-    def multisets(self) -> list[tuple[int, int, int]]:
-        return sorted(c.multiset for c in self.qualifying)
 
 
 def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:

@@ -35,10 +35,11 @@ from .mapgeom import (
 from .triples import (
     CensusScan,
     ConstructionError,
-    TriplePattern,
     construction_census,
     enumerate_reversing_triples,
+    multiset,
     pattern_chi,
+    predicted_pattern,
     scan_reversing_census,
     triple_conjugacy_classes,
 )
@@ -258,7 +259,7 @@ def _membership_split_ok(G: GroupHandle, triples) -> bool:
 
 
 def _construction_agreement(
-    G: GroupHandle, predicted: TriplePattern, scan_class_reps: tuple | None
+    G: GroupHandle, predicted: tuple[int, int, int], scan_class_reps: tuple | None
 ) -> bool:
     """Construction closure equals pattern enumeration, up to conjugacy.
 
@@ -303,18 +304,18 @@ def verify_theorem(
     # the action check builds PGL(2,p), which can exceed a budget the group fits
     build_group(PGL2, p, budget=budget)
     scan = scan_reversing_census(G)
-    predicted = TriplePattern.predicted(family, p, m)
+    predicted = predicted_pattern(family, p, m)
     edges = G.order // 2
 
     predicted_chi = None
     predicted_qualifies = False
     if predicted is not None:
-        predicted_chi = pattern_chi(G.order, predicted.as_tuple())
+        predicted_chi = pattern_chi(G.order, predicted)
         predicted_qualifies = check_coprime(predicted_chi, edges)
 
-    expected_multisets = [predicted.multiset()] if predicted_qualifies else []
-    found_multisets = scan.multisets()
-    patterns_ok = found_multisets == sorted(expected_multisets)
+    expected_multisets = [multiset(predicted)] if predicted_qualifies else []
+    found_multisets = sorted(multiset(c.pattern) for c in scan.qualifying)
+    patterns_ok = found_multisets == expected_multisets
 
     maps = []
     maps_ok = True
@@ -339,7 +340,7 @@ def verify_theorem(
     # predicted pattern qualified
     scan_reps = None
     if predicted_qualifies:
-        scan_reps = {c.pattern: c.classes for c in scan.qualifying}.get(predicted.as_tuple(), ())
+        scan_reps = {c.pattern: c.classes for c in scan.qualifying}.get(predicted, ())
     lemma_checks = {
         "sylow": maps_ok,
         "no_rotary": check_no_rotary(G),
@@ -360,7 +361,7 @@ def verify_theorem(
         "edges": edges,
         "involution_count": scan.involution_count,
         "combos_scanned": scan.combos_scanned,
-        "predicted_pattern": list(predicted.as_tuple()) if predicted else None,
+        "predicted_pattern": list(predicted) if predicted else None,
         "predicted_chi": predicted_chi,
         "predicted_qualifies": predicted_qualifies,
         "patterns_found": [list(ms) for ms in found_multisets],

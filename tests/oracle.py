@@ -37,7 +37,7 @@ from revmaps import triples
 from revmaps.gfproj import ProjMatrix, all_matrices, in_psl, mat_multiply
 from revmaps.groups import GroupHandle, generates, subgroup_closure
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
-from revmaps.triples import CensusScan, PatternCensus, TriplePattern
+from revmaps.triples import CensusScan, PatternCensus
 
 
 def oracle_matrix_order(g: ProjMatrix) -> int:
@@ -119,11 +119,17 @@ def oracle_dihedral_table(G: GroupHandle) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def oracle_enumerate(G: GroupHandle, pattern: TriplePattern) -> list[tuple[int, int, int]]:
+def oracle_pattern(G: GroupHandle, triple: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The dihedral orders (|<x,y>|, |<x,z>|, |<y,z>|) of a triple, by repeated multiplication."""
+    x, y, z = triple
+    return tuple(2 * oracle_pair_order(G, u, v) for u, v in ((x, y), (x, z), (y, z)))
+
+
+def oracle_enumerate(G: GroupHandle, pattern: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """Every ordered triple realizing the slotted pattern, by the x*y*z loop."""
     invs = oracle_involutions(G)
     table = oracle_dihedral_table(G)
-    dv, d1, d2 = pattern.as_tuple()
+    dv, d1, d2 = pattern
     out = []
     for a, x in enumerate(invs):
         for b, y in enumerate(invs):

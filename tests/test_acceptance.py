@@ -7,7 +7,7 @@ matrix once and records per-configuration wall times.
 
 import time
 
-from oracle import oracle_expand
+from oracle import oracle_expand, oracle_pattern
 
 from revmaps.groups import build_group
 from revmaps.triples import ext_triple, scan_reversing_census
@@ -113,9 +113,8 @@ def test_criterion_5_pgl_family(matrix_reports):
 
 def test_criterion_6_ext_family(matrix_reports):
     reports, durations = matrix_reports
-    assert ext_triple(7, 3, 0, 1, 0).pattern == (42, 16, 12)
-    assert ext_triple(7, 5, 0, 1, 0).pattern == (70, 16, 12)
-    assert ext_triple(11, 3, 0, 1, 0).pattern == (66, 24, 20)
+    for p, m, pattern in ((7, 3, (42, 16, 12)), (7, 5, (70, 16, 12)), (11, 3, (66, 24, 20))):
+        assert oracle_pattern(build_group("ext", p, m), ext_triple(p, m, 0, 1, 0)) == pattern
     rep = reports[("ext", 7, 5)]
     assert rep["verdict"] == "pass"
     assert rep["census"][0]["chi"] == -571

@@ -15,9 +15,9 @@ from oracle import oracle_class_minima, oracle_classes, oracle_enumerate, oracle
 from revmaps import triples
 from revmaps.groups import GroupError, build_group
 from revmaps.triples import (
-    TriplePattern,
     construction_census,
     enumerate_reversing_triples,
+    predicted_pattern,
     scan_reversing_census,
     triple_conjugacy_classes,
 )
@@ -28,7 +28,7 @@ SMALL_MATRIX = [cfg for cfg in VERIFY_MATRIX if cfg[1] <= 13]
 
 def _pattern(family, p, m):
     # psl2 with p = 3 mod 4 has no classified pattern; its would-be one must be empty
-    return TriplePattern.predicted(family, p, m) or TriplePattern(2 * p, p + 1, p - 1)
+    return predicted_pattern(family, p, m) or (2 * p, p + 1, p - 1)
 
 
 def _fibers(G, full):
@@ -89,7 +89,7 @@ def test_scan_matches_oracle_on_hits_inside_a_later_class(monkeypatch):
 def test_tied_face_orders_match_oracle():
     # (10, 6, 6) ties the two face orders: a triple stands for the pair {x, y}
     G = build_group("psl2", 5)
-    pattern = TriplePattern(10, 6, 6)
+    pattern = (10, 6, 6)
     full = oracle_enumerate(G, pattern)
     fibers = enumerate_reversing_triples(G, pattern)
     assert fibers == _fibers(G, full)
@@ -107,6 +107,6 @@ def test_tied_face_orders_match_oracle():
 
 def test_classes_reject_non_involutions():
     G = build_group("psl2", 5)
-    x, y, _ = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))[0]
+    x, y, _ = enumerate_reversing_triples(G, (10, 6, 4))[0]
     with pytest.raises(GroupError):
         triple_conjugacy_classes(G, [(x, y, G.identity)])

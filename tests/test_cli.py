@@ -180,6 +180,35 @@ def test_construction_error_exits_four(monkeypatch, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["construct", "export"])
+def test_non_generating_construction_exits_four(command, monkeypatch, capsys):
+    # build_revmap is the one generation test of a constructed triple, and a
+    # triple it refuses is the construction's fault, not the user's
+    from revmaps import cli
+    from revmaps.groups import build_group, generates
+
+    G = build_group("pgl2", 5)
+    x, y, _ = cli.pgl_triple(5, 0)
+    mirrored = G.conjugate(y, x)  # a third reflection of the dihedral group <x, y>
+    assert len({x, y, mirrored}) == 3 and not generates(G, (x, y, mirrored))
+    monkeypatch.setattr(cli, "pgl_triple", lambda p, k: (x, y, mirrored))
+    assert cli.main([command, "--family", "pgl2", "--p", "5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: constructed triple") and len(err.strip().splitlines()) == 1
+    assert "do not generate" in err
+
+
+@pytest.mark.parametrize("command", ["construct", "export"])
+@pytest.mark.parametrize("family,option", [("psl2", "--c1=3"), ("pgl2", "--c2=3")])
+def test_exponents_refused_outside_ext(command, family, option, capsys):
+    from revmaps import cli
+
+    assert cli.main([command, "--family", family, "--p", "5", option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --c1 and --c2 apply only to --family ext\n"
+
+
 def test_run_census_writes_the_matrix_report(monkeypatch, tmp_path, capsys):
     import importlib.util
 
@@ -260,6 +289,7 @@ def test_worker_count_never_changes_output():
 
 
 def test_check_rejects_malformed_records(tmp_path):
+    from revmaps.groups import build_group
     from revmaps.triples import psl_triple
 
     cases = {
@@ -287,8 +317,8 @@ def test_check_rejects_malformed_records(tmp_path):
     }
     # a well-formed record of psl2 5 whose triple is not three distinct involutions:
     # z of order p, or y equal to x
-    t = psl_triple(5, 2)
-    good = {n: t.group.element_json(i) for n, i in zip("xyz", t.indices())}
+    G = build_group("psl2", 5)
+    good = {n: G.element_json(i) for n, i in zip("xyz", psl_triple(5, 2))}
     group = {"family": "psl2", "p": 5}
     not_involutions = {
         "order_p_z.json": {**good, "z": {"mat": [1, 1, 0, 1], "p": 5}},
@@ -413,7 +443,7 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     # a record is read off the cell stabilizers; only export (and the
     # Petersen test, at ten vertices) builds the left multiplications
     from revmaps import cli
-    from revmaps.groups import GroupHandle
+    from revmaps.groups import GroupHandle, build_group
     from revmaps.mapgeom import build_revmap, map_record
     from revmaps.triples import psl_triple
 
@@ -421,8 +451,8 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
         raise AssertionError("left_perm called")
 
     monkeypatch.setattr(GroupHandle, "left_perm", refuse)
-    t = psl_triple(5, 2)
-    assert map_record(build_revmap(t.group, *t.indices()))["counts"]["V"] == 6
+    G = build_group("psl2", 5)
+    assert map_record(build_revmap(G, *psl_triple(5, 2)))["counts"]["V"] == 6
     args = ["--family", "pgl2", "--p", "11"]
     rec, verdict = tmp_path / "rec.json", tmp_path / "verdict.json"
     assert cli.main(["construct", *args, "--output", str(rec)]) == 0

@@ -320,8 +320,7 @@ def test_identity_does_not_generate():
 
 
 def test_construction_triple_generates():
-    t = psl_triple(5, 2)
-    assert generates(t.group, t.indices())
+    assert generates(build_group("psl2", 5), psl_triple(5, 2))
 
 
 # -- conjugacy ----------------------------------------------------------------------

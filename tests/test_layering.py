@@ -3,10 +3,12 @@
 A module may import only from a lower layer, so ``triples`` and ``mapgeom``
 share a layer and import nothing from each other.  The imports are read off
 the ``from .x import`` and ``from . import x`` statements of each module,
-those inside functions included.
+those inside functions included.  The names the benchmark's tracer patches
+must exist, so that a rename fails here rather than in a benchmark run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "revmaps"
@@ -38,3 +40,28 @@ def test_modules_import_only_from_lower_layers():
 
 def test_map_builder_does_not_import_the_triples():
     assert _relative_imports(SRC / "mapgeom.py") == {"groups"}
+
+
+def _bench_tracer_targets() -> set[tuple[str, str]]:
+    """The (module, attribute) keys of SPANS and COUNTS in bench/tracer.py, read, not run."""
+    tree = ast.parse((SRC.parents[1] / "bench" / "tracer.py").read_text())
+    targets = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTS") for t in node.targets
+        ):
+            targets |= set(ast.literal_eval(node.value))
+    return targets
+
+
+def test_bench_tracer_targets_exist():
+    # the benchmark's tracer patches these names; a rename would break it only at run time
+    targets = _bench_tracer_targets()
+    assert ("triples", "make_triple") in targets and ("groups", "GroupHandle.mul") in targets
+    for module, attr in sorted(targets):
+        home = importlib.import_module(f"revmaps.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(home, cls_name)), f"{module}.{attr}"
+        else:
+            assert callable(getattr(home, attr, None)), f"{module}.{attr}"

@@ -66,27 +66,28 @@ def test_a5_pair_matches_oracle():
 # exponent pair (c1, c2) with c1 - c2 a unit mod m
 CONSTRUCT_CALLS = (
     [
-        pytest.param(psl_triple, (p, k), id=f"psl2-{p}" + (f"-k{k}" if k != 2 else ""))
+        pytest.param(("psl2", p), psl_triple, (p, k), id=f"psl2-{p}" + (f"-k{k}" if k != 2 else ""))
         for p in (5, 13, 17)
         for k in (2, p)
     ]
     + [
-        pytest.param(pgl_triple, (p, k), id=f"pgl2-{p}" + (f"-k{k}" if k else ""))
+        pytest.param(("pgl2", p), pgl_triple, (p, k), id=f"pgl2-{p}" + (f"-k{k}" if k else ""))
         for p in (5, 7, 11, 13, 17, 19)
         for k in (0, p)
     ]
     + [
-        pytest.param(ext_triple, (p, m, *kc), id=f"ext-{p}-{m}" + (f"-k{p}" if kc[0] else ""))
+        pytest.param(
+            ("ext", p, m), ext_triple, (p, m, *kc), id=f"ext-{p}-{m}" + (f"-k{p}" if kc[0] else "")
+        )
         for p, m in ((7, 3), (7, 5), (7, 9), (11, 3), (11, 5))
         for kc in ((0, 1, 0), (p, m - 1, 1))
     ]
 )
 
 
-@pytest.mark.parametrize("make,args", CONSTRUCT_CALLS)
-def test_constructed_maps_match_oracle(make, args):
-    t = make(*args)
-    _assert_matches_oracle(build_revmap(t.group, *t.indices()))
+@pytest.mark.parametrize("group,make,args", CONSTRUCT_CALLS)
+def test_constructed_maps_match_oracle(group, make, args):
+    _assert_matches_oracle(build_revmap(build_group(*group), *make(*args)))
 
 
 @pytest.mark.parametrize("family,p,m,idx", [("pgl2", 7, 1, (0, 7, 53)), ("ext", 7, 3, (0, 7, 389))])

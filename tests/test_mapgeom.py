@@ -2,7 +2,7 @@
 
 import pytest
 
-from revmaps.groups import build_group, subgroup_closure
+from revmaps.groups import build_group, generates, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,
@@ -16,40 +16,22 @@ from revmaps.mapgeom import (
     to_dot,
     underlying_graph,
 )
-from revmaps.triples import make_triple, ext_triple, pgl_triple, psl_triple
+from revmaps.triples import ext_triple, pgl_triple, psl_triple
 from revmaps.verify import a5_exceptional_case
-
-
-def _triple_with_pair_orders(G, n_xy, n_xz, n_yz, require_generates=True):
-    invs = G.involutions()
-    for x in invs:
-        for y in invs:
-            if y == x or G.pair_order(x, y) != n_xy:
-                continue
-            for z in invs:
-                if z in (x, y):
-                    continue
-                if G.pair_order(x, z) == n_xz and G.pair_order(y, z) == n_yz:
-                    t = make_triple(G, x, y, z)
-                    if t.generates or not require_generates:
-                        return t
-    raise AssertionError("no such triple")
 
 
 # -- reversing maps ---------------------------------------------------------------
 
 
 def test_psl25_map_cells():
-    t = psl_triple(5, 2)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("psl2", 5), *psl_triple(5, 2))
     assert (M.vertex_count, M.edge_count, M.face_count) == (6, 30, 25)
     assert M.face_counts_by_orbit() == (10, 15)
     assert M.chi() == 1
 
 
 def test_pgl27_map_cells():
-    t = pgl_triple(7, 0)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("pgl2", 7), *pgl_triple(7, 0))
     assert (M.vertex_count, M.edge_count, M.face_count) == (24, 168, 49)
     assert M.face_counts_by_orbit() == (21, 28)
     assert M.chi() == -95
@@ -57,9 +39,9 @@ def test_pgl27_map_cells():
 
 def test_cell_count_identity():
     # |V|*|G_v| = 2|E| * ... = |G| for each cell family
-    t = pgl_triple(5, 0)
-    M = build_revmap(t.group, *t.indices())
-    n = t.group.order
+    G = build_group("pgl2", 5)
+    M = build_revmap(G, *pgl_triple(5, 0))
+    n = G.order
     stabs = M.stabilizer_orders()
     n1, n2 = M.face_counts_by_orbit()
     assert M.vertex_count * stabs["vertex"] == n
@@ -70,33 +52,31 @@ def test_cell_count_identity():
 
 def test_non_generating_triple_rejected():
     G = build_group("psl2", 5)
-    base = psl_triple(5, 2)
-    x, y = base.x, base.y
+    x, y, _ = psl_triple(5, 2)
     mirrored = G.conjugate(y, x)  # third reflection inside the same D10
-    t = make_triple(G, x, y, mirrored)
-    assert not t.generates
+    assert not generates(G, (x, y, mirrored))
     with pytest.raises(MapError, match="do not generate the group"):
-        build_revmap(G, *t.indices())
+        build_revmap(G, x, y, mirrored)
 
 
 @pytest.mark.parametrize("bad_z", ["repeated", "order_p"])
 def test_builder_refuses_what_is_not_three_distinct_involutions(bad_z):
-    t = psl_triple(5, 2)
-    G = t.group
-    z = t.x if bad_z == "repeated" else G.mul(t.x, t.y)  # xy has order p = 5
+    G = build_group("psl2", 5)
+    x, y, _ = psl_triple(5, 2)
+    z = x if bad_z == "repeated" else G.mul(x, y)  # xy has order p = 5
     with pytest.raises(MapError, match="not three distinct involutions"):
-        build_revmap(G, t.x, t.y, z)
+        build_revmap(G, x, y, z)
 
 
 def test_edge_inside_the_vertex_stabilizer_is_rejected():
     # z = x y x lies in <x,y>: both ends of every edge are one vertex, so the
     # two flags on an edge and face differ in no vertex
-    t = psl_triple(5, 2)
-    G = t.group
-    z = G.mul(G.mul(t.x, t.y), t.x)
-    assert G.is_involution(z) and z not in (t.x, t.y)
+    G = build_group("psl2", 5)
+    x, y, _ = psl_triple(5, 2)
+    z = G.mul(G.mul(x, y), x)
+    assert G.is_involution(z) and z not in (x, y)
     # (x, y, xyx) generates only <x,y>, which build_revmap refuses first
-    M = _assemble(G, "reversing", (t.x, t.y, z))
+    M = _assemble(G, "reversing", (x, y, z))
     with pytest.raises(MapError, match="differ in no vertex"):
         flag_system(M)
     with pytest.raises(MapError, match="differ in no vertex"):
@@ -107,20 +87,17 @@ def test_edge_inside_the_vertex_stabilizer_is_rejected():
 
 
 def test_flag_count_reversing():
-    t = psl_triple(5, 2)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("psl2", 5), *psl_triple(5, 2))
     assert len(flag_system(M)) == 120
 
 
 def test_flag_count_pgl25():
-    t = pgl_triple(5, 0)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("pgl2", 5), *pgl_triple(5, 0))
     assert len(flag_system(M)) == 240
 
 
 def test_flag_partner_maps_are_fixed_point_free_involutions():
-    t = psl_triple(5, 2)
-    fs = flag_system(build_revmap(t.group, *t.indices()))
+    fs = flag_system(build_revmap(build_group("psl2", 5), *psl_triple(5, 2)))
     for rho in (fs.rho_v, fs.rho_e, fs.rho_f):
         for i, j in enumerate(rho):
             assert j != i
@@ -128,8 +105,7 @@ def test_flag_partner_maps_are_fixed_point_free_involutions():
 
 
 def test_vertex_and_face_partners_commute():
-    t = pgl_triple(5, 0)
-    fs = flag_system(build_revmap(t.group, *t.indices()))
+    fs = flag_system(build_revmap(build_group("pgl2", 5), *pgl_triple(5, 0)))
     for i in range(len(fs)):
         assert fs.rho_f[fs.rho_v[i]] == fs.rho_v[fs.rho_f[i]]
 
@@ -138,14 +114,12 @@ def test_vertex_and_face_partners_commute():
 
 
 def test_psl25_surface():
-    t = psl_triple(5, 2)
-    inv = surface_invariants(build_revmap(t.group, *t.indices()))
+    inv = surface_invariants(build_revmap(build_group("psl2", 5), *psl_triple(5, 2)))
     assert (inv.chi, inv.orientable, inv.genus) == (1, False, 1)
 
 
 def test_pgl27_surface():
-    t = pgl_triple(7, 0)
-    inv = surface_invariants(build_revmap(t.group, *t.indices()))
+    inv = surface_invariants(build_revmap(build_group("pgl2", 7), *pgl_triple(7, 0)))
     assert (inv.chi, inv.orientable, inv.genus) == (-95, False, 97)
 
 
@@ -154,22 +128,14 @@ def test_orientable_branch():
     # so the supporting surface is orientable and chi must be even
     G = build_group("pgl2", 7)
     outside = [i for i in G.involutions() if not G.in_psl_part(i)]
-    t = None
-    for x in outside:
-        for y in outside:
-            if y == x:
-                continue
-            for z in outside:
-                if z not in (x, y):
-                    cand = make_triple(G, x, y, z)
-                    if cand.generates:
-                        t = cand
-                        break
-            if t:
-                break
-        if t:
-            break
-    M = build_revmap(G, *t.indices())
+    t = next(
+        (x, y, z)
+        for x in outside
+        for y in outside
+        for z in outside
+        if len({x, y, z}) == 3 and generates(G, (x, y, z))
+    )
+    M = build_revmap(G, *t)
     inv = surface_invariants(M)
     assert inv.orientable
     assert inv.chi % 2 == 0
@@ -177,10 +143,10 @@ def test_orientable_branch():
 
 
 def test_duality_rotating_roles_keeps_chi():
-    t = psl_triple(5, 2)
-    G = t.group
+    G = build_group("psl2", 5)
+    x, y, z = psl_triple(5, 2)
     chis = set()
-    for order in ((t.x, t.y, t.z), (t.y, t.z, t.x), (t.z, t.x, t.y)):
+    for order in ((x, y, z), (y, z, x), (z, x, y)):
         chis.add(build_revmap(G, *order).chi())
     assert chis == {1}
 
@@ -219,8 +185,8 @@ def test_k6_and_petersen_recognition():
 
 
 def test_underlying_graphs_are_connected():
-    for t in (psl_triple(5, 2), pgl_triple(5, 0)):
-        g = underlying_graph(build_revmap(t.group, *t.indices()))
+    for family, t in (("psl2", psl_triple(5, 2)), ("pgl2", pgl_triple(5, 0))):
+        g = underlying_graph(build_revmap(build_group(family, 5), *t))
         reached = {0}
         frontier = [0]
         adj = g.adjacency()
@@ -231,8 +197,7 @@ def test_underlying_graphs_are_connected():
 
 
 def test_reversing_multigraph_is_other():
-    t = psl_triple(5, 2)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("psl2", 5), *psl_triple(5, 2))
     g = underlying_graph(M)
     assert g.vertex_count == 6
     assert not g.is_simple
@@ -241,8 +206,7 @@ def test_reversing_multigraph_is_other():
 
 
 def test_face_lengths_are_half_the_stabilizer_orders():
-    t = psl_triple(5, 2)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("psl2", 5), *psl_triple(5, 2))
     lengths = map_record(M)["face_lengths"]
     assert lengths["1"] == 3  # faces of the D6 family
     assert lengths["2"] == 2  # faces of the Klein family
@@ -270,8 +234,7 @@ def test_recognize_plain_graphs():
 
 
 def test_dot_export_carries_multiplicities():
-    t = psl_triple(5, 2)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("psl2", 5), *psl_triple(5, 2))
     dot = to_dot(underlying_graph(M))
     assert dot.startswith("graph underlying {")
     assert 'label="x2"' in dot
@@ -282,8 +245,7 @@ def test_dot_export_carries_multiplicities():
 
 
 def test_map_record_shape():
-    t = ext_triple(7, 5, 0, 1, 0)
-    M = build_revmap(t.group, *t.indices())
+    M = build_revmap(build_group("ext", 7, 5), *ext_triple(7, 5, 0, 1, 0))
     rec = map_record(M)
     assert rec["counts"] == {"V": 24, "E": 840, "F1": 105, "F2": 140, "F": 245}
     assert rec["chi"] == -571

@@ -1,18 +1,27 @@
 """Triple constructions and exhaustive enumeration."""
 
+import math
+
 import pytest
-from oracle import oracle_enumerate, oracle_expand
+from oracle import oracle_enumerate, oracle_expand, oracle_pattern
 
 from revmaps.gfproj import act, all_points, fixed_points
 from revmaps import groups
-from revmaps.groups import GroupError, build_group, conjugacy_class_reps, subgroup_closure
+from revmaps.groups import (
+    GroupError,
+    build_group,
+    conjugacy_class_reps,
+    generates,
+    subgroup_closure,
+)
 from revmaps.triples import (
-    TriplePattern,
+    ConstructionError,
     construction_census,
     enumerate_reversing_triples,
     ext_triple,
     make_triple,
     pgl_triple,
+    predicted_pattern,
     psl_triple,
     scan_reversing_census,
     triple_conjugacy_classes,
@@ -25,15 +34,17 @@ from revmaps.triples import (
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_psl_pattern_p5(k):
+    G = build_group("psl2", 5)
     t = psl_triple(5, k)
-    assert t.pattern == (10, 6, 4)
-    assert t.generates
+    assert oracle_pattern(G, t) == (10, 6, 4)
+    assert generates(G, t)
 
 
 def test_psl_pattern_p13():
+    G = build_group("psl2", 13)
     t = psl_triple(13, 2)
-    assert t.pattern == (26, 14, 12)
-    assert t.generates
+    assert oracle_pattern(G, t) == (26, 14, 12)
+    assert generates(G, t)
 
 
 def test_psl_requires_one_mod_four():
@@ -63,52 +74,55 @@ def test_anchor_involution_is_unique_in_two_point_stabilizer():
 
 
 def test_psl_members_fix_the_chosen_point():
-    t = psl_triple(13, 4)
-    G = t.group
+    G = build_group("psl2", 13)
+    x, y, z = psl_triple(13, 4)
     delta = all_points(13)[4]
-    assert act(G.matrix_part(t.x), delta) == delta
-    assert act(G.matrix_part(t.y), delta) == delta
+    assert act(G.matrix_part(x), delta) == delta
+    assert act(G.matrix_part(y), delta) == delta
     # z stabilizes a point pair: exactly two fixed points
-    assert len(fixed_points(G.matrix_part(t.z))) == 2
+    assert len(fixed_points(G.matrix_part(z))) == 2
 
 
 # -- construction over PGL(2,p) -----------------------------------------------------
 
 
 def test_pgl_pattern_p5():
+    G = build_group("pgl2", 5)
     t = pgl_triple(5, 0)
-    assert t.pattern == (10, 12, 8)
-    assert t.generates
+    assert oracle_pattern(G, t) == (10, 12, 8)
+    assert generates(G, t)
 
 
 def test_pgl_pattern_p7_with_membership_split():
-    t = pgl_triple(7, 0)
-    G = t.group
-    assert t.pattern == (14, 16, 12)
-    assert not G.in_psl_part(t.x) and not G.in_psl_part(t.y)
-    assert G.in_psl_part(t.z)
+    G = build_group("pgl2", 7)
+    x, y, z = pgl_triple(7, 0)
+    assert oracle_pattern(G, (x, y, z)) == (14, 16, 12)
+    assert not G.in_psl_part(x) and not G.in_psl_part(y)
+    assert G.in_psl_part(z)
 
 
 def test_pgl_p5_membership_split_flips():
-    t = pgl_triple(5, 0)
-    G = t.group
-    assert G.in_psl_part(t.x) and G.in_psl_part(t.y)
-    assert not G.in_psl_part(t.z)
+    G = build_group("pgl2", 5)
+    x, y, z = pgl_triple(5, 0)
+    assert G.in_psl_part(x) and G.in_psl_part(y)
+    assert not G.in_psl_part(z)
 
 
 # -- construction over the extended family --------------------------------------------
 
 
 def test_ext_pattern_7_5():
+    G = build_group("ext", 7, 5)
     t = ext_triple(7, 5, 0, 1, 0)
-    assert t.pattern == (70, 16, 12)
-    assert t.generates
+    assert oracle_pattern(G, t) == (70, 16, 12)
+    assert generates(G, t)
 
 
 def test_ext_pattern_11_3():
+    G = build_group("ext", 11, 3)
     t = ext_triple(11, 3, 1, 1, 0)
-    assert t.pattern == (66, 24, 20)
-    assert t.generates
+    assert oracle_pattern(G, t) == (66, 24, 20)
+    assert generates(G, t)
 
 
 def test_ext_exponent_difference_must_be_a_unit():
@@ -118,12 +132,53 @@ def test_ext_exponent_difference_must_be_a_unit():
         ext_triple(7, 5, 0, 6, 1)  # difference 5 = 0 mod 5
 
 
+def test_make_triple_refuses_a_pattern_off_the_prediction():
+    G = build_group("psl2", 5)
+    x, y, z = psl_triple(5, 2)
+    assert make_triple(G, x, y, z) == (x, y, z)
+    # swapping x and y swaps the face orders: (10, 4, 6)
+    with pytest.raises(ConstructionError, match=r"\(10, 4, 6\), expected \(10, 6, 4\)"):
+        make_triple(G, y, x, z)
+
+
+def _single_constructions(family, p, m):
+    if family == "psl2":
+        return [psl_triple(p, k) for k in range(2, p + 1)]
+    if family == "pgl2":
+        return [pgl_triple(p, k) for k in range(p + 1)]
+    return [
+        ext_triple(p, m, k, c1, c2)
+        for k in range(p + 1)
+        for c1 in range(m)
+        for c2 in range(m)
+        if math.gcd(c1 - c2, m) == 1
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,p,m,count",
+    [
+        ("psl2", 5, 1, 4),
+        ("psl2", 13, 1, 12),
+        ("pgl2", 5, 1, 6),
+        ("pgl2", 7, 1, 8),
+        ("ext", 7, 3, 48),
+        ("ext", 7, 5, 160),
+    ],
+)
+def test_each_construction_lies_in_its_construction_census(family, p, m, count):
+    # the single constructions and the census share the point search and the ext lift
+    made = _single_constructions(family, p, m)
+    assert len(made) == count
+    assert set(made) <= set(construction_census(build_group(family, p, m)))
+
+
 # -- enumeration ------------------------------------------------------------------------
 
 
 def test_enumeration_psl25_nonempty_and_pairs_share_a_point():
     G = build_group("psl2", 5)
-    triples = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))
+    triples = enumerate_reversing_triples(G, (10, 6, 4))
     assert triples
     for x, y, _ in triples:
         fx = set(fixed_points(G.matrix_part(x)))
@@ -133,7 +188,7 @@ def test_enumeration_psl25_nonempty_and_pairs_share_a_point():
 
 def test_enumeration_psl27_empty():
     G = build_group("psl2", 7)
-    assert enumerate_reversing_triples(G, TriplePattern(14, 8, 6)) == []
+    assert enumerate_reversing_triples(G, (14, 8, 6)) == []
 
 
 def _assert_construction_closure_matches_enumeration(G, pattern):
@@ -141,8 +196,7 @@ def _assert_construction_closure_matches_enumeration(G, pattern):
     # every construction triple realizes the pattern and generates, so it
     # lies in the full enumeration
     for t in cons:
-        triple = make_triple(G, *t)
-        assert triple.pattern == pattern.as_tuple() and triple.generates
+        assert oracle_pattern(G, t) == pattern and generates(G, t)
     fibers = enumerate_reversing_triples(G, pattern)
     cons_reps = {r for r, _ in triple_conjugacy_classes(G, cons)}
     enum_reps = {r for r, _ in triple_conjugacy_classes(G, fibers)}
@@ -151,21 +205,20 @@ def _assert_construction_closure_matches_enumeration(G, pattern):
 
 def test_enumeration_matches_construction_closure_psl25():
     _assert_construction_closure_matches_enumeration(
-        build_group("psl2", 5), TriplePattern(10, 6, 4)
+        build_group("psl2", 5), (10, 6, 4)
     )
 
 
 def test_enumeration_matches_construction_closure_pgl25():
     _assert_construction_closure_matches_enumeration(
-        build_group("pgl2", 5), TriplePattern(10, 12, 8)
+        build_group("pgl2", 5), (10, 12, 8)
     )
 
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_no_psl_pattern_when_p_is_three_mod_four(p):
     G = build_group("psl2", p)
-    pattern = TriplePattern(2 * p, p + 1, p - 1)
-    assert enumerate_reversing_triples(G, pattern) == []
+    assert enumerate_reversing_triples(G, (2 * p, p + 1, p - 1)) == []
 
 
 def test_blind_scan_agrees_with_slotted_enumeration_psl25():
@@ -174,8 +227,8 @@ def test_blind_scan_agrees_with_slotted_enumeration_psl25():
     assert [c.pattern for c in scan.qualifying] == [(10, 6, 4)]
     census = scan.qualifying[0]
     everything = oracle_expand(G, census.triples)
-    assert set(everything) == set(oracle_enumerate(G, TriplePattern(10, 6, 4)))
-    fibers = enumerate_reversing_triples(G, TriplePattern(10, 6, 4))
+    assert set(everything) == set(oracle_enumerate(G, (10, 6, 4)))
+    fibers = enumerate_reversing_triples(G, (10, 6, 4))
     minima = {G.involutions()[c.rep] for c in G.involution_classes().classes}
     assert [t for t in everything if t[0] in minima] == fibers
     classes = triple_conjugacy_classes(G, fibers)
@@ -192,16 +245,15 @@ def test_slotted_census_keeps_only_the_scanned_fibers(family, p, fibers, raw):
     C = G.involution_classes()
     invs = G.involutions()
     assert all(invs[C.class_of[C.position[x]].rep] == x for x, _, _ in census.triples)
-    pattern = TriplePattern(*census.pattern)
-    assert sorted(census.triples) == sorted(enumerate_reversing_triples(G, pattern))
+    assert sorted(census.triples) == sorted(enumerate_reversing_triples(G, census.pattern))
     assert (len(census.triples), census.raw_triples) == (fibers, raw)
 
 
 def test_predicted_patterns():
-    assert TriplePattern.predicted("psl2", 13).as_tuple() == (26, 14, 12)
-    assert TriplePattern.predicted("psl2", 7) is None
-    assert TriplePattern.predicted("pgl2", 7).as_tuple() == (14, 16, 12)
-    assert TriplePattern.predicted("ext", 7, 5).as_tuple() == (70, 16, 12)
+    assert predicted_pattern("psl2", 13) == (26, 14, 12)
+    assert predicted_pattern("psl2", 7) is None
+    assert predicted_pattern("pgl2", 7) == (14, 16, 12)
+    assert predicted_pattern("ext", 7, 5) == (70, 16, 12)
 
 
 @pytest.fixture

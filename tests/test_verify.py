@@ -9,12 +9,7 @@ from oracle import oracle_expand
 from revmaps import gfproj
 from revmaps.groups import build_group, generates
 from revmaps.mapgeom import build_revmap
-from revmaps.triples import (
-    TriplePattern,
-    make_triple,
-    scan_reversing_census,
-    triple_conjugacy_classes,
-)
+from revmaps.triples import scan_reversing_census, triple_conjugacy_classes
 from revmaps.verify import (
     VERIFY_MATRIX,
     _membership_split_ok,
@@ -52,36 +47,30 @@ def test_check_coprime(chi, edges, expected):
 def test_sylow_lemma_on_classified_maps():
     from revmaps.triples import pgl_triple, psl_triple
 
-    for t in (psl_triple(5, 2), pgl_triple(7, 0)):
-        M = build_revmap(t.group, *t.indices())
+    for family, p, t in (("psl2", 5, psl_triple(5, 2)), ("pgl2", 7, pgl_triple(7, 0))):
+        G = build_group(family, p)
+        M = build_revmap(G, *t)
         assert check_sylow_lemma(M)
         stabs = M.stabilizer_orders()
-        assert math.lcm(*stabs.values()) == t.group.order
+        assert math.lcm(*stabs.values()) == G.order
 
 
 def test_sylow_lemma_rejects_deficient_pattern():
     # a (10, 6, 6) triple generates but its stabilizers only reach lcm 30
     G = build_group("psl2", 5)
     invs = G.involutions()
-    t = None
-    for x in invs:
-        for y in invs:
-            if y == x or G.pair_order(x, y) != 5:
-                continue
-            for z in invs:
-                if z in (x, y):
-                    continue
-                if G.pair_order(x, z) == 3 and G.pair_order(y, z) == 3:
-                    cand = make_triple(G, x, y, z)
-                    if cand.generates:
-                        t = cand
-                        break
-            if t:
-                break
-        if t:
-            break
-    assert t is not None and t.pattern == (10, 6, 6)
-    M = build_revmap(G, *t.indices())
+    t = next(
+        (x, y, z)
+        for x in invs
+        for y in invs
+        if y != x and G.pair_order(x, y) == 5
+        for z in invs
+        if z not in (x, y)
+        and G.pair_order(x, z) == 3
+        and G.pair_order(y, z) == 3
+        and generates(G, (x, y, z))
+    )
+    M = build_revmap(G, *t)
     assert not check_sylow_lemma(M)
     assert not check_coprime(M.chi(), M.edge_count)
 
@@ -189,8 +178,9 @@ def test_verify_psl27_negative_control_is_empty():
 
 def test_verify_rejects_injected_wrong_pattern(monkeypatch):
     # claiming faces (p+1, p+1) must fail: the scan finds the true pattern
-    wrong = classmethod(lambda cls, family, p, m=1: TriplePattern(10, 6, 6))
-    monkeypatch.setattr(TriplePattern, "predicted", wrong)
+    import revmaps.verify as verify
+
+    monkeypatch.setattr(verify, "predicted_pattern", lambda family, p, m=1: (10, 6, 6))
     rep = verify_theorem("psl2", 5)
     assert rep["verdict"] == "fail"
 
