@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Callable
 
 from .groups import DEFAULT_BUDGET, FAMILIES, PGL2, PSL2, BudgetExceeded, GroupError, build_group
@@ -61,7 +62,9 @@ def resolve_budget(flag: int | None) -> int:
         raise GroupError(f"REVMAPS_BUDGET must be an integer, got {raw!r}")
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves no state on the parser
     top = argparse.ArgumentParser(
         prog="revmaps",
         description="construct and verify arc-transitive maps with chi coprime to |E|",
@@ -254,9 +257,8 @@ def run_guarded(work: Callable[[], int]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_USAGE if exc.code else EXIT_OK

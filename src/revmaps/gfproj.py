@@ -18,7 +18,7 @@ affine points, the unique right action sending x to x+1 under [[1,1],[0,1]].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class GFProjError(ValueError):
@@ -170,11 +170,12 @@ def element_order(g: ProjMatrix) -> int:
     return projective_order(*g)
 
 
-def product_orders(mats: list[ProjMatrix]) -> Iterator[list[int]]:
-    """Row x lists the orders of mats[x] * mats[y] for every y, as projective_order.
+def product_orders(mats: list[ProjMatrix]) -> Callable[[int], list[int]]:
+    """The function x -> the orders of mats[x] * mats[y] for every y, as projective_order.
 
-    The n^2 products are never formed: each order comes from the trace, a dot
-    product of the entries, and the determinant, a product of the factors'.
+    One row at a time, on request.  The n^2 products are never formed: each
+    order comes from the trace, a dot product of the entries, and the
+    determinant, a product of the factors'.
     """
     p = mats[0].p
     orders = _invariant_orders(p)
@@ -183,11 +184,17 @@ def product_orders(mats: list[ProjMatrix]) -> Iterator[list[int]]:
     at: dict[ProjMatrix, list[int]] = {}
     for y, g in enumerate(mats):
         at.setdefault(g, []).append(y)
-    for g, (a, b, c, d, w) in zip(mats, ents):
-        row = [orders[(a * e + b * u + c * f + d * v) ** 2 * w * k % p] for e, f, u, v, k in ents]
-        for y in at.get(mat_inverse(g), ()):
-            row[y] = 1  # a scalar product
-        yield row
+
+    def row(x: int) -> list[int]:
+        a, b, c, d, w = ents[x]
+        # the orders by tr^2 / det(mats[y]), with this row's 1/det folded in
+        by = [orders[s * w % p] for s in range(p)]
+        out = [by[(t := a * e + b * u + c * f + d * v) * t * k % p] for e, f, u, v, k in ents]
+        for y in at.get(mat_inverse(mats[x]), ()):
+            out[y] = 1  # a scalar product
+        return out
+
+    return row
 
 
 def in_psl(g: ProjMatrix) -> bool:

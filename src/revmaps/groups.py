@@ -17,7 +17,8 @@ ascend as pairs.  Only this module knows that encoding; other modules use
 Element and pair orders are read off the invariant tr^2/det of the matrix
 part (see ``gfproj.projective_order``) without multiplying, so the handle
 keeps no per-element or per-pair memo.  The only quadratic table is the
-dihedral table of the involutions, built on first use by the census scans.
+dihedral table of the involutions, whose rows the census scans build one at
+a time as they read them.
 
 Whether elements generate the group is asked of ``generates`` alone: an lcm
 of element and dihedral orders, then in ext a projection to PGL(2,p), and
@@ -108,7 +109,7 @@ class GroupHandle:
         self._involutions: tuple[int, ...] | None = None
         self._involution_classes: InvolutionClasses | None = None
         self._generators: list[int] | None = None
-        self._dihedral: list[array] | None = None
+        self._dihedral: DihedralTable | None = None
         self._conjugations: list[list[int]] | None = None
 
     # -- element access ----------------------------------------------------
@@ -241,32 +242,18 @@ class GroupHandle:
         # with m = 1 there is no Z_m factor, and the scans skip its divmods
         return n if self.m == 1 else math.lcm(n, self._cyclic_order(i, j))
 
-    def dihedral_table(self) -> list[array]:
+    def dihedral_table(self) -> "DihedralTable":
         """Dihedral orders 2|uv| of all pairs of involutions, by position.
 
         Row x holds the orders of involutions()[x] with each involution, and
         0 on the diagonal, 2 bytes an entry.  The orders come from the
-        entries, as in pair_order.  Built on first use and kept on the handle;
-        only the census scans ask for it.
+        entries, as in pair_order.  The table is made on first use and kept
+        on the handle, and each row is computed the first time it is read, so
+        a scan pays only for the rows it indexes.  Only the census scans ask
+        for it.
         """
         if self._dihedral is None:
-            invs = self.involutions()
-            # the Z_m part of a pair order depends on the exponents and twist
-            # signs alone, so it is read once per kind of involution
-            kinds: dict[tuple[int, bool], list[int]] = {}
-            for y, v in enumerate(invs):
-                kinds.setdefault((self.exponent_part(v), self.in_psl_part(v)), []).append(y)
-            rows = []
-            mats = [self.matrix_part(u) for u in invs]
-            for x, row in enumerate(product_orders(mats)):
-                for ys in kinds.values():
-                    c = self._cyclic_order(invs[x], invs[ys[0]])
-                    if c > 1:
-                        for y in ys:
-                            row[y] = math.lcm(row[y], c)
-                row[x] = 0
-                rows.append(array("H", [n + n for n in row]))
-            self._dihedral = rows
+            self._dihedral = DihedralTable(self)
         return self._dihedral
 
     # -- serialization -------------------------------------------------------
@@ -296,6 +283,53 @@ class GroupHandle:
 
     def __repr__(self) -> str:
         return f"GroupHandle({self.family}, p={self.p}, m={self.m}, order={self.order})"
+
+
+class DihedralTable(Sequence[array]):
+    """The dihedral table of ``GroupHandle.dihedral_table``, its rows computed on first read.
+
+    ``table[x]`` is an array('H') of the dihedral orders of involutions()[x]
+    with every involution, by position.  ``built()`` lists the rows computed
+    so far.
+    """
+
+    def __init__(self, G: GroupHandle):
+        self._group = G
+        invs = G.involutions()
+        self._rows: list[array | None] = [None] * len(invs)
+        self._orders = product_orders([G.matrix_part(u) for u in invs])
+        # the Z_m part of a pair order depends on the exponents and twist
+        # signs alone, so it is read once per kind of involution
+        kinds: dict[tuple[int, bool], list[int]] = {}
+        if G.m > 1:
+            for y, v in enumerate(invs):
+                kinds.setdefault((G.exponent_part(v), G.in_psl_part(v)), []).append(y)
+        self._kinds = list(kinds.values())
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, x: int) -> array:
+        row = self._rows[x]
+        if row is None:
+            row = self._rows[x] = self._row(x)
+        return row
+
+    def _row(self, x: int) -> array:
+        G = self._group
+        invs = G.involutions()
+        orders = self._orders(x)
+        for ys in self._kinds:
+            c = G._cyclic_order(invs[x], invs[ys[0]])
+            if c > 1:
+                for y in ys:
+                    orders[y] = math.lcm(orders[y], c)
+        orders[x] = 0
+        return array("H", [n + n for n in orders])
+
+    def built(self) -> list[int]:
+        """The positions of the rows computed so far."""
+        return [x for x, row in enumerate(self._rows) if row is not None]
 
 
 _CACHE: dict[tuple[str, int, int], GroupHandle] = {}
@@ -435,11 +469,13 @@ def _involution_generators(G: GroupHandle) -> list[int]:
 
         best = max(invs, key=gain)
         if gain(best) == reached:
-            for v in invs:
-                if generates(G, chosen):
-                    break
-                if v not in chosen:
-                    chosen.append(v)
+            # test again only after the set has grown
+            if not generates(G, chosen):
+                for v in invs:
+                    if v not in chosen:
+                        chosen.append(v)
+                        if generates(G, chosen):
+                            break
             break
         reached = gain(best)
         chosen.append(best)

@@ -21,6 +21,7 @@ is (vertex, face1, face2).  The constructions check each triple's pattern
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -244,6 +245,8 @@ def enumerate_reversing_triples(
     (``groups.generates``).
     """
     dv, d1, d2 = pattern
+    # dihedral orders are even, so this is the first check of ``generates``
+    spans = math.lcm(*pattern) == G.order
     invs = G.involutions()
     table = G.dihedral_table()
     out = []
@@ -256,7 +259,7 @@ def enumerate_reversing_triples(
             (x, invs[j], invs[k])
             for j in ys
             for k in zs
-            if table[j][k] == d2 and generates(G, (x, invs[j], invs[k]))
+            if table[j][k] == d2 and (spans or generates(G, (x, invs[j], invs[k])))
         )
     return out
 
@@ -289,7 +292,9 @@ class CensusScan:
 
 
 def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
-    values = sorted({d for row in table for d in row if d})
+    # every pair of involutions is conjugate to one through a class rep, so
+    # the reps' rows hold every dihedral order
+    values = sorted({d for cls in G.involution_classes().classes for d in table[cls.rep] if d})
     edges = G.order // 2
     return {
         (u, v, w): math.gcd(abs(pattern_chi(G.order, (u, v, w))), edges) == 1
@@ -299,31 +304,33 @@ def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
     }
 
 
-def _roles(G: GroupHandle, a: int, b: int, c: int):
-    """Assign (x, y, z) roles to the involutions at positions a, b, c.
+def _roles(G: GroupHandle, orders: tuple[int, int, int]):
+    """The roles of the involutions a, b, c read off their dihedral orders, if slotted.
 
-    z is the member outside the one pair at a dihedral order divisible by
-    2p (the vertex pair), and x the member of that pair with the larger face
-    order with z.  Without exactly one such pair, or with tied face orders
-    (possible only for unclassified patterns), the roles follow position
-    order, which is element order, and the hit is unslotted.  Returns the
-    positions in role order, the pattern and whether the hit is slotted.
+    ``orders`` are the dihedral orders of (a, b), (a, c) and (b, c).  z is
+    the member outside the one pair at a dihedral order divisible by 2p (the
+    vertex pair), and x the member of that pair with the larger face order
+    with z.  Returns the indices 0, 1, 2 of a, b, c in (x, y, z) order and
+    the pattern.  Without exactly one such pair, or with tied face orders
+    (possible only for unclassified patterns), returns None: the hit is
+    unslotted, and its roles follow element order.
     """
+    ab, ac, bc = orders
     two_p = 2 * G.p
-    table = G.dihedral_table()
+    # each pair, the member outside it, and the orders of the pair and of
+    # its two members with that one
     vertex = [
-        (u, v, w)
-        for u, v, w in ((a, b, c), (a, c, b), (b, c, a))
-        if table[u][v] % two_p == 0
+        cand
+        for cand in ((0, 1, 2, ab, ac, bc), (0, 2, 1, ac, ab, bc), (1, 2, 0, bc, ab, ac))
+        if cand[3] % two_p == 0
     ]
     if len(vertex) == 1:
-        x, y, z = vertex[0]
-        if table[x][z] != table[y][z]:
-            if table[x][z] < table[y][z]:
-                x, y = y, x
-            return (x, y, z), (table[x][y], table[x][z], table[y][z]), True
-    x, y, z = sorted((a, b, c))
-    return (x, y, z), (table[x][y], table[x][z], table[y][z]), False
+        x, y, z, xy, xz, yz = vertex[0]
+        if xz != yz:
+            if xz < yz:
+                x, y, xz, yz = y, x, yz, xz
+            return (x, y, z), (xy, xz, yz)
+    return None
 
 
 def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, int, int], int]]:
@@ -387,6 +394,55 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     return classes
 
 
+def _buckets(row: Sequence[int]) -> dict[int, list[int]]:
+    """The positions of a table row by their value, ascending; the diagonal 0 left out."""
+    out: dict[int, list[int]] = {}
+    for y, d in enumerate(row):
+        if d:
+            out.setdefault(d, []).append(y)
+    return out
+
+
+def _hit_plans(G: GroupHandle, a: int, b: int, values, qual) -> dict:
+    """What a pair (y, z) through the rep r becomes, by the dihedral order c of (y, z).
+
+    a and b are the orders of (r, y) and (r, z).  Only qualifying orders are
+    listed, and a slotted one only where r plays x: slotted roles follow
+    from the three orders alone, and a slotted hit where r is not x is the
+    conjugate of one where it is.  A plan is (slots, spans): slots are the
+    roles and pattern of ``_roles``, or None for an unslotted hit; spans
+    says that the lcm of the orders is |G|.  Dihedral orders are even, so
+    that is the first check of ``generates``, and such a hit generates
+    without the call.
+    """
+    plans = {}
+    for c in values:
+        if qual[(a, b, c)]:
+            slots = _roles(G, (a, b, c))
+            if slots is None or slots[0][0] == 0:
+                plans[c] = (slots, math.lcm(a, b, c) == G.order)
+    return plans
+
+
+def _pairs(table, ys: list[int], zs: list[int], orders):
+    """The pairs y < z with y in ys and z in zs whose dihedral order is in orders, as (y, z, order).
+
+    Both lists ascend.  Only the rows of the shorter list are read.
+    """
+    if len(ys) <= len(zs):
+        for y in ys:
+            row = table[y]
+            for z in zs[bisect_right(zs, y) :]:
+                if row[z] in orders:
+                    yield y, z, row[z]
+    else:
+        for z in zs:
+            row = table[z]
+            for y in ys[: bisect_left(ys, z)]:
+                if row[y] in orders:
+                    yield y, z, row[y]
+
+
 def scan_reversing_census(G: GroupHandle) -> CensusScan:
     """Blind census of all involution triples for coprime-qualifying patterns.
 
@@ -399,35 +455,44 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
     from the orbit sizes of its classes.  An unslotted hit, whose roles
     follow element indices and so do not commute with conjugation, is kept
     as an unordered set, expanded over its class, and then given its roles.
+
+    The scan is exhaustive, but it visits only the pairs it may keep.  The
+    other positions are bucketed by their dihedral order with the rep r.
+    For each pair of orders (a, b) of (r, y) and (r, z), ``_hit_plans``
+    lists the orders c of (y, z) that qualify, less those whose slotted
+    roles do not put r at x; then only y in bucket a and z in bucket b are
+    visited, and only the table rows of the shorter bucket are read.  A
+    pair never visited fails the filter or is the conjugate of a kept hit.
+    With no qualifying pattern no pair is visited and no row but the reps'
+    is built.  A hit whose orders have lcm |G| is taken without calling
+    ``generates``.
     """
     invs = G.involutions()
     table = G.dihedral_table()
     qual = _qualifying_table(G, table)
     n = len(invs)
+    inv_classes = G.involution_classes().classes
+    buckets = [_buckets(table[cls.rep]) for cls in inv_classes]
+    values = sorted(set().union(*buckets))
     fibers: dict[tuple[int, int, int], list] = {}
     loose = set()
-    for cls in G.involution_classes().classes:
+    for cls, bucket in zip(inv_classes, buckets):
         r = cls.rep
-        row_r = table[r]
         unordered = []
-        for y in range(n):
-            if y == r:
-                continue
-            a = row_r[y]
-            row_y = table[y]
-            for z in range(y + 1, n):
-                if z == r or not qual[(a, row_r[z], row_y[z])]:
+        for a, ys in bucket.items():
+            for b, zs in bucket.items():
+                plans = _hit_plans(G, a, b, values, qual)
+                if not plans:
                     continue
-                (u, v, w), pat, slotted_hit = _roles(G, r, y, z)
-                # a slotted hit where the rep is not x is the conjugate of one
-                # where it is
-                if slotted_hit and u != r:
-                    continue
-                if generates(G, (invs[u], invs[v], invs[w])):
-                    if slotted_hit:
-                        fibers.setdefault(pat, []).append((invs[u], invs[v], invs[w]))
-                    else:
-                        unordered.append((y, z))
+                for y, z, c in _pairs(table, ys, zs, plans):
+                    slots, spans = plans[c]
+                    t = (invs[r], invs[y], invs[z])
+                    if spans or generates(G, t):
+                        if slots is None:
+                            unordered.append((y, z))
+                        else:
+                            roles, pat = slots
+                            fibers.setdefault(pat, []).append(tuple(t[i] for i in roles))
         for u, mu in cls.maps.items():
             loose.update(tuple(sorted((u, mu[y], mu[z]))) for y, z in unordered)
 
@@ -442,9 +507,9 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
             tuple(t for t, _ in classes),
         )
     unslotted: dict[tuple[int, int, int], list] = {}
-    for hit in loose:
-        t, pat, _ = _roles(G, *hit)
-        unslotted.setdefault(pat, []).append(tuple(invs[i] for i in t))
+    for x, y, z in loose:
+        pat = (table[x][y], table[x][z], table[y][z])
+        unslotted.setdefault(pat, []).append((invs[x], invs[y], invs[z]))
     for pat, found in unslotted.items():
         censuses[pat] = PatternCensus(
             pat, pattern_chi(G.order, pat), tuple(sorted(found)), len(found), ()

@@ -125,6 +125,20 @@ def test_usage_error():
     assert r.returncode == 1
 
 
+def test_a_usage_error_leaves_no_state_for_the_next_call(tmp_path, capsys):
+    # the parser is built once per process; a failed parse that had already
+    # read --k 3 must not leak into the next call
+    from revmaps import cli
+
+    args = ["construct", "--family", "pgl2", "--p", "7"]
+    assert cli.main([*args, "--k", "3", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    out = tmp_path / "construct.json"
+    assert cli.main([*args, "--output", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "construct_pgl2_7.json").read_bytes()
+    assert cli._parser() is cli._parser()
+
+
 def test_check_round_trip(tmp_path):
     rec_path = tmp_path / "rec.json"
     r = run_cli(
@@ -426,10 +440,22 @@ EXPORT_DIGESTS = {
 }
 
 
+# SHA-256 of the default ``enumerate`` JSON on the census configs: pgl2 19
+# has 24 classes of hits and psl2 31 none.
+ENUMERATE_DIGESTS = {
+    ("pgl2", 19, 1): "d30ae115c478ece7e6e249beba1450e5994a16f48bd49624eea3aca430540a82",
+    ("psl2", 31, 1): "887987565c1991ebe9f75dd5a7c293f99d68bb705953c89d110e5b07e9d15753",
+}
+
+
 def test_construct_bytes_are_pinned(tmp_path):
     from revmaps import cli
 
-    for command, digests in (("construct", CONSTRUCT_DIGESTS), ("export", EXPORT_DIGESTS)):
+    for command, digests in (
+        ("construct", CONSTRUCT_DIGESTS),
+        ("export", EXPORT_DIGESTS),
+        ("enumerate", ENUMERATE_DIGESTS),
+    ):
         got = {}
         for family, p, m in digests:
             out = tmp_path / f"{command}_{family}_{p}_{m}"

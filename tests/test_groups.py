@@ -472,6 +472,24 @@ def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
     assert calls == [fresh]
 
 
+def test_generator_search_tests_each_grown_set_once(monkeypatch):
+    # in psl2 7 the lcm stalls at three involutions; the search then appends
+    # involutions and tests generation only after each append
+    import revmaps.groups as groups
+
+    calls = []
+    real = groups.generates
+
+    def counted(G, gens):
+        calls.append(tuple(gens))
+        return real(G, gens)
+
+    monkeypatch.setattr(groups, "generates", counted)
+    fresh = groups.GroupHandle("psl2", 7, 1)
+    assert fresh.involution_generators() == [0, 50, 7, 14, 56]
+    assert calls == [(0, 50, 7), (0, 50, 7, 14), (0, 50, 7, 14, 56)]
+
+
 def test_involution_classes_are_memoized_and_lazy():
     G = build_group("pgl2", 5)
     assert G.involution_classes() is G.involution_classes()

@@ -91,6 +91,31 @@ def test_dihedral_table_is_built_only_by_the_scans(monkeypatch, tmp_path):
     assert cli.main(["check", "--input", record, "--output", str(tmp_path / "c.json")]) == 0
     assert cli.main(["export", *common, "--output", str(tmp_path / "g.dot")]) == 0
     assert len(groups._CACHE) == 2
-    assert all(H._dihedral is None for H in groups._CACHE.values())
+    assert all(H._dihedral is None or not H._dihedral.built() for H in groups._CACHE.values())
     scan_reversing_census(G)
-    assert G._dihedral is not None
+    assert G.dihedral_table().built()
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_a_scan_without_qualifying_patterns_builds_only_the_rep_rows(monkeypatch, p):
+    # psl2 with p = 3 mod 4: no pattern passes the gcd filter, so the scan
+    # visits no pair and reads no row but the class reps'
+    monkeypatch.setattr(groups, "_CACHE", {})
+    G = build_group("psl2", p)
+    scan = scan_reversing_census(G)
+    assert scan.qualifying == ()
+    reps = [cls.rep for cls in G.involution_classes().classes]
+    assert G.dihedral_table().built() == reps
+
+
+def test_a_scan_with_hits_reads_the_vertex_rows_only(monkeypatch):
+    # pgl2 19: only a pair through the rep at the vertex order 38 can be kept
+    # with the rep as x, so the scan reads the rows of that bucket alone
+    monkeypatch.setattr(groups, "_CACHE", {})
+    G = build_group("pgl2", 19)
+    assert [c.pattern for c in scan_reversing_census(G).qualifying] == [(38, 40, 36)]
+    table = G.dihedral_table()
+    reps = [cls.rep for cls in G.involution_classes().classes]
+    vertex = {y for y, d in enumerate(table[reps[0]]) if d == 38}
+    assert set(reps) <= set(table.built()) <= set(reps) | vertex
+    assert len(table.built()) < len(table) // 4

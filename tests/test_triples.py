@@ -27,6 +27,7 @@ from revmaps.triples import (
     triple_conjugacy_classes,
     two_point_stabilizer_involution,
 )
+from revmaps.verify import VERIFY_MATRIX
 
 
 # -- construction over PSL(2,p) -------------------------------------------------
@@ -328,6 +329,42 @@ def test_generation_fast_paths_match_plain_closure(generation_path):
     assert generation_path(X, (x, y)) == ("ext", False)
     assert generation_path(X, (*ext_cons[0], ext_cons[-1][1])) == ("ext", True)
     assert generation_path(P, invs[:4])[0] == "closure"
+
+
+@pytest.mark.parametrize("family,p,m", [*VERIFY_MATRIX, ("pgl2", 19, 1)])
+def test_hits_taken_on_the_lcm_generate(family, p, m, monkeypatch):
+    # the scan and the enumeration take every hit of a pattern whose lcm is
+    # |G| without calling generates; the plain closure must confirm them
+    from revmaps import triples
+
+    G = build_group(family, p, m)
+    tested = set()
+    real = triples.generates
+
+    def counted(H, gens):
+        tested.add(tuple(gens))
+        return real(H, gens)
+
+    monkeypatch.setattr(triples, "generates", counted)
+    hits = {t for c in scan_reversing_census(G).qualifying for t in c.triples}
+    pattern = predicted_pattern(family, p, m)
+    if pattern:
+        hits |= set(enumerate_reversing_triples(G, pattern))
+    settled = hits - tested
+    assert all(
+        math.lcm(*oracle_pattern(G, t)) == G.order for t in settled
+    ), "a hit was taken without generates on a pattern whose lcm is below |G|"
+    if pattern and math.lcm(*pattern) == G.order:
+        assert settled == hits and not tested
+    if G.order > 5000:
+        # pgl2 19: 864 hits in 24 orbits.  Generation is invariant under
+        # conjugation, so one closure per orbit minimum (a hit of the same
+        # fiber) stands for its orbit, 36 times fewer closures than one per hit.
+        assert len(settled) == 864
+        classes = triple_conjugacy_classes(G, settled)
+        assert len(classes) == 24 and {t for t, _ in classes} <= settled
+        settled = {t for t, _ in classes}
+    assert all(subgroup_closure(G, t).order == G.order for t in settled)
 
 
 def test_mid_size_census_pgl2_19(tmp_path):
