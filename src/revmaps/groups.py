@@ -28,7 +28,8 @@ Bulk questions go through one kernel, ``GroupHandle.left_perm``: the
 permutation g -> h*g of all element indices, computed in one sweep.  Right
 cosets Hg are the orbits of the left-multiplication permutations of H's
 generators, and conjugacy classes are the orbits of the conjugation
-permutations g -> s*g*s of a few generating involutions s.
+permutations g -> s*g*s of a few generating involutions s; a class of
+involutions keeps its breadth-first tree as a Schreier vector.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ class GroupHandle:
         return self._involutions
 
     def involution_classes(self) -> "InvolutionClasses":
-        """The conjugacy classes of involutions with their conjugation maps.
+        """The conjugacy classes of involutions with their Schreier vectors.
 
         Built on first use and kept on the handle.
         """
@@ -382,34 +383,56 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
 class InvolutionClass:
     """One conjugacy class of involutions, in positions of ``G.involutions()``.
 
-    ``rep`` is the least member.  ``maps[u]`` is the conjugation map of one
-    element t_u with rep^t_u = u: the list sending position i to the position
-    of involutions()[i]^t_u.  ``maps[rep]`` is the identity.
+    ``rep`` is the least member, ``members`` the class in breadth-first
+    order.  The Schreier vector ``parent[u] = (w, k)``, with u = perms[k][w]
+    for the generators' conjugation perms, spells a path from the rep to u
+    and so an element t_u with rep^t_u = u.  ``from_rep`` conjugates by
+    t_u, ``to_rep`` by its inverse: the generators are involutions, so that
+    is the same path read backwards.
     """
 
-    def __init__(
-        self, rep: int, maps: dict[int, list[int]], generators: list[list[int]], group_order: int
-    ):
+    def __init__(self, rep: int, generators: list[list[int]], group_order: int):
         self.rep = rep
-        self.maps = maps
+        self.members = [rep]
+        self.parent: dict[int, tuple[int, int]] = {}
         self._generators = generators
-        self._centralizer_order = group_order // len(maps)
-        self._inverses: dict[int, list[int]] = {}
+        self._group_order = group_order
         self._centralizer: list[tuple[int, ...]] | None = None
 
     @property
     def size(self) -> int:
-        return len(self.maps)
+        return len(self.members)
 
-    def inverse(self, u: int) -> list[int]:
-        """The conjugation map of t_u^-1, which sends u back to the rep."""
-        inv = self._inverses.get(u)
-        if inv is None:
-            inv = [0] * len(self.maps[u])
-            for i, j in enumerate(self.maps[u]):
-                inv[j] = i
-            self._inverses[u] = inv
-        return inv
+    def _path(self, u: int) -> list[int]:
+        """The generators on the path from u up to the rep, u's own edge first."""
+        ks = []
+        while u != self.rep:
+            u, k = self.parent[u]
+            ks.append(k)
+        return ks
+
+    def _walk(self, ks: Iterable[int], ys: Iterable[int]) -> list[int]:
+        ys = list(ys)
+        for k in ks:
+            perm = self._generators[k]
+            ys = [perm[y] for y in ys]
+        return ys
+
+    def to_rep(self, u: int, ys: Iterable[int]) -> list[int]:
+        """The positions ys conjugated by t_u^-1, which sends u to the rep."""
+        return self._walk(self._path(u), ys)
+
+    def from_rep(self, u: int, ys: Iterable[int]) -> list[int]:
+        """The positions ys conjugated by t_u, which sends the rep to u."""
+        return self._walk(reversed(self._path(u)), ys)
+
+    def from_rep_all(self, ys: Sequence[int]) -> dict[int, list[int]]:
+        """``from_rep(u, ys)`` of every member u, each from its parent's images."""
+        images = {self.rep: list(ys)}
+        for u, (w, k) in self.parent.items():
+            perm = self._generators[k]
+            images[u] = [perm[y] for y in images[w]]
+        return images
 
     def centralizer(self) -> list[tuple[int, ...]]:
         """The conjugation maps of every element of the centralizer of the rep.
@@ -418,15 +441,16 @@ class InvolutionClass:
         until it reaches its order |G| / |class|.
         """
         if self._centralizer is None:
-            ident = tuple(range(len(self.maps[self.rep])))
+            positions = range(len(self._generators[0]))
+            ident = tuple(positions)
             gens: list[tuple[int, ...]] = []
             elems = {ident}
-            for u, mu in self.maps.items():
-                if len(elems) == self._centralizer_order:
+            for u in self.members:
+                if len(elems) * self.size == self._group_order:
                     break
+                mu = self.from_rep(u, positions)
                 for g in self._generators:
-                    back = self.inverse(g[u])
-                    h = tuple([back[g[j]] for j in mu])
+                    h = tuple(self.to_rep(g[u], [g[j] for j in mu]))
                     if h not in elems:
                         gens.append(h)
                         elems = _close_maps(gens, ident)
@@ -483,12 +507,12 @@ def _involution_generators(G: GroupHandle) -> list[int]:
 
 
 class InvolutionClasses:
-    """The conjugacy classes of involutions of G, with conjugation maps.
+    """The conjugacy classes of involutions of G, each with a Schreier vector.
 
     The conjugation maps of a few generating involutions give the classes as
-    orbits; a breadth-first search from each class's least member composes
-    the maps of a transversal.  Every later step works with list lookups
-    instead of group multiplications.
+    orbits; one breadth-first search from each class's least member records
+    the tree edge that first reached every member.  Every later step works
+    with list lookups instead of group multiplications.
     """
 
     def __init__(self, G: GroupHandle):
@@ -503,22 +527,16 @@ class InvolutionClasses:
         for rep in range(len(invs)):
             if self.class_of[rep] is not None:
                 continue
-            maps = {rep: list(range(len(invs)))}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    mu = maps[u]
-                    for g in gens:
-                        w = g[u]
-                        if w not in maps:
-                            maps[w] = [g[j] for j in mu]
-                            nxt.append(w)
-                frontier = nxt
-            cls = InvolutionClass(rep, maps, gens, G.order)
+            cls = InvolutionClass(rep, gens, G.order)
+            self.class_of[rep] = cls
+            for w in cls.members:
+                for k, g in enumerate(gens):
+                    u = g[w]
+                    if self.class_of[u] is None:
+                        self.class_of[u] = cls
+                        cls.parent[u] = (w, k)
+                        cls.members.append(u)
             self.classes.append(cls)
-            for u in maps:
-                self.class_of[u] = cls
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby, permutations
+from operator import itemgetter
 from typing import Sequence
 
 from . import gfproj
@@ -217,11 +220,11 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
 # -- the census engine -----------------------------------------------------------
 #
 # Pair orders, chi, the gcd filter and generation are all invariant under
-# simultaneous conjugation.  So the engine fixes x to the least member of
-# each class of involutions and scans only the (y, z) that complete it (the
-# class's fiber).  Class questions, and the count of all triples, are
-# settled on the fibers: each class comes with its orbit size (see
-# ``triple_conjugacy_classes``).
+# simultaneous conjugation.  So the engine, ``_fiber_hits``, fixes x to the
+# least member of each class of involutions and scans only the (y, z) that
+# complete it (the class's fiber), for the blind census and the enumeration
+# alike.  Class questions, and the count of all triples, are settled on the
+# fibers (see ``triple_conjugacy_classes``).
 
 
 def pattern_chi(order: int, pattern: Sequence[int]) -> int:
@@ -238,30 +241,17 @@ def enumerate_reversing_triples(
     """The fiber triples realizing the slotted pattern, ascending.
 
     (x, y) is the pair at the vertex order, x the member at the face1 order
-    with z, and x is the least member of its involution class.  Every
-    triple realizing the pattern is conjugate to one of these, so
-    ``triple_conjugacy_classes`` of the fibers gives every class of the
-    pattern with its full size.  Every returned triple generates G
-    (``groups.generates``).
+    with z, and x is the least member of its involution class: the slotted
+    fibers of ``_fiber_hits`` with only the orderings of the pattern
+    qualifying.  Every triple realizing the pattern is conjugate to one of
+    these, so ``triple_conjugacy_classes`` of the fibers gives every class
+    of the pattern with its full size.  Every one generates G.  A pattern
+    the engine does not slot as given (tied face orders, say) has none.
     """
-    dv, d1, d2 = pattern
-    # dihedral orders are even, so this is the first check of ``generates``
-    spans = math.lcm(*pattern) == G.order
-    invs = G.involutions()
-    table = G.dihedral_table()
-    out = []
-    for cls in G.involution_classes().classes:
-        x = invs[cls.rep]
-        row = table[cls.rep]
-        ys = [j for j, d in enumerate(row) if d == dv]
-        zs = [k for k, d in enumerate(row) if d == d1]
-        out.extend(
-            (x, invs[j], invs[k])
-            for j in ys
-            for k in zs
-            if table[j][k] == d2 and (spans or generates(G, (x, invs[j], invs[k])))
-        )
-    return out
+    pattern = tuple(pattern)
+    qual = defaultdict(bool, dict.fromkeys(permutations(pattern), True))
+    fibers, _ = _fiber_hits(G, qual)
+    return sorted(fibers.get(pattern, []))
 
 
 # -- blind census over all involution triples ----------------------------------
@@ -337,7 +327,8 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     """The conjugation orbits the involution triples meet, as (orbit minimum, orbit size).
 
     Each triple is folded onto the fiber of the least member r of its x's
-    class.  There its orbit is an orbit of the centralizer C(r), so the orbit
+    class along x's Schreier path, walked once per x for all its (y, z).
+    There its orbit is an orbit of the centralizer C(r), so the orbit
     minimum is (r, least pair of that C(r)-orbit) and the orbit size is
     |class of x| * |C(r)-orbit|.  The representative is the least member of
     the full orbit, so two subsets of the same orbit report the same
@@ -346,51 +337,25 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     The triples need not be whole orbits, and the fibers of
     ``enumerate_reversing_triples`` and of the scan are not: an orbit with
     any member listed is reported with its full size.
-
-    A triple whose two face orders tie stands for the pair {x, y}: it is read
-    with x < y, and its orbit joins those of (x, y, z) and (y, x, z).
     """
     C = G.involution_classes()
     invs = G.involutions()
-    table = G.dihedral_table()
-    listed = set()
-    for triple in triples:
-        try:
-            x, y, z = (C.position[v] for v in triple)
-        except KeyError as exc:
-            raise GroupError(f"element {exc} of a triple is not an involution") from None
-        if x > y and table[x][z] == table[y][z]:
-            x, y = y, x
-        listed.add((x, y, z))
-
-    def fold(x: int, y: int, z: int) -> tuple[int, int, int]:
-        cls = C.class_of[x]
-        back = cls.inverse(x)
-        return (cls.rep, back[y], back[z])
-
-    def orbit(key: tuple[int, int, int]) -> set[tuple[int, int, int]]:
-        r, y, z = key
-        return {(r, c[y], c[z]) for c in C.class_of[r].centralizer()}
-
+    try:
+        listed = sorted({tuple(C.position[v] for v in triple) for triple in triples})
+    except KeyError as exc:
+        raise GroupError(f"element {exc} of a triple is not an involution") from None
     seen: set[tuple[int, int, int]] = set()
     classes = []
-    for x, y, z in sorted(listed):
-        key = fold(x, y, z)
-        if key in seen:
-            continue
-        members = orbit(key)
-        seen |= members
-        size = C.class_of[x].size * len(members)
-        least = min(members)
-        if table[x][z] == table[y][z]:
-            swapped = fold(y, x, z)
-            if swapped in members:
-                size //= 2
-            else:
-                other = orbit(swapped)
-                seen |= other
-                least = min(least, min(other))
-        classes.append((tuple(invs[i] for i in least), size))
+    for x, rows in groupby(listed, key=itemgetter(0)):
+        cls = C.class_of[x]
+        r = cls.rep
+        folded = cls.to_rep(x, [v for _, y, z in rows for v in (y, z)])
+        for y, z in zip(folded[::2], folded[1::2]):
+            if (r, y, z) in seen:
+                continue
+            members = {(r, c[y], c[z]) for c in cls.centralizer()}
+            seen |= members
+            classes.append((tuple(invs[i] for i in min(members)), cls.size * len(members)))
     return classes
 
 
@@ -443,39 +408,31 @@ def _pairs(table, ys: list[int], zs: list[int], orders):
                     yield y, z, row[y]
 
 
-def scan_reversing_census(G: GroupHandle) -> CensusScan:
-    """Blind census of all involution triples for coprime-qualifying patterns.
+def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
+    """The census engine: the generating triples through each class rep that qualify.
 
-    Covers every unordered triple of distinct involutions (each stands for
-    all six orderings), keeps those whose cell counts give gcd(chi, |E|) = 1
-    and which generate G (``groups.generates``), and groups them by dihedral
-    pattern with conjugacy class representatives.  Only the triples through
-    one involution per class are scanned; the rest are their conjugates.  A
-    slotted hit is kept where the rep plays x, and its pattern is counted
-    from the orbit sizes of its classes.  An unslotted hit, whose roles
-    follow element indices and so do not commute with conjugation, is kept
-    as an unordered set, expanded over its class, and then given its roles.
+    ``qual[(a, b, c)]`` says whether a triple (r, y, z) whose pairs (r, y),
+    (r, z) and (y, z) have dihedral orders a, b and c counts.  The engine is
+    exhaustive, but it visits only the pairs it may keep.  The other
+    positions are bucketed by their dihedral order with the rep r.  For
+    each pair of orders (a, b) of (r, y) and (r, z), ``_hit_plans`` lists
+    the orders c of (y, z) that qualify, less those whose slotted roles do
+    not put r at x; then only y in bucket a and z in bucket b are visited,
+    and only the table rows of the shorter bucket are read.  A pair never
+    visited fails ``qual`` or is the conjugate of a kept hit.  With nothing
+    qualifying no pair is visited and no row but the reps' is built.  A hit
+    whose orders have lcm |G| is taken without calling ``generates``.
 
-    The scan is exhaustive, but it visits only the pairs it may keep.  The
-    other positions are bucketed by their dihedral order with the rep r.
-    For each pair of orders (a, b) of (r, y) and (r, z), ``_hit_plans``
-    lists the orders c of (y, z) that qualify, less those whose slotted
-    roles do not put r at x; then only y in bucket a and z in bucket b are
-    visited, and only the table rows of the shorter bucket are read.  A
-    pair never visited fails the filter or is the conjugate of a kept hit.
-    With no qualifying pattern no pair is visited and no row but the reps'
-    is built.  A hit whose orders have lcm |G| is taken without calling
-    ``generates``.
+    Returns the slotted fibers by pattern, element triples (x, y, z) with x
+    the rep, and the unslotted hits as (class, flat positions y1, z1, ...).
     """
     invs = G.involutions()
     table = G.dihedral_table()
-    qual = _qualifying_table(G, table)
-    n = len(invs)
     inv_classes = G.involution_classes().classes
     buckets = [_buckets(table[cls.rep]) for cls in inv_classes]
     values = sorted(set().union(*buckets))
     fibers: dict[tuple[int, int, int], list] = {}
-    loose = set()
+    unslotted = []
     for cls, bucket in zip(inv_classes, buckets):
         r = cls.rep
         unordered = []
@@ -489,13 +446,33 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
                     t = (invs[r], invs[y], invs[z])
                     if spans or generates(G, t):
                         if slots is None:
-                            unordered.append((y, z))
+                            unordered += (y, z)
                         else:
                             roles, pat = slots
                             fibers.setdefault(pat, []).append(tuple(t[i] for i in roles))
-        for u, mu in cls.maps.items():
-            loose.update(tuple(sorted((u, mu[y], mu[z]))) for y, z in unordered)
+        if unordered:
+            unslotted.append((cls, unordered))
+    return fibers, unslotted
 
+
+def scan_reversing_census(G: GroupHandle) -> CensusScan:
+    """Blind census of all involution triples for coprime-qualifying patterns.
+
+    Covers every unordered triple of distinct involutions (each stands for
+    all six orderings), keeps those whose cell counts give gcd(chi, |E|) = 1
+    and which generate G (``groups.generates``), and groups them by dihedral
+    pattern with conjugacy class representatives.  Only the triples through
+    one involution per class are scanned, by the census engine
+    ``_fiber_hits``; the rest are their conjugates.  A slotted hit is kept
+    where the rep plays x, and its pattern is counted from the orbit sizes
+    of its classes.  An unslotted hit, whose roles follow element indices
+    and so do not commute with conjugation, is kept as an unordered set,
+    expanded over its class, and then given its roles.
+    """
+    invs = G.involutions()
+    table = G.dihedral_table()
+    n = len(invs)
+    fibers, unslotted = _fiber_hits(G, _qualifying_table(G, table))
     censuses = {}
     for pat, fiber in fibers.items():
         classes = triple_conjugacy_classes(G, fiber)
@@ -506,11 +483,15 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
             sum(size for _, size in classes),
             tuple(t for t, _ in classes),
         )
-    unslotted: dict[tuple[int, int, int], list] = {}
+    loose = set()
+    for cls, pairs in unslotted:
+        for u, images in cls.from_rep_all(pairs).items():
+            loose.update(tuple(sorted((u, y, z))) for y, z in zip(images[::2], images[1::2]))
+    by_pattern: dict[tuple[int, int, int], list] = {}
     for x, y, z in loose:
         pat = (table[x][y], table[x][z], table[y][z])
-        unslotted.setdefault(pat, []).append((invs[x], invs[y], invs[z]))
-    for pat, found in unslotted.items():
+        by_pattern.setdefault(pat, []).append((invs[x], invs[y], invs[z]))
+    for pat, found in by_pattern.items():
         censuses[pat] = PatternCensus(
             pat, pattern_chi(G.order, pat), tuple(sorted(found)), len(found), ()
         )

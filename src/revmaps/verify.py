@@ -175,7 +175,7 @@ def check_pgl_action(p: int) -> bool:
             outside.append(i)
             if p % 4 == 3 and fixed != 2:
                 return False
-    classes = sorted(sorted(invs[u] for u in cls.maps) for cls in G.involution_classes().classes)
+    classes = sorted(sorted(invs[u] for u in cls.members) for cls in G.involution_classes().classes)
     return classes == sorted([inside, outside])
 
 

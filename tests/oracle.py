@@ -190,21 +190,12 @@ def oracle_classes(G: GroupHandle, triples, check_closed: bool = True):
     visited: set[tuple[int, int, int]] = set()
     classes = []
     for x, y, z in sorted(tset):
-        tie = oracle_pair_order(G, x, z) == oracle_pair_order(G, y, z)
-        # under a tie a triple stands for the pair {x, y}, listed as x < y
-        if tie and x > y:
-            x, y = y, x
         if (x, y, z) in visited:
             continue
         orbit = set()
         for g in range(G.order):
             gi = G.inv(g)
-            cx = G.mul(G.mul(gi, x), g)
-            cy = G.mul(G.mul(gi, y), g)
-            cz = G.mul(G.mul(gi, z), g)
-            if tie and cx > cy:
-                cx, cy = cy, cx
-            orbit.add((cx, cy, cz))
+            orbit.add(tuple(G.mul(G.mul(gi, v), g) for v in (x, y, z)))
         if check_closed and not orbit <= tset:
             raise RuntimeError("triple set is not closed under conjugation")
         visited |= orbit
@@ -254,18 +245,20 @@ def oracle_scan(G: GroupHandle) -> CensusScan:
 
 
 def oracle_expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
-    """Every conjugate (u, y^t_u, z^t_u) of the fiber triples (rep, y, z), ascending.
+    """Every conjugate (x^g, y^g, z^g) of the fiber triples (rep, y, z), ascending.
 
-    u runs over the class of the rep, through the class's transversal maps,
-    so each triple of a slotted census comes out once.
+    g runs over one element of G per conjugate of each rep, found by
+    sweeping all of G, so each triple of a slotted census comes out once.
     """
-    C = G.involution_classes()
-    invs = G.involutions()
+    transversals: dict[int, dict[int, int]] = {}
     out: list[tuple[int, int, int]] = []
     for x, y, z in fibers:
-        rep, y, z = (C.position[v] for v in (x, y, z))
-        for u, mu in C.class_of[rep].maps.items():
-            out.append((invs[u], invs[mu[y]], invs[mu[z]]))
+        if x not in transversals:
+            transversals[x] = {}
+            for g in range(G.order):
+                transversals[x].setdefault(G.mul(G.mul(G.inv(g), x), g), g)
+        for u, g in transversals[x].items():
+            out.append((u, G.mul(G.mul(G.inv(g), y), g), G.mul(G.mul(G.inv(g), z), g)))
     return sorted(out)
 
 

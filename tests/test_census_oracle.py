@@ -86,23 +86,31 @@ def test_scan_matches_oracle_on_hits_inside_a_later_class(monkeypatch):
     assert scan == oracle_scan(G)
 
 
-def test_tied_face_orders_match_oracle():
-    # (10, 6, 6) ties the two face orders: a triple stands for the pair {x, y}
+def test_tied_face_orders_have_no_fibers():
+    # (10, 6, 6) ties the two face orders, so no role is slotted and the
+    # engine lists no fiber for it, though the oracle finds 120 triples
     G = build_group("psl2", 5)
-    pattern = (10, 6, 6)
-    full = oracle_enumerate(G, pattern)
-    fibers = enumerate_reversing_triples(G, pattern)
-    assert fibers == _fibers(G, full)
-    tied = [(x, y, z) for x, y, z in full if x < y]
-    assert len(full) == 120 and len(tied) * 2 == len(full)
-    # the oracle folds (y, x, z) into (x, y, z), so the full list gives the same classes
-    classes = oracle_classes(G, full)
-    assert [size for _, size in classes] == [30, 30]
-    assert triple_conjugacy_classes(G, fibers) == classes
-    assert triple_conjugacy_classes(G, tied) == classes
-    assert triple_conjugacy_classes(G, tied[:3]) == oracle_classes(
-        G, tied[:3], check_closed=False
-    )
+    assert len(oracle_enumerate(G, (10, 6, 6))) == 120
+    assert enumerate_reversing_triples(G, (10, 6, 6)) == []
+
+
+@pytest.mark.parametrize("entry", ["scan", "enumeration"])
+def test_scan_and_enumeration_run_one_engine(entry, monkeypatch):
+    # both entry points are one pass of the census engine
+    calls = []
+    engine = triples._fiber_hits
+
+    def counted(G, qual):
+        calls.append(G)
+        return engine(G, qual)
+
+    monkeypatch.setattr(triples, "_fiber_hits", counted)
+    G = build_group("pgl2", 7)
+    if entry == "scan":
+        scan_reversing_census(G)
+    else:
+        enumerate_reversing_triples(G, predicted_pattern("pgl2", 7))
+    assert calls == [G]
 
 
 def test_classes_reject_non_involutions():

@@ -420,38 +420,69 @@ def test_order_mismatch_raises_group_error(monkeypatch):
         build_group("psl2", 5)
 
 
-# -- involution classes and conjugation maps ------------------------------------------------
+# -- involution classes and Schreier vectors ------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "family,p,m", [("psl2", 5, 1), ("psl2", 7, 1), ("pgl2", 7, 1), ("ext", 7, 3)]
+    "family,p,m",
+    [("psl2", 5, 1), ("psl2", 7, 1), ("pgl2", 7, 1), ("ext", 7, 3), ("ext", 7, 9)],
 )
 def test_involution_classes_match_conjugacy(family, p, m):
-    # psl2 7 takes the closure fallback for its generating involutions
+    # psl2 7 takes the closure fallback for its generating involutions; the
+    # Schreier trees of ext 7 9 run twelve levels deep
     G = build_group(family, p, m)
     C = G.involution_classes()
     invs = G.involutions()
-    assert sorted(u for cls in C.classes for u in cls.maps) == list(range(len(invs)))
+    gens = G.involution_generators()
+    assert sorted(u for cls in C.classes for u in cls.members) == list(range(len(invs)))
     for cls in C.classes:
-        members = {invs[u] for u in cls.maps}
+        members = {invs[u] for u in cls.members}
         assert members == set(conjugacy_class(G, invs[cls.rep]))
-        assert cls.rep == min(cls.maps)
+        assert cls.rep == min(cls.members) == cls.members[0]
         cent = cls.centralizer()
         assert len(cent) * cls.size == G.order
         commuting = [g for g in range(G.order) if G.conjugate(invs[cls.rep], g) == invs[cls.rep]]
         assert sorted(cent) == sorted(
             tuple(C.position[G.conjugate(v, g)] for v in invs) for g in commuting
         )
-        for u, mu in list(cls.maps.items())[:5]:
-            # mu is conjugation by one element taking the rep to u
-            assert mu[cls.rep] == u
-            assert any(
-                all(invs[mu[i]] == G.conjugate(v, g) for i, v in enumerate(invs))
-                for g in range(G.order)
-                if G.conjugate(invs[cls.rep], g) == invs[u]
-            )
-            back = cls.inverse(u)
-            assert all(back[mu[i]] == i for i in range(len(invs)))
+        ys = list(range(0, len(invs), 3))
+        for u in cls.members[:3] + cls.members[-3:]:
+            assert cls.from_rep(u, [cls.rep]) == [u]
+            assert cls.to_rep(u, cls.from_rep(u, ys)) == ys
+            # t_u is the product of the generating involutions on the path
+            # from the rep down to u
+            path = []
+            w = u
+            while w != cls.rep:
+                w, k = cls.parent[w]
+                path.append(gens[k])
+            t = G.identity
+            for s in reversed(path):
+                t = G.mul(t, s)
+            assert G.conjugate(invs[cls.rep], t) == invs[u]
+            assert [invs[v] for v in cls.from_rep(u, ys)] == [
+                G.conjugate(invs[y], t) for y in ys
+            ]
+        assert cls.from_rep_all(ys) == {u: cls.from_rep(u, ys) for u in cls.members}
+
+
+def test_involution_classes_allocate_little_per_involution():
+    # a Schreier vector keeps O(1) per involution, not a conjugation list of
+    # every involution per member
+    import tracemalloc
+
+    import revmaps.groups as groups
+
+    fresh = groups.GroupHandle("pgl2", 19, 1)
+    fresh.involution_generators()
+    n = len(fresh.involutions())
+    tracemalloc.start()
+    try:
+        fresh.involution_classes()
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert allocated < 1024 * n
 
 
 def test_generating_involutions_are_searched_once_per_handle(monkeypatch):

@@ -342,7 +342,8 @@ def test_hits_taken_on_the_lcm_generate(family, p, m, monkeypatch):
     real = triples.generates
 
     def counted(H, gens):
-        tested.add(tuple(gens))
+        # generates sorts its argument, and the engine passes the scan's order
+        tested.add(tuple(sorted(gens)))
         return real(H, gens)
 
     monkeypatch.setattr(triples, "generates", counted)
@@ -350,7 +351,7 @@ def test_hits_taken_on_the_lcm_generate(family, p, m, monkeypatch):
     pattern = predicted_pattern(family, p, m)
     if pattern:
         hits |= set(enumerate_reversing_triples(G, pattern))
-    settled = hits - tested
+    settled = {t for t in hits if tuple(sorted(t)) not in tested}
     assert all(
         math.lcm(*oracle_pattern(G, t)) == G.order for t in settled
     ), "a hit was taken without generates on a pattern whose lcm is below |G|"

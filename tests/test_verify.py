@@ -318,7 +318,7 @@ def test_pgl_action_involution_classes_match_conjugacy(p):
     classes = G.involution_classes().classes
     assert len(classes) == 2
     for cls in classes:
-        members = tuple(sorted(invs[u] for u in cls.maps))
+        members = tuple(sorted(invs[u] for u in cls.members))
         assert members == conjugacy_class(G, invs[cls.rep])
         assert len({G.in_psl_part(v) for v in members}) == 1
     assert check_pgl_action(p)
@@ -338,7 +338,7 @@ def test_pgl_action_fails_unless_classes_split_by_psl(monkeypatch, split):
             inside = [u for u, v in enumerate(invs) if G.in_psl_part(v)]
             outside = [u for u, v in enumerate(invs) if not G.in_psl_part(v)]
             parts = [inside[1:] + outside[:1], outside[1:] + inside[:1]]
-        return SimpleNamespace(classes=[SimpleNamespace(maps=dict.fromkeys(q)) for q in parts])
+        return SimpleNamespace(classes=[SimpleNamespace(members=list(q)) for q in parts])
 
     monkeypatch.setattr(GroupHandle, "involution_classes", wrong_classes)
     assert not check_pgl_action(7)
