@@ -334,12 +334,12 @@ def map_record(M: MapGeometry) -> dict:
     }
 
 
-def to_dot(g: UnderlyingGraph, name: str = "underlying") -> str:
+def to_dot(g: UnderlyingGraph) -> str:
     """DOT text of the underlying graph with edge multiplicity annotations."""
     mult: dict[tuple[int, int], int] = {}
     for pair in g.edges:
         mult[pair] = mult.get(pair, 0) + 1
-    lines = [f"graph {name} {{"]
+    lines = ["graph underlying {"]
     for v in range(g.vertex_count):
         lines.append(f"  {v};")
     for (a, b), k in sorted(mult.items()):

@@ -24,7 +24,9 @@ left multiplications, checked at the identity flags, and is compared with
 this; ``oracle_flag_system`` labels every one of those flags with its coset
 blocks, pairs them by their labels and colours the whole flag graph.
 ``oracle_graph`` classifies the underlying graph from its edge list, the
-Petersen graph by an explicit isomorphism.
+Petersen graph by an explicit isomorphism.  ``oracle_sylow_lemma`` is the
+stabilizer lemma in two parts, the lcm and the full prime powers of |G|,
+which ``revmaps.verify`` reduces to the lcm.
 """
 
 from __future__ import annotations
@@ -497,3 +499,28 @@ def oracle_flag_system(M: MapGeometry) -> tuple:
     rho_e = _label_pairing([v * F + f for v, f in zip(vertex, face)], edge, "edge")
     rho_f = _label_pairing([v * E + e for v, e in zip(vertex, edge)], face, "face")
     return rho_v, rho_e, rho_f, _bipartite([rho_v, rho_e, rho_f])
+
+
+def _prime_power_parts(n: int) -> list[int]:
+    """The full prime powers of n, by trial division."""
+    parts = []
+    d = 2
+    while d * d <= n:
+        q = 1
+        while n % d == 0:
+            n //= d
+            q *= d
+        if q > 1:
+            parts.append(q)
+        d += 1
+    if n > 1:
+        parts.append(n)
+    return parts
+
+
+def oracle_sylow_lemma(M: MapGeometry) -> bool:
+    """The stabilizer orders lcm to |G| and each full prime power of |G| divides one."""
+    orders = list(M.stabilizer_orders().values())
+    if math.lcm(*orders) != M.group.order:
+        return False
+    return all(any(s % q == 0 for s in orders) for q in _prime_power_parts(M.group.order))

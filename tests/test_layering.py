@@ -4,12 +4,20 @@ A module may import only from a lower layer, so ``triples`` and ``mapgeom``
 share a layer and import nothing from each other.  The imports are read off
 the ``from .x import`` and ``from . import x`` statements of each module,
 those inside functions included.  The names the benchmark's tracer patches
-must exist, so that a rename fails here rather than in a benchmark run.
+must exist, so that a rename fails here rather than in a benchmark run,
+and a traced benchmark pass of each workload must fire every span it
+expects and pass every gate.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "revmaps"
 
@@ -65,3 +73,20 @@ def test_bench_tracer_targets_exist():
             assert meth in vars(getattr(home, cls_name)), f"{module}.{attr}"
         else:
             assert callable(getattr(home, attr, None)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("workload", ["matrix", "census", "construct"])
+def test_bench_traced_pass_fires_every_span(workload):
+    # the worker exits non-zero when a span in the tracer's EXPECTED never
+    # fired, and lists each op that failed its gate in its last stdout line
+    root = SRC.parents[1]
+    proc = subprocess.run(
+        [sys.executable, "bench/worker.py", workload, "1", "0", "traced"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["failures"] == []

@@ -4,7 +4,7 @@ import hashlib
 import math
 
 import pytest
-from oracle import oracle_expand
+from oracle import oracle_expand, oracle_sylow_lemma
 
 from revmaps import gfproj
 from revmaps.groups import build_group, generates
@@ -72,7 +72,29 @@ def test_sylow_lemma_rejects_deficient_pattern():
     )
     M = build_revmap(G, *t)
     assert not check_sylow_lemma(M)
+    assert not oracle_sylow_lemma(M)
     assert not check_coprime(M.chi(), M.edge_count)
+
+
+def test_sylow_lemma_matches_the_two_part_oracle(monkeypatch):
+    # the lcm alone decides the lemma; the oracle also asks that each full
+    # prime power of |G| divide one stabilizer order
+    import revmaps.verify as verify
+
+    checked = []
+    real = verify.check_sylow_lemma
+
+    def recorded(M):
+        ok = real(M)
+        checked.append((M, ok))
+        return ok
+
+    monkeypatch.setattr(verify, "check_sylow_lemma", recorded)
+    rebuilt = sum(len(verify_theorem(*cfg)["maps"]) for cfg in VERIFY_MATRIX)
+    a5_exceptional_case()
+    assert len(checked) == rebuilt + 2
+    assert [M.kind for M, _ in checked[rebuilt:]] == ["flag_regular"] * 2
+    assert all(ok and oracle_sylow_lemma(M) for M, ok in checked)
 
 
 # -- rotary nonexistence -----------------------------------------------------------------
@@ -136,6 +158,20 @@ def test_pgl_action_small(p):
     assert check_pgl_action(p)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pgl_two_point_stabilizer_is_sharp_on_the_other_points(p):
+    # check_pgl_action leaves these to its distinct-images check
+    G = build_group("pgl2", p)
+    zero, inf, *others = gfproj.all_points(p)
+    stab = [
+        mat
+        for mat in map(G.matrix_part, range(G.order))
+        if gfproj.act(mat, zero) == zero and gfproj.act(mat, inf) == inf
+    ]
+    assert len(stab) == p - 1
+    assert sorted(gfproj.act(mat, others[0]) for mat in stab) == sorted(others)
+
+
 def test_pgl_action_fails_under_the_trivial_action(monkeypatch):
     # every element then sends the first three points to themselves
     monkeypatch.setattr(gfproj, "act", lambda g, x: x)
@@ -188,8 +224,8 @@ def test_verify_rejects_injected_wrong_pattern(monkeypatch):
 @pytest.mark.parametrize("family,p,m", [("pgl2", 7, 1), ("ext", 7, 3)])
 @pytest.mark.parametrize("tamper", ["drop_a_class", "swap_slots"])
 def test_construction_agreement_fails_on_a_tampered_construction(family, p, m, tamper, monkeypatch):
-    # pgl2 7 compares the construction with the scan's class reps as well;
-    # ext 7 3, whose predicted map is not coprime, with the enumeration only
+    # pgl2 7 compares the construction with the class reps the scan holds;
+    # ext 7 3, whose predicted map is not coprime, with the enumerated ones
     import revmaps.verify as verify
 
     real = verify.construction_census
@@ -209,6 +245,29 @@ def test_construction_agreement_fails_on_a_tampered_construction(family, p, m, t
     assert rep["predicted_qualifies"] == (family == "pgl2")
     assert rep["lemma_checks"]["construction_agreement"] is False
     assert rep["verdict"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "family,p,m,passes", [("pgl2", 7, 1, 1), ("ext", 7, 5, 1), ("ext", 7, 3, 2), ("ext", 11, 3, 2)]
+)
+def test_verify_enumerates_only_a_pattern_the_scan_does_not_hold(family, p, m, passes, monkeypatch):
+    # the scan is one census engine pass; the construction is compared with
+    # its classes of the predicted pattern, and the pattern is enumerated in
+    # a second pass only where its map is not coprime
+    from revmaps import triples
+
+    calls = []
+    engine = triples._fiber_hits
+
+    def counted(G, qual):
+        calls.append(G)
+        return engine(G, qual)
+
+    monkeypatch.setattr(triples, "_fiber_hits", counted)
+    rep = verify_theorem(family, p, m)
+    assert rep["verdict"] == "pass"
+    assert rep["predicted_qualifies"] == (passes == 1)
+    assert calls == [build_group(family, p, m)] * passes
 
 
 def test_report_is_deterministic():
