@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gfproj import (
@@ -539,22 +538,6 @@ class InvolutionClasses:
             self.classes.append(cls)
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
-    """A subgroup of ``group``: its sorted members and the generators it was closed from.
-
-    A handle built without generators uses its members as generators.
-    """
-
-    group: GroupHandle
-    members: tuple[int, ...]
-    generators: tuple[int, ...] = ()
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-
 def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None) -> set[int] | None:
     """Right-multiplication closure of the identity under gens.
 
@@ -578,15 +561,14 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
     return seen
 
 
-def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> SubgroupHandle:
-    """Smallest subgroup containing gens."""
+def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
+    """The sorted members of the smallest subgroup containing gens."""
     gens = sorted(set(gens))
     if not gens:
         raise GroupError("subgroup_closure needs at least one generator")
     if any(not 0 <= g < G.order for g in gens):
         raise GroupError("generator index out of range")
-    members = tuple(sorted(_closure(G, gens)))
-    return SubgroupHandle(G, members, tuple(gens))
+    return tuple(sorted(_closure(G, gens)))
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
@@ -617,22 +599,16 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
 
 
 def right_cosets(
-    G: GroupHandle, H: SubgroupHandle, perms: dict[int, list[int]] | None = None
+    G: GroupHandle, gens: Iterable[int], perms: dict[int, list[int]] | None = None
 ) -> list[int]:
-    """The right coset Hg of every element g, as ids numbered by least member.
+    """The right coset Hg of every element g, H = <gens>, as ids numbered by least member.
 
     Hg is the orbit of g under left multiplication by the generators of H.
     ``perms`` holds ``G.left_perm(s)`` of generators already computed; the
     others are computed here.
     """
-    if H.group is not G:
-        raise GroupError("subgroup belongs to a different group handle")
-    if G.identity not in H.members:
-        raise GroupError("subgroup must contain the identity")
-    if G.order % len(H.members):
-        raise GroupError("member count does not divide the group order")
     perms = perms or {}
-    gens = [perms[s] if s in perms else G.left_perm(s) for s in H.generators or H.members]
+    gens = [perms[s] if s in perms else G.left_perm(s) for s in set(gens)]
     label = [-1] * G.order
     count = 0
     for g in range(G.order):
@@ -647,8 +623,6 @@ def right_cosets(
                 if label[w] != count:
                     label[w] = count
                     orbit.append(w)
-        if len(orbit) != len(H.members):
-            raise GroupError("members are not closed under multiplication")
         count += 1
     return label
 

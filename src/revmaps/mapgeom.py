@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import GroupHandle, SubgroupHandle, generates, right_cosets, subgroup_closure
+from .groups import GroupHandle, generates, right_cosets, subgroup_closure
 
 # the version of the record and report layout written by every writer
 SCHEMA_VERSION = 2
@@ -67,8 +67,7 @@ class MapGeometry:
     def vertex(self) -> tuple[int, ...]:
         """The vertex cell id of each element, numbered by least member; built on first use."""
         gens = _cell_generators(self.kind, self.generators)[0]
-        H = SubgroupHandle(self.group, tuple(sorted(self.stabilizers[0])), gens)
-        return tuple(right_cosets(self.group, H, self.perms))
+        return tuple(right_cosets(self.group, gens, self.perms))
 
     @property
     def vertex_count(self) -> int:
@@ -96,7 +95,7 @@ class MapGeometry:
 
 def _assemble(G: GroupHandle, kind: str, generators: tuple[int, ...]) -> MapGeometry:
     subs = [subgroup_closure(G, gens) for gens in _cell_generators(kind, generators)]
-    return MapGeometry(G, kind, generators, tuple(frozenset(sub.members) for sub in subs))
+    return MapGeometry(G, kind, generators, tuple(map(frozenset, subs)))
 
 
 def _checked(G: GroupHandle, kind: str, generators: tuple[int, int, int]) -> MapGeometry:

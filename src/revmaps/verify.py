@@ -108,15 +108,23 @@ def check_no_rotary(G: GroupHandle) -> bool:
 
 
 def check_pgl_action(p: int) -> bool:
-    """Exhaustive check of the projective-line action of PGL(2,p).
+    """The projective-line action of PGL(2,p), each property proved once.
 
-    Verifies sharp 3-transitivity, a cyclic two-point stabilizer, regularity
-    of every cyclic subgroup of order p+1, the two-fixed-point rule for
-    involutions by the residue of p mod 4, and that the involutions inside
-    and outside PSL each form a single conjugacy class.  Distinct images of
-    three points are all (p+1)p(p-1) = |PGL(2,p)| ordered triples of distinct
-    points, so the two-point stabilizer has p-1 elements and sends the third
-    point to each other point once.
+    Computed: the images of the first three points are all (p+1)p(p-1) =
+    |PGL(2,p)| ordered triples of distinct points, the two-point stabilizer
+    holds an element of order p-1, and the involutions inside and outside
+    PSL each form a single conjugacy class.  Fixed-point counts are class
+    invariants, so one involution tests the two-fixed-point rule on the side
+    it constrains: inside PSL when p = 1 (mod 4), outside when p = 3.
+
+    Implied by the distinct images, and so not walked:
+      - no non-identity element fixes three points: if h fixed a, b, c and k
+        sends the first three points to (a, b, c), then k h k^-1 fixes the
+        first three points, so k h k^-1 = 1;
+      - every cyclic subgroup of order n = p+1 >= 6 is regular: an orbit of
+        d < n points is fixed by g^d != 1, so d <= 2, and those short
+        orbits, all fixed by g^2 != 1, hold at most two points; the other
+        n-2 points lie in an orbit of size n, which is all of them.
     """
     G = build_group(PGL2, p)
     pts = gfproj.all_points(p)
@@ -129,32 +137,14 @@ def check_pgl_action(p: int) -> bool:
     if not any(G.element_order(g) == p - 1 for g in stab):
         return False
 
-    for g in range(G.order):
-        if G.element_order(g) == p + 1:
-            mat = G.matrix_part(g)
-            orbit = {pts[0]}
-            x = pts[0]
-            for _ in range(p + 1):
-                x = gfproj.act(mat, x)
-                orbit.add(x)
-            if len(orbit) != p + 1:
-                return False
-
-    inside = []
-    outside = []
     invs = G.involutions()
-    for i in invs:
-        fixed = len(gfproj.fixed_points(G.matrix_part(i)))
-        if G.in_psl_part(i):
-            inside.append(i)
-            if p % 4 == 1 and fixed != 2:
-                return False
-        else:
-            outside.append(i)
-            if p % 4 == 3 and fixed != 2:
-                return False
+    inside = [i for i in invs if G.in_psl_part(i)]
+    outside = [i for i in invs if not G.in_psl_part(i)]
     classes = sorted(sorted(invs[u] for u in cls.members) for cls in G.involution_classes().classes)
-    return classes == sorted([inside, outside])
+    if classes != sorted([inside, outside]):
+        return False
+    constrained = inside if p % 4 == 1 else outside
+    return len(gfproj.fixed_points(G.matrix_part(constrained[0]))) == 2
 
 
 def a5_exceptional_case() -> dict:

@@ -26,7 +26,11 @@ blocks, pairs them by their labels and colours the whole flag graph.
 ``oracle_graph`` classifies the underlying graph from its edge list, the
 Petersen graph by an explicit isomorphism.  ``oracle_sylow_lemma`` is the
 stabilizer lemma in two parts, the lcm and the full prime powers of |G|,
-which ``revmaps.verify`` reduces to the lcm.
+which ``revmaps.verify`` reduces to the lcm.  ``oracle_pgl_action`` is the
+exhaustive projective-action check: it walks every element of order p+1
+around the line and counts the fixed points of every involution, where
+``revmaps.verify`` keeps only what the distinct-images check and the class
+comparison leave open.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from revmaps import triples
+from revmaps import gfproj, triples
 from revmaps.gfproj import ProjMatrix, all_matrices, in_psl, mat_multiply
-from revmaps.groups import GroupHandle, generates, subgroup_closure
+from revmaps.groups import PGL2, GroupHandle, build_group, generates, subgroup_closure
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
 from revmaps.triples import CensusScan, PatternCensus
 
@@ -269,7 +273,7 @@ def oracle_expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
 
 def _coset_blocks(G: GroupHandle, gens) -> list[tuple[int, ...]]:
     """The right cosets of <gens> as sorted blocks, ordered by least member."""
-    members = subgroup_closure(G, gens).members
+    members = subgroup_closure(G, gens)
     placed: set[int] = set()
     blocks = []
     for g in range(G.order):
@@ -524,3 +528,53 @@ def oracle_sylow_lemma(M: MapGeometry) -> bool:
     if math.lcm(*orders) != M.group.order:
         return False
     return all(any(s % q == 0 for s in orders) for q in _prime_power_parts(M.group.order))
+
+
+def oracle_pgl_action(p: int) -> bool:
+    """Exhaustive check of the projective-line action of PGL(2,p).
+
+    Verifies sharp 3-transitivity, a cyclic two-point stabilizer, regularity
+    of every cyclic subgroup of order p+1, the two-fixed-point rule for
+    involutions by the residue of p mod 4, and that the involutions inside
+    and outside PSL each form a single conjugacy class.  Distinct images of
+    three points are all (p+1)p(p-1) = |PGL(2,p)| ordered triples of distinct
+    points, so the two-point stabilizer has p-1 elements and sends the third
+    point to each other point once.
+    """
+    G = build_group(PGL2, p)
+    pts = gfproj.all_points(p)
+    # the images of the first three points, one per element
+    images = [tuple(gfproj.act(G.matrix_part(g), pt) for pt in pts[:3]) for g in range(G.order)]
+    if len(set(images)) != G.order:
+        return False
+
+    stab = [g for g, (a, b, _) in enumerate(images) if a == pts[0] and b == pts[1]]
+    if not any(G.element_order(g) == p - 1 for g in stab):
+        return False
+
+    for g in range(G.order):
+        if G.element_order(g) == p + 1:
+            mat = G.matrix_part(g)
+            orbit = {pts[0]}
+            x = pts[0]
+            for _ in range(p + 1):
+                x = gfproj.act(mat, x)
+                orbit.add(x)
+            if len(orbit) != p + 1:
+                return False
+
+    inside = []
+    outside = []
+    invs = G.involutions()
+    for i in invs:
+        fixed = len(gfproj.fixed_points(G.matrix_part(i)))
+        if G.in_psl_part(i):
+            inside.append(i)
+            if p % 4 == 1 and fixed != 2:
+                return False
+        else:
+            outside.append(i)
+            if p % 4 == 3 and fixed != 2:
+                return False
+    classes = sorted(sorted(invs[u] for u in cls.members) for cls in G.involution_classes().classes)
+    return classes == sorted([inside, outside])

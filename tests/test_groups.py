@@ -10,7 +10,6 @@ from oracle import oracle_conjugacy_class, oracle_elements, oracle_product, orac
 from revmaps.gfproj import in_psl, proj_matrix
 from revmaps.groups import (
     GroupError,
-    SubgroupHandle,
     build_group,
     conjugacy_class,
     conjugacy_class_reps,
@@ -195,7 +194,7 @@ def test_klein_four_counts_as_dihedral_of_order_four():
     G = build_group("psl2", 5)
     u, v = _pair_with_product_order(G, 2)
     assert 2 * G.pair_order(u, v) == 4
-    assert subgroup_closure(G, [u, v]).order == 4
+    assert len(subgroup_closure(G, [u, v])) == 4
 
 
 def test_dihedral_order_values_psl213():
@@ -218,8 +217,7 @@ def test_dihedral_law_matches_closure(data):
     v = data.draw(st.sampled_from(invs))
     if u == v:
         return
-    sub = subgroup_closure(G, [u, v])
-    assert sub.order == 2 * G.pair_order(u, v)
+    assert len(subgroup_closure(G, [u, v])) == 2 * G.pair_order(u, v)
 
 
 @pytest.mark.parametrize(
@@ -240,8 +238,7 @@ def test_dihedral_orders_divide_the_allowed_bounds(family, p, d):
 
 def test_closure_of_identity_is_trivial():
     G = build_group("psl2", 5)
-    sub = subgroup_closure(G, [G.identity])
-    assert sub.members == (G.identity,)
+    assert subgroup_closure(G, [G.identity]) == (G.identity,)
 
 
 def test_closure_of_point_stabilizer_generators():
@@ -250,15 +247,13 @@ def test_closure_of_point_stabilizer_generators():
     u = G.element(0, proj_matrix(1, 1, 0, 1, 13))
     dgn = G.element(0, proj_matrix(1, 0, 0, 4, 13))
     assert (G.element_order(u), G.element_order(dgn)) == (13, 6)
-    sub = subgroup_closure(G, [u, dgn])
-    assert sub.order == 78
+    assert len(subgroup_closure(G, [u, dgn])) == 78
 
 
 def test_lagrange_on_sampled_closures():
     G = build_group("pgl2", 5)
     for seed in (1, 7, 31, 60, 101):
-        sub = subgroup_closure(G, [seed % G.order])
-        assert G.order % sub.order == 0
+        assert G.order % len(subgroup_closure(G, [seed % G.order])) == 0
 
 
 # -- cosets ------------------------------------------------------------------------
@@ -280,30 +275,15 @@ def test_cosets_of_d10_in_psl25():
     G = build_group("psl2", 5)
     u, v = _pair_with_product_order(G, 5)
     sub = subgroup_closure(G, [u, v])
-    label = right_cosets(G, sub)
+    label = right_cosets(G, [u, v])
     blocks = [[g for g in range(G.order) if label[g] == c] for c in range(max(label) + 1)]
     assert len(blocks) == 6
     assert sorted(g for block in blocks for g in block) == list(range(G.order))
     for block in blocks:
         assert len(block) == 10
-        assert sorted(G.mul(h, block[0]) for h in sub.members) == block
+        assert sorted(G.mul(h, block[0]) for h in sub) == block
     # ids are numbered by least member
     assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
-
-
-def test_coset_partition_rejects_foreign_subgroup():
-    G5 = build_group("psl2", 5)
-    G7 = build_group("psl2", 7)
-    sub = subgroup_closure(G7, [G7.identity])
-    with pytest.raises(GroupError):
-        right_cosets(G5, sub)
-
-
-def test_cosets_reject_members_not_closed():
-    G = build_group("psl2", 5)
-    u = G.element(0, proj_matrix(1, 1, 0, 1, 5))  # order 5: {1, u} is no subgroup
-    with pytest.raises(GroupError, match="not closed"):
-        right_cosets(G, SubgroupHandle(G, (G.identity, u)))
 
 
 # -- generation ---------------------------------------------------------------------

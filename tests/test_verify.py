@@ -4,10 +4,10 @@ import hashlib
 import math
 
 import pytest
-from oracle import oracle_expand, oracle_sylow_lemma
+from oracle import oracle_expand, oracle_pgl_action, oracle_sylow_lemma
 
 from revmaps import gfproj
-from revmaps.groups import build_group, generates
+from revmaps.groups import GroupHandle, build_group, generates
 from revmaps.mapgeom import build_revmap
 from revmaps.triples import scan_reversing_census, triple_conjugacy_classes
 from revmaps.verify import (
@@ -176,6 +176,76 @@ def test_pgl_action_fails_under_the_trivial_action(monkeypatch):
     # every element then sends the first three points to themselves
     monkeypatch.setattr(gfproj, "act", lambda g, x: x)
     assert not check_pgl_action(7)
+
+
+def _classes_not_split_by_psl(split):
+    """An ``involution_classes`` whose classes do not follow PSL membership."""
+    from types import SimpleNamespace
+
+    def wrong_classes(G):
+        invs = G.involutions()
+        if split == "one class":
+            parts = [range(len(invs))]
+        else:
+            inside = [u for u, v in enumerate(invs) if G.in_psl_part(v)]
+            outside = [u for u, v in enumerate(invs) if not G.in_psl_part(v)]
+            parts = [inside[1:] + outside[:1], outside[1:] + inside[:1]]
+        return SimpleNamespace(classes=[SimpleNamespace(members=list(q)) for q in parts])
+
+    return wrong_classes
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [None, "trivial act", "no fixed points", "one class", "two classes, one member swapped"],
+)
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, p, mutation):
+    if mutation == "trivial act":
+        monkeypatch.setattr(gfproj, "act", lambda g, x: x)
+    elif mutation == "no fixed points":
+        monkeypatch.setattr(gfproj, "fixed_points", lambda g: ())
+    elif mutation is not None:
+        monkeypatch.setattr(GroupHandle, "involution_classes", _classes_not_split_by_psl(mutation))
+    assert check_pgl_action(p) == oracle_pgl_action(p) == (mutation is None)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pgl_elements_of_order_p_plus_one_act_regularly(p):
+    # check_pgl_action leaves this to its distinct-images check
+    G = build_group("pgl2", p)
+    zero = gfproj.all_points(p)[0]
+    cycles = [G.matrix_part(g) for g in range(G.order) if G.element_order(g) == p + 1]
+    assert cycles
+    for mat in cycles:
+        orbit, x = set(), zero
+        for _ in range(p + 1):
+            x = gfproj.act(mat, x)
+            orbit.add(x)
+        assert len(orbit) == p + 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pgl_every_constrained_involution_fixes_two_points(p):
+    # check_pgl_action tests one involution of the side and leaves the class to the class check
+    G = build_group("pgl2", p)
+    side = [i for i in G.involutions() if G.in_psl_part(i) == (p % 4 == 1)]
+    assert side
+    assert all(len(gfproj.fixed_points(G.matrix_part(i))) == 2 for i in side)
+
+
+def test_pgl_action_makes_one_sweep_of_point_images(monkeypatch):
+    # three images per element of PGL(2,13), plus one involution's p+1 fixed-point tests
+    calls = []
+    act = gfproj.act
+
+    def counted(g, x):
+        calls.append(x)
+        return act(g, x)
+
+    monkeypatch.setattr(gfproj, "act", counted)
+    assert check_pgl_action(13)
+    assert len(calls) <= 3 * 2184 + 14
 
 
 # -- the exceptional flag-regular pair -------------------------------------------------------
@@ -385,19 +455,5 @@ def test_pgl_action_involution_classes_match_conjugacy(p):
 
 @pytest.mark.parametrize("split", ["one class", "two classes, one member swapped"])
 def test_pgl_action_fails_unless_classes_split_by_psl(monkeypatch, split):
-    from types import SimpleNamespace
-
-    from revmaps.groups import GroupHandle
-
-    def wrong_classes(G):
-        invs = G.involutions()
-        if split == "one class":
-            parts = [range(len(invs))]
-        else:
-            inside = [u for u, v in enumerate(invs) if G.in_psl_part(v)]
-            outside = [u for u, v in enumerate(invs) if not G.in_psl_part(v)]
-            parts = [inside[1:] + outside[:1], outside[1:] + inside[:1]]
-        return SimpleNamespace(classes=[SimpleNamespace(members=list(q)) for q in parts])
-
-    monkeypatch.setattr(GroupHandle, "involution_classes", wrong_classes)
+    monkeypatch.setattr(GroupHandle, "involution_classes", _classes_not_split_by_psl(split))
     assert not check_pgl_action(7)
