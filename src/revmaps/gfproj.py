@@ -124,6 +124,33 @@ def left_products(
     return out
 
 
+def sandwich_products(
+    h: ProjMatrix, mats: Sequence[ProjMatrix]
+) -> list[tuple[int, int, int, int, int]]:
+    """The normalized products h*g*h for every g in mats, as plain tuples.
+
+    Multiplies and normalizes inline, as ``left_products`` does; for an
+    involution h this is the conjugate of each g by h.
+    """
+    a, b, c, d, p = h
+    inv = _inv_table(p)
+    out = []
+    for e, f, g, k, _ in mats:
+        r, s, t, w = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
+        u = (r * a + s * c) % p
+        v = (r * b + s * d) % p
+        y = (t * a + w * c) % p
+        x = (t * b + w * d) % p
+        if u:
+            q = inv[u]
+            out.append((1, v * q % p, y * q % p, x * q % p, p))
+        else:
+            # the top row of an invertible product is nonzero, so v leads
+            q = inv[v]
+            out.append((0, 1, y * q % p, x * q % p, p))
+    return out
+
+
 def mat_inverse(m: ProjMatrix) -> ProjMatrix:
     # the adjugate is a scalar multiple of the inverse
     return _normalized(m.d, -m.b, -m.c, m.a, m.p)

@@ -21,21 +21,26 @@ dihedral table of the involutions, whose rows the census scans build one at
 a time as they read them.
 
 Whether elements generate the group is asked of ``generates`` alone: an lcm
-of element and dihedral orders, then in ext a projection to PGL(2,p), and
-only then a closure.
+of element and dihedral orders, then in ext a projection to PGL(2,p), then
+the lcm with the orders of words of three involutions, and only then a
+closure.  The generating involutions behind the conjugation maps are found
+the same way, so in the families no closure is needed to find them.
 
-Bulk questions go through one kernel, ``GroupHandle.left_perm``: the
-permutation g -> h*g of all element indices, computed in one sweep.  Right
-cosets Hg are the orbits of the left-multiplication permutations of H's
-generators, and conjugacy classes are the orbits of the conjugation
-permutations g -> s*g*s of a few generating involutions s; a class of
-involutions keeps its breadth-first tree as a Schreier vector.
+Bulk questions go through two kernels that work from the matrix entries in
+one sweep: ``GroupHandle.left_perm``, the permutation g -> h*g of all
+element indices, and ``GroupHandle.conjugates``, the images s*g*s of a list
+of elements under an involution s.  Right cosets Hg are the orbits of the
+left-multiplication permutations of H's generators, and conjugacy classes
+are the orbits of the conjugation permutations g -> s*g*s of a few
+generating involutions s; a class of involutions keeps its breadth-first
+tree as a Schreier vector.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .gfproj import (
@@ -50,6 +55,7 @@ from .gfproj import (
     mat_multiply,
     product_orders,
     projective_order,
+    sandwich_products,
 )
 
 PSL2 = "psl2"
@@ -160,6 +166,21 @@ class GroupHandle:
         prods = [pos[k] for k in left_products(self._mats[a], self._mats)]
         shifts = [(e + sign * f) % self.m * self._width for f in range(self.m)]
         return [s + b for s in shifts for b in prods]
+
+    def conjugates(self, s: int, gs: Iterable[int]) -> list[int]:
+        """s*g*s for the involution s and every element g of gs, in one sweep.
+
+        The matrix parts S*A*S come from ``sandwich_products`` and are looked
+        up by position once; the exponent of (e_s, S)*(e, A)*(e_s, S) is
+        e_s*(1 + eps(s)*eps(g)) + eps(s)*e mod m.
+        """
+        e_s, a_s = divmod(s, self._width)
+        sign = 1 if self._psl[a_s] else -1
+        base = {True: e_s * (1 + sign), False: e_s * (1 - sign)}
+        parts = [divmod(g, self._width) for g in gs]
+        prods = sandwich_products(self._mats[a_s], [self._mats[a] for _, a in parts])
+        pos, psl, m, width = self._pos, self._psl, self.m, self._width
+        return [(base[psl[a]] + sign * e) % m * width + pos[k] for (e, a), k in zip(parts, prods)]
 
     def involution_generators(self) -> list[int]:
         """A few involutions generating the group (see ``_involution_generators``).
@@ -473,14 +494,21 @@ def _close_maps(gens: list[tuple[int, ...]], ident: tuple[int, ...]) -> set[tupl
 
 
 def _involution_generators(G: GroupHandle) -> list[int]:
-    """A few involutions generating G.
+    """A few involutions generating G, proved so by orders where they allow.
 
     Two involutions u, v span a dihedral group of order 2|uv|, so the chosen
     involutions generate a subgroup whose order the lcm of these dihedral
     orders divides; once it reaches |G| they generate G.  Each step adds the
     involution that raises the lcm most.  The lcm can stall below |G| (in
-    psl2 with p = 3 mod 4 no product of two involutions has order p); then
-    involutions are added until ``generates`` confirms generation.
+    psl2 with p = 3 mod 4 no product of two involutions has order p).  Then
+    the set is first given to the checks of ``generates`` that need no
+    closure of G: in ext the projection to PGL(2,p) settles it, where no
+    word could (in ext 7 3, 9 divides |G| but no element has order 9).
+    Failing that, one involution v is added, the one that raises the lcm
+    most once the orders of the words u*w*v of chosen u, w are counted; in
+    psl2 one of them has order p.  Only if ``generates`` still does not
+    confirm generation are involutions appended in index order until it
+    does.
     """
     invs = G.involutions()
     chosen = [invs[0]]
@@ -492,16 +520,26 @@ def _involution_generators(G: GroupHandle) -> list[int]:
 
         best = max(invs, key=gain)
         if gain(best) == reached:
-            # test again only after the set has grown
-            if not generates(G, chosen):
-                for v in invs:
-                    if v not in chosen:
-                        chosen.append(v)
-                        if generates(G, chosen):
-                            break
             break
         reached = gain(best)
         chosen.append(best)
+    else:
+        return chosen
+    if _settled(G, chosen):
+        return chosen
+    words = [G.mul(u, w) for k, u in enumerate(chosen) for w in chosen[k + 1 :]]
+
+    def word_gain(v: int) -> int:
+        pairs = (2 * G.pair_order(u, v) for u in chosen)
+        return math.lcm(reached, *pairs, *(G.pair_order(uw, v) for uw in words))
+
+    chosen.append(max((v for v in invs if v not in chosen), key=word_gain))
+    if not generates(G, chosen):
+        for v in invs:
+            if v not in chosen:
+                chosen.append(v)
+                if generates(G, chosen):
+                    break
     return chosen
 
 
@@ -518,8 +556,7 @@ class InvolutionClasses:
         invs = G.involutions()
         self.position = {v: i for i, v in enumerate(invs)}
         gens = [
-            [self.position[G.conjugate(v, s)] for v in invs]
-            for s in G.involution_generators()
+            [self.position[u] for u in G.conjugates(s, invs)] for s in G.involution_generators()
         ]
         self.classes: list[InvolutionClass] = []
         self.class_of: list[InvolutionClass | None] = [None] * len(invs)
@@ -574,28 +611,43 @@ def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     """True iff gens generate the whole group; the one generation test.
 
-    Three checks, in order.  First, the order of each generator and the
+    Four checks, in order.  First, the order of each generator and the
     dihedral order 2|uv| of each pair of involution generators divide
     |<gens>|, so an lcm of |G| settles it.  Second, in ext, a pair of
     involutions with |uv| = m*p has uv = (e, g) with |g| = p and e a unit,
     so (uv)^p = (p*e, 1) generates all of Z_m; then gens generate G iff
     their matrix parts generate G/Z_m = PGL(2,p), which is tested there.
-    Last, the closure: any proper subgroup has at most half the elements,
-    so it stops as soon as it passes |G|/2.
+    Third, the lcm takes in the order of the word uvw of each unordered
+    triple of involution generators, which divides |<gens>| as well.  All
+    six orderings of u, v, w share it: vwu and wuv are conjugates of uvw,
+    and wvu, uwv and vuw of its inverse.  In psl2 with p = 3 mod 4 no
+    product of two involutions has order p, but one of three can.  Last,
+    the closure: any proper subgroup has at most half the elements, so it
+    stops as soon as it passes |G|/2.
     """
     gens = sorted(set(gens))
     if not gens:
         return False
+    settled = _settled(G, gens)
+    if settled is not None:
+        return settled
+    closed = _closure(G, gens, stop_above=G.order // 2)
+    return closed is None or len(closed) == G.order
+
+
+def _settled(G: GroupHandle, gens: Sequence[int]) -> bool | None:
+    """The answer of the first three checks of ``generates``, or None if they leave it open."""
     orders = [G.element_order(g) for g in gens]
     invs = [g for g, n in zip(gens, orders) if n == 2]
     pairs = [G.pair_order(u, v) for k, u in enumerate(invs) for v in invs[k + 1 :]]
-    if math.lcm(*orders, *(n + n for n in pairs)) == G.order:
+    reached = math.lcm(*orders, *(n + n for n in pairs))
+    if reached == G.order:
         return True
     if G.family == EXT and G.m * G.p in pairs:
         Gp = build_group(PGL2, G.p)
         return generates(Gp, [Gp.element(0, G.matrix_part(g)) for g in gens])
-    closed = _closure(G, gens, stop_above=G.order // 2)
-    return closed is None or len(closed) == G.order
+    words = (G.pair_order(G.mul(u, v), w) for u, v, w in combinations(invs, 3))
+    return True if math.lcm(reached, *words) == G.order else None
 
 
 def right_cosets(

@@ -269,6 +269,11 @@ def recognize_graph(g: UnderlyingGraph) -> str:
     return "other"
 
 
+def _conjugate_overlap(G: GroupHandle, s: int, H: frozenset[int]) -> int:
+    """|H & sHs| for the involution s: the conjugates s*h*s of H's members that lie in H."""
+    return sum(c in H for c in G.conjugates(s, H))
+
+
 def map_record(M: MapGeometry) -> dict:
     """JSON-ready summary of a map: counts, invariants, graph recognition.
 
@@ -291,7 +296,7 @@ def map_record(M: MapGeometry) -> dict:
     (s, _), _, _ = _identity_partners(M)[0]
     count = M.vertex_count
     degree = 2 * M.edge_count // count
-    simple = sum(G.mul(G.mul(s, h), s) in H for h in H) == len(H & E)
+    simple = _conjugate_overlap(G, s, H) == len(H & E)
     if simple and degree == count - 1:
         recognized = f"complete({count})"
     elif simple and (count, degree) == (10, 3):

@@ -530,6 +530,11 @@ def oracle_sylow_lemma(M: MapGeometry) -> bool:
     return all(any(s % q == 0 for s in orders) for q in _prime_power_parts(M.group.order))
 
 
+def oracle_conjugate_overlap(G: GroupHandle, s: int, H) -> int:
+    """|H & sHs|, two multiplications per member of H."""
+    return sum(G.mul(G.mul(s, h), s) in H for h in H)
+
+
 def oracle_pgl_action(p: int) -> bool:
     """Exhaustive check of the projective-line action of PGL(2,p).
 

@@ -466,7 +466,7 @@ def test_involution_classes_allocate_little_per_involution():
 
 
 def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
-    # in psl2 7 the lcm stalls and the search falls back to closure tests
+    # in psl2 7 the lcm stalls and the search falls back to word orders
     import revmaps.groups as groups
 
     calls = []
@@ -484,8 +484,9 @@ def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
 
 
 def test_generator_search_tests_each_grown_set_once(monkeypatch):
-    # in psl2 7 the lcm stalls at three involutions; the search then appends
-    # involutions and tests generation only after each append
+    # in psl2 7 the lcm of dihedral orders stalls at three involutions; the
+    # search adds the fourth by the orders of words of three, and tests
+    # generation once, on the grown set, which its words settle
     import revmaps.groups as groups
 
     calls = []
@@ -497,8 +498,44 @@ def test_generator_search_tests_each_grown_set_once(monkeypatch):
 
     monkeypatch.setattr(groups, "generates", counted)
     fresh = groups.GroupHandle("psl2", 7, 1)
-    assert fresh.involution_generators() == [0, 50, 7, 14, 56]
-    assert calls == [(0, 50, 7), (0, 50, 7, 14), (0, 50, 7, 14, 56)]
+    assert fresh.involution_generators() == [0, 50, 7, 59]
+    assert calls == [(0, 50, 7, 59)]
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 31])
+def test_generator_search_closes_nothing_in_psl2(p, monkeypatch):
+    # p = 3 mod 4: the lcm of dihedral orders stalls below |G|, and the
+    # orders of words of three involutions prove generation
+    import revmaps.groups as groups
+
+    calls = []
+    real = groups._closure
+
+    def counted(G, gens, stop_above=None):
+        calls.append(tuple(gens))
+        return real(G, gens, stop_above)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    fresh = groups.GroupHandle("psl2", p, 1)
+    gens = fresh.involution_generators()
+    assert calls == []
+    monkeypatch.setattr(groups, "_closure", real)
+    assert len(subgroup_closure(fresh, gens)) == fresh.order
+
+
+# the kernel branches on the twist sign of s and g and on the exponents, so
+# each family is covered, and ext with m = 3 and m = 5
+@pytest.mark.parametrize(
+    "family,p,m",
+    [("psl2", 7, 1), ("psl2", 13, 1), ("pgl2", 7, 1), ("pgl2", 13, 1), ("ext", 7, 3), ("ext", 7, 5)],
+)
+def test_conjugates_match_conjugate(family, p, m):
+    G = build_group(family, p, m)
+    # the generators, and one involution of each exponent and twist sign
+    kinds = {(G.exponent_part(s), G.in_psl_part(s)): s for s in reversed(G.involutions())}
+    for s in {*G.involution_generators(), *kinds.values()}:
+        assert G.conjugates(s, range(G.order)) == [G.conjugate(g, s) for g in range(G.order)]
+    assert G.conjugates(G.involutions()[0], []) == []
 
 
 def test_involution_classes_are_memoized_and_lazy():

@@ -14,13 +14,15 @@ import random
 from itertools import combinations
 
 import pytest
-from oracle import oracle_flag_system, oracle_graph, oracle_map
+from oracle import oracle_conjugate_overlap, oracle_flag_system, oracle_graph, oracle_map
 
 from revmaps.groups import build_group, generates, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,
     _assemble,
+    _conjugate_overlap,
+    _identity_partners,
     build_regular_map,
     build_revmap,
     flag_system,
@@ -88,6 +90,27 @@ CONSTRUCT_CALLS = (
 @pytest.mark.parametrize("group,make,args", CONSTRUCT_CALLS)
 def test_constructed_maps_match_oracle(group, make, args):
     _assert_matches_oracle(build_revmap(build_group(*group), *make(*args)))
+
+
+def _assert_overlap_matches_oracle(M):
+    # map_record's simplicity test: |H & sHs| for the vertex stabilizer H and
+    # the vertex partner s, from one conjugation sweep against two products per member
+    (s, _), _, _ = _identity_partners(M)[0]
+    H = M.stabilizers[0]
+    assert _conjugate_overlap(M.group, s, H) == oracle_conjugate_overlap(M.group, s, H)
+
+
+@pytest.mark.parametrize("group,make,args", CONSTRUCT_CALLS)
+def test_constructed_simplicity_overlap_matches_oracle(group, make, args):
+    _assert_overlap_matches_oracle(build_revmap(build_group(*group), *make(*args)))
+
+
+def test_a5_simplicity_overlap_matches_oracle():
+    G = build_group("psl2", 5)
+    triple = a5_exceptional_case()["triple"]
+    r0, r1, r2 = (G.element_from_json(triple[n]) for n in ("r0", "r1", "r2"))
+    for gens in ((r0, r1, r2), (r2, r1, r0)):
+        _assert_overlap_matches_oracle(build_regular_map(G, *gens))
 
 
 @pytest.mark.parametrize("family,p,m,idx", [("pgl2", 7, 1, (0, 7, 53)), ("ext", 7, 3, (0, 7, 389))])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from revmaps.groups import build_group, generates, subgroup_closure
+from revmaps.groups import build_group, generates
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,

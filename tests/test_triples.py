@@ -1,6 +1,8 @@
 """Triple constructions and exhaustive enumeration."""
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from oracle import oracle_enumerate, oracle_expand, oracle_pattern
@@ -262,10 +264,13 @@ def generation_path(monkeypatch):
     """Run ``groups.generates`` against the plain closure and name the path that answered.
 
     The path is "ext" when the test recursed into PGL(2,p), "closure" when
-    it closed the generators in G, and "lcm" when neither ran.
+    it closed the generators in G, "words" when it multiplied (for the
+    orders of words of three involutions) but closed nothing, and "lcm" when
+    none of these ran.
     """
     calls = []
     real_closure, real_generates = groups._closure, groups.generates
+    real_mul = groups.GroupHandle.mul
 
     def closure(G, gens, stop_above=None):
         calls.append(("closure", G.family))
@@ -275,17 +280,25 @@ def generation_path(monkeypatch):
         calls.append(("generates", G.family))
         return real_generates(G, gens)
 
+    def mul(G, i, j):
+        calls.append(("mul", G.family))
+        return real_mul(G, i, j)
+
     monkeypatch.setattr(groups, "_closure", closure)
     monkeypatch.setattr(groups, "generates", generates)
+    monkeypatch.setattr(groups.GroupHandle, "mul", mul)
 
     def run(G, gens):
         slow = len(subgroup_closure(G, gens)) == G.order
         calls.clear()
         fast = groups.generates(G, gens)
         assert fast == slow, (G, gens)
+        kinds = {kind for kind, _ in calls}
         if ("generates", "pgl2") in calls[1:]:
             return "ext", fast
-        return ("closure" if calls[-1][0] == "closure" else "lcm"), fast
+        if "closure" in kinds:
+            return "closure", fast
+        return ("words" if "mul" in kinds else "lcm"), fast
 
     return run
 
@@ -303,7 +316,8 @@ def test_generation_fast_paths_match_plain_closure(generation_path):
     # (x, y, xyx) keeps |xy| = 21, but its matrix parts span a dihedral group
     x, y, _ = ext_cons[0]
     assert generation_path(X, (x, y, X.conjugate(y, x))) == ("ext", False)
-    # closure: in psl2 7 no product of two involutions has order 7
+    # words: in psl2 7 no product of two involutions has order 7, but one of
+    # three can; the closure answers the triples whose words fall short
     P = build_group("psl2", 7)
     invs = P.involutions()
     got = {
@@ -311,7 +325,7 @@ def test_generation_fast_paths_match_plain_closure(generation_path):
         for i in range(1, 16)
         for j in range(i + 1, 16)
     }
-    assert got == {("closure", True), ("closure", False)}
+    assert got == {("words", True), ("closure", True), ("closure", False)}
     # non-involution pairs (a, z), as check_no_rotary passes them
     for H in (G, X):
         answers = {
@@ -329,6 +343,30 @@ def test_generation_fast_paths_match_plain_closure(generation_path):
     assert generation_path(X, (x, y)) == ("ext", False)
     assert generation_path(X, (*ext_cons[0], ext_cons[-1][1])) == ("ext", True)
     assert generation_path(P, invs[:4])[0] == "closure"
+
+
+def _dihedral_sets(G, u, v):
+    """Three and four involutions inside the dihedral group <u, v>, which they do not generate."""
+    return [(u, v, G.conjugate(v, u)), (u, v, G.conjugate(v, u), G.conjugate(u, v))]
+
+
+def test_word_orders_match_plain_closure(generation_path):
+    # every 3-subset of the first 16 involutions of psl2 7
+    P = build_group("psl2", 7)
+    got = {generation_path(P, t) for t in combinations(P.involutions()[:16], 3)}
+    assert got == {("words", True), ("closure", True), ("closure", False)}
+    # seeded 3- and 4-sets, the generators the search found, and dihedral
+    # sets; in ext 7 3 the projection to PGL(2,7) answers before any word
+    rng = random.Random(21)
+    configs = [("psl2", 11, 1), ("psl2", 19, 1), ("psl2", 23, 1), ("pgl2", 7, 1), ("ext", 7, 3)]
+    for family, p, m in configs:
+        G = build_group(family, p, m)
+        gens = G.involution_generators()
+        sets = [rng.sample(G.involutions(), k) for k in (3, 3, 3, 3, 4, 4, 4)]
+        sets += [gens, *_dihedral_sets(G, *gens[:2])]
+        got = {generation_path(G, s) for s in sets}
+        assert ("closure", False) in got
+        assert (("words", True) in got) == (family != "ext")
 
 
 @pytest.mark.parametrize("family,p,m", [*VERIFY_MATRIX, ("pgl2", 19, 1)])
