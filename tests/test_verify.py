@@ -172,6 +172,12 @@ def test_pgl_two_point_stabilizer_is_sharp_on_the_other_points(p):
     assert sorted(gfproj.act(mat, others[0]) for mat in stab) == sorted(others)
 
 
+def test_pgl_action_fails_under_the_trivial_action(monkeypatch):
+    # every element then sends the first three points to themselves
+    monkeypatch.setattr(gfproj, "act", lambda g, x: x)
+    assert not check_pgl_action(7)
+
+
 def _classes_not_split_by_psl(split):
     """An ``involution_classes`` whose classes do not follow PSL membership."""
     from types import SimpleNamespace
@@ -445,3 +451,9 @@ def test_pgl_action_involution_classes_match_conjugacy(p):
         assert members == conjugacy_class(G, invs[cls.rep])
         assert len({G.in_psl_part(v) for v in members}) == 1
     assert check_pgl_action(p)
+
+
+@pytest.mark.parametrize("split", ["one class", "two classes, one member swapped"])
+def test_pgl_action_fails_unless_classes_split_by_psl(monkeypatch, split):
+    monkeypatch.setattr(GroupHandle, "involution_classes", _classes_not_split_by_psl(split))
+    assert not check_pgl_action(7)
