@@ -233,22 +233,16 @@ def in_psl(g: ProjMatrix) -> bool:
     return pow(g.det(), (g.p - 1) // 2, g.p) == 1
 
 
-def point_coords(x: int, p: int) -> tuple[int, int]:
-    """Homogeneous pair (numerator, denominator) of a point index."""
-    if not 0 <= x <= p:
-        raise GFProjError(f"point index {x} out of range for p={p}")
-    return (x, 1) if x < p else (1, 0)
-
-
 def act(g: ProjMatrix, x: int) -> int:
-    """Right action of g on a point of the projective line.
+    """Right action of g on a point index from ``all_points`` or ``range(p + 1)``.
 
     Satisfies act(mat_multiply(g, h), x) == act(h, act(g, x)).
     """
     a, b, c, d, p = g
-    u, w = point_coords(x, p)
-    nu = (d * u + b * w) % p
-    nw = (c * u + a * w) % p
+    if x == p:
+        nu, nw = d, c % p
+    else:
+        nu, nw = d * x + b, (c * x + a) % p
     if nw == 0:
         return p
     return (nu * _inv_table(p)[nw]) % p

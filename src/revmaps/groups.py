@@ -14,11 +14,11 @@ ascend as pairs.  Only this module knows that encoding; other modules use
 ``in_psl_part``.  Handles are immutable once built and are cached per
 (family, p, m).
 
-Element and pair orders are read off the invariant tr^2/det of the matrix
-part (see ``gfproj.projective_order``) without multiplying, so the handle
-keeps no per-element or per-pair memo.  The only quadratic table is the
-dihedral table of the involutions, whose rows the census scans build one at
-a time as they read them.
+Element and pair orders, and so the involutions, are read off the invariant
+tr^2/det of the matrix part (see ``gfproj.projective_order``) without
+multiplying, so the handle keeps no per-element or per-pair memo.  The only
+quadratic table is the dihedral table of the involutions, whose rows the
+census scans build one at a time as they read them.
 
 Whether elements generate the group is asked of ``generates`` alone: an lcm
 of element and dihedral orders, then in ext a projection to PGL(2,p), then
@@ -105,9 +105,11 @@ class GroupHandle:
         mats = all_matrices(p)
         if family == PSL2:
             mats = [g for g in mats if in_psl(g)]
+            self._psl = (True,) * len(mats)
+        else:
+            self._psl = tuple(map(in_psl, mats))
         self._mats = tuple(mats)
         self._pos = {g: a for a, g in enumerate(mats)}
-        self._psl = tuple(in_psl(g) for g in mats)
         self._width = len(mats)
         self.order = m * self._width
         self.identity = self.element(0, ProjMatrix(1, 0, 0, 1, p))
@@ -238,12 +240,18 @@ class GroupHandle:
     def is_involution(self, i: int) -> bool:
         return self.element_order(i) == 2
 
-    def conjugate(self, i: int, g: int) -> int:
-        return self.mul(self.mul(self.inv(g), i), g)
-
     def involutions(self) -> tuple[int, ...]:
+        """The elements of order 2 in index order, read off the matrix entries.
+
+        A non-scalar matrix has order 2 iff its trace is 0 (a scalar one has
+        trace 2), and (e, g)^2 is (2e, g^2) for g in PSL, else (0, g^2).
+        """
         if self._involutions is None:
-            self._involutions = tuple(i for i in range(self.order) if self.is_involution(i))
+            p, psl = self.p, self._psl
+            traceless = [a for a, (x, _, _, d, _) in enumerate(self._mats) if (x + d) % p == 0]
+            self._involutions = tuple(
+                e * self._width + a for e in range(self.m) for a in traceless if not (e and psl[a])
+            )
         return self._involutions
 
     def involution_classes(self) -> "InvolutionClasses":
@@ -600,12 +608,7 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
 
 def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
     """The sorted members of the smallest subgroup containing gens."""
-    gens = sorted(set(gens))
-    if not gens:
-        raise GroupError("subgroup_closure needs at least one generator")
-    if any(not 0 <= g < G.order for g in gens):
-        raise GroupError("generator index out of range")
-    return tuple(sorted(_closure(G, gens)))
+    return tuple(sorted(_closure(G, set(gens))))
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
@@ -685,8 +688,6 @@ def conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:
     G is generated by the involutions behind ``G.conjugation_perms()``, so
     the orbit under their conjugation maps is the whole class.
     """
-    if not 0 <= g < G.order:
-        raise GroupError("element index out of range")
     perms = G.conjugation_perms()
     orbit, seen = [g], {g}
     for u in orbit:

@@ -251,20 +251,17 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
 
 
 def recognize_graph(g: UnderlyingGraph) -> str:
-    """Classify as complete(n), petersen, or other; multigraphs are other.
+    """Classify as petersen or other; multigraphs are other.
 
     The Petersen graph is the one cubic graph of girth 5 on ten vertices
     (the Moore graph of degree 3), that is the one where each vertex sees all
-    ten vertices within distance two.
+    ten vertices within distance two.  ``map_record`` decides completeness
+    itself and asks this only of simple cubic graphs on ten vertices.
     """
-    if not g.is_simple:
+    if not g.is_simple or g.vertex_count != 10:
         return "other"
-    n = g.vertex_count
-    if len(g.edges) == n * (n - 1) // 2:
-        if set(g.edges) == {(a, b) for a in range(n) for b in range(a + 1, n)}:
-            return f"complete({n})"
     adj = g.adjacency()
-    if n == 10 and all(len(a) == 3 and len(a.union(*(adj[w] for w in a))) == 10 for a in adj):
+    if all(len(a) == 3 and len(a.union(*(adj[w] for w in a))) == 10 for a in adj):
         return "petersen"
     return "other"
 

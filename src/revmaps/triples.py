@@ -64,25 +64,12 @@ class ConstructionError(RuntimeError):
 
 
 def two_point_stabilizer_involution(G: GroupHandle) -> int:
-    """The unique involution fixing both canonical points [0:1] and [1:0].
+    """The involution diag(1, -1), the one fixing the canonical points [0:1] and [1:0].
 
-    In psl2 this exists exactly when p = 1 (mod 4): the pointwise stabilizer
-    of the pair is cyclic of order (p-1)/2, which is even only then.
+    Under ``act``, fixing [1:0] forces c = 0, fixing [0:1] forces b = 0, and
+    trace 0 leaves (1, 0, 0, p-1).  It lies in PSL(2,p) iff p = 1 (mod 4).
     """
-    pts = gfproj.all_points(G.p)
-    sigma, tau = pts[0], pts[1]
-    hits = [
-        i
-        for i in G.involutions()
-        if gfproj.act(G.matrix_part(i), sigma) == sigma
-        and gfproj.act(G.matrix_part(i), tau) == tau
-        and G.exponent_part(i) == 0
-    ]
-    if len(hits) != 1:
-        raise ConstructionError(
-            f"expected a unique two-point stabilizer involution, found {len(hits)}"
-        )
-    return hits[0]
+    return G.element(0, gfproj.ProjMatrix(1, 0, 0, G.p - 1, G.p))
 
 
 def cyclic_subgroup_involution(G: GroupHandle, n: int) -> int:

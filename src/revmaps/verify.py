@@ -102,7 +102,7 @@ def check_no_rotary(G: GroupHandle) -> bool:
         for z in invs:
             f = G.order // G.pair_order(a, z)
             chi = v - edges + f
-            if math.gcd(abs(chi), edges) == 1 and generates(G, {a, z}):
+            if check_coprime(chi, edges) and generates(G, {a, z}):
                 return False
     return True
 

@@ -174,9 +174,28 @@ def oracle_roles(G: GroupHandle, hit) -> tuple[tuple[int, int, int], bool]:
     return (a, b, c), False
 
 
+def oracle_conjugate(G: GroupHandle, i: int, g: int) -> int:
+    """g^-1 * i * g, by two multiplications and an inverse."""
+    return G.mul(G.mul(G.inv(g), i), g)
+
+
 def oracle_conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:
     """The conjugacy class of g, by conjugating it with every element of G."""
-    return tuple(sorted({G.conjugate(g, h) for h in range(G.order)}))
+    return tuple(sorted({oracle_conjugate(G, g, h) for h in range(G.order)}))
+
+
+def oracle_two_point_stabilizer_involution(G: GroupHandle) -> int:
+    """The involution of exponent 0 fixing [0:1] and [1:0], by a sweep that checks it is unique."""
+    sigma, tau = gfproj.all_points(G.p)[:2]
+    hits = [
+        i
+        for i in oracle_involutions(G)
+        if gfproj.act(G.matrix_part(i), sigma) == sigma
+        and gfproj.act(G.matrix_part(i), tau) == tau
+        and G.exponent_part(i) == 0
+    ]
+    assert len(hits) == 1, f"expected a unique two-point stabilizer involution, found {len(hits)}"
+    return hits[0]
 
 
 def oracle_class_minima(G: GroupHandle) -> set[int]:

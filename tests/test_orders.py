@@ -55,6 +55,18 @@ def test_involutions_match_power_loop(family, p, m):
     assert G.involutions() == oracle_involutions(G)
 
 
+@pytest.mark.parametrize(
+    "family,p,m",
+    [(family, p, 1) for family in ("psl2", "pgl2") for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    + [("ext", 7, 3), ("ext", 7, 5), ("ext", 11, 3), ("ext", 7, 9), ("ext", 11, 15)],
+)
+def test_involutions_match_the_element_order_sweep(family, p, m):
+    # the trace-0 listing against is_involution over every element: psl2
+    # and pgl2 for every p <= 31, and ext at m = 3, 5, 9 and 15
+    G = build_group(family, p, m)
+    assert G.involutions() == tuple(i for i in range(G.order) if G.is_involution(i))
+
+
 @pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
 def test_pair_orders_match_power_loop(family, p, m):
     G = build_group(family, p, m)

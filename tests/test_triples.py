@@ -5,7 +5,13 @@ import random
 from itertools import combinations
 
 import pytest
-from oracle import oracle_enumerate, oracle_expand, oracle_pattern
+from oracle import (
+    oracle_conjugate,
+    oracle_enumerate,
+    oracle_expand,
+    oracle_pattern,
+    oracle_two_point_stabilizer_involution,
+)
 
 from revmaps.gfproj import act, all_points, fixed_points
 from revmaps import groups
@@ -74,6 +80,13 @@ def test_anchor_involution_is_unique_in_two_point_stabilizer():
         if act(G.matrix_part(i), pts[0]) == pts[0] and act(G.matrix_part(i), pts[1]) == pts[1]
     ]
     assert others == [z]
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 41, 53, 61])
+def test_anchor_formula_matches_the_sweep(p):
+    # diag(1, -1) in closed form against the sweep over every involution
+    G = build_group("psl2", p)
+    assert two_point_stabilizer_involution(G) == oracle_two_point_stabilizer_involution(G)
 
 
 def test_psl_members_fix_the_chosen_point():
@@ -315,7 +328,7 @@ def test_generation_fast_paths_match_plain_closure(generation_path):
     assert {generation_path(X, t) for t in ext_cons[::7]} == {("ext", True)}
     # (x, y, xyx) keeps |xy| = 21, but its matrix parts span a dihedral group
     x, y, _ = ext_cons[0]
-    assert generation_path(X, (x, y, X.conjugate(y, x))) == ("ext", False)
+    assert generation_path(X, (x, y, oracle_conjugate(X, y, x))) == ("ext", False)
     # words: in psl2 7 no product of two involutions has order 7, but one of
     # three can; the closure answers the triples whose words fall short
     P = build_group("psl2", 7)
@@ -347,7 +360,8 @@ def test_generation_fast_paths_match_plain_closure(generation_path):
 
 def _dihedral_sets(G, u, v):
     """Three and four involutions inside the dihedral group <u, v>, which they do not generate."""
-    return [(u, v, G.conjugate(v, u)), (u, v, G.conjugate(v, u), G.conjugate(u, v))]
+    uvu, vuv = oracle_conjugate(G, v, u), oracle_conjugate(G, u, v)
+    return [(u, v, uvu), (u, v, uvu, vuv)]
 
 
 def test_word_orders_match_plain_closure(generation_path):
