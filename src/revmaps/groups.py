@@ -113,7 +113,6 @@ class GroupHandle:
         self._width = len(mats)
         self.order = m * self._width
         self.identity = self.element(0, ProjMatrix(1, 0, 0, 1, p))
-        self._inverses: list[int] | None = None
         self._involutions: tuple[int, ...] | None = None
         self._involution_classes: InvolutionClasses | None = None
         self._generators: list[int] | None = None
@@ -208,18 +207,10 @@ class GroupHandle:
         return self._conjugations
 
     def inv(self, i: int) -> int:
-        if self._inverses is None:
-            self._inverses = [-1] * self.order
-        cached = self._inverses[i]
-        if cached >= 0:
-            return cached
-        # (e, g)^-1 = (-eps(g)*e, g^-1), as eps(g^-1) = eps(g)
+        """(e, g)^-1 = (-eps(g)*e, g^-1), as eps(g^-1) = eps(g), read off the entries."""
         e, a = divmod(i, self._width)
         e = -e if self._psl[a] else e
-        j = e % self.m * self._width + self._pos[mat_inverse(self._mats[a])]
-        self._inverses[i] = j
-        self._inverses[j] = i
-        return j
+        return e % self.m * self._width + self._pos[mat_inverse(self._mats[a])]
 
     def _cyclic_order(self, i: int, j: int) -> int:
         """What the Z_m factor adds to the order (e, g) of element i * element j.

@@ -73,14 +73,16 @@ def two_point_stabilizer_involution(G: GroupHandle) -> int:
 
 
 def cyclic_subgroup_involution(G: GroupHandle, n: int) -> int:
-    """The involution of the cyclic group of the first element of even order n."""
+    """The involution of the cyclic group of the first element g of even order n.
+
+    For m = 1 handles (the pgl2 anchor is the one caller): g^(n/2) lies in
+    F_p[g], trace 0, so up to scale g - (tr g/2)I: [[a-d, 2b], [2c, d-a]].
+    """
     g = next((i for i in range(G.order) if G.element_order(i) == n), None)
     if g is None:
         raise ConstructionError(f"no element of order {n} in {G!r}")
-    acc = g
-    for _ in range(n // 2 - 1):
-        acc = G.mul(acc, g)
-    return acc
+    a, b, c, d, p = G.matrix_part(g)
+    return G.element(0, gfproj.proj_matrix(a - d, 2 * b, 2 * c, d - a, p))
 
 
 def make_triple(G: GroupHandle, x: int, y: int, z: int) -> tuple[int, int, int]:

@@ -89,21 +89,19 @@ def census_json(G: GroupHandle, scan: CensusScan) -> list[dict]:
 def check_no_rotary(G: GroupHandle) -> bool:
     """No generating pair (a, z), z an involution, gives a coprime rotary map.
 
-    Rotary cell counts are |V| = |G|/|a|, |E| = |G|/2, |F| = |G|/|az|.  The
-    scan fixes a up to conjugacy (all the tested quantities are invariant
-    under simultaneous conjugation) and tries every involution z.
+    A rotary map has chi = |G|/|a| - |G|/2 + |G|/|az|.  a runs over the class
+    reps (everything tested is conjugation invariant), whose orders are all
+    element orders, |az| among them, as conjugates share their order.  The
+    orders l passing the gcd filter with |a| are listed first, and only the
+    involutions z with |az| among them are tried.
     """
-    edges = G.order // 2
-    invs = G.involutions()
-    for a in conjugacy_class_reps(G):
-        if a == G.identity:
-            continue
-        v = G.order // G.element_order(a)
-        for z in invs:
-            f = G.order // G.pair_order(a, z)
-            chi = v - edges + f
-            if check_coprime(chi, edges) and generates(G, {a, z}):
-                return False
+    n = G.order
+    orders = {a: G.element_order(a) for a in conjugacy_class_reps(G)}
+    for a, k in orders.items():
+        faces = {l for l in set(orders.values()) if check_coprime(n // k - n // 2 + n // l, n // 2)}
+        hits = (z for z in G.involutions() if G.pair_order(a, z) in faces)
+        if k > 1 and faces and any(generates(G, {a, z}) for z in hits):
+            return False
     return True
 
 

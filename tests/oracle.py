@@ -30,7 +30,10 @@ which ``revmaps.verify`` reduces to the lcm.  ``oracle_pgl_action`` is the
 exhaustive projective-action check: it walks every element of order p+1
 around the line and counts the fixed points of every involution, where
 ``revmaps.verify`` keeps only what the distinct-images check and the class
-comparison leave open.
+comparison leave open.  ``oracle_no_rotary`` tries every involution with
+every class rep, where ``revmaps.verify`` first filters the pairs of element
+orders, and ``oracle_cyclic_subgroup_involution`` takes the power g^(n/2)
+that ``revmaps.triples`` reads off the entries of g.
 """
 
 from __future__ import annotations
@@ -39,9 +42,16 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from revmaps import gfproj, triples
+from revmaps import gfproj, triples, verify
 from revmaps.gfproj import ProjMatrix, all_matrices, in_psl, mat_multiply
-from revmaps.groups import PGL2, GroupHandle, build_group, generates, subgroup_closure
+from revmaps.groups import (
+    PGL2,
+    GroupHandle,
+    build_group,
+    conjugacy_class_reps,
+    generates,
+    subgroup_closure,
+)
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
 from revmaps.triples import CensusScan, PatternCensus
 
@@ -196,6 +206,41 @@ def oracle_two_point_stabilizer_involution(G: GroupHandle) -> int:
     ]
     assert len(hits) == 1, f"expected a unique two-point stabilizer involution, found {len(hits)}"
     return hits[0]
+
+
+def oracle_cyclic_subgroup_involution(G: GroupHandle, n: int) -> int:
+    """The involution of the cyclic group of the first element g of even order n, as g^(n/2).
+
+    The power loop ``triples.cyclic_subgroup_involution`` replaces by its
+    closed form.
+    """
+    g = next((i for i in range(G.order) if G.element_order(i) == n), None)
+    if g is None:
+        raise triples.ConstructionError(f"no element of order {n} in {G!r}")
+    acc = g
+    for _ in range(n // 2 - 1):
+        acc = G.mul(acc, g)
+    return acc
+
+
+def oracle_no_rotary(G: GroupHandle) -> bool:
+    """``verify.check_no_rotary`` without its order filter: every (class rep, involution) pair.
+
+    ``verify.check_coprime`` is looked up at call time, so that a test can
+    replace the filter.
+    """
+    edges = G.order // 2
+    invs = G.involutions()
+    for a in conjugacy_class_reps(G):
+        if a == G.identity:
+            continue
+        v = G.order // G.element_order(a)
+        for z in invs:
+            f = G.order // G.pair_order(a, z)
+            chi = v - edges + f
+            if verify.check_coprime(chi, edges) and generates(G, {a, z}):
+                return False
+    return True
 
 
 def oracle_class_minima(G: GroupHandle) -> set[int]:

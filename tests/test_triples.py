@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from oracle import (
     oracle_conjugate,
+    oracle_cyclic_subgroup_involution,
     oracle_enumerate,
     oracle_expand,
     oracle_pattern,
@@ -25,6 +26,7 @@ from revmaps.groups import (
 from revmaps.triples import (
     ConstructionError,
     construction_census,
+    cyclic_subgroup_involution,
     enumerate_reversing_triples,
     ext_triple,
     make_triple,
@@ -68,25 +70,21 @@ def test_psl_k_range():
         psl_triple(5, 6)
 
 
-def test_anchor_involution_is_unique_in_two_point_stabilizer():
-    G = build_group("psl2", 5)
-    z = two_point_stabilizer_involution(G)
-    pts = all_points(5)
-    mat = G.matrix_part(z)
-    assert act(mat, pts[0]) == pts[0] and act(mat, pts[1]) == pts[1]
-    others = [
-        i
-        for i in G.involutions()
-        if act(G.matrix_part(i), pts[0]) == pts[0] and act(G.matrix_part(i), pts[1]) == pts[1]
-    ]
-    assert others == [z]
-
-
 @pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 41, 53, 61])
 def test_anchor_formula_matches_the_sweep(p):
     # diag(1, -1) in closed form against the sweep over every involution
     G = build_group("psl2", p)
     assert two_point_stabilizer_involution(G) == oracle_two_point_stabilizer_involution(G)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_cyclic_involution_formula_matches_the_power_loop(p):
+    # the pgl2 anchor's closed form against g^(n/2), for every even element order
+    G = build_group("pgl2", p, budget=None)
+    even = sorted({G.element_order(i) for i in range(G.order)} & set(range(2, p + 2, 2)))
+    assert p + 1 in even and p - 1 in even
+    for n in even:
+        assert cyclic_subgroup_involution(G, n) == oracle_cyclic_subgroup_involution(G, n)
 
 
 def test_psl_members_fix_the_chosen_point():

@@ -4,10 +4,10 @@ import hashlib
 import math
 
 import pytest
-from oracle import oracle_expand, oracle_pgl_action, oracle_sylow_lemma
+from oracle import oracle_expand, oracle_no_rotary, oracle_pgl_action, oracle_sylow_lemma
 
-from revmaps import gfproj
-from revmaps.groups import GroupHandle, build_group, generates
+from revmaps import gfproj, verify
+from revmaps.groups import GroupHandle, build_group, conjugacy_class_reps, generates
 from revmaps.mapgeom import build_revmap
 from revmaps.triples import scan_reversing_census, triple_conjugacy_classes
 from revmaps.verify import (
@@ -143,6 +143,38 @@ def test_no_rotary_and_oracle_agree(family, p):
     G = build_group(family, p)
     assert check_no_rotary(G)
     assert _no_rotary_oracle(G)
+
+
+@pytest.mark.parametrize(
+    "family,p,m", VERIFY_MATRIX + (("pgl2", 13, 1), ("psl2", 17, 1), ("ext", 7, 9))
+)
+def test_no_rotary_matches_the_unfiltered_sweep(family, p, m):
+    G = build_group(family, p, m)
+    assert check_no_rotary(G) == oracle_no_rotary(G)
+
+
+@pytest.mark.parametrize(
+    "family,p,m,k,expected",
+    [
+        ("psl2", 7, 1, 7, False),
+        ("psl2", 7, 1, 3, True),
+        ("pgl2", 5, 1, 6, False),
+        ("ext", 7, 3, 21, True),
+    ],
+)
+def test_no_rotary_sweep_matches_the_oracle_once_a_pair_qualifies(
+    monkeypatch, family, p, m, k, expected
+):
+    # no order pair passes the real filter; let (k, k) alone pass (no other
+    # pair shares its chi), so that the involution sweep runs
+    G = build_group(family, p, m)
+    n = G.order
+    orders = {G.element_order(a) for a in conjugacy_class_reps(G)}
+    assert [(u, v) for u in orders for v in orders if n // u + n // v == 2 * n // k] == [(k, k)]
+    target = 2 * n // k - n // 2
+    monkeypatch.setattr(verify, "check_coprime", lambda chi, edges: chi == target)
+    assert check_no_rotary(G) == expected
+    assert oracle_no_rotary(G) == expected
 
 
 def test_no_rotary_runs_under_the_verify_budget():
