@@ -124,6 +124,31 @@ def left_products(
     return out
 
 
+def right_products(
+    mats: Sequence[ProjMatrix], g: ProjMatrix
+) -> list[tuple[int, int, int, int, int]]:
+    """The normalized products h*g for every h in mats, as plain tuples.
+
+    Multiplies and normalizes inline, as ``left_products`` does.
+    """
+    e, f, t, k, p = g
+    inv = _inv_table(p)
+    out = []
+    for a, b, c, d, _ in mats:
+        u = (a * e + b * t) % p
+        v = (a * f + b * k) % p
+        w = (c * e + d * t) % p
+        x = (c * f + d * k) % p
+        if u:
+            s = inv[u]
+            out.append((1, v * s % p, w * s % p, x * s % p, p))
+        else:
+            # the top row of an invertible product is nonzero, so v leads
+            s = inv[v]
+            out.append((0, 1, w * s % p, x * s % p, p))
+    return out
+
+
 def sandwich_products(
     h: ProjMatrix, mats: Sequence[ProjMatrix]
 ) -> list[tuple[int, int, int, int, int]]:

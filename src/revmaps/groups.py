@@ -26,14 +26,15 @@ the lcm with the orders of words of three involutions, and only then a
 closure.  The generating involutions behind the conjugation maps are found
 the same way, so in the families no closure is needed to find them.
 
-Bulk questions go through two kernels that work from the matrix entries in
-one sweep: ``GroupHandle.left_perm``, the permutation g -> h*g of all
-element indices, and ``GroupHandle.conjugates``, the images s*g*s of a list
-of elements under an involution s.  Right cosets Hg are the orbits of the
-left-multiplication permutations of H's generators, and conjugacy classes
-are the orbits of the conjugation permutations g -> s*g*s of a few
-generating involutions s; a class of involutions keeps its breadth-first
-tree as a Schreier vector.
+Bulk questions go through kernels that work from the matrix entries in one
+sweep: ``GroupHandle.left_perm``, the permutation g -> h*g of all element
+indices, and ``GroupHandle.conjugates``, the images s*g*s of a list of
+elements under an involution s.  ``right_cosets`` lists each right coset Hg
+as one batch of products h*g over the members of H (``gfproj.right_products``,
+one matrix product per distinct matrix part), and conjugacy classes are the
+orbits of the conjugation permutations g -> s*g*s of a few generating
+involutions s; a class of involutions keeps its breadth-first tree as a
+Schreier vector.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .gfproj import (
     mat_multiply,
     product_orders,
     projective_order,
+    right_products,
     sandwich_products,
 )
 
@@ -644,32 +646,44 @@ def _settled(G: GroupHandle, gens: Sequence[int]) -> bool | None:
     return True if math.lcm(reached, *words) == G.order else None
 
 
-def right_cosets(
-    G: GroupHandle, gens: Iterable[int], perms: dict[int, list[int]] | None = None
-) -> list[int]:
-    """The right coset Hg of every element g, H = <gens>, as ids numbered by least member.
+def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
+    """The right coset Hg of every element g as ids numbered by least member.
 
-    Hg is the orbit of g under left multiplication by the generators of H.
-    ``perms`` holds ``G.left_perm(s)`` of generators already computed; the
-    others are computed here.
+    H is the member list of a subgroup (as ``subgroup_closure`` returns it).
+    For the least element g not yet placed, Hg is listed as one batch of
+    products h*g: the matrix products come from ``right_products``, once per
+    distinct matrix part of H, and each member adds its exponent with its
+    twist sign, (f, A)*(e, B) = (f + eps(A)*e, A*B).  In ext, H holds Z_m,
+    so a sweep takes |M| matrix products, not |G|.  A batch that lacks g
+    (H lacks the identity) or batches that overlap (H is not a subgroup,
+    such as a list of generators) raise a GroupError.
     """
-    perms = perms or {}
-    gens = [perms[s] if s in perms else G.left_perm(s) for s in set(gens)]
+    width, m, pos = G._width, G.m, G._pos
+    parts: dict[int, list[int]] = {}
+    for h in H:
+        f, a = divmod(h, width)
+        parts.setdefault(a, []).append(f)
+    mats = [G._mats[a] for a in parts]
+    signs = [1 if G._psl[a] else -1 for a in parts]
+    exps = list(parts.values())
     label = [-1] * G.order
     count = 0
     for g in range(G.order):
         if label[g] >= 0:
             continue
+        e, b = divmod(g, width)
+        batch = [pos[k] for k in right_products(mats, G._mats[b])]
+        if m > 1:  # else every exponent is 0 and the products are the elements
+            batch = [(f + s * e) % m * width + c for c, s, fs in zip(batch, signs, exps) for f in fs]
+        for w in batch:
+            label[w] = count
         # g is the least element not yet placed, hence the least of Hg
-        label[g] = count
-        orbit = [g]
-        for u in orbit:
-            for perm in gens:
-                w = perm[u]
-                if label[w] != count:
-                    label[w] = count
-                    orbit.append(w)
+        if label[g] != count:
+            raise GroupError(f"the coset of {g} lacks {g}; H lacks the identity")
         count += 1
+    # the batches cover G, so they are disjoint iff their sizes sum to |G|
+    if count * len(H) != G.order:
+        raise GroupError("the cosets overlap; H is no subgroup")
     return label
 
 

@@ -20,10 +20,11 @@ partner (see ``map_record``).  Two flags are partners when they share two
 cells, and the partner maps are left multiplications (the monodromy group):
 in a reversing map L_z changes the vertex, L_x on face family 1 and L_y on
 family 2 the edge, and the family swap the face; in a flag-regular map
-L_r0, L_r1 and L_r2 do.  The permutations L_s: g -> s*g of the generators,
-the vertex cell of every element and the flag system sweep G; they are
-built on first use, by ``underlying_graph`` alone (DOT export and the
-Petersen test).
+L_r0, L_r1 and L_r2 do.  Only ``underlying_graph`` (DOT export and the
+Petersen test) sweeps G: it labels every element with its vertex cell, one
+batch of products per cell over the vertex stabilizer, and reads the vertex
+partner map, whose one permutation L_s: g -> s*g is built on first read;
+the edge and face partner maps are never built on that path.
 """
 
 from __future__ import annotations
@@ -59,15 +60,9 @@ class MapGeometry:
     stabilizers: tuple[frozenset[int], ...]
 
     @cached_property
-    def perms(self) -> dict[int, list[int]]:
-        """L_s per generator, built on first use."""
-        return {s: self.group.left_perm(s) for s in set(self.generators)}
-
-    @cached_property
-    def vertex(self) -> tuple[int, ...]:
+    def vertex(self) -> list[int]:
         """The vertex cell id of each element, numbered by least member; built on first use."""
-        gens = _cell_generators(self.kind, self.generators)[0]
-        return tuple(right_cosets(self.group, gens, self.perms))
+        return right_cosets(self.group, sorted(self.stabilizers[0]))
 
     @property
     def vertex_count(self) -> int:
@@ -127,16 +122,6 @@ def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
     return _checked(G, "flag_regular", (r0, r1, r2))
 
 
-@dataclass(frozen=True)
-class FlagSystem:
-    rho_v: tuple[int, ...]
-    rho_e: tuple[int, ...]
-    rho_f: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.rho_v)
-
-
 def _identity_partners(M: MapGeometry) -> list[tuple[tuple[int, int], ...]]:
     """The vertex, edge and face partner (s, k) of each identity flag (e, l).
 
@@ -165,20 +150,47 @@ def _identity_partners(M: MapGeometry) -> list[tuple[tuple[int, int], ...]]:
     return table
 
 
+@dataclass(frozen=True)
+class FlagSystem:
+    """The vertex, edge and face partner maps on the flags G x {face family}.
+
+    ``partners[l]`` holds the vertex, edge and face partner (s, k) of the
+    identity flag of family l (see ``_identity_partners``); each map is the
+    left multiplication g -> s*g into family k, built on first read.
+    """
+
+    group: GroupHandle
+    partners: list[tuple[tuple[int, int], ...]]
+
+    def __len__(self) -> int:
+        return len(self.partners) * self.group.order
+
+    def _rho(self, cell: int) -> tuple[int, ...]:
+        G, n = self.group, self.group.order
+        perms = {G.identity: range(n)}
+        rho: list[int] = []
+        for partners in self.partners:
+            s, k = partners[cell]
+            if s not in perms:
+                perms[s] = G.left_perm(s)
+            rho.extend([k * n + h for h in perms[s]] if k else perms[s])
+        return tuple(rho)
+
+    rho_v = cached_property(lambda self: self._rho(0))
+    rho_e = cached_property(lambda self: self._rho(1))
+    rho_f = cached_property(lambda self: self._rho(2))
+
+
 def flag_system(M: MapGeometry) -> FlagSystem:
     """The three partner maps on the flags G x {face family}.
 
     Flags sharing their edge and face are vertex partners, flags sharing
     their vertex and face edge partners, and flags sharing their vertex and
-    edge face partners; each is a left multiplication on each family.
+    edge face partners; each is a left multiplication on each family.  The
+    identity flags are checked at once, so a degenerate geometry is refused
+    here; each map is built on its first read.
     """
-    n = M.group.order
-    rhos: tuple[list[int], ...] = ([], [], [])
-    for partners in _identity_partners(M):
-        for rho, (s, k) in zip(rhos, partners):
-            perm = range(n) if s == M.group.identity else M.perms[s]
-            rho.extend([k * n + h for h in perm] if k else perm)
-    return FlagSystem(*map(tuple, rhos))
+    return FlagSystem(M.group, _identity_partners(M))
 
 
 @dataclass(frozen=True)
@@ -233,20 +245,19 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     """Multigraph on the vertex cells; one edge per edge cell.
 
     The ends of the edge through element g are the vertex cells of g and of
-    its vertex partner, read off ``flag_system(M).rho_v`` on face family 1.
-    They are the same for every element of the edge cell, so each edge gives
-    |G_e| equal keys and every |G_e|-th sorted key is kept.  This sweeps G
-    and builds the vertex cells and the generators' L_s; only DOT export and
-    the Petersen test in ``map_record`` ask for it.
+    its vertex partner s*g, read off ``flag_system(M).rho_v`` on face family
+    1.  They are the same for every element of the edge cell, and s lies in
+    the edge stabilizer, so g -> s*g pairs off the cell's elements: keyed at
+    the lesser of each pair, each edge gives |G_e|/2 equal keys, and every
+    |G_e|/2-th sorted key is kept.  This sweeps G and builds the vertex cells
+    and L_s; only DOT export and the Petersen test in ``map_record`` ask for
+    it.
     """
-    count, vertex = M.vertex_count, M.vertex
-    partner = flag_system(M).rho_v[: M.group.order]
+    n, count, vertex = M.group.order, M.vertex_count, M.vertex
+    ends = ((vertex[g], vertex[h]) for g, h in zip(range(n), flag_system(M).rho_v) if g < h)
     # each pair a <= b as the integer a*count + b, which sorts alike and faster
-    keys = sorted(
-        a * count + b if a <= b else b * count + a
-        for a, b in zip(vertex, (vertex[h] for h in partner))
-    )
-    step = len(M.stabilizers[1])
+    keys = sorted(a * count + b if a <= b else b * count + a for a, b in ends)
+    step = len(M.stabilizers[1]) // 2
     return UnderlyingGraph(count, tuple(divmod(k, count) for k in keys[::step]))
 
 

@@ -23,6 +23,9 @@ instead takes the flags G x {face family} and reads the partner maps off
 left multiplications, checked at the identity flags, and is compared with
 this; ``oracle_flag_system`` labels every one of those flags with its coset
 blocks, pairs them by their labels and colours the whole flag graph.
+``oracle_right_cosets`` finds each right coset as the orbit of the
+generators' left permutations, where ``revmaps.groups.right_cosets`` lists
+it as one batch of products over the subgroup's members.
 ``oracle_graph`` classifies the underlying graph from its edge list, the
 Petersen graph by an explicit isomorphism.  ``oracle_sylow_lemma`` is the
 stabilizer lemma in two parts, the lcm and the full prime powers of |G|,
@@ -333,6 +336,30 @@ def oracle_expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
 
 
 # -- maps as coset incidence geometries ------------------------------------------
+
+
+def oracle_right_cosets(G: GroupHandle, gens) -> list[int]:
+    """The right coset <gens>g of every element g, as ids numbered by least member.
+
+    Hg is the orbit of g under the left-multiplication permutations
+    ``G.left_perm(s)`` of the generators s, searched breadth first.
+    """
+    perms = [G.left_perm(s) for s in set(gens)]
+    label = [-1] * G.order
+    count = 0
+    for g in range(G.order):
+        if label[g] >= 0:
+            continue
+        label[g] = count
+        orbit = [g]
+        for u in orbit:
+            for perm in perms:
+                w = perm[u]
+                if label[w] != count:
+                    label[w] = count
+                    orbit.append(w)
+        count += 1
+    return label
 
 
 def _coset_blocks(G: GroupHandle, gens) -> list[tuple[int, ...]]:

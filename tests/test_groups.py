@@ -281,7 +281,7 @@ def test_cosets_of_d10_in_psl25():
     G = build_group("psl2", 5)
     u, v = _pair_with_product_order(G, 5)
     sub = subgroup_closure(G, [u, v])
-    label = right_cosets(G, [u, v])
+    label = right_cosets(G, sub)
     blocks = [[g for g in range(G.order) if label[g] == c] for c in range(max(label) + 1)]
     assert len(blocks) == 6
     assert sorted(g for block in blocks for g in block) == list(range(G.order))
@@ -290,6 +290,17 @@ def test_cosets_of_d10_in_psl25():
         assert sorted(G.mul(h, block[0]) for h in sub) == block
     # ids are numbered by least member
     assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+
+
+def test_cosets_refuse_generators_for_members():
+    # the generators u, v of D10 lack the identity, so the batch of g = 0
+    # lacks 0; adding it leaves a set that is no subgroup, whose batches overlap
+    G = build_group("psl2", 5)
+    u, v = _pair_with_product_order(G, 5)
+    with pytest.raises(GroupError, match="lacks the identity"):
+        right_cosets(G, [u, v])
+    with pytest.raises(GroupError, match="the cosets overlap"):
+        right_cosets(G, [G.identity, u, v])
 
 
 # -- generation ---------------------------------------------------------------------

@@ -14,13 +14,20 @@ import random
 from itertools import combinations
 
 import pytest
-from oracle import oracle_conjugate_overlap, oracle_flag_system, oracle_graph, oracle_map
+from oracle import (
+    oracle_conjugate_overlap,
+    oracle_flag_system,
+    oracle_graph,
+    oracle_map,
+    oracle_right_cosets,
+)
 
-from revmaps.groups import build_group, generates, subgroup_closure
+from revmaps.groups import build_group, generates, right_cosets, subgroup_closure
 from revmaps.mapgeom import (
     MapError,
     UnderlyingGraph,
     _assemble,
+    _cell_generators,
     _conjugate_overlap,
     _identity_partners,
     build_regular_map,
@@ -111,6 +118,39 @@ def test_a5_simplicity_overlap_matches_oracle():
     r0, r1, r2 = (G.element_from_json(triple[n]) for n in ("r0", "r1", "r2"))
     for gens in ((r0, r1, r2), (r2, r1, r0)):
         _assert_overlap_matches_oracle(build_regular_map(G, *gens))
+
+
+def _assert_cosets_match_oracle(M):
+    # the cells of every kind, vertex, edge and each face family: batches of
+    # products over the closed stabilizer against the generators' orbits
+    G = M.group
+    for gens in _cell_generators(M.kind, M.generators):
+        assert right_cosets(G, subgroup_closure(G, gens)) == oracle_right_cosets(G, gens), gens
+
+
+@pytest.mark.parametrize(
+    "group,make,args",
+    [
+        (("psl2", 5), psl_triple, (5, 2)),
+        (("psl2", 13), psl_triple, (13, 2)),
+        (("pgl2", 7), pgl_triple, (7, 0)),
+        (("pgl2", 11), pgl_triple, (11, 0)),
+        (("ext", 7, 3), ext_triple, (7, 3, 0, 1, 0)),
+        (("ext", 7, 5), ext_triple, (7, 5, 0, 1, 0)),
+        (("ext", 11, 3), ext_triple, (11, 3, 0, 1, 0)),
+    ],
+    ids=["psl2-5", "psl2-13", "pgl2-7", "pgl2-11", "ext-7-3", "ext-7-5", "ext-11-3"],
+)
+def test_right_cosets_match_oracle(group, make, args):
+    _assert_cosets_match_oracle(build_revmap(build_group(*group), *make(*args)))
+
+
+def test_a5_right_cosets_match_oracle():
+    G = build_group("psl2", 5)
+    triple = a5_exceptional_case()["triple"]
+    r0, r1, r2 = (G.element_from_json(triple[n]) for n in ("r0", "r1", "r2"))
+    for gens in ((r0, r1, r2), (r2, r1, r0)):
+        _assert_cosets_match_oracle(build_regular_map(G, *gens))
 
 
 @pytest.mark.parametrize("family,p,m,idx", [("pgl2", 7, 1, (0, 7, 53)), ("ext", 7, 3, (0, 7, 389))])
