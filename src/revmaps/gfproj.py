@@ -13,10 +13,19 @@ remaining affine points (see :func:`all_points`).
 Matrices act on points on the right: ``act(g, act(h, x)) == act(mat_multiply(g, h), x)``
 reversed, i.e. x^(gh) = (x^g)^h.  Concretely x^M = (d*x + b) / (c*x + a) on
 affine points, the unique right action sending x to x+1 under [[1,1],[0,1]].
+
+The bulk kernels work on whole lists of matrices from their entries, with
+no ProjMatrix per result: ``sandwich_products`` forms the products h*g*h,
+and ``preimage_points`` reads off each matrix the three points it sends to
+0, infinity and 1.  The action is sharply 3-transitive (Dickson, *Linear
+Groups*, 1901), so those three points name the matrix, and those of g*h are
+the ones of h moved by ``preimage_perm(g)``, the action of g^-1: a left
+product is a relabelling of points, with no matrix multiplied.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -97,64 +106,14 @@ def mat_multiply(lhs: ProjMatrix, rhs: ProjMatrix) -> ProjMatrix:
     return _normalized(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p)
 
 
-def left_products(
-    h: ProjMatrix, mats: Sequence[ProjMatrix]
-) -> list[tuple[int, int, int, int, int]]:
-    """The normalized products h*g for every g in mats, as plain tuples.
-
-    Multiplies and normalizes inline, without a ProjMatrix per product: a
-    plain tuple hashes and compares like the ProjMatrix of the same entries,
-    so each result is a key of any table keyed by ProjMatrix.
-    """
-    a, b, c, d, p = h
-    inv = _inv_table(p)
-    out = []
-    for e, f, g, k, _ in mats:
-        u = (a * e + b * g) % p
-        v = (a * f + b * k) % p
-        w = (c * e + d * g) % p
-        x = (c * f + d * k) % p
-        if u:
-            s = inv[u]
-            out.append((1, v * s % p, w * s % p, x * s % p, p))
-        else:
-            # the top row of an invertible product is nonzero, so v leads
-            s = inv[v]
-            out.append((0, 1, w * s % p, x * s % p, p))
-    return out
-
-
-def right_products(
-    mats: Sequence[ProjMatrix], g: ProjMatrix
-) -> list[tuple[int, int, int, int, int]]:
-    """The normalized products h*g for every h in mats, as plain tuples.
-
-    Multiplies and normalizes inline, as ``left_products`` does.
-    """
-    e, f, t, k, p = g
-    inv = _inv_table(p)
-    out = []
-    for a, b, c, d, _ in mats:
-        u = (a * e + b * t) % p
-        v = (a * f + b * k) % p
-        w = (c * e + d * t) % p
-        x = (c * f + d * k) % p
-        if u:
-            s = inv[u]
-            out.append((1, v * s % p, w * s % p, x * s % p, p))
-        else:
-            # the top row of an invertible product is nonzero, so v leads
-            s = inv[v]
-            out.append((0, 1, w * s % p, x * s % p, p))
-    return out
-
-
 def sandwich_products(
     h: ProjMatrix, mats: Sequence[ProjMatrix]
 ) -> list[tuple[int, int, int, int, int]]:
     """The normalized products h*g*h for every g in mats, as plain tuples.
 
-    Multiplies and normalizes inline, as ``left_products`` does; for an
+    Multiplies and normalizes inline, without a ProjMatrix per product: a
+    plain tuple hashes and compares like the ProjMatrix of the same entries,
+    so each result is a key of any table keyed by ProjMatrix.  For an
     involution h this is the conjugate of each g by h.
     """
     a, b, c, d, p = h
@@ -275,6 +234,45 @@ def act(g: ProjMatrix, x: int) -> int:
 
 def fixed_points(g: ProjMatrix) -> tuple[int, ...]:
     return tuple(x for x in range(g.p + 1) if act(g, x) == x)
+
+
+@lru_cache(maxsize=None)
+def _neg_quotients(p: int) -> tuple[tuple[int, ...], ...]:
+    """Row u, column w: the point index of -u/w mod p, or p (infinity) at w = 0."""
+    inv = _inv_table(p)
+    return tuple(tuple(-u * inv[w] % p if w else p for w in range(p)) for u in range(p))
+
+
+def preimage_points(mats: Sequence[ProjMatrix]) -> tuple[array, array, array]:
+    """The points each matrix sends to 0, to the point at infinity and to 1.
+
+    Three array('H') of point indices, by position in mats.  Under ``act``,
+    x^M = (d*x + b) / (c*x + a), so M sends -b/d to 0, -a/c to infinity and
+    -(b - a)/(d - c) to 1, each the index p when its denominator is 0; all
+    are read off one table of quotients, whose rows and columns a negative
+    difference of entries indexes mod p.  PGL(2,p) acts sharply
+    3-transitively on the line, so the three points tell the matrix apart
+    from every other.
+    """
+    q = _neg_quotients(mats[0].p)
+    return (
+        array("H", [q[b][d] for _, b, _, d, _ in mats]),
+        array("H", [q[a][c] for a, _, c, _, _ in mats]),
+        array("H", [q[b - a][d - c] for a, b, c, d, _ in mats]),
+    )
+
+
+def preimage_perm(g: ProjMatrix) -> list[int]:
+    """The point x with act(g, x) == y, for every point index y in range(p + 1).
+
+    This is the action of g^-1, the adjugate [[d, -b], [-c, a]], read off
+    the entries: y -> -(b - a*y)/(d - c*y), and infinity -> -a/c.  The
+    points g*h sends to 0, infinity and 1 are those h sends there, moved
+    by this permutation.
+    """
+    a, b, c, d, p = g
+    q = _neg_quotients(p)
+    return [q[(b - a * y) % p][(d - c * y) % p] for y in range(p)] + [q[a][c]]
 
 
 def all_points(p: int) -> tuple[int, ...]:

@@ -26,15 +26,22 @@ the lcm with the orders of words of three involutions, and only then a
 closure.  The generating involutions behind the conjugation maps are found
 the same way, so in the families no closure is needed to find them.
 
-Bulk questions go through kernels that work from the matrix entries in one
-sweep: ``GroupHandle.left_perm``, the permutation g -> h*g of all element
-indices, and ``GroupHandle.conjugates``, the images s*g*s of a list of
-elements under an involution s.  ``right_cosets`` lists each right coset Hg
-as one batch of products h*g over the members of H (``gfproj.right_products``,
-one matrix product per distinct matrix part), and conjugacy classes are the
-orbits of the conjugation permutations g -> s*g*s of a few generating
-involutions s; a class of involutions keeps its breadth-first tree as a
-Schreier vector.
+Bulk questions go through kernels that work in one sweep.  PGL(2,p) acts
+sharply 3-transitively on the projective line, so a matrix is known by the
+three points it sends to 0, infinity and 1, and a left product h*g sends
+there the points g does, moved by h^-1.  The handle keeps, from its first
+bulk sweep on, a point index: those three points of every matrix and a
+table from their code back to the matrix.  ``GroupHandle.left_perm``, the
+permutation g -> h*g of all element indices, then relabels points once per
+matrix and reads the table, with no product formed, and ``right_cosets``
+lists each right coset Hg as one batch of such reads over the distinct
+matrix parts of H.  ``GroupHandle.conjugates`` takes the images s*g*s of a
+list of elements under an involution s from the entries.  Conjugacy classes
+are the orbits of the conjugation permutations g -> s*g*s of a few
+generating involutions s; a class of involutions keeps its breadth-first
+tree as a Schreier vector.  ``subgroup_closure`` lists the dihedral span of
+one or two involutions by powers of their product and closes any other
+generator set breadth first.
 """
 
 from __future__ import annotations
@@ -51,12 +58,12 @@ from .gfproj import (
     check_prime,
     element_order,
     in_psl,
-    left_products,
     mat_inverse,
     mat_multiply,
+    preimage_points,
+    preimage_perm,
     product_orders,
     projective_order,
-    right_products,
     sandwich_products,
 )
 
@@ -120,6 +127,7 @@ class GroupHandle:
         self._generators: list[int] | None = None
         self._dihedral: DihedralTable | None = None
         self._conjugations: list[list[int]] | None = None
+        self._points: tuple[array, array, array, array] | None = None
 
     # -- element access ----------------------------------------------------
 
@@ -156,17 +164,52 @@ class GroupHandle:
         e, a, b = self._twist(i, j)
         return e * self._width + self._pos[mat_multiply(self._mats[a], self._mats[b])]
 
+    def _point_index(self) -> tuple[array, array, array, array]:
+        """The points each matrix of M sends to 0, infinity and 1, and their inverse table.
+
+        The first three arrays are ``preimage_points`` of the matrices, by
+        position.  The fourth maps the code (t0*(p+1) + t1)*(p+1) + t2 of
+        three such points to the position of the one matrix that sends
+        them to 0, infinity and 1, or -1 where no matrix of M does.  Built
+        on the first bulk sweep (``left_perm``, ``right_cosets``) and kept
+        on the handle; nothing else reads it.
+        """
+        if self._points is None:
+            q = self.p + 1
+            zero, inf, one = preimage_points(self._mats)
+            codes = [(x * q + y) * q + z for x, y, z in zip(zero, inf, one)]
+            table = array("i", [-1]) * q**3
+            for a, code in enumerate(codes):
+                table[code] = a
+            if len(set(codes)) < len(codes):
+                raise GroupError(f"two matrices of {self.family}(2,{self.p}) share a point code")
+            self._points = zero, inf, one, table
+        return self._points
+
+    def _relabelling(self, a: int) -> tuple[list[int], list[int], list[int]]:
+        """``preimage_perm`` of matrix position a, scaled to each digit of a point code.
+
+        For any matrix B of M, the position of mats[a]*B is the table entry
+        at the sum of the three lists read at B's three points.
+        """
+        perm = preimage_perm(self._mats[a])
+        q = self.p + 1
+        return [t * q * q for t in perm], [t * q for t in perm], perm
+
     def left_perm(self, h: int) -> list[int]:
         """The permutation g -> h*g of all element indices, in one sweep.
 
-        The matrix products h*g over M come from ``left_products`` as plain
-        tuples and are looked up by position once; every exponent f then
-        shifts them by the block of h's exponent plus eps(h)*f.
+        The matrix part H*B of h*g sends to 0, infinity and 1 the points B
+        sends there moved by H^-1, so its position is one table read of the
+        point index per matrix B, with no product formed.  Every exponent f
+        then shifts these positions by the block of h's exponent plus
+        eps(h)*f.
         """
         e, a = divmod(h, self._width)
         sign = 1 if self._psl[a] else -1
-        pos = self._pos
-        prods = [pos[k] for k in left_products(self._mats[a], self._mats)]
+        zero, inf, one, table = self._point_index()
+        r0, r1, r2 = self._relabelling(a)
+        prods = [table[r0[x] + r1[y] + r2[z]] for x, y, z in zip(zero, inf, one)]
         shifts = [(e + sign * f) % self.m * self._width for f in range(self.m)]
         return [s + b for s in shifts for b in prods]
 
@@ -600,8 +643,33 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
 
 
 def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
-    """The sorted members of the smallest subgroup containing gens."""
-    return tuple(sorted(_closure(G, set(gens))))
+    """The sorted members of the smallest subgroup containing gens.
+
+    One or two involutions u, v span a dihedral group, listed by powers
+    (``_dihedral_span``); any other generator set is closed breadth first.
+    """
+    gens = set(gens)
+    # an involution is an element other than the identity that is its own inverse
+    if 0 < len(gens) <= 2 and all(G.inv(g) == g != G.identity for g in gens):
+        return tuple(sorted(_dihedral_span(G, *gens)))
+    return tuple(sorted(_closure(G, gens)))
+
+
+def _dihedral_span(G: GroupHandle, u: int, v: int | None = None) -> list[int]:
+    """The members of <u, v> for involutions u, v (v = u when left out).
+
+    With r = u*v, every word in u and v is r^k or r^k*u, so the 2|r|
+    members are these for k < |r|: 2|r| products, where a breadth-first
+    closure takes two per member.
+    """
+    r = G.mul(u, u if v is None else v)
+    out = []
+    power = G.identity
+    while True:
+        out += (power, G.mul(power, u))
+        power = G.mul(power, r)
+        if power == G.identity:
+            return out
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
@@ -651,19 +719,21 @@ def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
 
     H is the member list of a subgroup (as ``subgroup_closure`` returns it).
     For the least element g not yet placed, Hg is listed as one batch of
-    products h*g: the matrix products come from ``right_products``, once per
-    distinct matrix part of H, and each member adds its exponent with its
-    twist sign, (f, A)*(e, B) = (f + eps(A)*e, A*B).  In ext, H holds Z_m,
-    so a sweep takes |M| matrix products, not |G|.  A batch that lacks g
-    (H lacks the identity) or batches that overlap (H is not a subgroup,
-    such as a list of generators) raise a GroupError.
+    products h*g: the position of each matrix product A*B is read off the
+    handle's point index through the relabelling of A, one per distinct
+    matrix part of H, and each member adds its exponent with its twist
+    sign, (f, A)*(e, B) = (f + eps(A)*e, A*B).  In ext, H holds Z_m, so a
+    sweep takes |M| table reads, not |G|.  A batch that lacks g (H lacks the
+    identity) or batches that overlap (H is not a subgroup, such as a list
+    of generators) raise a GroupError.
     """
-    width, m, pos = G._width, G.m, G._pos
+    width, m = G._width, G.m
     parts: dict[int, list[int]] = {}
     for h in H:
         f, a = divmod(h, width)
         parts.setdefault(a, []).append(f)
-    mats = [G._mats[a] for a in parts]
+    zero, inf, one, table = G._point_index()
+    relabel = [G._relabelling(a) for a in parts]
     signs = [1 if G._psl[a] else -1 for a in parts]
     exps = list(parts.values())
     label = [-1] * G.order
@@ -672,7 +742,8 @@ def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
         if label[g] >= 0:
             continue
         e, b = divmod(g, width)
-        batch = [pos[k] for k in right_products(mats, G._mats[b])]
+        x, y, z = zero[b], inf[b], one[b]
+        batch = [table[r0[x] + r1[y] + r2[z]] for r0, r1, r2 in relabel]
         if m > 1:  # else every exponent is 0 and the products are the elements
             batch = [(f + s * e) % m * width + c for c, s, fs in zip(batch, signs, exps) for f in fs]
         for w in batch:

@@ -20,11 +20,12 @@ partner (see ``map_record``).  Two flags are partners when they share two
 cells, and the partner maps are left multiplications (the monodromy group):
 in a reversing map L_z changes the vertex, L_x on face family 1 and L_y on
 family 2 the edge, and the family swap the face; in a flag-regular map
-L_r0, L_r1 and L_r2 do.  Only ``underlying_graph`` (DOT export and the
-Petersen test) sweeps G: it labels every element with its vertex cell, one
-batch of products per cell over the vertex stabilizer, and reads the vertex
-partner map, whose one permutation L_s: g -> s*g is built on first read;
-the edge and face partner maps are never built on that path.
+L_r0, L_r1 and L_r2 do.  The stabilizers are dihedral, spanned by one or two
+involutions, and ``subgroup_closure`` lists them by powers.  Only
+``underlying_graph`` (DOT export and the Petersen test) sweeps G: it labels
+every element with its vertex cell, one batch per cell over the vertex
+stabilizer, and reads the one permutation L_s: g -> s*g of the vertex
+partner s; no partner map on the flags is built on that path.
 """
 
 from __future__ import annotations
@@ -245,16 +246,18 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     """Multigraph on the vertex cells; one edge per edge cell.
 
     The ends of the edge through element g are the vertex cells of g and of
-    its vertex partner s*g, read off ``flag_system(M).rho_v`` on face family
-    1.  They are the same for every element of the edge cell, and s lies in
-    the edge stabilizer, so g -> s*g pairs off the cell's elements: keyed at
-    the lesser of each pair, each edge gives |G_e|/2 equal keys, and every
-    |G_e|/2-th sorted key is kept.  This sweeps G and builds the vertex cells
-    and L_s; only DOT export and the Petersen test in ``map_record`` ask for
-    it.
+    its vertex partner s*g, with s the vertex partner of the identity flag
+    of face family 1 in ``flag_system(M)`` (which refuses a degenerate
+    geometry), read off ``G.left_perm(s)``.  They are the same for every
+    element of the edge cell, and s lies in the edge stabilizer, so g -> s*g
+    pairs off the cell's elements: keyed at the lesser of each pair, each
+    edge gives |G_e|/2 equal keys, and every |G_e|/2-th sorted key is kept.
+    This sweeps G and builds the vertex cells and L_s; only DOT export and
+    the Petersen test in ``map_record`` ask for it.
     """
-    n, count, vertex = M.group.order, M.vertex_count, M.vertex
-    ends = ((vertex[g], vertex[h]) for g, h in zip(range(n), flag_system(M).rho_v) if g < h)
+    G, count, vertex = M.group, M.vertex_count, M.vertex
+    (s, _), _, _ = flag_system(M).partners[0]
+    ends = ((vertex[g], vertex[h]) for g, h in enumerate(G.left_perm(s)) if g < h)
     # each pair a <= b as the integer a*count + b, which sorts alike and faster
     keys = sorted(a * count + b if a <= b else b * count + a for a, b in ends)
     step = len(M.stabilizers[1]) // 2

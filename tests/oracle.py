@@ -24,8 +24,11 @@ left multiplications, checked at the identity flags, and is compared with
 this; ``oracle_flag_system`` labels every one of those flags with its coset
 blocks, pairs them by their labels and colours the whole flag graph.
 ``oracle_right_cosets`` finds each right coset as the orbit of the
-generators' left permutations, where ``revmaps.groups.right_cosets`` lists
-it as one batch of products over the subgroup's members.
+generators under left multiplication by ``oracle_product``, where
+``revmaps.groups.right_cosets`` reads one batch per coset off the handle's
+point index, and ``oracle_closure`` closes a subgroup breadth first by the
+same product, where ``revmaps.groups.subgroup_closure`` lists a dihedral
+span by powers.
 ``oracle_graph`` classifies the underlying graph from its edge list, the
 Petersen graph by an explicit isomorphism.  ``oracle_sylow_lemma`` is the
 stabilizer lemma in two parts, the lcm and the full prime powers of |G|,
@@ -53,7 +56,6 @@ from revmaps.groups import (
     build_group,
     conjugacy_class_reps,
     generates,
-    subgroup_closure,
 )
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
 from revmaps.triples import CensusScan, PatternCensus
@@ -338,33 +340,59 @@ def oracle_expand(G: GroupHandle, fibers) -> list[tuple[int, int, int]]:
 # -- maps as coset incidence geometries ------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pairs_of(G: GroupHandle) -> tuple[list[Pair], dict[Pair, int]]:
+    """The (exponent, matrix) pair of every element index of G, and its inverse."""
+    pairs = [(G.exponent_part(i), G.matrix_part(i)) for i in range(G.order)]
+    return pairs, {x: i for i, x in enumerate(pairs)}
+
+
+def oracle_closure(G: GroupHandle, gens) -> tuple[int, ...]:
+    """The sorted members of <gens>, closed breadth first by ``oracle_product``."""
+    pairs, at = _pairs_of(G)
+    gens = [pairs[s] for s in set(gens)]
+    ident = (0, ProjMatrix(1, 0, 0, 1, G.p))
+    seen = {ident}
+    frontier = [ident]
+    for x in frontier:
+        for s in gens:
+            y = oracle_product(x, s, G.m)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return tuple(sorted(at[x] for x in seen))
+
+
 def oracle_right_cosets(G: GroupHandle, gens) -> list[int]:
     """The right coset <gens>g of every element g, as ids numbered by least member.
 
-    Hg is the orbit of g under the left-multiplication permutations
-    ``G.left_perm(s)`` of the generators s, searched breadth first.
+    Hg is the orbit of g under left multiplication by the generators s,
+    each product taken by ``oracle_product`` on (exponent, matrix) pairs and
+    searched breadth first.
     """
-    perms = [G.left_perm(s) for s in set(gens)]
+    pairs, at = _pairs_of(G)
+    gens = [pairs[s] for s in set(gens)]
     label = [-1] * G.order
     count = 0
     for g in range(G.order):
         if label[g] >= 0:
             continue
         label[g] = count
-        orbit = [g]
-        for u in orbit:
-            for perm in perms:
-                w = perm[u]
+        orbit = [pairs[g]]
+        for x in orbit:
+            for s in gens:
+                y = oracle_product(s, x, G.m)
+                w = at[y]
                 if label[w] != count:
                     label[w] = count
-                    orbit.append(w)
+                    orbit.append(y)
         count += 1
     return label
 
 
 def _coset_blocks(G: GroupHandle, gens) -> list[tuple[int, ...]]:
     """The right cosets of <gens> as sorted blocks, ordered by least member."""
-    members = subgroup_closure(G, gens)
+    members = oracle_closure(G, gens)
     placed: set[int] = set()
     blocks = []
     for g in range(G.order):

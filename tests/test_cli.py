@@ -472,7 +472,8 @@ def test_construct_bytes_are_pinned(tmp_path):
 
 def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     # a record is read off the cell stabilizers; only export (and the
-    # Petersen test, at ten vertices) builds the left multiplications
+    # Petersen test, at ten vertices) builds the left multiplications and
+    # the point index they read
     from revmaps import cli
     from revmaps.groups import GroupHandle, build_group
     from revmaps.mapgeom import build_revmap, map_record
@@ -481,7 +482,11 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     def refuse(self, h):
         raise AssertionError("left_perm called")
 
+    def refuse_index(self):
+        raise AssertionError("point index built")
+
     monkeypatch.setattr(GroupHandle, "left_perm", refuse)
+    monkeypatch.setattr(GroupHandle, "_point_index", refuse_index)
     G = build_group("psl2", 5)
     assert map_record(build_revmap(G, *psl_triple(5, 2)))["counts"]["V"] == 6
     args = ["--family", "pgl2", "--p", "11"]
@@ -490,7 +495,7 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     assert json.loads(rec.read_text())["counts"]["V"] == 60
     assert cli.main(["check", "--input", str(rec), "--output", str(verdict)]) == 0
     assert json.loads(verdict.read_text())["verdict"] == "pass"
-    with pytest.raises(AssertionError, match="left_perm called"):
+    with pytest.raises(AssertionError, match="left_perm called|point index built"):
         cli.main(["export", *args, "--output", str(tmp_path / "graph.dot")])
 
 

@@ -1,11 +1,14 @@
 """Group materialization, subgroups, cosets, conjugacy."""
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    oracle_closure,
     oracle_conjugacy_class,
     oracle_conjugate,
     oracle_elements,
@@ -13,9 +16,10 @@ from oracle import (
     oracle_twisted_orders,
 )
 
-from revmaps.gfproj import in_psl, proj_matrix
+from revmaps.gfproj import act, in_psl, proj_matrix
 from revmaps.groups import (
     GroupError,
+    GroupHandle,
     build_group,
     conjugacy_class,
     conjugacy_class_reps,
@@ -117,17 +121,61 @@ def test_extended_group_closed_under_multiplication():
 )
 def test_left_perm_matches_mul(family, p, m, step):
     G = build_group(family, p, m)
-    hs = range(0, G.order, step)
 
     def kind(h):
-        # what the kernel branches on: exponent, twist sign, leading entry
-        return G.exponent_part(h), G.in_psl_part(h), G.matrix_part(h).a
+        # what the kernel branches on: exponent, twist sign, leading entry,
+        # and the zero denominators of h's point relabelling (c = 0, where
+        # infinity stays put, d = 0 and d = c, where 0 and 1 go to infinity)
+        _, _, c, d, _ = g = G.matrix_part(h)
+        return G.exponent_part(h), G.in_psl_part(h), g.a, d == 0, c == 0, d == c
 
+    # the stride, and the least element of every kind the stride misses (on
+    # ext 11 3 a stride of 31 misses 10 of the 42 kinds)
+    hs = {kind(h): h for h in reversed(range(G.order))}
+    hs = sorted({*range(0, G.order, step), *hs.values()})
     assert {kind(h) for h in hs} == {kind(h) for h in range(G.order)}
     for h in hs:
         perm = G.left_perm(h)
         assert perm == [G.mul(h, g) for g in range(G.order)]
         assert len(set(perm)) == G.order
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_point_index_codes_tell_the_matrices_apart(family, p, m):
+    # each matrix sends its three points to 0, infinity and 1 under act, and
+    # the table sends their code back to its position and every other code
+    # to -1; the left multiplications read off it are permutations
+    G = build_group(family, p, m)
+    zero, inf, one, table = G._point_index()
+    q, width = p + 1, G.order // m
+    assert len(zero) == len(inf) == len(one) == width and len(table) == q**3
+    codes = [(x * q + y) * q + z for x, y, z in zip(zero, inf, one)]
+    assert len(set(codes)) == width
+    assert [table[code] for code in codes] == list(range(width))
+    assert table.count(-1) == q**3 - width
+    for a in range(width):
+        g = G.matrix_part(a)
+        assert [act(g, t) for t in (zero[a], inf[a], one[a])] == [0, p, 1]
+    for h in (*range(0, G.order, G.order // 5), *G.involution_generators()):
+        assert sorted(G.left_perm(h)) == list(range(G.order))
+
+
+def test_point_index_is_built_on_the_first_sweep():
+    G = GroupHandle("pgl2", 7, 1)
+    assert G._points is None
+    G.left_perm(G.identity)
+    assert G._points is not None
+    H = GroupHandle("pgl2", 7, 1)
+    right_cosets(H, [H.identity])
+    assert H._points is not None
+
+
+def test_point_index_refuses_a_shared_code():
+    # two equal matrices send the same points to 0, infinity and 1
+    G = GroupHandle("psl2", 5, 1)
+    G._mats = G._mats[:1] * 2 + G._mats[2:]
+    with pytest.raises(GroupError, match="share a point code"):
+        G.left_perm(G.identity)
 
 
 @given(st.data())
@@ -254,6 +302,31 @@ def test_closure_of_point_stabilizer_generators():
     dgn = G.element(0, proj_matrix(1, 0, 0, 4, 13))
     assert (G.element_order(u), G.element_order(dgn)) == (13, 6)
     assert len(subgroup_closure(G, [u, dgn])) == 78
+
+
+@pytest.mark.parametrize(
+    "family,p,m,sample",
+    [("psl2", 7, 1, None), ("pgl2", 5, 1, None), ("ext", 7, 3, 200), ("ext", 11, 3, 200)],
+)
+def test_dihedral_closures_match_oracle(family, p, m, sample):
+    # every pair of involutions on the two small groups, 200 seeded pairs on ext
+    G = build_group(family, p, m)
+    pairs = list(combinations(G.involutions(), 2))
+    if sample:
+        pairs = random.Random(f"{family} {p} {m}").sample(pairs, sample)
+    for u, v in pairs:
+        assert subgroup_closure(G, [u, v]) == oracle_closure(G, [u, v]), (u, v)
+
+
+def test_closures_of_other_generator_sets_match_oracle():
+    # one involution, a repeated one, and sets that are not one or two
+    # involutions (closed breadth first)
+    G = build_group("ext", 7, 3)
+    u, v = G.involutions()[:2]
+    w = next(g for g in range(G.order) if G.element_order(g) == 7)
+    for gens in ([u], [u, u], [v, v, v], [u, w], [w], [u, v, G.involutions()[-1]], []):
+        assert subgroup_closure(G, gens) == oracle_closure(G, gens), gens
+    assert subgroup_closure(G, [u, u]) == tuple(sorted((G.identity, u)))
 
 
 def test_lagrange_on_sampled_closures():
