@@ -40,8 +40,9 @@ list of elements under an involution s from the entries.  Conjugacy classes
 are the orbits of the conjugation permutations g -> s*g*s of a few
 generating involutions s; a class of involutions keeps its breadth-first
 tree as a Schreier vector.  ``subgroup_closure`` lists the dihedral span of
-one or two involutions by powers of their product and closes any other
-generator set breadth first.
+one or two involutions, the only subgroups a map's cells need, by powers of
+their product; the one breadth-first closure left is the last step of
+``generates``.
 """
 
 from __future__ import annotations
@@ -643,33 +644,27 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
 
 
 def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
-    """The sorted members of the smallest subgroup containing gens.
+    """The sorted members of the dihedral group <u, v> of one or two involutions.
 
-    One or two involutions u, v span a dihedral group, listed by powers
-    (``_dihedral_span``); any other generator set is closed breadth first.
+    With r = u*v (v = u when left out), every word in u and v is r^k or
+    r^k*u, so the 2|r| members are these for k < |r|: 2|r| products, where
+    a breadth-first closure takes two per member.  Every cell stabilizer of
+    a map is such a span.  Any other generator set raises a GroupError;
+    ``generates`` closes those itself.
     """
     gens = set(gens)
     # an involution is an element other than the identity that is its own inverse
-    if 0 < len(gens) <= 2 and all(G.inv(g) == g != G.identity for g in gens):
-        return tuple(sorted(_dihedral_span(G, *gens)))
-    return tuple(sorted(_closure(G, gens)))
-
-
-def _dihedral_span(G: GroupHandle, u: int, v: int | None = None) -> list[int]:
-    """The members of <u, v> for involutions u, v (v = u when left out).
-
-    With r = u*v, every word in u and v is r^k or r^k*u, so the 2|r|
-    members are these for k < |r|: 2|r| products, where a breadth-first
-    closure takes two per member.
-    """
-    r = G.mul(u, u if v is None else v)
+    if not 0 < len(gens) <= 2 or not all(G.inv(g) == g != G.identity for g in gens):
+        raise GroupError(f"not one or two involutions: {sorted(gens)}")
+    u, *rest = gens
+    r = G.mul(u, rest[0] if rest else u)
     out = []
     power = G.identity
     while True:
         out += (power, G.mul(power, u))
         power = G.mul(power, r)
         if power == G.identity:
-            return out
+            return tuple(sorted(out))
 
 
 def generates(G: GroupHandle, gens: Iterable[int]) -> bool:

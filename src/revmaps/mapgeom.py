@@ -8,30 +8,30 @@ face family.
 
 The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
 the element g in face family l, and it lies on the vertex, edge and face
-cosets through g.  A map is its generators and the stabilizers of the cells
-through the identity.  All cells of a kind are right cosets of one
-stabilizer (Jones & Singerman, Proc. LMS 37, 1978), and right
-multiplication g -> g*a keeps every right-coset partition and commutes with
-every left multiplication, so each record field is read at the identity:
-counts, valencies and face lengths are stabilizer orders, the partner checks
-run at the identity flag of each family, and the underlying graph's degree,
-loops and simplicity follow from the vertex stabilizer and the vertex
-partner (see ``map_record``).  Two flags are partners when they share two
-cells, and the partner maps are left multiplications (the monodromy group):
-in a reversing map L_z changes the vertex, L_x on face family 1 and L_y on
-family 2 the edge, and the family swap the face; in a flag-regular map
-L_r0, L_r1 and L_r2 do.  The stabilizers are dihedral, spanned by one or two
-involutions, and ``subgroup_closure`` lists them by powers.  Only
-``underlying_graph`` (DOT export and the Petersen test) sweeps G: it labels
-every element with its vertex cell, one batch per cell over the vertex
-stabilizer, and reads the one permutation L_s: g -> s*g of the vertex
-partner s; no partner map on the flags is built on that path.
+cosets through g.  A map is its generators, the stabilizers of the cells
+through the identity and the partners of the identity flags.  All cells of
+a kind are right cosets of one stabilizer (Jones & Singerman, Proc. LMS 37,
+1978), and right multiplication g -> g*a keeps every right-coset partition
+and commutes with every left multiplication, so each record field is read
+at the identity: counts, valencies and face lengths are stabilizer orders,
+and the underlying graph's degree, loops and simplicity follow from the
+vertex stabilizer and the vertex partner (see ``map_record``).  Two flags
+are partners when they share two cells, and the partner maps are left
+multiplications (the monodromy group): in a reversing map L_z changes the
+vertex, L_x on face family 1 and L_y on family 2 the edge, and the family
+swap the face; in a flag-regular map L_r0, L_r1 and L_r2 do.  So the
+partners are checked once, at the identity flag of each family, when the
+map is built, and a degenerate geometry is refused there.  The stabilizers
+are dihedral, spanned by one or two involutions, and ``subgroup_closure``
+lists them by powers.  Only ``underlying_graph`` (DOT export and the
+Petersen test) sweeps G: it labels every element with its vertex cell, one
+batch per cell over the vertex stabilizer, and reads the one permutation
+L_s: g -> s*g of the vertex partner s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .groups import GroupHandle, generates, right_cosets, subgroup_closure
 
@@ -59,11 +59,9 @@ class MapGeometry:
     # member sets of the cells through the identity: its vertex, edge and
     # face (per family) stabilizers
     stabilizers: tuple[frozenset[int], ...]
-
-    @cached_property
-    def vertex(self) -> list[int]:
-        """The vertex cell id of each element, numbered by least member; built on first use."""
-        return right_cosets(self.group, sorted(self.stabilizers[0]))
+    # the vertex, edge and face partner (s, k) of the identity flag of each
+    # face family, checked when the map is built (see ``_identity_partners``)
+    partners: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def vertex_count(self) -> int:
@@ -90,8 +88,11 @@ class MapGeometry:
 
 
 def _assemble(G: GroupHandle, kind: str, generators: tuple[int, ...]) -> MapGeometry:
+    """The geometry of the triple, refused by a MapError if it is degenerate."""
     subs = [subgroup_closure(G, gens) for gens in _cell_generators(kind, generators)]
-    return MapGeometry(G, kind, generators, tuple(map(frozenset, subs)))
+    stabilizers = tuple(map(frozenset, subs))
+    partners = _identity_partners(G, kind, generators, stabilizers)
+    return MapGeometry(G, kind, generators, stabilizers, partners)
 
 
 def _checked(G: GroupHandle, kind: str, generators: tuple[int, int, int]) -> MapGeometry:
@@ -123,7 +124,9 @@ def build_regular_map(G: GroupHandle, r0: int, r1: int, r2: int) -> MapGeometry:
     return _checked(G, "flag_regular", (r0, r1, r2))
 
 
-def _identity_partners(M: MapGeometry) -> list[tuple[tuple[int, int], ...]]:
+def _identity_partners(
+    G: GroupHandle, kind: str, generators: tuple[int, ...], stabilizers: tuple[frozenset[int], ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The vertex, edge and face partner (s, k) of each identity flag (e, l).
 
     The partner of flag (g, l) is (s*g, k), where s = e is the family swap.
@@ -131,14 +134,14 @@ def _identity_partners(M: MapGeometry) -> list[tuple[tuple[int, int], ...]]:
     stabilizers, in family l unless the face is the cell not shared.  The
     partner must change the third cell.
     """
-    n, e = M.group.order, M.group.identity
-    if M.kind == "reversing":
-        x, y, z = M.generators
-        table = [((z, 0), (x, 0), (e, 1)), ((z, 1), (y, 1), (e, 0))]
+    n, e = G.order, G.identity
+    if kind == "reversing":
+        x, y, z = generators
+        table = (((z, 0), (x, 0), (e, 1)), ((z, 1), (y, 1), (e, 0)))
     else:
-        r0, r1, r2 = M.generators
-        table = [((r0, 0), (r1, 0), (r2, 0))]
-    V, E, *faces = M.stabilizers
+        r0, r1, r2 = generators
+        table = (((r0, 0), (r1, 0), (r2, 0)),)
+    V, E, *faces = stabilizers
     for c, cell in enumerate(("vertex", "edge", "face")):
         for l, F in enumerate(faces):
             # how many flags share the other two cells, then whether s keeps this one
@@ -153,45 +156,23 @@ def _identity_partners(M: MapGeometry) -> list[tuple[tuple[int, int], ...]]:
 
 @dataclass(frozen=True)
 class FlagSystem:
-    """The vertex, edge and face partner maps on the flags G x {face family}.
+    """The flags G x {face family} and the partners of their identity flags.
 
     ``partners[l]`` holds the vertex, edge and face partner (s, k) of the
-    identity flag of family l (see ``_identity_partners``); each map is the
-    left multiplication g -> s*g into family k, built on first read.
+    identity flag of family l; the partner maps are the left
+    multiplications g -> s*g into family k.
     """
 
     group: GroupHandle
-    partners: list[tuple[tuple[int, int], ...]]
+    partners: tuple[tuple[tuple[int, int], ...], ...]
 
     def __len__(self) -> int:
         return len(self.partners) * self.group.order
 
-    def _rho(self, cell: int) -> tuple[int, ...]:
-        G, n = self.group, self.group.order
-        perms = {G.identity: range(n)}
-        rho: list[int] = []
-        for partners in self.partners:
-            s, k = partners[cell]
-            if s not in perms:
-                perms[s] = G.left_perm(s)
-            rho.extend([k * n + h for h in perms[s]] if k else perms[s])
-        return tuple(rho)
-
-    rho_v = cached_property(lambda self: self._rho(0))
-    rho_e = cached_property(lambda self: self._rho(1))
-    rho_f = cached_property(lambda self: self._rho(2))
-
 
 def flag_system(M: MapGeometry) -> FlagSystem:
-    """The three partner maps on the flags G x {face family}.
-
-    Flags sharing their edge and face are vertex partners, flags sharing
-    their vertex and face edge partners, and flags sharing their vertex and
-    edge face partners; each is a left multiplication on each family.  The
-    identity flags are checked at once, so a degenerate geometry is refused
-    here; each map is built on its first read.
-    """
-    return FlagSystem(M.group, _identity_partners(M))
+    """The flags of a map with the partners checked when it was built."""
+    return FlagSystem(M.group, M.partners)
 
 
 @dataclass(frozen=True)
@@ -215,7 +196,6 @@ def surface_invariants(M: MapGeometry) -> SurfaceInvariants:
     of PSL(2,p)).  An orientable surface is cross-checked against the parity
     of chi.
     """
-    _identity_partners(M)  # rejects a degenerate geometry
     orientable = not any(M.group.in_psl_part(s) for s in M.generators)
     chi = M.chi()
     if orientable and chi % 2:
@@ -247,15 +227,15 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
 
     The ends of the edge through element g are the vertex cells of g and of
     its vertex partner s*g, with s the vertex partner of the identity flag
-    of face family 1 in ``flag_system(M)`` (which refuses a degenerate
-    geometry), read off ``G.left_perm(s)``.  They are the same for every
-    element of the edge cell, and s lies in the edge stabilizer, so g -> s*g
-    pairs off the cell's elements: keyed at the lesser of each pair, each
-    edge gives |G_e|/2 equal keys, and every |G_e|/2-th sorted key is kept.
-    This sweeps G and builds the vertex cells and L_s; only DOT export and
-    the Petersen test in ``map_record`` ask for it.
+    of face family 1, read off ``G.left_perm(s)``.  They are the same for
+    every element of the edge cell, and s lies in the edge stabilizer, so
+    g -> s*g pairs off the cell's elements: keyed at the lesser of each
+    pair, each edge gives |G_e|/2 equal keys, and every |G_e|/2-th sorted
+    key is kept.  This sweeps G and builds the vertex cells and L_s; only
+    DOT export and the Petersen test in ``map_record`` ask for it.
     """
-    G, count, vertex = M.group, M.vertex_count, M.vertex
+    G, count = M.group, M.vertex_count
+    vertex = right_cosets(G, sorted(M.stabilizers[0]))
     (s, _), _, _ = flag_system(M).partners[0]
     ends = ((vertex[g], vertex[h]) for g, h in enumerate(G.left_perm(s)) if g < h)
     # each pair a <= b as the integer a*count + b, which sorts alike and faster
@@ -295,8 +275,8 @@ def map_record(M: MapGeometry) -> dict:
     stabilizer and s the vertex partner (z, or r0 in a flag-regular map),
     the edges at the vertex H run to the vertices Hsh, h in H, one edge cell
     per |H & E| of them.  Every vertex has degree 2|E|/|V|.  s in H would
-    make every edge a loop, and ``_identity_partners`` refuses it, so there
-    are none.  Hsh = Hsh' iff h h'^-1 lies in H & sHs, so the graph is
+    make every edge a loop, and the map's partner check refuses it, so
+    there are none.  Hsh = Hsh' iff h h'^-1 lies in H & sHs, so the graph is
     simple iff |H & sHs| = |H & E|, and complete iff it is simple of degree
     |V| - 1.  Only a simple cubic graph on ten vertices is compared with the
     Petersen graph, on ``underlying_graph``.
@@ -304,7 +284,7 @@ def map_record(M: MapGeometry) -> dict:
     inv = surface_invariants(M)
     G = M.group
     H, E, *faces = M.stabilizers
-    (s, _), _, _ = _identity_partners(M)[0]
+    (s, _), _, _ = M.partners[0]
     count = M.vertex_count
     degree = 2 * M.edge_count // count
     simple = _conjugate_overlap(G, s, H) == len(H & E)

@@ -108,12 +108,15 @@ def check_no_rotary(G: GroupHandle) -> bool:
 def check_pgl_action(p: int) -> bool:
     """The projective-line action of PGL(2,p), each property proved once.
 
-    Computed: the images of the first three points are all (p+1)p(p-1) =
-    |PGL(2,p)| ordered triples of distinct points, the two-point stabilizer
-    holds an element of order p-1, and the involutions inside and outside
-    PSL each form a single conjugacy class.  Fixed-point counts are class
-    invariants, so one involution tests the two-fixed-point rule on the side
-    it constrains: inside PSL when p = 1 (mod 4), outside when p = 3.
+    Computed: the points each element sends to 0, infinity and 1 (point
+    indices 0, p and 1), read off its entries by ``gfproj.preimage_points``,
+    are all (p+1)p(p-1) = |PGL(2,p)| ordered triples of distinct points (so
+    are the images of those points, the same triples for g^-1), the
+    stabilizer of 0 and infinity holds an element of order p-1, and the
+    involutions inside and outside PSL each form a single conjugacy class.
+    Fixed-point counts are class invariants, so one involution tests the
+    two-fixed-point rule on the side it constrains: inside PSL when
+    p = 1 (mod 4), outside when p = 3.
 
     Implied by the distinct images, and so not walked:
       - no non-identity element fixes three points: if h fixed a, b, c and k
@@ -125,13 +128,11 @@ def check_pgl_action(p: int) -> bool:
         n-2 points lie in an orbit of size n, which is all of them.
     """
     G = build_group(PGL2, p)
-    pts = gfproj.all_points(p)
-    # the images of the first three points, one per element
-    images = [tuple(gfproj.act(G.matrix_part(g), pt) for pt in pts[:3]) for g in range(G.order)]
-    if len(set(images)) != G.order:
+    zero, inf, one = gfproj.preimage_points(list(map(G.matrix_part, range(G.order))))
+    if len(set(zip(zero, inf, one))) != G.order:
         return False
 
-    stab = [g for g, (a, b, _) in enumerate(images) if a == pts[0] and b == pts[1]]
+    stab = [g for g, (a, b) in enumerate(zip(zero, inf)) if a == 0 and b == p]
     if not any(G.element_order(g) == p - 1 for g in stab):
         return False
 

@@ -19,9 +19,10 @@ The map part builds a map as a coset incidence geometry, the way the paper
 states it: cells are coset blocks, two cells are incident iff their cosets
 meet, the flags are the mutually incident (vertex, edge, face) triples, and
 partners are found by grouping flags on tuple keys.  ``revmaps.mapgeom``
-instead takes the flags G x {face family} and reads the partner maps off
-left multiplications, checked at the identity flags, and is compared with
-this; ``oracle_flag_system`` labels every one of those flags with its coset
+instead takes the flags G x {face family} and keeps only the partners of
+the identity flags, checked when a map is built, and is compared with this;
+``oracle_partner_maps`` extends those partners to every flag by ``G.mul``,
+and ``oracle_flag_system`` labels every one of those flags with its coset
 blocks, pairs them by their labels and colours the whole flag graph.
 ``oracle_right_cosets`` finds each right coset as the orbit of the
 generators under left multiplication by ``oracle_product``, where
@@ -602,16 +603,16 @@ def _label_pairing(keys: list[int], own: list[int], cell: str) -> tuple[int, ...
     return tuple(out)
 
 
-def oracle_flag_system(M: MapGeometry) -> tuple:
-    """rho_v, rho_e, rho_f and the orientability of ``M``, from flag labels of its own.
+def oracle_flag_system(G: GroupHandle, kind: str, generators) -> tuple:
+    """rho_v, rho_e, rho_f and the orientability of a map, from flag labels of its own.
 
-    The flags G x {face family} are labelled with coset blocks of the cell
-    generators of ``M``, faces of family 2 numbered after family 1.  Flags
-    sharing two cells are paired on integer keys over all flags, and the
+    ``kind`` and ``generators`` are as in ``oracle_map``.  The flags
+    G x {face family} are labelled with coset blocks of the cell
+    generators, faces of family 2 numbered after family 1.  Flags sharing
+    two cells are paired on integer keys over all flags, and the
     orientability is the bipartiteness of the whole flag graph.
     """
-    G = M.group
-    _, (vertex_gens, edge_gens, face_gens) = _cell_generators(M.kind, M.generators)
+    _, (vertex_gens, edge_gens, face_gens) = _cell_generators(kind, generators)
     vertex = _cell_of(G, _coset_blocks(G, vertex_gens)) * len(face_gens)
     edge = _cell_of(G, _coset_blocks(G, edge_gens)) * len(face_gens)
     face: list[int] = []
@@ -622,6 +623,23 @@ def oracle_flag_system(M: MapGeometry) -> tuple:
     rho_e = _label_pairing([v * F + f for v, f in zip(vertex, face)], edge, "edge")
     rho_f = _label_pairing([v * E + e for v, e in zip(vertex, edge)], face, "face")
     return rho_v, rho_e, rho_f, _bipartite([rho_v, rho_e, rho_f])
+
+
+def oracle_partner_maps(M: MapGeometry) -> tuple[tuple[int, ...], ...]:
+    """rho_v, rho_e, rho_f of ``M``, its identity partners extended to every flag.
+
+    The partner (s, k) of the identity flag of family l sends flag
+    l*|G| + g to k*|G| + s*g, one ``G.mul`` per flag.
+    """
+    G, n = M.group, M.group.order
+    maps = []
+    for cell in range(3):
+        rho: list[int] = []
+        for partners in M.partners:
+            s, k = partners[cell]
+            rho += [k * n + G.mul(s, g) for g in range(n)]
+        maps.append(tuple(rho))
+    return tuple(maps)
 
 
 def _prime_power_parts(n: int) -> list[int]:

@@ -20,6 +20,7 @@ from revmaps.gfproj import act, in_psl, proj_matrix
 from revmaps.groups import (
     GroupError,
     GroupHandle,
+    _closure,
     build_group,
     conjugacy_class,
     conjugacy_class_reps,
@@ -291,8 +292,11 @@ def test_dihedral_orders_divide_the_allowed_bounds(family, p, d):
 
 
 def test_closure_of_identity_is_trivial():
+    # the breadth-first closure behind generates; subgroup_closure spans involutions only
     G = build_group("psl2", 5)
-    assert subgroup_closure(G, [G.identity]) == (G.identity,)
+    assert _closure(G, [G.identity]) == {G.identity}
+    with pytest.raises(GroupError, match="not one or two involutions"):
+        subgroup_closure(G, [G.identity])
 
 
 def test_closure_of_point_stabilizer_generators():
@@ -301,7 +305,7 @@ def test_closure_of_point_stabilizer_generators():
     u = G.element(0, proj_matrix(1, 1, 0, 1, 13))
     dgn = G.element(0, proj_matrix(1, 0, 0, 4, 13))
     assert (G.element_order(u), G.element_order(dgn)) == (13, 6)
-    assert len(subgroup_closure(G, [u, dgn])) == 78
+    assert len(_closure(G, [u, dgn])) == 78
 
 
 @pytest.mark.parametrize(
@@ -319,20 +323,24 @@ def test_dihedral_closures_match_oracle(family, p, m, sample):
 
 
 def test_closures_of_other_generator_sets_match_oracle():
-    # one involution, a repeated one, and sets that are not one or two
-    # involutions (closed breadth first)
+    # one involution, also repeated, spans a group of two; sets that are not
+    # one or two involutions are refused, and generates closes them breadth first
     G = build_group("ext", 7, 3)
     u, v = G.involutions()[:2]
     w = next(g for g in range(G.order) if G.element_order(g) == 7)
-    for gens in ([u], [u, u], [v, v, v], [u, w], [w], [u, v, G.involutions()[-1]], []):
+    for gens in ([u], [u, u], [v, v, v]):
         assert subgroup_closure(G, gens) == oracle_closure(G, gens), gens
     assert subgroup_closure(G, [u, u]) == tuple(sorted((G.identity, u)))
+    for gens in ([u, w], [w], [u, v, G.involutions()[-1]], []):
+        with pytest.raises(GroupError, match="not one or two involutions"):
+            subgroup_closure(G, gens)
+        assert tuple(sorted(_closure(G, gens))) == oracle_closure(G, gens), gens
 
 
 def test_lagrange_on_sampled_closures():
     G = build_group("pgl2", 5)
     for seed in (1, 7, 31, 60, 101):
-        assert G.order % len(subgroup_closure(G, [seed % G.order])) == 0
+        assert G.order % len(_closure(G, [seed % G.order])) == 0
 
 
 # -- cosets ------------------------------------------------------------------------
@@ -340,14 +348,12 @@ def test_lagrange_on_sampled_closures():
 
 def test_cosets_of_whole_group():
     G = build_group("psl2", 5)
-    full = subgroup_closure(G, list(range(G.order)))
-    assert set(right_cosets(G, full)) == {0}
+    assert set(right_cosets(G, range(G.order))) == {0}
 
 
 def test_cosets_of_trivial_subgroup():
     G = build_group("psl2", 5)
-    triv = subgroup_closure(G, [G.identity])
-    assert len(set(right_cosets(G, triv))) == G.order
+    assert len(set(right_cosets(G, [G.identity]))) == G.order
 
 
 def test_cosets_of_d10_in_psl25():
@@ -611,7 +617,7 @@ def test_generator_search_closes_nothing_in_psl2(p, monkeypatch):
     gens = fresh.involution_generators()
     assert calls == []
     monkeypatch.setattr(groups, "_closure", real)
-    assert len(subgroup_closure(fresh, gens)) == fresh.order
+    assert len(oracle_closure(fresh, gens)) == fresh.order
 
 
 # the kernel branches on the twist sign of s and g and on the exponents, so

@@ -1,8 +1,9 @@
 """The map builder against the incidence geometry in ``oracle.py``.
 
 ``revmaps.mapgeom`` reads a map record off the cell stabilizers and the
-generators, and the partner maps on the flags G x {face family} off left
-multiplications; the oracle enumerates the mutually incident cell triples
+generators, and keeps the partners of the identity flags, which extend to
+the partner maps on the flags G x {face family} by left multiplication; the
+oracle enumerates the mutually incident cell triples
 of the coset geometry, labels those flags with coset blocks of its own,
 pairs them on keys over all of them, two-colours the whole flag graph and
 classifies the underlying graph by explicit isomorphism.  Both must give the
@@ -19,6 +20,7 @@ from oracle import (
     oracle_flag_system,
     oracle_graph,
     oracle_map,
+    oracle_partner_maps,
     oracle_right_cosets,
 )
 
@@ -29,7 +31,6 @@ from revmaps.mapgeom import (
     _assemble,
     _cell_generators,
     _conjugate_overlap,
-    _identity_partners,
     build_regular_map,
     build_revmap,
     flag_system,
@@ -45,10 +46,9 @@ from revmaps.verify import VERIFY_MATRIX, a5_exceptional_case
 def _assert_matches_oracle(M):
     record, pairs = oracle_map(M.group, M.kind, M.generators)
     assert map_record(M) == record
-    fs = flag_system(M)
-    assert len(fs) == record["flags"]
-    rho_v, rho_e, rho_f, orientable = oracle_flag_system(M)
-    assert (fs.rho_v, fs.rho_e, fs.rho_f) == (rho_v, rho_e, rho_f)
+    assert len(flag_system(M)) == record["flags"]
+    rho_v, rho_e, rho_f, orientable = oracle_flag_system(M.group, M.kind, M.generators)
+    assert oracle_partner_maps(M) == (rho_v, rho_e, rho_f)
     assert surface_invariants(M).orientable is orientable
     assert list(underlying_graph(M).edges) == pairs
 
@@ -102,7 +102,7 @@ def test_constructed_maps_match_oracle(group, make, args):
 def _assert_overlap_matches_oracle(M):
     # map_record's simplicity test: |H & sHs| for the vertex stabilizer H and
     # the vertex partner s, from one conjugation sweep against two products per member
-    (s, _), _, _ = _identity_partners(M)[0]
+    (s, _), _, _ = M.partners[0]
     H = M.stabilizers[0]
     assert _conjugate_overlap(M.group, s, H) == oracle_conjugate_overlap(M.group, s, H)
 
@@ -195,8 +195,9 @@ def test_graph_recognition_matches_oracle():
 
 def test_four_flags_sharing_a_vertex_and_face_are_rejected():
     # |<x,y> & <x,z>| = 4: four flags of face family 1 share each vertex and
-    # face, so there is no edge partner map; the check at the identity flag
-    # and the pairing over all flags must both refuse the geometry
+    # face, so there is no edge partner map; the check at the identity flag,
+    # made when the map is built, and the pairing over all flags must both
+    # refuse the geometry
     G = build_group("psl2", 7)
     x, y, z = 0, 50, 59
     assert all(G.is_involution(s) for s in (x, y, z))
@@ -205,7 +206,6 @@ def test_four_flags_sharing_a_vertex_and_face_are_rejected():
     assert z not in vertex  # the vertex partners pass
     # the triple does not generate PSL(2,7), so build_revmap would refuse it first
     assert not generates(G, (x, y, z))
-    M = _assemble(G, "reversing", (x, y, z))
-    for build in (flag_system, oracle_flag_system):
+    for build in (_assemble, oracle_flag_system):
         with pytest.raises(MapError, match="more than two flags share all but their edge"):
-            build(M)
+            build(G, "reversing", (x, y, z))
