@@ -3,12 +3,12 @@
 ``revmaps.mapgeom`` reads a map record off the cell stabilizers and the
 generators, and keeps the partners of the identity flags, which extend to
 the partner maps on the flags G x {face family} by left multiplication; the
-oracle enumerates the mutually incident cell triples
-of the coset geometry, labels those flags with coset blocks of its own,
-pairs them on keys over all of them, two-colours the whole flag graph and
-classifies the underlying graph by explicit isomorphism.  Both must give the
-same record, partner maps, orientability, flag count and edge endpoints on
-every map the program builds, orientable ones included.
+oracle enumerates the mutually incident cell triples of the coset geometry,
+labels those flags with coset blocks of its own, pairs them on keys over all
+of them, two-colours the whole flag graph and classifies the underlying
+graph by explicit isomorphism.  Both must give the same record, partner
+maps, orientability, flag count and edge endpoints on every map the program
+builds, orientable ones included.
 """
 
 import random
