@@ -14,12 +14,14 @@ Matrices act on points on the right: ``act(g, act(h, x)) == act(mat_multiply(g, 
 reversed, i.e. x^(gh) = (x^g)^h.  Concretely x^M = (d*x + b) / (c*x + a) on
 affine points, the unique right action sending x to x+1 under [[1,1],[0,1]].
 
+The action is sharply 3-transitive (Dickson, *Linear Groups*, 1901), so
+the three points a matrix sends to 0, infinity and 1 name it; their
+``point_code`` ignores scale, so a product is named with no normalizing.
 The bulk kernels work on whole lists of matrices from their entries, with
-no ProjMatrix per result: ``sandwich_products`` forms the products h*g*h,
-and ``preimage_points`` reads off each matrix the three points it sends to
-0, infinity and 1.  The action is sharply 3-transitive (Dickson, *Linear
-Groups*, 1901), so those three points name the matrix, and those of g*h are
-the ones of h moved by ``preimage_perm(g)``, the action of g^-1: a left
+no ProjMatrix per result: ``preimage_points`` reads off each matrix those
+three points, ``sandwich_products`` the codes of the products h*g*h, and
+``psl_flags`` PSL(2,p) membership from a table of squares.  The points of
+g*h are those of h moved by the action of g^-1 (``relabelling``): a left
 product is a relabelling of points, with no matrix multiplied.
 """
 
@@ -71,9 +73,6 @@ class ProjMatrix(NamedTuple):
     def det(self) -> int:
         return (self.a * self.d - self.b * self.c) % self.p
 
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
 
 def _normalized(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
     a %= p
@@ -106,32 +105,16 @@ def mat_multiply(lhs: ProjMatrix, rhs: ProjMatrix) -> ProjMatrix:
     return _normalized(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p)
 
 
-def sandwich_products(
-    h: ProjMatrix, mats: Sequence[ProjMatrix]
-) -> list[tuple[int, int, int, int, int]]:
-    """The normalized products h*g*h for every g in mats, as plain tuples.
+def sandwich_products(h: ProjMatrix, mats: Sequence[ProjMatrix]) -> list[int]:
+    """The ``point_code`` of h*g*h for every g in mats, with no ProjMatrix per product.
 
-    Multiplies and normalizes inline, without a ProjMatrix per product: a
-    plain tuple hashes and compares like the ProjMatrix of the same entries,
-    so each result is a key of any table keyed by ProjMatrix.  For an
-    involution h this is the conjugate of each g by h.
+    For an involution h these are the conjugates of mats by h.
     """
     a, b, c, d, p = h
-    inv = _inv_table(p)
     out = []
     for e, f, g, k, _ in mats:
         r, s, t, w = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
-        u = (r * a + s * c) % p
-        v = (r * b + s * d) % p
-        y = (t * a + w * c) % p
-        x = (t * b + w * d) % p
-        if u:
-            q = inv[u]
-            out.append((1, v * q % p, y * q % p, x * q % p, p))
-        else:
-            # the top row of an invertible product is nonzero, so v leads
-            q = inv[v]
-            out.append((0, 1, y * q % p, x * q % p, p))
+        out.append(point_code(r * a + s * c, r * b + s * d, t * a + w * c, t * b + w * d, p))
     return out
 
 
@@ -208,13 +191,16 @@ def product_orders(mats: list[ProjMatrix]) -> Callable[[int], list[int]]:
     return row
 
 
-def in_psl(g: ProjMatrix) -> bool:
-    """True iff det(g) is a nonzero square mod p.
+def psl_flags(mats: Sequence[ProjMatrix]) -> bytes:
+    """1 for each matrix of mats in PSL(2,p), else 0: whether det is a nonzero square mod p.
 
-    Well defined on scalar classes: rescaling multiplies the determinant by a
-    square.
+    Well defined on scalar classes: rescaling multiplies det by a square.
     """
-    return pow(g.det(), (g.p - 1) // 2, g.p) == 1
+    p = mats[0].p
+    squares = bytearray(p)
+    for x in range(1, p):
+        squares[x * x % p] = 1
+    return bytes([squares[(a * d - b * c) % p] for a, b, c, d, _ in mats])
 
 
 def act(g: ProjMatrix, x: int) -> int:
@@ -262,17 +248,29 @@ def preimage_points(mats: Sequence[ProjMatrix]) -> tuple[array, array, array]:
     )
 
 
-def preimage_perm(g: ProjMatrix) -> list[int]:
-    """The point x with act(g, x) == y, for every point index y in range(p + 1).
+def point_code(a: int, b: int, c: int, d: int, p: int) -> int:
+    """The code (t0*(p+1) + t1)*(p+1) + t2 of the points [[a, b], [c, d]] sends to 0, infinity, 1.
 
-    This is the action of g^-1, the adjugate [[d, -b], [-c, a]], read off
-    the entries: y -> -(b - a*y)/(d - c*y), and infinity -> -a/c.  The
-    points g*h sends to 0, infinity and 1 are those h sends there, moved
-    by this permutation.
+    t0, t1, t2 are as in ``preimage_points``; scaling leaves them, and the
+    entries need not be reduced mod p.
+    """
+    q, n = _neg_quotients(p), p + 1
+    return (q[b % p][d % p] * n + q[a % p][c % p]) * n + q[(b - a) % p][(d - c) % p]
+
+
+def relabelling(g: ProjMatrix) -> tuple[list[int], list[int], list[int]]:
+    """The action of g^-1 on the points, scaled to each digit of a point code.
+
+    The action sends each point index y to the x with act(g, x) == y, read
+    off the adjugate [[d, -b], [-c, a]]: y -> -(b - a*y)/(d - c*y), and
+    infinity -> -a/c.  g*h sends to 0, infinity and 1 the points h sends
+    there, moved by it, so for h's points t0, t1, t2 the ``point_code`` of
+    g*h is r0[t0] + r1[t1] + r2[t2], with (r0, r1, r2) returned here.
     """
     a, b, c, d, p = g
-    q = _neg_quotients(p)
-    return [q[(b - a * y) % p][(d - c * y) % p] for y in range(p)] + [q[a][c]]
+    q, n = _neg_quotients(p), p + 1
+    perm = [q[(b - a * y) % p][(d - c * y) % p] for y in range(p)] + [q[a][c]]
+    return [t * n * n for t in perm], [t * n for t in perm], perm
 
 
 def all_points(p: int) -> tuple[int, ...]:
@@ -288,15 +286,15 @@ def all_points(p: int) -> tuple[int, ...]:
 def all_matrices(p: int) -> list[ProjMatrix]:
     """All of PGL(2,p) as normalized matrices in ascending tuple order."""
     check_prime(p)
-    out = []
-    # normalized classes have a = 0, b = 1 or a = 1; generated in lex order
-    for c in range(p):
-        for d in range(p):
-            if c:  # det = -c must be nonzero
-                out.append(ProjMatrix(0, 1, c, d, p))
-    for b in range(p):
-        for c in range(p):
-            for d in range(p):
-                if (d - b * c) % p:
-                    out.append(ProjMatrix(1, b, c, d, p))
+    # normalized classes have a = 0, b = 1 (det = -c) or a = 1 (det = d - bc),
+    # in lex order; tuple.__new__ skips the named tuple's Python constructor
+    new = tuple.__new__
+    out = [new(ProjMatrix, (0, 1, c, d, p)) for c in range(1, p) for d in range(p)]
+    out += [
+        new(ProjMatrix, (1, b, c, d, p))
+        for b in range(p)
+        for c in range(p)
+        for d in range(p)
+        if (d - b * c) % p
+    ]
     return out

@@ -12,7 +12,8 @@ indices: element ``e*|M| + a`` is the pair ``(e, mats[a])``, so the elements
 ascend as pairs.  Only this module knows that encoding; other modules use
 ``GroupHandle.element(e, g)``, ``exponent_part``, ``matrix_part`` and
 ``in_psl_part``.  Handles are immutable once built and are cached per
-(family, p, m).
+(family, p, m); pgl2 and every ext of one p share one ``MatrixStore`` of
+PGL(2,p), and psl2 has its own, cut from the same list.
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without
@@ -26,30 +27,28 @@ the lcm with the orders of words of three involutions, and only then a
 closure.  The generating involutions behind the conjugation maps are found
 the same way, so in the families no closure is needed to find them.
 
-Bulk questions go through kernels that work in one sweep.  PGL(2,p) acts
-sharply 3-transitively on the projective line, so a matrix is known by the
-three points it sends to 0, infinity and 1, and a left product h*g sends
-there the points g does, moved by h^-1.  The handle keeps, from its first
-bulk sweep on, a point index: those three points of every matrix and a
-table from their code back to the matrix.  ``GroupHandle.left_perm``, the
-permutation g -> h*g of all element indices, then relabels points once per
-matrix and reads the table, with no product formed, and ``right_cosets``
+PGL(2,p) acts sharply 3-transitively on the projective line, so a matrix
+is known by the three points it sends to 0, infinity and 1.  The store
+keeps them for every matrix, with a table from their code
+(``gfproj.point_code``, which ignores scale) back to the matrix, and
+``element``, ``mul``, ``inv`` and ``conjugates`` read that table, with no
+product normalized.  A left product h*g sends there the points g does,
+moved by h^-1, so ``GroupHandle.left_perm`` (g -> h*g on all indices)
+relabels points once per matrix and reads the table, and ``right_cosets``
 lists each right coset Hg as one batch of such reads over the distinct
-matrix parts of H.  ``GroupHandle.conjugates`` takes the images s*g*s of a
-list of elements under an involution s from the entries.  Conjugacy classes
-are the orbits of the conjugation permutations g -> s*g*s of a few
-generating involutions s; a class of involutions keeps its breadth-first
-tree as a Schreier vector.  ``subgroup_closure`` lists the dihedral span of
-one or two involutions, the only subgroups a map's cells need, by powers of
-their product; the one breadth-first closure left is the last step of
-``generates``.
+matrix parts of H.  Conjugacy classes are the orbits of the conjugation
+permutations g -> s*g*s of a few generating involutions s; a class of
+involutions keeps its breadth-first tree as a Schreier vector.
+``subgroup_closure`` lists the dihedral span of one or two involutions, the
+only subgroups a map's cells need, by powers of their product; the one
+breadth-first closure left is the last step of ``generates``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 from .gfproj import (
@@ -58,13 +57,12 @@ from .gfproj import (
     all_matrices,
     check_prime,
     element_order,
-    in_psl,
-    mat_inverse,
-    mat_multiply,
+    point_code,
     preimage_points,
-    preimage_perm,
     product_orders,
     projective_order,
+    psl_flags,
+    relabelling,
     sandwich_products,
 )
 
@@ -99,6 +97,42 @@ def group_order(family: str, p: int, m: int = 1) -> int:
     return {PSL2: psl_order(p), PGL2: pgl_order(p), EXT: m * pgl_order(p)}[family]
 
 
+class MatrixStore:
+    """The matrices of M in ascending tuple order, their ``psl_flags`` and their point index.
+
+    ``zero``, ``inf`` and ``one`` are the ``preimage_points`` of ``mats``,
+    and ``table`` maps each ``point_code`` to the position of its matrix,
+    or to -1 where M has none.  Shared by every handle of M; never changed.
+    """
+
+    def __init__(self, p: int, mats: tuple[ProjMatrix, ...], psl: bytes):
+        self.mats, self.psl = mats, psl
+        self.zero, self.inf, self.one = preimage_points(mats)
+        q = p + 1
+        self.table = array("i", [-1]) * q**3
+        for a, (x, y, z) in enumerate(zip(self.zero, self.inf, self.one)):
+            self.table[(x * q + y) * q + z] = a
+        if self.table.count(-1) != q**3 - len(mats):
+            raise GroupError(f"two matrices of PGL(2,{p}) share a point code")
+
+
+# by p, the matrices of PGL(2,p) and their PSL flags; by (p, M = PSL(2,p)), the stores
+_PGL: dict[int, tuple[tuple[ProjMatrix, ...], bytes]] = {}
+_STORES: dict[tuple[int, bool], MatrixStore] = {}
+
+
+def _matrix_store(p: int, psl_only: bool) -> MatrixStore:
+    if (p, psl_only) not in _STORES:
+        if p not in _PGL:
+            mats = tuple(all_matrices(p))
+            _PGL[p] = mats, psl_flags(mats)
+        mats, psl = _PGL[p]
+        if psl_only:
+            mats, psl = tuple(compress(mats, psl)), b"\1" * psl.count(1)
+        _STORES[p, psl_only] = MatrixStore(p, mats, psl)
+    return _STORES[p, psl_only]
+
+
 class GroupHandle:
     """A fully materialized group with index-based multiplication.
 
@@ -112,15 +146,9 @@ class GroupHandle:
         self.family = family
         self.p = p
         self.m = m
-        mats = all_matrices(p)
-        if family == PSL2:
-            mats = [g for g in mats if in_psl(g)]
-            self._psl = (True,) * len(mats)
-        else:
-            self._psl = tuple(map(in_psl, mats))
-        self._mats = tuple(mats)
-        self._pos = {g: a for a, g in enumerate(mats)}
-        self._width = len(mats)
+        self._store = _matrix_store(p, family == PSL2)
+        self._mats, self._psl = self._store.mats, self._store.psl
+        self._width = len(self._mats)
         self.order = m * self._width
         self.identity = self.element(0, ProjMatrix(1, 0, 0, 1, p))
         self._involutions: tuple[int, ...] | None = None
@@ -128,16 +156,22 @@ class GroupHandle:
         self._generators: list[int] | None = None
         self._dihedral: DihedralTable | None = None
         self._conjugations: list[list[int]] | None = None
-        self._points: tuple[array, array, array, array] | None = None
 
     # -- element access ----------------------------------------------------
 
     def element(self, exp: int, g: ProjMatrix) -> int:
-        """The index of the pair (exp mod m, g); g must be a matrix of M."""
-        a = self._pos.get(g)
-        if a is None:
+        """The index of the pair (exp mod m, g); g must be a normalized matrix of M."""
+        # the point code ignores scale, so the matrix found must still equal g
+        pos = self._store.table[point_code(*g)]
+        if pos < 0 or self._mats[pos] != g:
             raise GroupError(f"matrix {list(g)} not in {self.family}(2,{self.p})")
-        return exp % self.m * self._width + a
+        return exp % self.m * self._width + pos
+
+    def element_from(self, exp: int, G: GroupHandle, i: int) -> int:
+        """``element(exp, G.matrix_part(i))``, by position if G shares the store (pgl2 and ext do)."""
+        if G._store is self._store:
+            return exp % self.m * self._width + i % self._width
+        return self.element(exp, G.matrix_part(i))
 
     def matrix_part(self, i: int) -> ProjMatrix:
         return self._mats[i % self._width]
@@ -147,7 +181,7 @@ class GroupHandle:
 
     def in_psl_part(self, i: int) -> bool:
         """PSL membership of the matrix part (the twist sign)."""
-        return self._psl[i % self._width]
+        return self._psl[i % self._width] == 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -158,76 +192,42 @@ class GroupHandle:
         return (e1 + e2 if self._psl[a] else e1 - e2) % self.m, a, b
 
     def mul(self, i: int, j: int) -> int:
-        if self.m == 1:
-            # no exponent to carry: a direct lookup keeps the scans' closures
-            # as fast as in a plain matrix group
-            return self._pos[mat_multiply(self._mats[i], self._mats[j])]
+        """The product, its matrix part located by the point code of the unscaled product."""
         e, a, b = self._twist(i, j)
-        return e * self._width + self._pos[mat_multiply(self._mats[a], self._mats[b])]
-
-    def _point_index(self) -> tuple[array, array, array, array]:
-        """The points each matrix of M sends to 0, infinity and 1, and their inverse table.
-
-        The first three arrays are ``preimage_points`` of the matrices, by
-        position.  The fourth maps the code (t0*(p+1) + t1)*(p+1) + t2 of
-        three such points to the position of the one matrix that sends
-        them to 0, infinity and 1, or -1 where no matrix of M does.  Built
-        on the first bulk sweep (``left_perm``, ``right_cosets``) and kept
-        on the handle; nothing else reads it.
-        """
-        if self._points is None:
-            q = self.p + 1
-            zero, inf, one = preimage_points(self._mats)
-            codes = [(x * q + y) * q + z for x, y, z in zip(zero, inf, one)]
-            table = array("i", [-1]) * q**3
-            for a, code in enumerate(codes):
-                table[code] = a
-            if len(set(codes)) < len(codes):
-                raise GroupError(f"two matrices of {self.family}(2,{self.p}) share a point code")
-            self._points = zero, inf, one, table
-        return self._points
-
-    def _relabelling(self, a: int) -> tuple[list[int], list[int], list[int]]:
-        """``preimage_perm`` of matrix position a, scaled to each digit of a point code.
-
-        For any matrix B of M, the position of mats[a]*B is the table entry
-        at the sum of the three lists read at B's three points.
-        """
-        perm = preimage_perm(self._mats[a])
-        q = self.p + 1
-        return [t * q * q for t in perm], [t * q for t in perm], perm
+        x, y, z, w, p = self._mats[a]
+        r, s, t, u, _ = self._mats[b]
+        code = point_code(x * r + y * t, x * s + y * u, z * r + w * t, z * s + w * u, p)
+        return e * self._width + self._store.table[code]
 
     def left_perm(self, h: int) -> list[int]:
         """The permutation g -> h*g of all element indices, in one sweep.
 
-        The matrix part H*B of h*g sends to 0, infinity and 1 the points B
-        sends there moved by H^-1, so its position is one table read of the
-        point index per matrix B, with no product formed.  Every exponent f
-        then shifts these positions by the block of h's exponent plus
-        eps(h)*f.
+        The position of each matrix part H*B is one table read at B's points
+        relabelled by H (``gfproj.relabelling``), with no product formed; every
+        exponent f then shifts them by the block of h's exponent plus eps(h)*f.
         """
         e, a = divmod(h, self._width)
         sign = 1 if self._psl[a] else -1
-        zero, inf, one, table = self._point_index()
-        r0, r1, r2 = self._relabelling(a)
-        prods = [table[r0[x] + r1[y] + r2[z]] for x, y, z in zip(zero, inf, one)]
+        S, table = self._store, self._store.table
+        r0, r1, r2 = relabelling(self._mats[a])
+        prods = [table[r0[x] + r1[y] + r2[z]] for x, y, z in zip(S.zero, S.inf, S.one)]
         shifts = [(e + sign * f) % self.m * self._width for f in range(self.m)]
         return [s + b for s in shifts for b in prods]
 
     def conjugates(self, s: int, gs: Iterable[int]) -> list[int]:
         """s*g*s for the involution s and every element g of gs, in one sweep.
 
-        The matrix parts S*A*S come from ``sandwich_products`` and are looked
-        up by position once; the exponent of (e_s, S)*(e, A)*(e_s, S) is
-        e_s*(1 + eps(s)*eps(g)) + eps(s)*e mod m.
+        The matrix parts S*A*S are read off the table at their
+        ``sandwich_products`` codes; the exponent of (e_s, S)*(e, A)*(e_s, S)
+        is e_s*(1 + eps(s)*eps(g)) + eps(s)*e mod m.
         """
         e_s, a_s = divmod(s, self._width)
         sign = 1 if self._psl[a_s] else -1
-        base = {True: e_s * (1 + sign), False: e_s * (1 - sign)}
+        base = {1: e_s * (1 + sign), 0: e_s * (1 - sign)}
         parts = [divmod(g, self._width) for g in gs]
         prods = sandwich_products(self._mats[a_s], [self._mats[a] for _, a in parts])
-        pos, psl, m, width = self._pos, self._psl, self.m, self._width
-        return [(base[psl[a]] + sign * e) % m * width + pos[k] for (e, a), k in zip(parts, prods)]
+        table, psl, m, width = self._store.table, self._psl, self.m, self._width
+        return [(base[psl[a]] + sign * e) % m * width + table[k] for (e, a), k in zip(parts, prods)]
 
     def involution_generators(self) -> list[int]:
         """A few involutions generating the group (see ``_involution_generators``).
@@ -253,10 +253,11 @@ class GroupHandle:
         return self._conjugations
 
     def inv(self, i: int) -> int:
-        """(e, g)^-1 = (-eps(g)*e, g^-1), as eps(g^-1) = eps(g), read off the entries."""
+        """(e, g)^-1 = (-eps(g)*e, g^-1), as eps(g^-1) = eps(g), g^-1 located by its adjugate."""
         e, a = divmod(i, self._width)
         e = -e if self._psl[a] else e
-        return e % self.m * self._width + self._pos[mat_inverse(self._mats[a])]
+        x, y, z, w, p = self._mats[a]
+        return e % self.m * self._width + self._store.table[point_code(w, -y, -z, x, p)]
 
     def _cyclic_order(self, i: int, j: int) -> int:
         """What the Z_m factor adds to the order (e, g) of element i * element j.
@@ -329,7 +330,7 @@ class GroupHandle:
 
     def element_json(self, i: int) -> dict:
         g = self.matrix_part(i)
-        rec = {"mat": list(g.entries()), "p": self.p}
+        rec = {"mat": list(g[:4]), "p": self.p}
         if self.family == EXT:
             rec["exp"] = self.exponent_part(i)
         return rec
@@ -409,7 +410,7 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
     BudgetExceeded before anything is built, before even the primality test
     of p (trial division, too slow for a p far over any budget); this is the
     one place the budget is checked, so every caller passes it here.  Handles
-    are cached and shared; they are immutable.
+    and their matrix stores are cached and shared; they are immutable.
     """
     if family not in FAMILIES:
         raise GroupError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -704,7 +705,7 @@ def _settled(G: GroupHandle, gens: Sequence[int]) -> bool | None:
         return True
     if G.family == EXT and G.m * G.p in pairs:
         Gp = build_group(PGL2, G.p)
-        return generates(Gp, [Gp.element(0, G.matrix_part(g)) for g in gens])
+        return generates(Gp, [Gp.element_from(0, G, g) for g in gens])
     words = (G.pair_order(G.mul(u, v), w) for u, v, w in combinations(invs, 3))
     return True if math.lcm(reached, *words) == G.order else None
 
@@ -715,7 +716,7 @@ def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
     H is the member list of a subgroup (as ``subgroup_closure`` returns it).
     For the least element g not yet placed, Hg is listed as one batch of
     products h*g: the position of each matrix product A*B is read off the
-    handle's point index through the relabelling of A, one per distinct
+    store's point index through the relabelling of A, one per distinct
     matrix part of H, and each member adds its exponent with its twist
     sign, (f, A)*(e, B) = (f + eps(A)*e, A*B).  In ext, H holds Z_m, so a
     sweep takes |M| table reads, not |G|.  A batch that lacks g (H lacks the
@@ -727,8 +728,8 @@ def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
     for h in H:
         f, a = divmod(h, width)
         parts.setdefault(a, []).append(f)
-    zero, inf, one, table = G._point_index()
-    relabel = [G._relabelling(a) for a in parts]
+    S, table = G._store, G._store.table
+    relabel = [relabelling(G._mats[a]) for a in parts]
     signs = [1 if G._psl[a] else -1 for a in parts]
     exps = list(parts.values())
     label = [-1] * G.order
@@ -737,7 +738,7 @@ def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
         if label[g] >= 0:
             continue
         e, b = divmod(g, width)
-        x, y, z = zero[b], inf[b], one[b]
+        x, y, z = S.zero[b], S.inf[b], S.one[b]
         batch = [table[r0[x] + r1[y] + r2[z]] for r0, r1, r2 in relabel]
         if m > 1:  # else every exponent is 0 and the products are the elements
             batch = [(f + s * e) % m * width + c for c, s, fs in zip(batch, signs, exps) for f in fs]

@@ -164,7 +164,7 @@ def pgl_triple(p: int, k: int) -> tuple[int, int, int]:
 
 def _lift(X: GroupHandle, Gp: GroupHandle, base, c1: int, c2: int) -> tuple[int, int, int]:
     """The PGL(2,p) triple base = (x, y, z) of Gp lifted to (c1, x), (c2, y), (0, z) in X."""
-    return tuple(X.element(c, Gp.matrix_part(u)) for c, u in zip((c1, c2, 0), base))
+    return tuple(X.element_from(c, Gp, u) for c, u in zip((c1, c2, 0), base))
 
 
 def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> tuple[int, int, int]:

@@ -13,7 +13,9 @@ closed form in ``gfproj.projective_order``.
 
 The group part builds the elements of each family as (exponent, matrix)
 pairs and multiplies them by the twisted product of the ``revmaps.groups``
-docstring, with no use of the handle's index encoding.
+docstring, with no use of the handle's index encoding or its point-code
+table: PSL membership is Euler's criterion, inverses are searched, and
+``oracle_conjugate`` conjugates by these products.
 
 The map part builds a map as a coset incidence geometry, the way the paper
 states it: cells are coset blocks, two cells are incident iff their cosets
@@ -50,7 +52,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from revmaps import gfproj, triples, verify
-from revmaps.gfproj import ProjMatrix, all_matrices, in_psl, mat_multiply
+from revmaps.gfproj import ProjMatrix, all_matrices, mat_inverse, mat_multiply
 from revmaps.groups import (
     PGL2,
     GroupHandle,
@@ -72,6 +74,11 @@ def oracle_matrix_order(g: ProjMatrix) -> int:
     return n
 
 
+def oracle_in_psl(g: ProjMatrix) -> bool:
+    """True iff det(g) is a nonzero square mod p, by Euler's criterion."""
+    return pow(g.det(), (g.p - 1) // 2, g.p) == 1
+
+
 Pair = tuple[int, ProjMatrix]
 
 
@@ -81,14 +88,14 @@ def oracle_elements(family: str, p: int, m: int) -> list[Pair]:
     The matrix part runs over PSL(2,p) for psl2 and PGL(2,p) otherwise, the
     exponent over Z_m.
     """
-    mats = [g for g in all_matrices(p) if family != "psl2" or in_psl(g)]
+    mats = [g for g in all_matrices(p) if family != "psl2" or oracle_in_psl(g)]
     return sorted((e, g) for e in range(m) for g in mats)
 
 
 def oracle_product(x: Pair, y: Pair, m: int) -> Pair:
     """(i, g) * (j, h) = (i + eps(g)*j mod m, g*h), eps(g) = +1 iff g in PSL."""
     (i, g), (j, h) = x, y
-    return ((i + j if in_psl(g) else i - j) % m, mat_multiply(g, h))
+    return ((i + j if oracle_in_psl(g) else i - j) % m, mat_multiply(g, h))
 
 
 def oracle_twisted_orders(pairs: list[Pair], m: int) -> dict[Pair, int]:
@@ -190,9 +197,19 @@ def oracle_roles(G: GroupHandle, hit) -> tuple[tuple[int, int, int], bool]:
     return (a, b, c), False
 
 
+@lru_cache(maxsize=None)
+def oracle_inverse(x: Pair, m: int) -> Pair:
+    """The pair y with x*y = 1, searched among the m pairs over the inverse matrix."""
+    ident = (0, ProjMatrix(1, 0, 0, 1, x[1].p))
+    pairs = ((j, mat_inverse(x[1])) for j in range(m))
+    return next(y for y in pairs if oracle_product(x, y, m) == ident)
+
+
 def oracle_conjugate(G: GroupHandle, i: int, g: int) -> int:
-    """g^-1 * i * g, by two multiplications and an inverse."""
-    return G.mul(G.mul(G.inv(g), i), g)
+    """g^-1 * i * g, by two ``oracle_product`` calls on (exponent, matrix) pairs."""
+    pairs, at = _pairs_of(G)
+    x = pairs[g]
+    return at[oracle_product(oracle_product(oracle_inverse(x, G.m), pairs[i], G.m), x, G.m)]
 
 
 def oracle_conjugacy_class(G: GroupHandle, g: int) -> tuple[int, ...]:

@@ -436,6 +436,11 @@ CONSTRUCT_DIGESTS = {
 }
 
 
+# SHA-256 of ``verify --family psl2 --p 29 --budget 30000``: 48 maps, and
+# no golden file.
+VERIFY_PSL2_29_DIGEST = "12bc45d509469b2f7ed9c5f8a12191c783fe2547d7d0773f7875c90eb7c77e35"
+
+
 # SHA-256 of the default ``export`` DOT text on the same groups.
 EXPORT_DIGESTS = {
     ("psl2", 17, 1): "d54c883e1e927e771da8df1758f0ba36ba55538d93c777bfd89f205e96cfd2aa",
@@ -470,11 +475,20 @@ def test_construct_bytes_are_pinned(tmp_path):
         assert got == digests, command
 
 
+def test_verify_bytes_are_pinned(tmp_path):
+    from revmaps import cli
+
+    out = tmp_path / "verify_psl2_29.json"
+    args = ["verify", "--family", "psl2", "--p", "29", "--budget", "30000", "--output", str(out)]
+    assert cli.main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_PSL2_29_DIGEST
+
+
 def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     # a record is read off the cell stabilizers; only export (and the
     # Petersen test, at ten vertices) builds the left multiplications and
-    # the point index they read
-    from revmaps import cli
+    # the right cosets
+    from revmaps import cli, groups, mapgeom
     from revmaps.groups import GroupHandle, build_group
     from revmaps.mapgeom import build_revmap, map_record
     from revmaps.triples import psl_triple
@@ -482,11 +496,12 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     def refuse(self, h):
         raise AssertionError("left_perm called")
 
-    def refuse_index(self):
-        raise AssertionError("point index built")
+    def refuse_cosets(G, H):
+        raise AssertionError("right_cosets called")
 
     monkeypatch.setattr(GroupHandle, "left_perm", refuse)
-    monkeypatch.setattr(GroupHandle, "_point_index", refuse_index)
+    for module in (groups, mapgeom):
+        monkeypatch.setattr(module, "right_cosets", refuse_cosets)
     G = build_group("psl2", 5)
     assert map_record(build_revmap(G, *psl_triple(5, 2)))["counts"]["V"] == 6
     args = ["--family", "pgl2", "--p", "11"]
@@ -495,7 +510,7 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     assert json.loads(rec.read_text())["counts"]["V"] == 60
     assert cli.main(["check", "--input", str(rec), "--output", str(verdict)]) == 0
     assert json.loads(verdict.read_text())["verdict"] == "pass"
-    with pytest.raises(AssertionError, match="left_perm called|point index built"):
+    with pytest.raises(AssertionError, match="left_perm called|right_cosets called"):
         cli.main(["export", *args, "--output", str(tmp_path / "graph.dot")])
 
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import oracle_in_psl
 
 from revmaps.gfproj import (
     GFProjError,
@@ -12,9 +13,11 @@ from revmaps.gfproj import (
     all_points,
     element_order,
     fixed_points,
-    in_psl,
     mat_multiply,
+    point_code,
+    preimage_points,
     proj_matrix,
+    psl_flags,
 )
 
 PRIMES = (5, 7, 11, 13)
@@ -137,16 +140,33 @@ def test_action_composes_on_the_right(data):
 
 
 def test_identity_in_psl():
-    assert in_psl(proj_matrix(1, 0, 0, 1, 5))
+    assert psl_flags([proj_matrix(1, 0, 0, 1, 5)]) == b"\1"
 
 
 def test_nonsquare_determinant_outside_psl():
     # squares mod 5 are {1, 4}; det of diag(2,1) is 2
-    assert not in_psl(proj_matrix(2, 0, 0, 1, 5))
+    assert psl_flags([proj_matrix(2, 0, 0, 1, 5)]) == b"\0"
 
 
 def test_square_determinant_inside_psl():
-    assert in_psl(proj_matrix(4, 0, 0, 1, 5))
+    assert psl_flags([proj_matrix(4, 0, 0, 1, 5)]) == b"\1"
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_residue_table_matches_euler_criterion(p):
+    mats = all_matrices(p)
+    assert list(psl_flags(mats)) == [oracle_in_psl(g) for g in mats]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_point_code_reads_the_preimage_points_at_any_scale(p):
+    mats = all_matrices(p)
+    n = p + 1
+    for (a, b, c, d, _), x, y, z in zip(mats, *preimage_points(mats)):
+        code = (x * n + y) * n + z
+        assert point_code(a, b, c, d, p) == code
+        # twice the matrix, its entries moved off [0, p)
+        assert point_code(2 * a - p, 2 * b + p, 2 * c - 3 * p, 2 * d + 5 * p, p) == code
 
 
 # -- the projective line --------------------------------------------------------
@@ -190,14 +210,15 @@ def test_sharply_three_transitive(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_involution_fixed_point_counts(p):
-    for g in all_matrices(p):
+    mats = all_matrices(p)
+    for g, inside in zip(mats, psl_flags(mats)):
         if element_order(g) != 2:
             continue
         fixed = len(fixed_points(g))
         if p % 4 == 1:
-            assert fixed == (2 if in_psl(g) else 0)
+            assert fixed == (2 if inside else 0)
         else:
-            assert fixed == (0 if in_psl(g) else 2)
+            assert fixed == (0 if inside else 2)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])

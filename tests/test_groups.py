@@ -12,11 +12,12 @@ from oracle import (
     oracle_conjugacy_class,
     oracle_conjugate,
     oracle_elements,
+    oracle_in_psl,
     oracle_product,
     oracle_twisted_orders,
 )
 
-from revmaps.gfproj import act, in_psl, proj_matrix
+from revmaps.gfproj import ProjMatrix, act, all_matrices, proj_matrix
 from revmaps.groups import (
     GroupError,
     GroupHandle,
@@ -79,7 +80,7 @@ def test_arithmetic_matches_twisted_product_oracle(family, p, m, step):
     for h in range(0, G.order, step):
         x = pairs[h]
         assert (G.exponent_part(h), G.matrix_part(h)) == x
-        assert G.in_psl_part(h) == in_psl(x[1])
+        assert G.in_psl_part(h) == oracle_in_psl(x[1])
         row = [at[oracle_product(x, y, m)] for y in pairs]
         assert G.left_perm(h) == row
         assert G.inv(h) == row.index(G.identity)
@@ -97,15 +98,36 @@ def test_element_rejects_a_matrix_outside_the_matrix_part():
     assert X.element(4, proj_matrix(3, 0, 0, 1, 7)) == X.element(1, proj_matrix(3, 0, 0, 1, 7))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        ProjMatrix(2, 0, 0, 2, 7),  # the identity, scaled: same point code
+        ProjMatrix(3, 6, 0, 3, 7),  # three times [[1, 2], [0, 1]]
+        ProjMatrix(1, 1, 1, 1, 7),  # singular
+        ProjMatrix(1, 0, 0, 1, 11),  # another prime
+    ],
+)
+def test_element_refuses_what_is_no_normalized_matrix(g):
+    # the point code ignores scale, so element compares the matrix it finds
+    G = build_group("pgl2", 7)
+    with pytest.raises(GroupError, match="not in pgl2"):
+        G.element(0, g)
+
+
 def test_extended_group_closed_under_multiplication():
-    # mul raises KeyError if a product leaves the element table
     X = build_group("ext", 7, 3)
+    pairs = oracle_elements("ext", 7, 3)
+    at = {x: i for i, x in enumerate(pairs)}
+
+    def product(i, j):
+        return at[oracle_product(pairs[i], pairs[j], 3)]
+
     for i in range(X.order):
         for j in range(0, X.order, 97):
-            X.mul(i, j)
+            assert X.mul(i, j) == product(i, j)
     for i in range(0, X.order, 13):
         for j in range(X.order):
-            X.mul(j, i)
+            assert X.mul(j, i) == product(j, i)
 
 
 # every h on the three small groups; on the two larger ones a stride of h,
@@ -147,7 +169,8 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
     # the table sends their code back to its position and every other code
     # to -1; the left multiplications read off it are permutations
     G = build_group(family, p, m)
-    zero, inf, one, table = G._point_index()
+    store = G._store
+    zero, inf, one, table = store.zero, store.inf, store.one, store.table
     q, width = p + 1, G.order // m
     assert len(zero) == len(inf) == len(one) == width and len(table) == q**3
     codes = [(x * q + y) * q + z for x, y, z in zip(zero, inf, one)]
@@ -161,22 +184,32 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
         assert sorted(G.left_perm(h)) == list(range(G.order))
 
 
-def test_point_index_is_built_on_the_first_sweep():
-    G = GroupHandle("pgl2", 7, 1)
-    assert G._points is None
-    G.left_perm(G.identity)
-    assert G._points is not None
-    H = GroupHandle("pgl2", 7, 1)
-    right_cosets(H, [H.identity])
-    assert H._points is not None
+def test_one_store_per_matrix_group():
+    # pgl2 and every ext of one p read one store; psl2 has its own, cut from
+    # the same PGL(2,p) matrices
+    keys = (("pgl2", 7), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7))
+    G, X3, X5, S = (build_group(*key) for key in keys)
+    assert G._store is X3._store is X5._store
+    assert G._mats is X3._mats is X5._mats and G._store.table is X5._store.table
+    assert S._store is not G._store and S._store.table is not G._store.table
+    assert all(g is G.matrix_part(G.element(0, g)) for g in S._mats)
+    assert GroupHandle("pgl2", 7, 1)._store is G._store
 
 
-def test_point_index_refuses_a_shared_code():
+def test_store_refuses_a_shared_code(monkeypatch):
     # two equal matrices send the same points to 0, infinity and 1
-    G = GroupHandle("psl2", 5, 1)
-    G._mats = G._mats[:1] * 2 + G._mats[2:]
+    from revmaps import groups
+
+    def repeated(p):
+        mats = all_matrices(p)
+        return mats[:1] * 2 + mats[2:]
+
+    monkeypatch.setattr(groups, "all_matrices", repeated)
+    monkeypatch.setattr(groups, "_PGL", {})
+    monkeypatch.setattr(groups, "_STORES", {})
+    monkeypatch.setattr(groups, "_CACHE", {})
     with pytest.raises(GroupError, match="share a point code"):
-        G.left_perm(G.identity)
+        build_group("pgl2", 5)
 
 
 @given(st.data())
