@@ -164,27 +164,28 @@ def element_order(g: ProjMatrix) -> int:
     return projective_order(*g)
 
 
-def product_orders(mats: list[ProjMatrix]) -> Callable[[int], list[int]]:
-    """The function x -> the orders of mats[x] * mats[y] for every y, as projective_order.
+def product_orders(mats: list[ProjMatrix]) -> Callable[[ProjMatrix], list[int]]:
+    """The function g -> the orders of g * mats[y] for every y, as projective_order.
 
-    One row at a time, on request.  The n^2 products are never formed: each
-    order comes from the trace, a dot product of the entries, and the
-    determinant, a product of the factors'.
+    One row at a time, on request, for any matrix g of the same p.  The
+    products are never formed: each order comes from the trace, a dot
+    product of the entries, and the determinant, a product of the factors'.
     """
     p = mats[0].p
     orders = _invariant_orders(p)
     inv = _inv_table(p)
     ents = [(a, b, c, d, inv[(a * d - b * c) % p]) for a, b, c, d, _ in mats]
     at: dict[ProjMatrix, list[int]] = {}
-    for y, g in enumerate(mats):
-        at.setdefault(g, []).append(y)
+    for y, h in enumerate(mats):
+        at.setdefault(h, []).append(y)
 
-    def row(x: int) -> list[int]:
-        a, b, c, d, w = ents[x]
+    def row(g: ProjMatrix) -> list[int]:
+        a, b, c, d, _ = g
+        w = inv[(a * d - b * c) % p]
         # the orders by tr^2 / det(mats[y]), with this row's 1/det folded in
         by = [orders[s * w % p] for s in range(p)]
         out = [by[(t := a * e + b * u + c * f + d * v) * t * k % p] for e, f, u, v, k in ents]
-        for y in at.get(mat_inverse(mats[x]), ()):
+        for y in at.get(mat_inverse(g), ()):
             out[y] = 1  # a scalar product
         return out
 

@@ -24,8 +24,11 @@ census scans build one at a time as they read them.
 Whether elements generate the group is asked of ``generates`` alone: an lcm
 of element and dihedral orders, then in ext a projection to PGL(2,p), then
 the lcm with the orders of words of three involutions, and only then a
-closure.  The generating involutions behind the conjugation maps are found
-the same way, so in the families no closure is needed to find them.
+closure.  The generating involutions behind the conjugation maps are proved
+by the same orders, read in bulk: the psl2 and pgl2 search scores every
+candidate at once from rows of the dihedral table's kernel, which it does
+not store, and ext takes a triple whose projection settles by the lcm in
+PGL(2,p).  So in the families no closure is needed to find them.
 
 PGL(2,p) acts sharply 3-transitively on the projective line, so a matrix
 is known by the three points it sends to 0, infinity and 1.  The store
@@ -316,8 +319,8 @@ class GroupHandle:
         0 on the diagonal, 2 bytes an entry.  The orders come from the
         entries, as in pair_order.  The table is made on first use and kept
         on the handle, and each row is computed the first time it is read, so
-        a scan pays only for the rows it indexes.  Only the census scans ask
-        for it.
+        a scan pays only for the rows it indexes.  Only the census scans read
+        rows; the generator search reads the kernel (``DihedralTable.products``).
         """
         if self._dihedral is None:
             self._dihedral = DihedralTable(self)
@@ -364,14 +367,18 @@ class DihedralTable(Sequence[array]):
         self._group = G
         invs = G.involutions()
         self._rows: list[array | None] = [None] * len(invs)
-        self._orders = product_orders([G.matrix_part(u) for u in invs])
+        # the kernel runs over the distinct matrix parts: in ext an involution
+        # outside PSL has its matrix part under every exponent
+        parts: dict[ProjMatrix, int] = {}
+        self._parts = array("i", [parts.setdefault(G.matrix_part(v), len(parts)) for v in invs])
+        self._orders = product_orders(list(parts))
         # the Z_m part of a pair order depends on the exponents and twist
-        # signs alone, so it is read once per kind of involution
-        kinds: dict[tuple[int, bool], list[int]] = {}
-        if G.m > 1:
-            for y, v in enumerate(invs):
-                kinds.setdefault((G.exponent_part(v), G.in_psl_part(v)), []).append(y)
-        self._kinds = list(kinds.values())
+        # signs alone, so it is read once per kind of involution, at the
+        # kind's first position
+        keys = [(G.exponent_part(v), G.in_psl_part(v)) for v in invs]
+        kinds: dict[tuple[int, bool], int] = {}
+        self._kinds = array("i", [kinds.setdefault(k, y) for y, k in enumerate(keys)])
+        self._kind_reps = list(kinds.values())
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -382,15 +389,24 @@ class DihedralTable(Sequence[array]):
             row = self._rows[x] = self._row(x)
         return row
 
-    def _row(self, x: int) -> array:
+    def products(self, g: int) -> list[int]:
+        """The orders |g*v| of element g with every involution v, by position; nothing kept.
+
+        The kernel of a row, open to any element: the generator search reads
+        its picks and its words this way, and stores no row.
+        """
         G = self._group
+        orders = self._orders(G.matrix_part(g))
+        if G.m == 1:  # no Z_m factor, and the matrix parts are the involutions
+            return orders
         invs = G.involutions()
-        orders = self._orders(x)
-        for ys in self._kinds:
-            c = G._cyclic_order(invs[x], invs[ys[0]])
-            if c > 1:
-                for y in ys:
-                    orders[y] = math.lcm(orders[y], c)
+        cyclic = {x: G._cyclic_order(g, invs[x]) for x in self._kind_reps}
+        lcms = {c: [math.lcm(n, c) for n in orders] for c in set(cyclic.values())}
+        by_kind = {x: lcms[c] for x, c in cyclic.items()}
+        return [by_kind[x][a] for x, a in zip(self._kinds, self._parts)]
+
+    def _row(self, x: int) -> array:
+        orders = self.products(self._group.involutions()[x])
         orders[x] = 0
         return array("H", [n + n for n in orders])
 
@@ -545,43 +561,78 @@ def _involution_generators(G: GroupHandle) -> list[int]:
     Two involutions u, v span a dihedral group of order 2|uv|, so the chosen
     involutions generate a subgroup whose order the lcm of these dihedral
     orders divides; once it reaches |G| they generate G.  Each step adds the
-    involution that raises the lcm most.  The lcm can stall below |G| (in
-    psl2 with p = 3 mod 4 no product of two involutions has order p).  Then
-    the set is first given to the checks of ``generates`` that need no
-    closure of G: in ext the projection to PGL(2,p) settles it, where no
-    word could (in ext 7 3, 9 divides |G| but no element has order 9).
-    Failing that, one involution v is added, the one that raises the lcm
-    most once the orders of the words u*w*v of chosen u, w are counted; in
-    psl2 one of them has order p.  Only if ``generates`` still does not
-    confirm generation are involutions appended in index order until it
-    does.
+    involution that raises the lcm most, the first in index order on a tie.
+    The search keeps, for every involution, the lcm of its dihedral orders
+    with the picks, and folds in one bulk row of the dihedral table's
+    kernel per pick (``DihedralTable.products``, which stores no row), so
+    it makes no ``pair_order`` call.  The lcm can stall below |G| (in psl2
+    with p = 3 mod 4 no product of two involutions has order p).  Then it
+    takes in the orders of the words u*w*v of picks, which divide |<picks>|
+    as well (see ``generates``), read off one row per word u*w; failing
+    that, one involution v is added, the one that raises the lcm most with
+    those words counted; in psl2 one of them has order p.  Only if
+    ``generates`` does not confirm the grown set are involutions appended in
+    index order until it does.  ext takes the triple of ``_ext_generators``.
     """
+    if G.family == EXT:
+        return _ext_generators(G)
     invs = G.involutions()
-    chosen = [invs[0]]
+    table = G.dihedral_table()
+    picks = [0]
+    # cur[y]: the lcm of the dihedral orders of invs[y] with every pick (an
+    # array, as are the words' lcms below: no int object per involution)
+    cur = array("l", [n + n for n in table.products(invs[0])])
     reached = 2
-    while reached != G.order:
-
-        def gain(v: int) -> int:
-            return math.lcm(reached, *(2 * G.pair_order(u, v) for u in chosen if u != v))
-
-        best = max(invs, key=gain)
-        if gain(best) == reached:
+    while True:
+        best = max(range(len(invs)), key=lambda y: math.lcm(reached, cur[y]))
+        gain = math.lcm(reached, cur[best])
+        if gain == reached:
             break
-        reached = gain(best)
-        chosen.append(best)
-    else:
+        reached = gain
+        picks.append(best)
+        if reached == G.order:
+            return [invs[x] for x in picks]
+        cur = array("l", [math.lcm(c, n + n) for c, n in zip(cur, table.products(invs[best]))])
+    chosen = [invs[x] for x in picks]
+    words = array("l", [1]) * len(invs)
+    for k, u in enumerate(chosen):
+        for w in chosen[k + 1 :]:
+            words = array("l", map(math.lcm, words, table.products(G.mul(u, w))))
+    if math.lcm(reached, *(words[x] for x in picks)) == G.order:
         return chosen
-    if _settled(G, chosen):
-        return chosen
-    words = [G.mul(u, w) for k, u in enumerate(chosen) for w in chosen[k + 1 :]]
+    rest = (y for y in range(len(invs)) if y not in picks)
+    chosen.append(invs[max(rest, key=lambda y: math.lcm(reached, cur[y], words[y]))])
+    return _confirmed(G, chosen)
 
-    def word_gain(v: int) -> int:
-        pairs = (2 * G.pair_order(u, v) for u in chosen)
-        return math.lcm(reached, *pairs, *(G.pair_order(uw, v) for uw in words))
 
-    chosen.append(max((v for v in invs if v not in chosen), key=word_gain))
+def _ext_generators(G: GroupHandle) -> list[int]:
+    """Three generating involutions of ext: a triple of the ext construction's pattern.
+
+    x = (1, X) and y = (0, Y), with X = diag(1, -1) and Y = [[1, 1], [0, -1]],
+    lie outside the PSL part (p = 3 mod 4 makes -1 a non-square), so
+    xy = (1, [[1, 1], [0, 1]]) has order lcm(m, p) = m*p.  w = (0, W) for
+    the first involution W of PGL(2,p) whose orders with X and Y are p+1
+    and p-1, read off two bulk rows of the PGL(2,p) dihedral table's
+    kernel; then lcm(2p, 2(p+1), 2(p-1)) = |PGL(2,p)|.  One exists: the
+    ordered pairs of involutions of PGL(2,p) with a product of order p are
+    all conjugate, and the pgl2 construction completes one.  ``generates``
+    settles the three by its projection to PGL(2,p) and the lcm there.
+    """
+    p = G.p
+    Gp = build_group(PGL2, p)
+    x = G.element(1, ProjMatrix(1, 0, 0, p - 1, p))
+    y = G.element(0, ProjMatrix(1, 1, 0, p - 1, p))
+    table = Gp.dihedral_table()
+    rows = [table.products(Gp.element_from(0, G, u)) for u in (x, y)]
+    faces = {(p + 1, p - 1), (p - 1, p + 1)}
+    w = next(v for v, a, b in zip(Gp.involutions(), *rows) if (a, b) in faces)
+    return _confirmed(G, [x, y, G.element_from(0, Gp, w)])
+
+
+def _confirmed(G: GroupHandle, chosen: list[int]) -> list[int]:
+    """chosen, with involutions appended in index order until ``generates`` confirms the set."""
     if not generates(G, chosen):
-        for v in invs:
+        for v in G.involutions():
             if v not in chosen:
                 chosen.append(v)
                 if generates(G, chosen):

@@ -183,19 +183,23 @@ def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> tuple[int, int, int]
 
 
 def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
-    """Every triple the construction can produce, over all free choices.
+    """Every triple the construction can produce over all free choices; in ext, those with c1 = 0.
 
     The free choices are the point index k, the qualifying involution pair
     over that point and, in the extended family, the exponent pair (c1, c2)
     with unit difference.  The anchor involution z is fixed once per family;
-    all other triples are conjugates and are compared class-wise.
+    all other triples are conjugates and are compared class-wise.  In ext
+    only the lifts with c1 = 0 are listed, m*phi(m) down to phi(m) per base
+    triple: conjugation by (d, 1) fixes z = (0, z), which lies in the PSL
+    part when p = 3 (mod 4), and sends (c, u) to (c + 2d, u) for x and y,
+    which lie outside it.  m is odd, so d = -c1/2 mod m moves every lift
+    (c1, c2) to (0, c2 - c1), and the classes are those of the full lift.
     """
     if G.family == EXT:
         Gp = build_group(PGL2, G.p)
-        m = G.m
-        pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if math.gcd(c1 - c2, m) == 1]
+        units = [c2 for c2 in range(G.m) if math.gcd(c2, G.m) == 1]
         return sorted(
-            {_lift(G, Gp, base, c1, c2) for base in construction_census(Gp) for c1, c2 in pairs}
+            {_lift(G, Gp, base, 0, c2) for base in construction_census(Gp) for c2 in units}
         )
     if predicted_pattern(G.family, G.p) is None:
         return []

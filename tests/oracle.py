@@ -43,6 +43,11 @@ comparison leave open.  ``oracle_no_rotary`` tries every involution with
 every class rep, where ``revmaps.verify`` first filters the pairs of element
 orders, and ``oracle_cyclic_subgroup_involution`` takes the power g^(n/2)
 that ``revmaps.triples`` reads off the entries of g.
+``oracle_involution_generators`` is the greedy generator search scored by
+one ``pair_order`` call per candidate and pick, where ``revmaps.groups``
+reads bulk rows of the dihedral table's kernel, and
+``oracle_construction_census`` lifts every ext base triple with all m*phi(m)
+exponent pairs, where ``revmaps.triples`` lifts only those with c1 = 0.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from revmaps.gfproj import ProjMatrix, all_matrices, mat_inverse, mat_multiply
 from revmaps.groups import (
     PGL2,
     GroupHandle,
+    _settled,
     build_group,
     conjugacy_class_reps,
     generates,
@@ -145,6 +151,62 @@ def oracle_dihedral_table(G: GroupHandle) -> tuple[tuple[int, ...], ...]:
     invs = oracle_involutions(G)
     return tuple(
         tuple(2 * oracle_pair_order(G, u, v) if u != v else 0 for v in invs) for u in invs
+    )
+
+
+def oracle_involution_generators(G: GroupHandle) -> list[int]:
+    """Generating involutions by the greedy lcm search, one ``pair_order`` call per score.
+
+    Each step adds the involution that raises the lcm of the dihedral
+    orders most, the first in index order on a tie; where that stalls, the
+    one that raises it most once the orders of the words u*w*v of picked u,
+    w are counted, then involutions in index order until ``generates``
+    confirms the set.
+    """
+    invs = G.involutions()
+    chosen = [invs[0]]
+    reached = 2
+    while reached != G.order:
+
+        def gain(v: int) -> int:
+            return math.lcm(reached, *(2 * G.pair_order(u, v) for u in chosen if u != v))
+
+        best = max(invs, key=gain)
+        if gain(best) == reached:
+            break
+        reached = gain(best)
+        chosen.append(best)
+    else:
+        return chosen
+    if _settled(G, chosen):
+        return chosen
+    words = [G.mul(u, w) for k, u in enumerate(chosen) for w in chosen[k + 1 :]]
+
+    def word_gain(v: int) -> int:
+        pairs = (2 * G.pair_order(u, v) for u in chosen)
+        return math.lcm(reached, *pairs, *(G.pair_order(uw, v) for uw in words))
+
+    chosen.append(max((v for v in invs if v not in chosen), key=word_gain))
+    if not generates(G, chosen):
+        for v in invs:
+            if v not in chosen:
+                chosen.append(v)
+                if generates(G, chosen):
+                    break
+    return chosen
+
+
+def oracle_construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
+    """The ext construction census with every exponent pair (c1, c2) of unit difference."""
+    Gp = build_group(PGL2, G.p)
+    m = G.m
+    pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if math.gcd(c1 - c2, m) == 1]
+    return sorted(
+        {
+            tuple(G.element_from(c, Gp, u) for c, u in zip((c1, c2, 0), base))
+            for base in triples.construction_census(Gp)
+            for c1, c2 in pairs
+        }
     )
 
 

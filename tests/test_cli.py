@@ -436,9 +436,13 @@ CONSTRUCT_DIGESTS = {
 }
 
 
-# SHA-256 of ``verify --family psl2 --p 29 --budget 30000``: 48 maps, and
-# no golden file.
-VERIFY_PSL2_29_DIGEST = "12bc45d509469b2f7ed9c5f8a12191c783fe2547d7d0773f7875c90eb7c77e35"
+# SHA-256 of ``verify --budget 30000`` on configs with no golden file:
+# psl2 29 has 48 maps, and ext 11 15 has 64 classes, whose construction
+# agreement runs on the ext census of lifts with c1 = 0.
+VERIFY_DIGESTS = {
+    ("psl2", 29, 1): "12bc45d509469b2f7ed9c5f8a12191c783fe2547d7d0773f7875c90eb7c77e35",
+    ("ext", 11, 15): "3dce19bf9842c80bcd557fd7d2ed3d7fcee2b376c9adfb80e7f587dcf11f750d",
+}
 
 
 # SHA-256 of the default ``export`` DOT text on the same groups.
@@ -478,10 +482,13 @@ def test_construct_bytes_are_pinned(tmp_path):
 def test_verify_bytes_are_pinned(tmp_path):
     from revmaps import cli
 
-    out = tmp_path / "verify_psl2_29.json"
-    args = ["verify", "--family", "psl2", "--p", "29", "--budget", "30000", "--output", str(out)]
-    assert cli.main(args) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_PSL2_29_DIGEST
+    got = {}
+    for family, p, m in VERIFY_DIGESTS:
+        out = tmp_path / f"verify_{family}_{p}_{m}.json"
+        args = ["--family", family, "--p", str(p), "--m", str(m), "--budget", "30000"]
+        assert cli.main(["verify", *args, "--output", str(out)]) == 0
+        got[(family, p, m)] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == VERIFY_DIGESTS
 
 
 def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from oracle import (
     oracle_conjugate,
     oracle_elements,
     oracle_in_psl,
+    oracle_involution_generators,
     oracle_product,
     oracle_twisted_orders,
 )
@@ -632,10 +633,7 @@ def test_generator_search_tests_each_grown_set_once(monkeypatch):
     assert calls == [(0, 50, 7, 59)]
 
 
-@pytest.mark.parametrize("p", [7, 11, 19, 23, 31])
-def test_generator_search_closes_nothing_in_psl2(p, monkeypatch):
-    # p = 3 mod 4: the lcm of dihedral orders stalls below |G|, and the
-    # orders of words of three involutions prove generation
+def _assert_search_closes_nothing(fresh, monkeypatch):
     import revmaps.groups as groups
 
     calls = []
@@ -646,11 +644,77 @@ def test_generator_search_closes_nothing_in_psl2(p, monkeypatch):
         return real(G, gens, stop_above)
 
     monkeypatch.setattr(groups, "_closure", counted)
-    fresh = groups.GroupHandle("psl2", p, 1)
     gens = fresh.involution_generators()
     assert calls == []
     monkeypatch.setattr(groups, "_closure", real)
     assert len(oracle_closure(fresh, gens)) == fresh.order
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 31])
+def test_generator_search_closes_nothing_in_psl2(p, monkeypatch):
+    # p = 3 mod 4: the lcm of dihedral orders stalls below |G|, and the
+    # orders of words of three involutions prove generation
+    _assert_search_closes_nothing(GroupHandle("psl2", p, 1), monkeypatch)
+
+
+@pytest.mark.parametrize("p,m", [(7, 3), (7, 5), (11, 3), (19, 5)])
+def test_generator_search_closes_nothing_in_ext(p, m, monkeypatch):
+    # the pair x, y with |xy| = m*p sends generates to PGL(2,p), where the
+    # dihedral orders 2p, 2(p+1), 2(p-1) of the three projections settle it
+    fresh = GroupHandle("ext", p, m)
+    _assert_search_closes_nothing(fresh, monkeypatch)
+    x, y, _ = gens = fresh.involution_generators()
+    assert fresh.pair_order(x, y) == m * p
+    Gp = build_group("pgl2", p)
+    x, y, w = (Gp.element_from(0, fresh, u) for u in gens)
+    assert Gp.pair_order(x, y) == p
+    assert {Gp.pair_order(x, w), Gp.pair_order(y, w)} == {p + 1, p - 1}
+
+
+@pytest.mark.parametrize(
+    "family,p",
+    [(family, p) for family, p, _ in VERIFY_MATRIX if family != "ext"]
+    + [("pgl2", 19), ("psl2", 23), ("psl2", 31)],
+)
+def test_generator_search_matches_the_pair_order_search(family, p):
+    # the bulk rows score every candidate as the pair_order search does,
+    # ties broken in index order
+    assert GroupHandle(family, p, 1).involution_generators() == oracle_involution_generators(
+        build_group(family, p)
+    )
+
+
+@pytest.mark.parametrize("family,p", [("pgl2", 19), ("psl2", 31)])
+def test_generator_search_reads_rows_not_pair_orders(family, p, monkeypatch):
+    # pgl2 19 settles on the lcm of its picks, psl2 31 on its words; the
+    # search calls pair_order nowhere, and psl2 31's pair orders are those
+    # of the one generates call on the grown set.  It stores no table row.
+    import revmaps.groups as groups
+
+    events = []
+    real_order, real_generates = groups.GroupHandle.pair_order, groups.generates
+
+    def pair_order(G, i, j):
+        events.append("pair_order")
+        return real_order(G, i, j)
+
+    def generates(G, gens):
+        events.append("generates")
+        answer = real_generates(G, gens)
+        events.append("generated")
+        return answer
+
+    monkeypatch.setattr(groups.GroupHandle, "pair_order", pair_order)
+    monkeypatch.setattr(groups, "generates", generates)
+    fresh = GroupHandle(family, p, 1)
+    gens = fresh.involution_generators()
+    if family == "pgl2":
+        assert events == []
+    else:
+        assert len(gens) == 4
+        assert events[0] == "generates" and events[-1] == "generated"
+        assert events.count("generates") == 1
+    assert fresh.dihedral_table().built() == []
 
 
 # the kernel branches on the twist sign of s and g and on the exponents, so

@@ -8,6 +8,7 @@ import pytest
 from oracle import (
     oracle_closure,
     oracle_conjugate,
+    oracle_construction_census,
     oracle_cyclic_subgroup_involution,
     oracle_enumerate,
     oracle_expand,
@@ -181,10 +182,34 @@ def _single_constructions(family, p, m):
     ],
 )
 def test_each_construction_lies_in_its_construction_census(family, p, m, count):
-    # the single constructions and the census share the point search and the ext lift
+    # the single constructions and the census share the point search and the
+    # ext lift; the ext census lists only lifts with c1 = 0, so a single ext
+    # construction lies in it up to conjugation
+    G = build_group(family, p, m)
     made = _single_constructions(family, p, m)
     assert len(made) == count
-    assert set(made) <= set(construction_census(build_group(family, p, m)))
+    census = construction_census(G)
+    if family != "ext":
+        assert set(made) <= set(census)
+
+    def minima(triples):
+        return {rep for rep, _ in triple_conjugacy_classes(G, triples)}
+
+    assert minima(made) <= minima(census)
+
+
+@pytest.mark.parametrize(
+    "p,m", [(p, m) for family, p, m in VERIFY_MATRIX if family == "ext"] + [(7, 9)]
+)
+def test_ext_construction_census_meets_the_classes_of_the_full_lift(p, m):
+    # conjugation by (d, 1) moves c1 to 0, so the lifts with c1 = 0 meet
+    # every class that all m*phi(m) exponent pairs meet, and no other
+    G = build_group("ext", p, m)
+    census = construction_census(G)
+    full = oracle_construction_census(G)
+    assert set(census) < set(full)
+    assert all(G.exponent_part(x) == 0 for x, _, _ in census)
+    assert sorted(triple_conjugacy_classes(G, census)) == sorted(triple_conjugacy_classes(G, full))
 
 
 # -- enumeration ------------------------------------------------------------------------
