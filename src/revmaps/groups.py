@@ -24,11 +24,9 @@ census scans build one at a time as they read them.
 Whether elements generate the group is asked of ``generates`` alone: an lcm
 of element and dihedral orders, then in ext a projection to PGL(2,p), then
 the lcm with the orders of words of three involutions, and only then a
-closure.  The generating involutions behind the conjugation maps are proved
-by the same orders, read in bulk: the psl2 and pgl2 search scores every
-candidate at once from rows of the dihedral table's kernel, which it does
-not store, and ext takes a triple whose projection settles by the lcm in
-PGL(2,p).  So in the families no closure is needed to find them.
+closure.  The three generating involutions behind the conjugation maps are
+proved by the same orders: two fixed matrices and a third read off three
+bulk rows of the dihedral table's kernel, so no closure finds them.
 
 PGL(2,p) acts sharply 3-transitively on the projective line, so a matrix
 is known by the three points it sends to 0, infinity and 1.  The store
@@ -85,6 +83,10 @@ class GroupError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A group of more elements than the size budget was requested."""
+
+
+class ConstructionError(RuntimeError):
+    """A construction the theory guarantees failed, in a search or a triple check (a bug)."""
 
 
 def psl_order(p: int) -> int:
@@ -164,8 +166,9 @@ class GroupHandle:
 
     def element(self, exp: int, g: ProjMatrix) -> int:
         """The index of the pair (exp mod m, g); g must be a normalized matrix of M."""
-        # the point code ignores scale, so the matrix found must still equal g
-        pos = self._store.table[point_code(*g)]
+        # a matrix of another prime codes outside the table; the point code
+        # ignores scale, so the matrix found must still equal g
+        pos = self._store.table[point_code(*g)] if g.p == self.p else -1
         if pos < 0 or self._mats[pos] != g:
             raise GroupError(f"matrix {list(g)} not in {self.family}(2,{self.p})")
         return exp % self.m * self._width + pos
@@ -233,12 +236,12 @@ class GroupHandle:
         return [(base[psl[a]] + sign * e) % m * width + table[k] for (e, a), k in zip(parts, prods)]
 
     def involution_generators(self) -> list[int]:
-        """A few involutions generating the group (see ``_involution_generators``).
+        """Three involutions generating the group (see ``_generating_triple``).
 
-        Searched on first use and kept on the handle.
+        Found on first use and kept on the handle.
         """
         if self._generators is None:
-            self._generators = _involution_generators(self)
+            self._generators = _generating_triple(self)
         return self._generators
 
     def conjugation_perms(self) -> list[list[int]]:
@@ -320,7 +323,7 @@ class GroupHandle:
         entries, as in pair_order.  The table is made on first use and kept
         on the handle, and each row is computed the first time it is read, so
         a scan pays only for the rows it indexes.  Only the census scans read
-        rows; the generator search reads the kernel (``DihedralTable.products``).
+        rows; the generating triple reads the kernel (``DihedralTable.products``).
         """
         if self._dihedral is None:
             self._dihedral = DihedralTable(self)
@@ -392,8 +395,8 @@ class DihedralTable(Sequence[array]):
     def products(self, g: int) -> list[int]:
         """The orders |g*v| of element g with every involution v, by position; nothing kept.
 
-        The kernel of a row, open to any element: the generator search reads
-        its picks and its words this way, and stores no row.
+        The kernel of a row, open to any element: the generating triple reads
+        the rows of x, y and x*y this way, and stores no row.
         """
         G = self._group
         orders = self._orders(G.matrix_part(g))
@@ -555,89 +558,44 @@ def _close_maps(gens: list[tuple[int, ...]], ident: tuple[int, ...]) -> set[tupl
     return elems
 
 
-def _involution_generators(G: GroupHandle) -> list[int]:
-    """A few involutions generating G, proved so by orders where they allow.
+def _generating_triple(G: GroupHandle) -> list[int]:
+    """Three involutions x, y, w generating G, proved so by orders, with no closure.
 
-    Two involutions u, v span a dihedral group of order 2|uv|, so the chosen
-    involutions generate a subgroup whose order the lcm of these dihedral
-    orders divides; once it reaches |G| they generate G.  Each step adds the
-    involution that raises the lcm most, the first in index order on a tie.
-    The search keeps, for every involution, the lcm of its dihedral orders
-    with the picks, and folds in one bulk row of the dihedral table's
-    kernel per pick (``DihedralTable.products``, which stores no row), so
-    it makes no ``pair_order`` call.  The lcm can stall below |G| (in psl2
-    with p = 3 mod 4 no product of two involutions has order p).  Then it
-    takes in the orders of the words u*w*v of picks, which divide |<picks>|
-    as well (see ``generates``), read off one row per word u*w; failing
-    that, one involution v is added, the one that raises the lcm most with
-    those words counted; in psl2 one of them has order p.  Only if
-    ``generates`` does not confirm the grown set are involutions appended in
-    index order until it does.  ext takes the triple of ``_ext_generators``.
-    """
-    if G.family == EXT:
-        return _ext_generators(G)
-    invs = G.involutions()
-    table = G.dihedral_table()
-    picks = [0]
-    # cur[y]: the lcm of the dihedral orders of invs[y] with every pick (an
-    # array, as are the words' lcms below: no int object per involution)
-    cur = array("l", [n + n for n in table.products(invs[0])])
-    reached = 2
-    while True:
-        best = max(range(len(invs)), key=lambda y: math.lcm(reached, cur[y]))
-        gain = math.lcm(reached, cur[best])
-        if gain == reached:
-            break
-        reached = gain
-        picks.append(best)
-        if reached == G.order:
-            return [invs[x] for x in picks]
-        cur = array("l", [math.lcm(c, n + n) for c, n in zip(cur, table.products(invs[best]))])
-    chosen = [invs[x] for x in picks]
-    words = array("l", [1]) * len(invs)
-    for k, u in enumerate(chosen):
-        for w in chosen[k + 1 :]:
-            words = array("l", map(math.lcm, words, table.products(G.mul(u, w))))
-    if math.lcm(reached, *(words[x] for x in picks)) == G.order:
-        return chosen
-    rest = (y for y in range(len(invs)) if y not in picks)
-    chosen.append(invs[max(rest, key=lambda y: math.lcm(reached, cur[y], words[y]))])
-    return _confirmed(G, chosen)
-
-
-def _ext_generators(G: GroupHandle) -> list[int]:
-    """Three generating involutions of ext: a triple of the ext construction's pattern.
-
-    x = (1, X) and y = (0, Y), with X = diag(1, -1) and Y = [[1, 1], [0, -1]],
-    lie outside the PSL part (p = 3 mod 4 makes -1 a non-square), so
-    xy = (1, [[1, 1], [0, 1]]) has order lcm(m, p) = m*p.  w = (0, W) for
-    the first involution W of PGL(2,p) whose orders with X and Y are p+1
-    and p-1, read off two bulk rows of the PGL(2,p) dihedral table's
-    kernel; then lcm(2p, 2(p+1), 2(p-1)) = |PGL(2,p)|.  One exists: the
-    ordered pairs of involutions of PGL(2,p) with a product of order p are
-    all conjugate, and the pgl2 construction completes one.  ``generates``
-    settles the three by its projection to PGL(2,p) and the lcm there.
+    In M = G, or PGL(2,p) in ext, x = diag(1, -1) and y = [[1, 1], [0, -1]]
+    have a product of order p.  In psl2 with p = 3 mod 4 no two involutions
+    do, so x = [[0, 1], [-1, 0]] and y is the first involution with
+    |xy| = (p+1)/2, read off x's bulk row (``DihedralTable.products``, which
+    stores no row).  w is the first involution whose rows of x, y and x*y
+    bring lcm(2|xy|, 2|xw|, 2|yw|, |xyw|), a divisor of |<x, y, w>| (see
+    ``generates``), to |M|.  In ext, x takes exponent 1, so |xy| = m*p and
+    ``generates`` settles the triple by its projection.  In pgl2, ext and
+    psl2 with p = 1 mod 4, w exists: PGL(2,p) is transitive on the ordered
+    pairs of involutions whose product has order p, and PSL(2,p) is normal
+    in it, so a conjugate of a construction triple completes (x, y).  psl2
+    with p = 3 mod 4 rests on the run-time certificate, the one ``generates``
+    call on each triple; a missing y or w or a refusal is a ConstructionError.
     """
     p = G.p
-    Gp = build_group(PGL2, p)
-    x = G.element(1, ProjMatrix(1, 0, 0, p - 1, p))
-    y = G.element(0, ProjMatrix(1, 1, 0, p - 1, p))
-    table = Gp.dihedral_table()
-    rows = [table.products(Gp.element_from(0, G, u)) for u in (x, y)]
-    faces = {(p + 1, p - 1), (p - 1, p + 1)}
-    w = next(v for v, a, b in zip(Gp.involutions(), *rows) if (a, b) in faces)
-    return _confirmed(G, [x, y, G.element_from(0, Gp, w)])
-
-
-def _confirmed(G: GroupHandle, chosen: list[int]) -> list[int]:
-    """chosen, with involutions appended in index order until ``generates`` confirms the set."""
-    if not generates(G, chosen):
-        for v in G.involutions():
-            if v not in chosen:
-                chosen.append(v)
-                if generates(G, chosen):
-                    break
-    return chosen
+    M = build_group(PGL2, p) if G.family == EXT else G
+    invs, table = M.involutions(), M.dihedral_table()
+    no_p_pair = G.family == PSL2 and p % 4 == 3
+    x = M.element(0, ProjMatrix(0, 1, p - 1, 0, p) if no_p_pair else ProjMatrix(1, 0, 0, p - 1, p))
+    rx = table.products(x)
+    try:
+        if no_p_pair:
+            y = next(v for v, n in zip(invs, rx) if n == (p + 1) // 2)
+        else:
+            y = M.element(0, ProjMatrix(1, 1, 0, p - 1, p))
+        xy = rx[invs.index(y)]
+        rows = rx, table.products(y), table.products(M.mul(x, y))
+        lcms = (math.lcm(xy + xy, a + a, b + b, c) for a, b, c in zip(*rows))
+        w = next(v for v, n in zip(invs, lcms) if n == M.order)
+    except StopIteration:
+        raise ConstructionError(f"no generating triple through x = {x} in {G!r}") from None
+    gens = [G.element_from(e, M, u) for e, u in zip((1, 0, 0), (x, y, w))]
+    if not generates(G, gens):
+        raise ConstructionError(f"involutions {gens} do not generate {G!r}")
+    return gens
 
 
 class InvolutionClasses:
@@ -739,15 +697,6 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     gens = sorted(set(gens))
     if not gens:
         return False
-    settled = _settled(G, gens)
-    if settled is not None:
-        return settled
-    closed = _closure(G, gens, stop_above=G.order // 2)
-    return closed is None or len(closed) == G.order
-
-
-def _settled(G: GroupHandle, gens: Sequence[int]) -> bool | None:
-    """The answer of the first three checks of ``generates``, or None if they leave it open."""
     orders = [G.element_order(g) for g in gens]
     invs = [g for g, n in zip(gens, orders) if n == 2]
     pairs = [G.pair_order(u, v) for k, u in enumerate(invs) for v in invs[k + 1 :]]
@@ -758,7 +707,10 @@ def _settled(G: GroupHandle, gens: Sequence[int]) -> bool | None:
         Gp = build_group(PGL2, G.p)
         return generates(Gp, [Gp.element_from(0, G, g) for g in gens])
     words = (G.pair_order(G.mul(u, v), w) for u, v, w in combinations(invs, 3))
-    return True if math.lcm(reached, *words) == G.order else None
+    if math.lcm(reached, *words) == G.order:
+        return True
+    closed = _closure(G, gens, stop_above=G.order // 2)
+    return closed is None or len(closed) == G.order
 
 
 def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:

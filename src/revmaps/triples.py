@@ -33,6 +33,7 @@ from .groups import (
     EXT,
     PGL2,
     PSL2,
+    ConstructionError,
     GroupError,
     GroupHandle,
     build_group,
@@ -54,10 +55,6 @@ def predicted_pattern(family: str, p: int, m: int = 1) -> tuple[int, int, int] |
 def multiset(pattern: Sequence[int]) -> tuple[int, int, int]:
     """The dihedral orders of a pattern, largest first, with the slots forgotten."""
     return tuple(sorted(pattern, reverse=True))
-
-
-class ConstructionError(RuntimeError):
-    """A construction the theory guarantees failed, in a search or a triple check (a bug)."""
 
 
 # -- building blocks ---------------------------------------------------------

@@ -43,9 +43,9 @@ comparison leave open.  ``oracle_no_rotary`` tries every involution with
 every class rep, where ``revmaps.verify`` first filters the pairs of element
 orders, and ``oracle_cyclic_subgroup_involution`` takes the power g^(n/2)
 that ``revmaps.triples`` reads off the entries of g.
-``oracle_involution_generators`` is the greedy generator search scored by
-one ``pair_order`` call per candidate and pick, where ``revmaps.groups``
-reads bulk rows of the dihedral table's kernel, and
+``oracle_involution_generators`` finds the generating triple by one
+multiplied-out pair order per score, where ``revmaps.groups`` reads three
+bulk rows of the dihedral table's kernel, and
 ``oracle_construction_census`` lifts every ext base triple with all m*phi(m)
 exponent pairs, where ``revmaps.triples`` lifts only those with c1 = 0.
 """
@@ -61,7 +61,6 @@ from revmaps.gfproj import ProjMatrix, all_matrices, mat_inverse, mat_multiply
 from revmaps.groups import (
     PGL2,
     GroupHandle,
-    _settled,
     build_group,
     conjugacy_class_reps,
     generates,
@@ -155,45 +154,30 @@ def oracle_dihedral_table(G: GroupHandle) -> tuple[tuple[int, ...], ...]:
 
 
 def oracle_involution_generators(G: GroupHandle) -> list[int]:
-    """Generating involutions by the greedy lcm search, one ``pair_order`` call per score.
+    """The generating triple of ``revmaps.groups``, scored one ``oracle_pair_order`` at a time.
 
-    Each step adds the involution that raises the lcm of the dihedral
-    orders most, the first in index order on a tie; where that stalls, the
-    one that raises it most once the orders of the words u*w*v of picked u,
-    w are counted, then involutions in index order until ``generates``
-    confirms the set.
+    In M = G, or PGL(2,p) in ext: x = diag(1, -1) and y = [[1, 1], [0, -1]],
+    or in psl2 with p = 3 mod 4 x = [[0, 1], [-1, 0]] and the first y with
+    |xy| = (p+1)/2; then the first involution w with lcm(2|xy|, 2|xw|,
+    2|yw|, |xyw|) = |M|.  In ext, x is lifted with exponent 1.
     """
-    invs = G.involutions()
-    chosen = [invs[0]]
-    reached = 2
-    while reached != G.order:
-
-        def gain(v: int) -> int:
-            return math.lcm(reached, *(2 * G.pair_order(u, v) for u in chosen if u != v))
-
-        best = max(invs, key=gain)
-        if gain(best) == reached:
-            break
-        reached = gain(best)
-        chosen.append(best)
+    p = G.p
+    M = build_group(PGL2, p) if G.family == "ext" else G
+    invs = oracle_involutions(M)
+    if G.family == "psl2" and p % 4 == 3:
+        x = M.element(0, ProjMatrix(0, 1, p - 1, 0, p))
+        y = next(v for v in invs if oracle_pair_order(M, x, v) == (p + 1) // 2)
     else:
-        return chosen
-    if _settled(G, chosen):
-        return chosen
-    words = [G.mul(u, w) for k, u in enumerate(chosen) for w in chosen[k + 1 :]]
+        x = M.element(0, ProjMatrix(1, 0, 0, p - 1, p))
+        y = M.element(0, ProjMatrix(1, 1, 0, p - 1, p))
+    xy = M.mul(x, y)
 
-    def word_gain(v: int) -> int:
-        pairs = (2 * G.pair_order(u, v) for u in chosen)
-        return math.lcm(reached, *pairs, *(G.pair_order(uw, v) for uw in words))
+    def reached(w: int) -> int:
+        pairs = (oracle_pair_order(M, u, v) for u, v in ((x, y), (x, w), (y, w)))
+        return math.lcm(*(n + n for n in pairs), oracle_pair_order(M, xy, w))
 
-    chosen.append(max((v for v in invs if v not in chosen), key=word_gain))
-    if not generates(G, chosen):
-        for v in invs:
-            if v not in chosen:
-                chosen.append(v)
-                if generates(G, chosen):
-                    break
-    return chosen
+    w = next(v for v in invs if reached(v) == M.order)
+    return [G.element_from(e, M, u) for e, u in zip((1, 0, 0), (x, y, w))]
 
 
 def oracle_construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:

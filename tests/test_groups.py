@@ -105,11 +105,15 @@ def test_element_rejects_a_matrix_outside_the_matrix_part():
         ProjMatrix(2, 0, 0, 2, 7),  # the identity, scaled: same point code
         ProjMatrix(3, 6, 0, 3, 7),  # three times [[1, 2], [0, 1]]
         ProjMatrix(1, 1, 1, 1, 7),  # singular
-        ProjMatrix(1, 0, 0, 1, 11),  # another prime
+        # matrices of larger primes, whose point codes may overrun the table
+        ProjMatrix(1, 0, 0, 1, 11),
+        ProjMatrix(1, 2, 3, 4, 13),
+        ProjMatrix(1, 10, 10, 10, 11),
     ],
 )
 def test_element_refuses_what_is_no_normalized_matrix(g):
-    # the point code ignores scale, so element compares the matrix it finds
+    # the point code ignores scale, so element compares the matrix it finds,
+    # and it reads no code of a matrix of another prime
     G = build_group("pgl2", 7)
     with pytest.raises(GroupError, match="not in pgl2"):
         G.element(0, g)
@@ -538,8 +542,8 @@ def test_order_mismatch_raises_group_error(monkeypatch):
     [("psl2", 5, 1), ("psl2", 7, 1), ("pgl2", 7, 1), ("ext", 7, 3), ("ext", 7, 9)],
 )
 def test_involution_classes_match_conjugacy(family, p, m):
-    # psl2 7 takes the closure fallback for its generating involutions; the
-    # Schreier trees of ext 7 9 run twelve levels deep
+    # psl2 7 (p = 3 mod 4) has no generating pair of order-p product; the
+    # Schreier trees of ext 7 9 run thirteen levels deep
     G = build_group(family, p, m)
     C = G.involution_classes()
     invs = G.involutions()
@@ -597,7 +601,7 @@ def test_involution_classes_allocate_little_per_involution():
 
 
 def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
-    # in psl2 7 the lcm stalls and the search falls back to word orders
+    # in psl2 7 the search reads the y of its triple off x's row
     import revmaps.groups as groups
 
     calls = []
@@ -606,8 +610,8 @@ def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
         calls.append(G)
         return search(G)
 
-    search = groups._involution_generators
-    monkeypatch.setattr(groups, "_involution_generators", counted)
+    search = groups._generating_triple
+    monkeypatch.setattr(groups, "_generating_triple", counted)
     fresh = groups.GroupHandle("psl2", 7, 1)
     fresh.involution_classes()
     fresh.conjugation_perms()
@@ -615,9 +619,10 @@ def test_generating_involutions_are_searched_once_per_handle(monkeypatch):
 
 
 def test_generator_search_tests_each_grown_set_once(monkeypatch):
-    # in psl2 7 the lcm of dihedral orders stalls at three involutions; the
-    # search adds the fourth by the orders of words of three, and tests
-    # generation once, on the grown set, which its words settle
+    # in psl2 7 no product of two involutions has order 7; the search takes
+    # x = [[0, 1], [-1, 0]], y with |xy| = 4 and a w whose word xyw has
+    # order 7, and tests generation once, on the triple, which the word
+    # settles
     import revmaps.groups as groups
 
     calls = []
@@ -629,8 +634,10 @@ def test_generator_search_tests_each_grown_set_once(monkeypatch):
 
     monkeypatch.setattr(groups, "generates", counted)
     fresh = groups.GroupHandle("psl2", 7, 1)
-    assert fresh.involution_generators() == [0, 50, 7, 59]
-    assert calls == [(0, 50, 7, 59)]
+    x, y, w = fresh.involution_generators()
+    assert fresh.matrix_part(x) == ProjMatrix(0, 1, 6, 0, 7)
+    assert (x, y, w) == (14, 50, 56)
+    assert calls == [(14, 50, 56)]
 
 
 def _assert_search_closes_nothing(fresh, monkeypatch):
@@ -660,7 +667,8 @@ def test_generator_search_closes_nothing_in_psl2(p, monkeypatch):
 @pytest.mark.parametrize("p,m", [(7, 3), (7, 5), (11, 3), (19, 5)])
 def test_generator_search_closes_nothing_in_ext(p, m, monkeypatch):
     # the pair x, y with |xy| = m*p sends generates to PGL(2,p), where the
-    # dihedral orders 2p, 2(p+1), 2(p-1) of the three projections settle it
+    # dihedral orders of the three projections and the order of their word
+    # settle it by the lcm
     fresh = GroupHandle("ext", p, m)
     _assert_search_closes_nothing(fresh, monkeypatch)
     x, y, _ = gens = fresh.involution_generators()
@@ -668,7 +676,8 @@ def test_generator_search_closes_nothing_in_ext(p, m, monkeypatch):
     Gp = build_group("pgl2", p)
     x, y, w = (Gp.element_from(0, fresh, u) for u in gens)
     assert Gp.pair_order(x, y) == p
-    assert {Gp.pair_order(x, w), Gp.pair_order(y, w)} == {p + 1, p - 1}
+    pairs = (Gp.pair_order(x, y), Gp.pair_order(x, w), Gp.pair_order(y, w))
+    assert math.lcm(*(n + n for n in pairs), Gp.pair_order(Gp.mul(x, y), w)) == Gp.order
 
 
 @pytest.mark.parametrize(
@@ -677,22 +686,30 @@ def test_generator_search_closes_nothing_in_ext(p, m, monkeypatch):
     + [("pgl2", 19), ("psl2", 23), ("psl2", 31)],
 )
 def test_generator_search_matches_the_pair_order_search(family, p):
-    # the bulk rows score every candidate as the pair_order search does,
-    # ties broken in index order
+    # the bulk rows score every candidate as multiplied-out pair orders do,
+    # the first in index order taken
     assert GroupHandle(family, p, 1).involution_generators() == oracle_involution_generators(
         build_group(family, p)
     )
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for family, p, m in VERIFY_MATRIX if family == "ext"])
+def test_generator_search_matches_the_oracle_in_ext(p, m):
+    assert GroupHandle("ext", p, m).involution_generators() == oracle_involution_generators(
+        build_group("ext", p, m)
+    )
+
+
 @pytest.mark.parametrize("family,p", [("pgl2", 19), ("psl2", 31)])
 def test_generator_search_reads_rows_not_pair_orders(family, p, monkeypatch):
-    # pgl2 19 settles on the lcm of its picks, psl2 31 on its words; the
-    # search calls pair_order nowhere, and psl2 31's pair orders are those
-    # of the one generates call on the grown set.  It stores no table row.
+    # psl2 31 (p = 3 mod 4) reads y off x's row; both read at most four
+    # bulk rows, store none, and call pair_order only in the one generates
+    # call that confirms the triple
     import revmaps.groups as groups
 
     events = []
     real_order, real_generates = groups.GroupHandle.pair_order, groups.generates
+    real_products = groups.DihedralTable.products
 
     def pair_order(G, i, j):
         events.append("pair_order")
@@ -704,17 +721,47 @@ def test_generator_search_reads_rows_not_pair_orders(family, p, monkeypatch):
         events.append("generated")
         return answer
 
+    def products(table, g):
+        events.append("row")
+        return real_products(table, g)
+
     monkeypatch.setattr(groups.GroupHandle, "pair_order", pair_order)
     monkeypatch.setattr(groups, "generates", generates)
+    monkeypatch.setattr(groups.DihedralTable, "products", products)
     fresh = GroupHandle(family, p, 1)
-    gens = fresh.involution_generators()
-    if family == "pgl2":
-        assert events == []
-    else:
-        assert len(gens) == 4
-        assert events[0] == "generates" and events[-1] == "generated"
-        assert events.count("generates") == 1
+    assert len(fresh.involution_generators()) == 3
+    assert events.count("generates") == 1 and events[-1] == "generated"
+    search = events[: events.index("generates")]
+    assert set(search) == {"row"} and len(search) <= 4
     assert fresh.dihedral_table().built() == []
+
+
+@pytest.mark.parametrize(
+    "family,p,patch,message",
+    [
+        ("pgl2", 7, "products", "no generating triple"),
+        ("psl2", 7, "products", "no generating triple"),
+        ("pgl2", 7, "generates", "do not generate"),
+    ],
+)
+def test_generator_search_failure_is_an_internal_error(
+    family, p, patch, message, monkeypatch, capsys
+):
+    # a missing y or w, or a triple generates refuses, is a bug of the
+    # search: a ConstructionError, which the CLI reports on one line, exit 4
+    import revmaps.groups as groups
+    from revmaps import cli
+
+    monkeypatch.setattr(groups, "_CACHE", {})
+    if patch == "products":
+        monkeypatch.setattr(groups.DihedralTable, "products", lambda table, g: [1] * len(table))
+    else:
+        monkeypatch.setattr(groups, "generates", lambda G, gens: False)
+    with pytest.raises(groups.ConstructionError, match=message):
+        build_group(family, p).involution_generators()
+    assert cli.main(["enumerate", "--family", family, "--p", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and len(err.strip().splitlines()) == 1
 
 
 # the kernel branches on the twist sign of s and g and on the exponents, so
