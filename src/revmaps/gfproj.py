@@ -10,9 +10,10 @@ encodes [k : 1] and the index p encodes [1 : 0].  The canonical point ordering
 used by the constructions lists [0 : 1] first, then [1 : 0], then the
 remaining affine points (see :func:`all_points`).
 
-Matrices act on points on the right: ``act(g, act(h, x)) == act(mat_multiply(g, h), x)``
-reversed, i.e. x^(gh) = (x^g)^h.  Concretely x^M = (d*x + b) / (c*x + a) on
-affine points, the unique right action sending x to x+1 under [[1,1],[0,1]].
+Matrices act on points on the right, x^(gh) = (x^g)^h, so ``act(h, act(g, x))``
+is the action of the product g*h: x^M = (d*x + b) / (c*x + a) on affine points,
+the unique right action sending x to x+1 under [[1,1],[0,1]].  Only
+``proj_matrix`` normalizes a matrix from its entries.
 
 The action is sharply 3-transitive (Dickson, *Linear Groups*, 1901), so
 the three points a matrix sends to 0, infinity and 1 name it; their
@@ -70,39 +71,15 @@ class ProjMatrix(NamedTuple):
     d: int
     p: int
 
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.p
-
-
-def _normalized(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
-    a %= p
-    b %= p
-    c %= p
-    d %= p
-    inv = _inv_table(p)
-    for lead in (a, b, c, d):
-        if lead:
-            s = inv[lead]
-            return ProjMatrix((a * s) % p, (b * s) % p, (c * s) % p, (d * s) % p, p)
-    raise GFProjError("zero matrix has no projective class")
-
 
 def proj_matrix(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
     """Build the normalized projective class of [[a,b],[c,d]]; must be invertible."""
     check_prime(p)
-    m = _normalized(a, b, c, d, p)
-    if m.det() == 0:
+    if (a * d - b * c) % p == 0:
         raise GFProjError(f"singular matrix {(a, b, c, d)} mod {p}")
-    return m
-
-
-def mat_multiply(lhs: ProjMatrix, rhs: ProjMatrix) -> ProjMatrix:
-    """Normalized product of two projective matrices over the same F_p."""
-    if lhs.p != rhs.p:
-        raise GFProjError(f"modulus mismatch: {lhs.p} vs {rhs.p}")
-    a, b, c, d, p = lhs
-    e, f, g, h, _ = rhs
-    return _normalized(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p)
+    lead = next(v for v in (a, b, c, d) if v % p)
+    s = _inv_table(p)[lead % p]
+    return ProjMatrix(a * s % p, b * s % p, c * s % p, d * s % p, p)
 
 
 def sandwich_products(h: ProjMatrix, mats: Sequence[ProjMatrix]) -> list[int]:
@@ -118,11 +95,6 @@ def sandwich_products(h: ProjMatrix, mats: Sequence[ProjMatrix]) -> list[int]:
     return out
 
 
-def mat_inverse(m: ProjMatrix) -> ProjMatrix:
-    # the adjugate is a scalar multiple of the inverse
-    return _normalized(m.d, -m.b, -m.c, m.a, m.p)
-
-
 @lru_cache(maxsize=None)
 def _invariant_orders(p: int) -> tuple[int, ...]:
     """Orders of the non-scalar classes of PGL(2,p), indexed by s = tr^2/det.
@@ -131,17 +103,17 @@ def _invariant_orders(p: int) -> tuple[int, ...]:
     Groups*, 1901): a non-scalar matrix is conjugate to the companion matrix
     of its characteristic polynomial, so matrices with the same nonzero s are
     conjugate up to a scalar; at s = 0, M^2 = -det(M) I, so the order is 2.
-    Each order is found by repeated multiplication of one representative:
-    [[0, -1/s], [1, 1]] has trace 1 and determinant 1/s.
+    By Cayley-Hamilton, M of trace t and determinant d has M^n = U_n M -
+    d U_(n-1) I for the Lucas sequence U_0 = 0, U_1 = 1, U_(n+1) = t U_n -
+    d U_(n-1), so the order is the least n >= 1 with U_n = 0 mod p, with no
+    matrix multiplied: s takes t = 1, d = 1/s, and s = 0 takes t = 0, d = 1.
     """
     inv = _inv_table(p)
-    reps = [_normalized(0, -1, 1, 0, p)] + [_normalized(0, -inv[s], 1, 1, p) for s in range(1, p)]
-    ident = ProjMatrix(1, 0, 0, 1, p)
     orders = []
-    for g in reps:
-        n, acc = 1, g
-        while acc != ident:
-            acc = mat_multiply(acc, g)
+    for t, d in [(0, 1)] + [(1, inv[s]) for s in range(1, p)]:
+        n, u, prev = 1, 1, 0
+        while u:
+            u, prev = (t * u - d * prev) % p, u
             n += 1
         orders.append(n)
     return tuple(orders)
@@ -185,8 +157,8 @@ def product_orders(mats: list[ProjMatrix]) -> Callable[[ProjMatrix], list[int]]:
         # the orders by tr^2 / det(mats[y]), with this row's 1/det folded in
         by = [orders[s * w % p] for s in range(p)]
         out = [by[(t := a * e + b * u + c * f + d * v) * t * k % p] for e, f, u, v, k in ents]
-        for y in at.get(mat_inverse(g), ()):
-            out[y] = 1  # a scalar product
+        for y in at.get(proj_matrix(d, -b, -c, a, p), ()):
+            out[y] = 1  # a scalar product: mats[y] is g^-1, the adjugate normalized
         return out
 
     return row
@@ -207,7 +179,7 @@ def psl_flags(mats: Sequence[ProjMatrix]) -> bytes:
 def act(g: ProjMatrix, x: int) -> int:
     """Right action of g on a point index from ``all_points`` or ``range(p + 1)``.
 
-    Satisfies act(mat_multiply(g, h), x) == act(h, act(g, x)).
+    Satisfies act(g*h, x) == act(h, act(g, x)) for the matrix product g*h.
     """
     a, b, c, d, p = g
     if x == p:

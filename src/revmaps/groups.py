@@ -59,6 +59,7 @@ from .gfproj import (
     check_prime,
     element_order,
     point_code,
+    proj_matrix,
     preimage_points,
     product_orders,
     projective_order,
@@ -174,10 +175,10 @@ class GroupHandle:
         return exp % self.m * self._width + pos
 
     def element_from(self, exp: int, G: GroupHandle, i: int) -> int:
-        """``element(exp, G.matrix_part(i))``, by position if G shares the store (pgl2 and ext do)."""
-        if G._store is self._store:
-            return exp % self.m * self._width + i % self._width
-        return self.element(exp, G.matrix_part(i))
+        """``element(exp, G.matrix_part(i))`` by position; G must share the store (pgl2, ext do)."""
+        if G._store is not self._store:
+            raise GroupError(f"{G!r} shares no matrix store with {self!r}")
+        return exp % self.m * self._width + i % self._width
 
     def matrix_part(self, i: int) -> ProjMatrix:
         return self._mats[i % self._width]
@@ -342,23 +343,21 @@ class GroupHandle:
         return rec
 
     def element_from_json(self, rec: dict) -> int:
-        from .gfproj import proj_matrix
-
         try:
             a, b, c, d = rec["mat"]
+            exp = rec.get("exp", 0)
+            if not all(isinstance(v, int) for v in (a, b, c, d, exp)):
+                raise TypeError("the mat entries and exp must be integers")
             g = proj_matrix(a, b, c, d, self.p)
         except (GFProjError, KeyError, TypeError, ValueError) as exc:
             raise GroupError(f"bad element record {rec}: {exc}") from exc
-        exp = rec.get("exp", 0)
-        if not isinstance(exp, int):
-            raise GroupError(f"bad element record {rec}: exp must be an integer")
         return self.element(exp, g)
 
     def __repr__(self) -> str:
         return f"GroupHandle({self.family}, p={self.p}, m={self.m}, order={self.order})"
 
 
-class DihedralTable(Sequence[array]):
+class DihedralTable:
     """The dihedral table of ``GroupHandle.dihedral_table``, its rows computed on first read.
 
     ``table[x]`` is an array('H') of the dihedral orders of involutions()[x]
@@ -382,9 +381,6 @@ class DihedralTable(Sequence[array]):
         kinds: dict[tuple[int, bool], int] = {}
         self._kinds = array("i", [kinds.setdefault(k, y) for y, k in enumerate(keys)])
         self._kind_reps = list(kinds.values())
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     def __getitem__(self, x: int) -> array:
         row = self._rows[x]
@@ -510,14 +506,6 @@ class InvolutionClass:
     def from_rep(self, u: int, ys: Iterable[int]) -> list[int]:
         """The positions ys conjugated by t_u, which sends the rep to u."""
         return self._walk(reversed(self._path(u)), ys)
-
-    def from_rep_all(self, ys: Sequence[int]) -> dict[int, list[int]]:
-        """``from_rep(u, ys)`` of every member u, each from its parent's images."""
-        images = {self.rep: list(ys)}
-        for u, (w, k) in self.parent.items():
-            perm = self._generators[k]
-            images[u] = [perm[y] for y in images[w]]
-        return images
 
     def centralizer(self) -> list[tuple[int, ...]]:
         """The conjugation maps of every element of the centralizer of the rep.

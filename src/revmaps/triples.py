@@ -475,7 +475,8 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
         )
     loose = set()
     for cls, pairs in unslotted:
-        for u, images in cls.from_rep_all(pairs).items():
+        for u in cls.members:
+            images = cls.from_rep(u, pairs)
             loose.update(tuple(sorted((u, y, z))) for y, z in zip(images[::2], images[1::2]))
     by_pattern: dict[tuple[int, int, int], list] = {}
     for x, y, z in loose:

@@ -9,7 +9,10 @@ They share only the qualifying table and the generation test with the
 engine, and are compared with it at small p; the roles of a hit follow the
 documented rule, written out here on elements.
 Element and pair orders come from repeated multiplication, not from the
-closed form in ``gfproj.projective_order``.
+closed form in ``gfproj.projective_order``: ``mat_multiply`` and
+``mat_inverse`` form the normalized product and inverse of matrices, which
+the library never forms, and ``oracle_matrix_order`` multiplies until the
+identity.
 
 The group part builds the elements of each family as (exponent, matrix)
 pairs and multiplies them by the twisted product of the ``revmaps.groups``
@@ -57,7 +60,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from revmaps import gfproj, triples, verify
-from revmaps.gfproj import ProjMatrix, all_matrices, mat_inverse, mat_multiply
+from revmaps.gfproj import GFProjError, ProjMatrix, all_matrices, proj_matrix
 from revmaps.groups import (
     PGL2,
     GroupHandle,
@@ -67,6 +70,20 @@ from revmaps.groups import (
 )
 from revmaps.mapgeom import SCHEMA_VERSION, MapError, MapGeometry
 from revmaps.triples import CensusScan, PatternCensus
+
+
+def mat_multiply(lhs: ProjMatrix, rhs: ProjMatrix) -> ProjMatrix:
+    """Normalized product of two projective matrices over the same F_p."""
+    if lhs.p != rhs.p:
+        raise GFProjError(f"modulus mismatch: {lhs.p} vs {rhs.p}")
+    a, b, c, d, p = lhs
+    e, f, g, h, _ = rhs
+    return proj_matrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, p)
+
+
+def mat_inverse(m: ProjMatrix) -> ProjMatrix:
+    # the adjugate is a scalar multiple of the inverse
+    return proj_matrix(m.d, -m.b, -m.c, m.a, m.p)
 
 
 def oracle_matrix_order(g: ProjMatrix) -> int:
@@ -81,7 +98,7 @@ def oracle_matrix_order(g: ProjMatrix) -> int:
 
 def oracle_in_psl(g: ProjMatrix) -> bool:
     """True iff det(g) is a nonzero square mod p, by Euler's criterion."""
-    return pow(g.det(), (g.p - 1) // 2, g.p) == 1
+    return pow(g.a * g.d - g.b * g.c, (g.p - 1) // 2, g.p) == 1
 
 
 Pair = tuple[int, ProjMatrix]

@@ -330,6 +330,13 @@ def test_check_rejects_malformed_records(tmp_path):
                 },
             }
         ),
+        # a non-integral entry, after an integral lead entry
+        "float_mat.json": json.dumps(
+            {
+                "group": {"family": "pgl2", "p": 7},
+                "triple": {n: {"mat": [0, 1, 1, 0.5], "p": 7} for n in ("x", "y", "z")},
+            }
+        ),
     }
     # a well-formed record of psl2 5 whose triple is not three distinct involutions:
     # z of order p, or y equal to x
@@ -349,7 +356,8 @@ def test_check_rejects_malformed_records(tmp_path):
         assert r.returncode == 1, name
         assert r.stderr.startswith("error:"), name
         assert len(r.stderr.strip().splitlines()) == 1, name
-        if name == "no_mat.json":
+        assert "Traceback" not in r.stderr, name
+        if name in ("no_mat.json", "float_mat.json"):
             assert r.stderr.startswith("error: bad element record") and "'mat'" in r.stderr
         if name in not_involutions:
             assert r.stderr == "error: the generators are not three distinct involutions\n"

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import oracle_in_psl
+from oracle import mat_multiply, oracle_in_psl
 
 from revmaps.gfproj import (
     GFProjError,
@@ -13,7 +13,6 @@ from revmaps.gfproj import (
     all_points,
     element_order,
     fixed_points,
-    mat_multiply,
     point_code,
     preimage_points,
     proj_matrix,

@@ -9,6 +9,7 @@ import random
 
 import pytest
 from oracle import (
+    mat_inverse,
     oracle_dihedral_table,
     oracle_involutions,
     oracle_matrix_order,
@@ -17,7 +18,15 @@ from oracle import (
 )
 
 from revmaps import cli, groups
-from revmaps.gfproj import all_matrices, element_order, projective_order
+from revmaps.gfproj import (
+    _invariant_orders,
+    all_matrices,
+    element_order,
+    is_prime,
+    product_orders,
+    proj_matrix,
+    projective_order,
+)
 from revmaps.groups import build_group
 from revmaps.triples import scan_reversing_census
 from revmaps.verify import VERIFY_MATRIX
@@ -33,6 +42,29 @@ def test_matrix_orders_match_power_loop(p):
         lam = rng.randrange(1, p)
         a, b, c, d, _ = g
         assert projective_order(lam * a + p, lam * b, lam * c - p, lam * d, p) == n
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)] + [101, 211])
+def test_invariant_orders_match_power_loop(p):
+    # one representative per s = tr^2/det: [[0, -1/s], [1, 1]] has trace 1 and
+    # determinant 1/s, and s = 0 is a traceless matrix
+    reps = [proj_matrix(0, -1, 1, 0, p)]
+    reps += [proj_matrix(0, -pow(s, -1, p), 1, 1, p) for s in range(1, p)]
+    assert _invariant_orders(p) == tuple(oracle_matrix_order(g) for g in reps)
+
+
+@pytest.mark.parametrize("family,p", [("pgl2", 7), ("psl2", 13)])
+def test_product_orders_read_one_at_the_inverse(family, p):
+    # g * mats[y] is scalar exactly where mats[y] is g^-1; the generating
+    # triple reads these entries of the involution rows
+    G = build_group(family, p)
+    mats = [G.matrix_part(v) for v in G.involutions()]
+    row = product_orders(mats)
+    longer = next(G.matrix_part(i) for i in range(G.order) if G.element_order(i) > 2)
+    for g in (mats[0], longer):
+        ones = [y for y, n in enumerate(row(g)) if n == 1]
+        assert ones == [y for y, h in enumerate(mats) if h == mat_inverse(g)]
+    assert row(mats[0])[0] == 1  # an involution is its own inverse
 
 
 def test_invariant_ends():
@@ -130,4 +162,4 @@ def test_a_scan_with_hits_reads_the_vertex_rows_only(monkeypatch):
     reps = [cls.rep for cls in G.involution_classes().classes]
     vertex = {y for y, d in enumerate(table[reps[0]]) if d == 38}
     assert set(reps) <= set(table.built()) <= set(reps) | vertex
-    assert len(table.built()) < len(table) // 4
+    assert len(table.built()) < len(G.involutions()) // 4
