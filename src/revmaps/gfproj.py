@@ -73,10 +73,10 @@ class ProjMatrix(NamedTuple):
 
 
 def proj_matrix(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
-    """Build the normalized projective class of [[a,b],[c,d]]; must be invertible."""
+    """Build the normalized projective class of [[a,b],[c,d]]; integer entries, invertible."""
     check_prime(p)
-    if (a * d - b * c) % p == 0:
-        raise GFProjError(f"singular matrix {(a, b, c, d)} mod {p}")
+    if not all(isinstance(v, int) for v in (a, b, c, d)) or (a * d - b * c) % p == 0:
+        raise GFProjError(f"{(a, b, c, d)} is no invertible integer matrix mod {p}")
     lead = next(v for v in (a, b, c, d) if v % p)
     s = _inv_table(p)[lead % p]
     return ProjMatrix(a * s % p, b * s % p, c * s % p, d * s % p, p)

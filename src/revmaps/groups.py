@@ -38,8 +38,9 @@ moved by h^-1, so ``GroupHandle.left_perm`` (g -> h*g on all indices)
 relabels points once per matrix and reads the table, and ``right_cosets``
 lists each right coset Hg as one batch of such reads over the distinct
 matrix parts of H.  Conjugacy classes are the orbits of the conjugation
-permutations g -> s*g*s of a few generating involutions s; a class of
-involutions keeps its breadth-first tree as a Schreier vector.
+permutations g -> s*g*s of a few generating involutions s; a class keeps
+its breadth-first tree as a Schreier vector, and its rep's centralizer is
+spanned by involutions read off the rep's dihedral row.
 ``subgroup_closure`` lists the dihedral span of one or two involutions, the
 only subgroups a map's cells need, by powers of their product; the one
 breadth-first closure left is the last step of ``generates``.
@@ -323,8 +324,9 @@ class GroupHandle:
         0 on the diagonal, 2 bytes an entry.  The orders come from the
         entries, as in pair_order.  The table is made on first use and kept
         on the handle, and each row is computed the first time it is read, so
-        a scan pays only for the rows it indexes.  Only the census scans read
-        rows; the generating triple reads the kernel (``DihedralTable.products``).
+        a scan pays only for the rows it indexes.  Only the census scans and
+        ``centralizer_generators`` read rows, the latter only the class reps',
+        which the scans build; other rows come from ``DihedralTable.products``.
         """
         if self._dihedral is None:
             self._dihedral = DihedralTable(self)
@@ -346,8 +348,8 @@ class GroupHandle:
         try:
             a, b, c, d = rec["mat"]
             exp = rec.get("exp", 0)
-            if not all(isinstance(v, int) for v in (a, b, c, d, exp)):
-                raise TypeError("the mat entries and exp must be integers")
+            if not isinstance(exp, int):
+                raise TypeError("exp must be an integer")
             g = proj_matrix(a, b, c, d, self.p)
         except (GFProjError, KeyError, TypeError, ValueError) as exc:
             raise GroupError(f"bad element record {rec}: {exc}") from exc
@@ -392,7 +394,7 @@ class DihedralTable:
         """The orders |g*v| of element g with every involution v, by position; nothing kept.
 
         The kernel of a row, open to any element: the generating triple reads
-        the rows of x, y and x*y this way, and stores no row.
+        the rows of x, y and x*y and ``centralizer_generators`` that of t1.
         """
         G = self._group
         orders = self._orders(G.matrix_part(g))
@@ -469,16 +471,14 @@ class InvolutionClass:
     for the generators' conjugation perms, spells a path from the rep to u
     and so an element t_u with rep^t_u = u.  ``from_rep`` conjugates by
     t_u, ``to_rep`` by its inverse: the generators are involutions, so that
-    is the same path read backwards.
+    is the same path read backwards; ``centralizer_generators`` spans C(rep).
     """
 
-    def __init__(self, rep: int, generators: list[list[int]], group_order: int):
+    def __init__(self, rep: int, generators: list[list[int]]):
         self.rep = rep
         self.members = [rep]
         self.parent: dict[int, tuple[int, int]] = {}
         self._generators = generators
-        self._group_order = group_order
-        self._centralizer: list[tuple[int, ...]] | None = None
 
     @property
     def size(self) -> int:
@@ -507,43 +507,35 @@ class InvolutionClass:
         """The positions ys conjugated by t_u, which sends the rep to u."""
         return self._walk(reversed(self._path(u)), ys)
 
-    def centralizer(self) -> list[tuple[int, ...]]:
-        """The conjugation maps of every element of the centralizer of the rep.
 
-        The centralizer is closed from Schreier generators t_u s t_{u^s}^-1
-        until it reaches its order |G| / |class|.
-        """
-        if self._centralizer is None:
-            positions = range(len(self._generators[0]))
-            ident = tuple(positions)
-            gens: list[tuple[int, ...]] = []
-            elems = {ident}
-            for u in self.members:
-                if len(elems) * self.size == self._group_order:
-                    break
-                mu = self.from_rep(u, positions)
-                for g in self._generators:
-                    h = tuple(self.to_rep(g[u], [g[j] for j in mu]))
-                    if h not in elems:
-                        gens.append(h)
-                        elems = _close_maps(gens, ident)
-            self._centralizer = list(elems)
-        return self._centralizer
+def centralizer_generators(G: GroupHandle, cls: InvolutionClass) -> list[int]:
+    """Two or three involutions spanning the centralizer C(r) of the rep r of cls, certified.
 
-
-def _close_maps(gens: list[tuple[int, ...]], ident: tuple[int, ...]) -> set[tuple[int, ...]]:
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = tuple([g[j] for j in e])
-                if h not in elems:
-                    elems.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return elems
+    v != r commutes with r iff |rv| = 2, a 4 in r's dihedral row.  t1 is the
+    first such v of exponent 0, t2 the one of exponent 0 with the largest
+    |t1 t2| (read off t1's bulk row).  They lie in C(r), of |G|/|class|
+    elements, and span a dihedral group of 2|t1 t2|: equal orders certify
+    <t1, t2> = C(r), dihedral by Dickson.  On the PSL side of ext, C((0, g))
+    is every (e, h) with h in C_PGL(g); t3 = (1, S), for the one s = (0, S)
+    of t1, t2 outside PSL, gives s*t3 = (-1, 1), which generates Z_m, and
+    exponent 0 keeps Z_m out of <t1, t2>, so the span has m*2|t1 t2|
+    elements.  Any other order is a ConstructionError.
+    """
+    invs, table = G.involutions(), G.dihedral_table()
+    commuting = [y for y, d in enumerate(table[cls.rep]) if d == 4 and not G.exponent_part(invs[y])]
+    try:
+        orders = table.products(invs[commuting[0]])  # stores no row
+        t2 = max(commuting, key=orders.__getitem__)
+        gens, reached = [invs[commuting[0]], invs[t2]], 2 * orders[t2]
+        if G.family == EXT and G.in_psl_part(invs[cls.rep]):
+            s = next(t for t in gens if not G.in_psl_part(t))
+            gens.append(G.element(1, G.matrix_part(s)))
+            reached *= G.m
+    except (IndexError, StopIteration):
+        reached = 0
+    if reached != G.order // cls.size:
+        raise ConstructionError(f"C({invs[cls.rep]}) has no certified generators in {G!r}")
+    return gens
 
 
 def _generating_triple(G: GroupHandle) -> list[int]:
@@ -606,7 +598,7 @@ class InvolutionClasses:
         for rep in range(len(invs)):
             if self.class_of[rep] is not None:
                 continue
-            cls = InvolutionClass(rep, gens, G.order)
+            cls = InvolutionClass(rep, gens)
             self.class_of[rep] = cls
             for w in cls.members:
                 for k, g in enumerate(gens):

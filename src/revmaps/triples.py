@@ -24,7 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby, permutations
+from itertools import groupby, permutations, product
 from operator import itemgetter
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from .groups import (
     GroupError,
     GroupHandle,
     build_group,
+    centralizer_generators,
     generates,
 )
 
@@ -133,8 +134,7 @@ def _point_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int
 
 def _point_triple(G: GroupHandle, k: int) -> tuple[int, int, int]:
     xs, ys, z = _point_candidates(G, k)
-    x = xs[0]
-    return make_triple(G, x, next(v for v in ys if v != x), z)
+    return make_triple(G, xs[0], next(v for v in ys if v != xs[0]), z)
 
 
 def psl_triple(p: int, k: int) -> tuple[int, int, int]:
@@ -273,14 +273,13 @@ class CensusScan:
 
 def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
     # every pair of involutions is conjugate to one through a class rep, so
-    # the reps' rows hold every dihedral order
+    # the reps' rows hold every dihedral order d, of |G|/d cells in chi
     values = sorted({d for cls in G.involution_classes().classes for d in table[cls.rep] if d})
+    cells = {d: G.order // d for d in values}
     edges = G.order // 2
     return {
-        (u, v, w): math.gcd(abs(pattern_chi(G.order, (u, v, w))), edges) == 1
-        for u in values
-        for v in values
-        for w in values
+        (u, v, w): math.gcd(cu + cv + cw - edges, edges) == 1
+        for (u, cu), (v, cv), (w, cw) in product(cells.items(), repeat=3)
     }
 
 
@@ -320,9 +319,11 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     class along x's Schreier path, walked once per x for all its (y, z).
     There its orbit is an orbit of the centralizer C(r), so the orbit
     minimum is (r, least pair of that C(r)-orbit) and the orbit size is
-    |class of x| * |C(r)-orbit|.  The representative is the least member of
-    the full orbit, so two subsets of the same orbit report the same
-    representative.  Classes come in the order of their least listed member.
+    |class of x| * |C(r)-orbit|, closed breadth first under the conjugation
+    maps of the certified generators of ``groups.centralizer_generators``.
+    The representative is the least member of the full orbit, so two subsets
+    of the same orbit report the same representative.  Classes come in the
+    order of their least listed member.
 
     The triples need not be whole orbits, and the fibers of
     ``enumerate_reversing_triples`` and of the scan are not: an orbit with
@@ -331,21 +332,30 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     C = G.involution_classes()
     invs = G.involutions()
     try:
-        listed = sorted({tuple(C.position[v] for v in triple) for triple in triples})
+        listed = sorted({(C.position[x], C.position[y], C.position[z]) for x, y, z in triples})
     except KeyError as exc:
         raise GroupError(f"element {exc} of a triple is not an involution") from None
     seen: set[tuple[int, int, int]] = set()
+    maps: dict[int, list[list[int]]] = {}
     classes = []
     for x, rows in groupby(listed, key=itemgetter(0)):
         cls = C.class_of[x]
         r = cls.rep
+        if r not in maps:
+            gens = centralizer_generators(G, cls)
+            maps[r] = [[C.position[u] for u in G.conjugates(t, invs)] for t in gens]
         folded = cls.to_rep(x, [v for _, y, z in rows for v in (y, z)])
         for y, z in zip(folded[::2], folded[1::2]):
             if (r, y, z) in seen:
                 continue
-            members = {(r, c[y], c[z]) for c in cls.centralizer()}
-            seen |= members
-            classes.append((tuple(invs[i] for i in min(members)), cls.size * len(members)))
+            orbit = [(r, y, z)]
+            seen.add(orbit[0])
+            for _, a, b in orbit:
+                for c in maps[r]:
+                    if (r, c[a], c[b]) not in seen:
+                        seen.add((r, c[a], c[b]))
+                        orbit.append((r, c[a], c[b]))
+            classes.append((tuple(invs[i] for i in min(orbit)), cls.size * len(orbit)))
     return classes
 
 
@@ -416,8 +426,7 @@ def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
     Returns the slotted fibers by pattern, element triples (x, y, z) with x
     the rep, and the unslotted hits as (class, flat positions y1, z1, ...).
     """
-    invs = G.involutions()
-    table = G.dihedral_table()
+    invs, table = G.involutions(), G.dihedral_table()
     inv_classes = G.involution_classes().classes
     buckets = [_buckets(table[cls.rep]) for cls in inv_classes]
     values = sorted(set().union(*buckets))
@@ -459,8 +468,7 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
     and so do not commute with conjugation, is kept as an unordered set,
     expanded over its class, and then given its roles.
     """
-    invs = G.involutions()
-    table = G.dihedral_table()
+    invs, table = G.involutions(), G.dihedral_table()
     n = len(invs)
     fibers, unslotted = _fiber_hits(G, _qualifying_table(G, table))
     censuses = {}

@@ -51,6 +51,11 @@ multiplied-out pair order per score, where ``revmaps.groups`` reads three
 bulk rows of the dihedral table's kernel, and
 ``oracle_construction_census`` lifts every ext base triple with all m*phi(m)
 exponent pairs, where ``revmaps.triples`` lifts only those with c1 = 0.
+``oracle_centralizer`` closes the centralizer of a class rep from Schreier
+generators over the class's Schreier vector, where ``revmaps.groups`` reads
+two or three commuting involutions off the dihedral table, and
+``oracle_fold_classes`` folds triples onto the fibers and takes each orbit
+as the images under that whole closure.
 """
 
 from __future__ import annotations
@@ -195,6 +200,62 @@ def oracle_involution_generators(G: GroupHandle) -> list[int]:
 
     w = next(v for v in invs if reached(v) == M.order)
     return [G.element_from(e, M, u) for e, u in zip((1, 0, 0), (x, y, w))]
+
+
+def oracle_close_maps(gens, ident: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every product of the position maps gens, closed breadth first from ident."""
+    elems = {ident}
+    frontier = [ident]
+    for e in frontier:
+        for g in gens:
+            h = tuple([g[j] for j in e])
+            if h not in elems:
+                elems.add(h)
+                frontier.append(h)
+    return elems
+
+
+def oracle_centralizer(G: GroupHandle, cls) -> set[tuple[int, ...]]:
+    """The conjugation maps, on involution positions, of every element of C(cls.rep).
+
+    Closed from the Schreier generators t_u s t_{u^s}^-1 of the class's
+    Schreier vector until it reaches |G| / |class| elements.
+    """
+    positions = range(len(G.involutions()))
+    ident = tuple(positions)
+    gens: list[tuple[int, ...]] = []
+    elems = {ident}
+    for u in cls.members:
+        if len(elems) * cls.size == G.order:
+            break
+        mu = cls.from_rep(u, positions)
+        for g in cls._generators:
+            h = tuple(cls.to_rep(g[u], [g[j] for j in mu]))
+            if h not in elems:
+                gens.append(h)
+                elems = oracle_close_maps(gens, ident)
+    return elems
+
+
+def oracle_fold_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, int, int], int]]:
+    """``triple_conjugacy_classes``, each orbit the images under all of ``oracle_centralizer``."""
+    C = G.involution_classes()
+    invs = G.involutions()
+    seen: set[tuple[int, int, int]] = set()
+    cents: dict[int, set[tuple[int, ...]]] = {}
+    classes = []
+    for triple in sorted({tuple(C.position[v] for v in t) for t in triples}):
+        cls = C.class_of[triple[0]]
+        r = cls.rep
+        y, z = cls.to_rep(triple[0], triple[1:])
+        if (r, y, z) in seen:
+            continue
+        if r not in cents:
+            cents[r] = oracle_centralizer(G, cls)
+        members = {(r, c[y], c[z]) for c in cents[r]}
+        seen |= members
+        classes.append((tuple(invs[i] for i in min(members)), cls.size * len(members)))
+    return classes
 
 
 def oracle_construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:

@@ -467,6 +467,8 @@ EXPORT_DIGESTS = {
 ENUMERATE_DIGESTS = {
     ("pgl2", 19, 1): "d30ae115c478ece7e6e249beba1450e5994a16f48bd49624eea3aca430540a82",
     ("psl2", 31, 1): "887987565c1991ebe9f75dd5a7c293f99d68bb705953c89d110e5b07e9d15753",
+    # the ext census with hits: pattern (70, 16, 12), 26880 triples, 16 classes
+    ("ext", 7, 5): "267a15ee870d332e3768beb95d8279eb856383cb4056371481d91d9e39ce987c",
 }
 
 

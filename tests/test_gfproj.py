@@ -56,6 +56,18 @@ def test_modulus_mismatch_rejected():
         mat_multiply(proj_matrix(1, 0, 0, 1, 5), proj_matrix(1, 0, 0, 1, 7))
 
 
+def test_non_integer_entry_rejected_after_an_integer_lead():
+    # the lead entry 1 normalizes, so the float would reach the matrix
+    with pytest.raises(GFProjError, match="integer matrix"):
+        proj_matrix(0, 1, 1, 0.5, 7)
+
+
+def test_non_integer_lead_entry_rejected():
+    # a float lead entry would index the inverse table
+    with pytest.raises(GFProjError, match="integer matrix"):
+        proj_matrix(1.0, 0, 0, 1, 7)
+
+
 @given(matrices)
 @settings(max_examples=60, deadline=None)
 def test_normalization_canonical_under_scaling(m):

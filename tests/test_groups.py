@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    oracle_close_maps,
     oracle_closure,
     oracle_conjugacy_class,
     oracle_conjugate,
@@ -24,6 +25,7 @@ from revmaps.groups import (
     GroupHandle,
     _closure,
     build_group,
+    centralizer_generators,
     conjugacy_class,
     conjugacy_class_reps,
     generates,
@@ -561,7 +563,11 @@ def test_involution_classes_match_conjugacy(family, p, m):
         members = {invs[u] for u in cls.members}
         assert members == set(conjugacy_class(G, invs[cls.rep]))
         assert cls.rep == min(cls.members) == cls.members[0]
-        cent = cls.centralizer()
+        maps = [
+            [C.position[u] for u in G.conjugates(t, invs)]
+            for t in centralizer_generators(G, cls)
+        ]
+        cent = oracle_close_maps(maps, tuple(range(len(invs))))
         assert len(cent) * cls.size == G.order
         rep = invs[cls.rep]
         commuting = [g for g in range(G.order) if oracle_conjugate(G, rep, g) == rep]

@@ -12,6 +12,7 @@ from oracle import (
     oracle_cyclic_subgroup_involution,
     oracle_enumerate,
     oracle_expand,
+    oracle_fold_classes,
     oracle_pattern,
     oracle_two_point_stabilizer_involution,
 )
@@ -21,6 +22,7 @@ from revmaps import groups
 from revmaps.groups import (
     GroupError,
     build_group,
+    centralizer_generators,
     conjugacy_class_reps,
     generates,
 )
@@ -273,6 +275,29 @@ def test_blind_scan_agrees_with_slotted_enumeration_psl25():
     classes = triple_conjugacy_classes(G, fibers)
     assert census.classes == tuple(r for r, _ in classes)
     assert len(everything) == census.raw_triples == sum(size for _, size in classes)
+
+
+@pytest.mark.parametrize(
+    "family,p,m",
+    [*VERIFY_MATRIX, ("pgl2", 19, 1), ("psl2", 31, 1), ("ext", 7, 9), ("ext", 11, 5)],
+)
+def test_centralizers_from_commuting_involutions(family, p, m):
+    # the certificate: involutions commuting with the rep whose span has
+    # |G| / |class| elements generate C(rep); on the PSL side of ext the
+    # third one carries Z_m
+    G = build_group(family, p, m)
+    invs = G.involutions()
+    for cls in G.involution_classes().classes:
+        r = invs[cls.rep]
+        gens = centralizer_generators(G, cls)
+        assert all(G.is_involution(t) and oracle_conjugate(G, r, t) == r for t in gens)
+        assert len(oracle_closure(G, gens)) * cls.size == G.order
+        assert len(gens) == (3 if family == "ext" and G.in_psl_part(r) else 2)
+    # the scan fibers and the construction census fold to the classes that
+    # the whole Schreier closure of each centralizer gives
+    fibers = [c.triples for c in scan_reversing_census(G).qualifying if c.classes]
+    for listed in (*fibers, construction_census(G)):
+        assert triple_conjugacy_classes(G, listed) == oracle_fold_classes(G, listed)
 
 
 @pytest.mark.parametrize(
