@@ -8,8 +8,8 @@ with one line per configuration.
     python scripts/run_census.py --out out/ [--budget B]
 
 The size budget is resolved as for ``revmaps``: --budget, else the
-REVMAPS_BUDGET environment variable, else 20000.  Exit codes as for
-``revmaps``: 0 pass, 2 a failed verdict, and with one ``error:`` line 3 over
+REVMAPS_BUDGET environment variable, else 20000, and at least 1.  Exit
+codes as for ``revmaps``: 0 pass, 2 a failed verdict, and with one ``error:`` line 3 over
 the budget, 4 an internal error (a search the theory guarantees to succeed
 found nothing) and 1 a bad budget or reports that cannot be written.
 """

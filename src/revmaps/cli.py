@@ -17,7 +17,8 @@ Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
 succeed found nothing, or a constructed triple is malformed or does not
 generate G: a bug, not a usage error).  No command builds a group of more
 elements than the budget (--budget, else the REVMAPS_BUDGET environment
-variable, else 20000); that includes the PGL(2,p) of verify's action check.
+variable, else 20000; below 1 is a usage error); that includes the PGL(2,p)
+of verify's action check.
 A group over it is refused from its order formula, before any work.
 --jobs is accepted and ignored: the scan is serial.
 """
@@ -52,14 +53,15 @@ EXIT_INTERNAL = 4
 
 
 def resolve_budget(flag: int | None) -> int:
-    """--budget if given, else REVMAPS_BUDGET if set, else the default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get("REVMAPS_BUDGET", str(DEFAULT_BUDGET))
+    """--budget if given, else REVMAPS_BUDGET if set, else the default; at least 1."""
+    raw = flag if flag is not None else os.environ.get("REVMAPS_BUDGET", str(DEFAULT_BUDGET))
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise GroupError(f"REVMAPS_BUDGET must be an integer, got {raw!r}")
+    if budget < 1:
+        raise GroupError(f"the budget must be at least 1, got {budget}")
+    return budget
 
 
 @lru_cache(maxsize=None)

@@ -16,21 +16,26 @@ the unique right action sending x to x+1 under [[1,1],[0,1]].  Only
 ``proj_matrix`` normalizes a matrix from its entries.
 
 The action is sharply 3-transitive (Dickson, *Linear Groups*, 1901), so
-the three points a matrix sends to 0, infinity and 1 name it; their
-``point_code`` ignores scale, so a product is named with no normalizing.
-The bulk kernels work on whole lists of matrices from their entries, with
-no ProjMatrix per result: ``preimage_points`` reads off each matrix those
-three points, ``sandwich_products`` the codes of the products h*g*h, and
-``psl_flags`` PSL(2,p) membership from a table of squares.  The points of
-g*h are those of h moved by the action of g^-1 (``relabelling``): a left
-product is a relabelling of points, with no matrix multiplied.
+the three points a matrix sends to 0, infinity and 1 name it; their code
+(``point_coder``) ignores scale, so a product is named with no
+normalizing.  ``all_matrices`` lists PGL(2,p) not as ProjMatrix objects but as four
+``Columns``, array('H') of the entries a, b, c and d, whose k-th entries are
+the k-th normalized matrix in ascending tuple order.  The bulk kernels read
+entries, with no ProjMatrix per matrix or per result: ``preimage_points``
+reads off each matrix of the columns those three points, ``psl_flags``
+PSL(2,p) membership from a table of squares, and ``sandwich_products`` the
+codes of the products h*g*h.  The points of g*h are those of h moved by the
+action of g^-1 (``relabelling``): a left product is a relabelling of
+points, with no matrix multiplied.  The one-matrix kernels (``act``,
+``relabelling``, ``product_orders``) take any 5-tuple (a, b, c, d, p), of
+which ProjMatrix is one.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class GFProjError(ValueError):
@@ -72,6 +77,10 @@ class ProjMatrix(NamedTuple):
     p: int
 
 
+# the entries a, b, c, d of a list of matrices, one array('H') each, by position
+Columns = tuple[array, array, array, array]
+
+
 def proj_matrix(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
     """Build the normalized projective class of [[a,b],[c,d]]; integer entries, invertible."""
     check_prime(p)
@@ -82,16 +91,19 @@ def proj_matrix(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
     return ProjMatrix(a * s % p, b * s % p, c * s % p, d * s % p, p)
 
 
-def sandwich_products(h: ProjMatrix, mats: Sequence[ProjMatrix]) -> list[int]:
-    """The ``point_code`` of h*g*h for every g in mats, with no ProjMatrix per product.
+def sandwich_products(h: Sequence[int], cols: Columns, at: Iterable[int]) -> list[int]:
+    """The point code of h*g*h for the matrix g at each position of at in cols, with none built.
 
-    For an involution h these are the conjugates of mats by h.
+    h is (a, b, c, d, p).  For an involution h these are the conjugates by h.
     """
     a, b, c, d, p = h
+    A, B, C, D = cols
+    code = point_coder(p)
     out = []
-    for e, f, g, k, _ in mats:
+    for x in at:
+        e, f, g, k = A[x], B[x], C[x], D[x]
         r, s, t, w = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
-        out.append(point_code(r * a + s * c, r * b + s * d, t * a + w * c, t * b + w * d, p))
+        out.append(code(r * a + s * c, r * b + s * d, t * a + w * c, t * b + w * d))
     return out
 
 
@@ -131,27 +143,22 @@ def projective_order(a: int, b: int, c: int, d: int, p: int) -> int:
     return _invariant_orders(p)[(a + d) ** 2 * _inv_table(p)[(a * d - b * c) % p] % p]
 
 
-def element_order(g: ProjMatrix) -> int:
-    """Order of g as a projective class (smallest n >= 1 with g^n = I)."""
-    return projective_order(*g)
-
-
-def product_orders(mats: list[ProjMatrix]) -> Callable[[ProjMatrix], list[int]]:
+def product_orders(mats: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], list[int]]:
     """The function g -> the orders of g * mats[y] for every y, as projective_order.
 
     One row at a time, on request, for any matrix g of the same p.  The
     products are never formed: each order comes from the trace, a dot
     product of the entries, and the determinant, a product of the factors'.
     """
-    p = mats[0].p
+    p = mats[0][4]
     orders = _invariant_orders(p)
     inv = _inv_table(p)
     ents = [(a, b, c, d, inv[(a * d - b * c) % p]) for a, b, c, d, _ in mats]
-    at: dict[ProjMatrix, list[int]] = {}
+    at: dict[Sequence[int], list[int]] = {}
     for y, h in enumerate(mats):
         at.setdefault(h, []).append(y)
 
-    def row(g: ProjMatrix) -> list[int]:
+    def row(g: Sequence[int]) -> list[int]:
         a, b, c, d, _ = g
         w = inv[(a * d - b * c) % p]
         # the orders by tr^2 / det(mats[y]), with this row's 1/det folded in
@@ -164,20 +171,19 @@ def product_orders(mats: list[ProjMatrix]) -> Callable[[ProjMatrix], list[int]]:
     return row
 
 
-def psl_flags(mats: Sequence[ProjMatrix]) -> bytes:
-    """1 for each matrix of mats in PSL(2,p), else 0: whether det is a nonzero square mod p.
+def psl_flags(cols: Columns, p: int) -> bytes:
+    """1 for each matrix of the columns in PSL(2,p), else 0: whether det is a nonzero square mod p.
 
     Well defined on scalar classes: rescaling multiplies det by a square.
     """
-    p = mats[0].p
     squares = bytearray(p)
     for x in range(1, p):
         squares[x * x % p] = 1
-    return bytes([squares[(a * d - b * c) % p] for a, b, c, d, _ in mats])
+    return bytes([squares[(a * d - b * c) % p] for a, b, c, d in zip(*cols)])
 
 
-def act(g: ProjMatrix, x: int) -> int:
-    """Right action of g on a point index from ``all_points`` or ``range(p + 1)``.
+def act(g: Sequence[int], x: int) -> int:
+    """Right action of g = (a, b, c, d, p) on a point index from ``all_points`` or ``range(p + 1)``.
 
     Satisfies act(g*h, x) == act(h, act(g, x)) for the matrix product g*h.
     """
@@ -202,42 +208,50 @@ def _neg_quotients(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(-u * inv[w] % p if w else p for w in range(p)) for u in range(p))
 
 
-def preimage_points(mats: Sequence[ProjMatrix]) -> tuple[array, array, array]:
-    """The points each matrix sends to 0, to the point at infinity and to 1.
+def preimage_points(cols: Columns, p: int) -> tuple[array, array, array]:
+    """The points each matrix of the columns sends to 0, to the point at infinity and to 1.
 
-    Three array('H') of point indices, by position in mats.  Under ``act``,
-    x^M = (d*x + b) / (c*x + a), so M sends -b/d to 0, -a/c to infinity and
-    -(b - a)/(d - c) to 1, each the index p when its denominator is 0; all
-    are read off one table of quotients, whose rows and columns a negative
-    difference of entries indexes mod p.  PGL(2,p) acts sharply
-    3-transitively on the line, so the three points tell the matrix apart
-    from every other.
+    Three array('H') of point indices, by position in the columns.  Under
+    ``act``, x^M = (d*x + b) / (c*x + a), so M sends -b/d to 0, -a/c to
+    infinity and -(b - a)/(d - c) to 1, each the index p when its
+    denominator is 0; all are read off one table of quotients, whose rows
+    and columns a negative difference of entries indexes mod p.  PGL(2,p)
+    acts sharply 3-transitively on the line, so the three points tell the
+    matrix apart from every other.
     """
-    q = _neg_quotients(mats[0].p)
+    q = _neg_quotients(p)
+    a, b, c, d = cols
     return (
-        array("H", [q[b][d] for _, b, _, d, _ in mats]),
-        array("H", [q[a][c] for a, _, c, _, _ in mats]),
-        array("H", [q[b - a][d - c] for a, b, c, d, _ in mats]),
+        array("H", [q[y][w] for y, w in zip(b, d)]),
+        array("H", [q[x][z] for x, z in zip(a, c)]),
+        array("H", [q[y - x][w - z] for x, y, z, w in zip(*cols)]),
     )
 
 
-def point_code(a: int, b: int, c: int, d: int, p: int) -> int:
-    """The code (t0*(p+1) + t1)*(p+1) + t2 of the points [[a, b], [c, d]] sends to 0, infinity, 1.
+@lru_cache(maxsize=None)
+def point_coder(p: int) -> Callable[[int, int, int, int], int]:
+    """The point code over F_p: (a, b, c, d) -> (t0*(p+1) + t1)*(p+1) + t2.
 
-    t0, t1, t2 are as in ``preimage_points``; scaling leaves them, and the
-    entries need not be reduced mod p.
+    t0, t1, t2 are the points [[a, b], [c, d]] sends to 0, infinity and 1,
+    as in ``preimage_points``; scaling leaves them, and the entries need not
+    be reduced mod p.  The table is bound once per p, as the kernels name
+    one product per call.
     """
     q, n = _neg_quotients(p), p + 1
-    return (q[b % p][d % p] * n + q[a % p][c % p]) * n + q[(b - a) % p][(d - c) % p]
+
+    def code(a: int, b: int, c: int, d: int) -> int:
+        return (q[b % p][d % p] * n + q[a % p][c % p]) * n + q[(b - a) % p][(d - c) % p]
+
+    return code
 
 
-def relabelling(g: ProjMatrix) -> tuple[list[int], list[int], list[int]]:
-    """The action of g^-1 on the points, scaled to each digit of a point code.
+def relabelling(g: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The action of g^-1 on the points, scaled to each digit of a point code; g is (a, b, c, d, p).
 
     The action sends each point index y to the x with act(g, x) == y, read
     off the adjugate [[d, -b], [-c, a]]: y -> -(b - a*y)/(d - c*y), and
     infinity -> -a/c.  g*h sends to 0, infinity and 1 the points h sends
-    there, moved by it, so for h's points t0, t1, t2 the ``point_code`` of
+    there, moved by it, so for h's points t0, t1, t2 the point code of
     g*h is r0[t0] + r1[t1] + r2[t2], with (r0, r1, r2) returned here.
     """
     a, b, c, d, p = g
@@ -256,18 +270,24 @@ def all_points(p: int) -> tuple[int, ...]:
     return (0, p) + tuple(range(1, p))
 
 
-def all_matrices(p: int) -> list[ProjMatrix]:
-    """All of PGL(2,p) as normalized matrices in ascending tuple order."""
+def all_matrices(p: int) -> Columns:
+    """All of PGL(2,p) as the ``Columns`` of its normalized matrices in ascending tuple order.
+
+    The k-th entries of the four arrays are the entries a, b, c, d of the
+    k-th matrix.  Normalized classes have a = 0, b = 1 (det = -c) or a = 1
+    (det = d - bc), listed here in that lex order, with no matrix built.
+    """
     check_prime(p)
-    # normalized classes have a = 0, b = 1 (det = -c) or a = 1 (det = d - bc),
-    # in lex order; tuple.__new__ skips the named tuple's Python constructor
-    new = tuple.__new__
-    out = [new(ProjMatrix, (0, 1, c, d, p)) for c in range(1, p) for d in range(p)]
-    out += [
-        new(ProjMatrix, (1, b, c, d, p))
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-        if (d - b * c) % p
-    ]
-    return out
+    line = array("H", range(p))
+    # a = 0: c != 0 and any d
+    n = p * (p - 1)
+    a, b = array("H", [0]) * n, array("H", [1]) * n
+    c, d = array("H", [x for x in line[1:] for _ in line]), line * (p - 1)
+    # a = 1: any b and c, and any d but bc
+    a += array("H", [1]) * (n * p)
+    c += array("H", [x for x in line for _ in line[1:]]) * p
+    for x in line:
+        b += array("H", [x]) * n
+        for y in line:
+            d += line[: x * y % p] + line[x * y % p + 1 :]
+    return a, b, c, d

@@ -7,13 +7,15 @@ M = PSL(2,p) for psl2 and PGL(2,p) otherwise, m = 1 outside ext, and
 
 so that every element outside Z_m x PSL(2,p) inverts the cyclic factor.
 Groups at this scale (order <= ~2*10^4) keep M as its normalized matrices
-in ascending tuple order, ``mats``, and every query works on integer element
-indices: element ``e*|M| + a`` is the pair ``(e, mats[a])``, so the elements
-ascend as pairs.  Only this module knows that encoding; other modules use
-``GroupHandle.element(e, g)``, ``exponent_part``, ``matrix_part`` and
-``in_psl_part``.  Handles are immutable once built and are cached per
-(family, p, m); pgl2 and every ext of one p share one ``MatrixStore`` of
-PGL(2,p), and psl2 has its own, cut from the same list.
+in ascending tuple order, held as four entry columns (``gfproj.Columns``)
+with no matrix object per element, and every query works on integer
+element indices: element ``e*|M| + a`` is the pair ``(e, mats[a])`` for
+the a-th matrix, so the elements ascend as pairs.  Only this module knows
+that encoding; other modules use ``GroupHandle.element(e, g)``,
+``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
+for) and ``in_psl_part``.  Handles are immutable once built and are cached
+per (family, p, m); pgl2 and every ext of one p share one ``MatrixStore`` of
+PGL(2,p), and psl2 has its own, the same columns cut to PSL(2,p).
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without
@@ -31,7 +33,7 @@ bulk rows of the dihedral table's kernel, so no closure finds them.
 PGL(2,p) acts sharply 3-transitively on the projective line, so a matrix
 is known by the three points it sends to 0, infinity and 1.  The store
 keeps them for every matrix, with a table from their code
-(``gfproj.point_code``, which ignores scale) back to the matrix, and
+(``gfproj.point_coder``, which ignores scale) back to the matrix, and
 ``element``, ``mul``, ``inv`` and ``conjugates`` read that table, with no
 product normalized.  A left product h*g sends there the points g does,
 moved by h^-1, so ``GroupHandle.left_perm`` (g -> h*g on all indices)
@@ -54,12 +56,12 @@ from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 from .gfproj import (
+    Columns,
     GFProjError,
     ProjMatrix,
     all_matrices,
     check_prime,
-    element_order,
-    point_code,
+    point_coder,
     proj_matrix,
     preimage_points,
     product_orders,
@@ -107,36 +109,44 @@ def group_order(family: str, p: int, m: int = 1) -> int:
 class MatrixStore:
     """The matrices of M in ascending tuple order, their ``psl_flags`` and their point index.
 
-    ``zero``, ``inf`` and ``one`` are the ``preimage_points`` of ``mats``,
-    and ``table`` maps each ``point_code`` to the position of its matrix,
+    ``cols`` holds the matrices as entry columns (``gfproj.Columns``), the
+    a-th matrix at position a of each, and ``code`` is ``point_coder(p)``.
+    ``zero``, ``inf`` and ``one`` are their ``preimage_points``, and
+    ``table`` maps each point code to the position of its matrix,
     or to -1 where M has none.  Shared by every handle of M; never changed.
     """
 
-    def __init__(self, p: int, mats: tuple[ProjMatrix, ...], psl: bytes):
-        self.mats, self.psl = mats, psl
-        self.zero, self.inf, self.one = preimage_points(mats)
+    def __init__(self, p: int, cols: Columns, psl: bytes):
+        self.p, self.cols, self.psl, self.code = p, cols, psl, point_coder(p)
+        self.zero, self.inf, self.one = preimage_points(cols, p)
         q = p + 1
         self.table = array("i", [-1]) * q**3
         for a, (x, y, z) in enumerate(zip(self.zero, self.inf, self.one)):
             self.table[(x * q + y) * q + z] = a
-        if self.table.count(-1) != q**3 - len(mats):
+        if self.table.count(-1) != q**3 - len(psl):
             raise GroupError(f"two matrices of PGL(2,{p}) share a point code")
 
+    def entries(self, a: int) -> tuple[int, int, int, int, int]:
+        """(a, b, c, d, p) of the a-th matrix, the shape of a ProjMatrix."""
+        A, B, C, D = self.cols
+        return A[a], B[a], C[a], D[a], self.p
 
-# by p, the matrices of PGL(2,p) and their PSL flags; by (p, M = PSL(2,p)), the stores
-_PGL: dict[int, tuple[tuple[ProjMatrix, ...], bytes]] = {}
+
+# by p, the columns of PGL(2,p) and their PSL flags; by (p, M = PSL(2,p)), the stores
+_PGL: dict[int, tuple[Columns, bytes]] = {}
 _STORES: dict[tuple[int, bool], MatrixStore] = {}
 
 
 def _matrix_store(p: int, psl_only: bool) -> MatrixStore:
     if (p, psl_only) not in _STORES:
         if p not in _PGL:
-            mats = tuple(all_matrices(p))
-            _PGL[p] = mats, psl_flags(mats)
-        mats, psl = _PGL[p]
+            cols = all_matrices(p)
+            _PGL[p] = cols, psl_flags(cols, p)
+        cols, psl = _PGL[p]
         if psl_only:
-            mats, psl = tuple(compress(mats, psl)), b"\1" * psl.count(1)
-        _STORES[p, psl_only] = MatrixStore(p, mats, psl)
+            cols = tuple(array("H", compress(col, psl)) for col in cols)
+            psl = b"\1" * psl.count(1)
+        _STORES[p, psl_only] = MatrixStore(p, cols, psl)
     return _STORES[p, psl_only]
 
 
@@ -145,8 +155,9 @@ class GroupHandle:
 
     Element ``e*|M| + a`` is the pair ``(e, mats[a])``: exponent e in Z_m
     and the a-th matrix of M in ascending tuple order (see the module
-    docstring).  ``element(e, g)`` gives the index of a pair, and
-    ``exponent_part``, ``matrix_part`` and ``in_psl_part`` read one back.
+    docstring), kept as the a-th entries of the store's columns.
+    ``element(e, g)`` gives the index of a pair, and ``exponent_part``,
+    ``matrix_part`` and ``in_psl_part`` read one back.
     """
 
     def __init__(self, family: str, p: int, m: int):
@@ -154,8 +165,9 @@ class GroupHandle:
         self.p = p
         self.m = m
         self._store = _matrix_store(p, family == PSL2)
-        self._mats, self._psl = self._store.mats, self._store.psl
-        self._width = len(self._mats)
+        self._cols, self._psl = self._store.cols, self._store.psl
+        self._table, self._code = self._store.table, self._store.code
+        self._width = len(self._psl)
         self.order = m * self._width
         self.identity = self.element(0, ProjMatrix(1, 0, 0, 1, p))
         self._involutions: tuple[int, ...] | None = None
@@ -168,10 +180,12 @@ class GroupHandle:
 
     def element(self, exp: int, g: ProjMatrix) -> int:
         """The index of the pair (exp mod m, g); g must be a normalized matrix of M."""
+        a, b, c, d, p = g
         # a matrix of another prime codes outside the table; the point code
         # ignores scale, so the matrix found must still equal g
-        pos = self._store.table[point_code(*g)] if g.p == self.p else -1
-        if pos < 0 or self._mats[pos] != g:
+        pos = self._table[self._code(a, b, c, d)] if p == self.p else -1
+        A, B, C, D = self._cols
+        if pos < 0 or (A[pos], B[pos], C[pos], D[pos]) != (a, b, c, d):
             raise GroupError(f"matrix {list(g)} not in {self.family}(2,{self.p})")
         return exp % self.m * self._width + pos
 
@@ -182,7 +196,13 @@ class GroupHandle:
         return exp % self.m * self._width + i % self._width
 
     def matrix_part(self, i: int) -> ProjMatrix:
-        return self._mats[i % self._width]
+        """The matrix part of element i, built on request: the store keeps entries, not matrices."""
+        # tuple.__new__ skips the named tuple's Python constructor
+        return tuple.__new__(ProjMatrix, self._store.entries(i % self._width))
+
+    def matrix_columns(self) -> Columns:
+        """The entry columns of M; element i's matrix part is at position i mod |M|."""
+        return self._cols
 
     def exponent_part(self, i: int) -> int:
         return i // self._width
@@ -202,10 +222,11 @@ class GroupHandle:
     def mul(self, i: int, j: int) -> int:
         """The product, its matrix part located by the point code of the unscaled product."""
         e, a, b = self._twist(i, j)
-        x, y, z, w, p = self._mats[a]
-        r, s, t, u, _ = self._mats[b]
-        code = point_code(x * r + y * t, x * s + y * u, z * r + w * t, z * s + w * u, p)
-        return e * self._width + self._store.table[code]
+        A, B, C, D = self._cols
+        x, y, z, w = A[a], B[a], C[a], D[a]
+        r, s, t, u = A[b], B[b], C[b], D[b]
+        code = self._code(x * r + y * t, x * s + y * u, z * r + w * t, z * s + w * u)
+        return e * self._width + self._table[code]
 
     def left_perm(self, h: int) -> list[int]:
         """The permutation g -> h*g of all element indices, in one sweep.
@@ -216,8 +237,8 @@ class GroupHandle:
         """
         e, a = divmod(h, self._width)
         sign = 1 if self._psl[a] else -1
-        S, table = self._store, self._store.table
-        r0, r1, r2 = relabelling(self._mats[a])
+        S, table = self._store, self._table
+        r0, r1, r2 = relabelling(S.entries(a))
         prods = [table[r0[x] + r1[y] + r2[z]] for x, y, z in zip(S.zero, S.inf, S.one)]
         shifts = [(e + sign * f) % self.m * self._width for f in range(self.m)]
         return [s + b for s in shifts for b in prods]
@@ -226,15 +247,16 @@ class GroupHandle:
         """s*g*s for the involution s and every element g of gs, in one sweep.
 
         The matrix parts S*A*S are read off the table at their
-        ``sandwich_products`` codes; the exponent of (e_s, S)*(e, A)*(e_s, S)
-        is e_s*(1 + eps(s)*eps(g)) + eps(s)*e mod m.
+        ``sandwich_products`` codes, from the entries of each A by position;
+        the exponent of (e_s, S)*(e, A)*(e_s, S) is
+        e_s*(1 + eps(s)*eps(g)) + eps(s)*e mod m.
         """
         e_s, a_s = divmod(s, self._width)
         sign = 1 if self._psl[a_s] else -1
         base = {1: e_s * (1 + sign), 0: e_s * (1 - sign)}
         parts = [divmod(g, self._width) for g in gs]
-        prods = sandwich_products(self._mats[a_s], [self._mats[a] for _, a in parts])
-        table, psl, m, width = self._store.table, self._psl, self.m, self._width
+        prods = sandwich_products(self._store.entries(a_s), self._cols, [a for _, a in parts])
+        table, psl, m, width = self._table, self._psl, self.m, self._width
         return [(base[psl[a]] + sign * e) % m * width + table[k] for (e, a), k in zip(parts, prods)]
 
     def involution_generators(self) -> list[int]:
@@ -264,8 +286,8 @@ class GroupHandle:
         """(e, g)^-1 = (-eps(g)*e, g^-1), as eps(g^-1) = eps(g), g^-1 located by its adjugate."""
         e, a = divmod(i, self._width)
         e = -e if self._psl[a] else e
-        x, y, z, w, p = self._mats[a]
-        return e % self.m * self._width + self._store.table[point_code(w, -y, -z, x, p)]
+        A, B, C, D = self._cols
+        return e % self.m * self._width + self._table[self._code(D[a], -B[a], -C[a], A[a])]
 
     def _cyclic_order(self, i: int, j: int) -> int:
         """What the Z_m factor adds to the order (e, g) of element i * element j.
@@ -280,7 +302,8 @@ class GroupHandle:
         # element i is element i * identity, so the Z_m factor is m/gcd(e, m)
         # when the matrix part is in PSL and e != 0 (see _cyclic_order)
         e, a = divmod(i, self._width)
-        n = element_order(self._mats[a])
+        A, B, C, D = self._cols
+        n = projective_order(A[a], B[a], C[a], D[a], self.p)
         return math.lcm(n, self.m // math.gcd(e, self.m)) if e and self._psl[a] else n
 
     def is_involution(self, i: int) -> bool:
@@ -293,8 +316,8 @@ class GroupHandle:
         trace 2), and (e, g)^2 is (2e, g^2) for g in PSL, else (0, g^2).
         """
         if self._involutions is None:
-            p, psl = self.p, self._psl
-            traceless = [a for a, (x, _, _, d, _) in enumerate(self._mats) if (x + d) % p == 0]
+            p, psl, (A, _, _, D) = self.p, self._psl, self._cols
+            traceless = [a for a, (x, d) in enumerate(zip(A, D)) if (x + d) % p == 0]
             self._involutions = tuple(
                 e * self._width + a for e in range(self.m) for a in traceless if not (e and psl[a])
             )
@@ -311,9 +334,10 @@ class GroupHandle:
 
     def pair_order(self, i: int, j: int) -> int:
         """Order of element i * element j, from the entries of both factors."""
-        a, b, c, d, p = self.matrix_part(i)
-        e, f, u, v, _ = self.matrix_part(j)
-        n = projective_order(a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v, p)
+        A, B, C, D = self._cols
+        x, y = i % self._width, j % self._width
+        a, b, c, d, e, f, u, v = A[x], B[x], C[x], D[x], A[y], B[y], C[y], D[y]
+        n = projective_order(a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v, self.p)
         # with m = 1 there is no Z_m factor, and the scans skip its divmods
         return n if self.m == 1 else math.lcm(n, self._cyclic_order(i, j))
 
@@ -338,8 +362,8 @@ class GroupHandle:
         return {"family": self.family, "p": self.p, "m": self.m}
 
     def element_json(self, i: int) -> dict:
-        g = self.matrix_part(i)
-        rec = {"mat": list(g[:4]), "p": self.p}
+        a = i % self._width
+        rec = {"mat": [col[a] for col in self._cols], "p": self.p}
         if self.family == EXT:
             rec["exp"] = self.exponent_part(i)
         return rec
@@ -371,11 +395,13 @@ class DihedralTable:
         self._group = G
         invs = G.involutions()
         self._rows: list[array | None] = [None] * len(invs)
-        # the kernel runs over the distinct matrix parts: in ext an involution
-        # outside PSL has its matrix part under every exponent
-        parts: dict[ProjMatrix, int] = {}
-        self._parts = array("i", [parts.setdefault(G.matrix_part(v), len(parts)) for v in invs])
-        self._orders = product_orders(list(parts))
+        # the kernel runs over the distinct matrix parts, keyed by store
+        # position: in ext an involution outside PSL has its matrix part
+        # under every exponent
+        parts: dict[int, int] = {}
+        width = G._width
+        self._parts = array("i", [parts.setdefault(v % width, len(parts)) for v in invs])
+        self._orders = product_orders([G._store.entries(a) for a in parts])
         # the Z_m part of a pair order depends on the exponents and twist
         # signs alone, so it is read once per kind of involution, at the
         # kind's first position
@@ -397,7 +423,7 @@ class DihedralTable:
         the rows of x, y and x*y and ``centralizer_generators`` that of t1.
         """
         G = self._group
-        orders = self._orders(G.matrix_part(g))
+        orders = self._orders(G._store.entries(g % G._width))
         if G.m == 1:  # no Z_m factor, and the matrix parts are the involutions
             return orders
         invs = G.involutions()
@@ -529,7 +555,7 @@ def centralizer_generators(G: GroupHandle, cls: InvolutionClass) -> list[int]:
         gens, reached = [invs[commuting[0]], invs[t2]], 2 * orders[t2]
         if G.family == EXT and G.in_psl_part(invs[cls.rep]):
             s = next(t for t in gens if not G.in_psl_part(t))
-            gens.append(G.element(1, G.matrix_part(s)))
+            gens.append(G.element_from(1, G, s))
             reached *= G.m
     except (IndexError, StopIteration):
         reached = 0
@@ -712,7 +738,7 @@ def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
         f, a = divmod(h, width)
         parts.setdefault(a, []).append(f)
     S, table = G._store, G._store.table
-    relabel = [relabelling(G._mats[a]) for a in parts]
+    relabel = [relabelling(S.entries(a)) for a in parts]
     signs = [1 if G._psl[a] else -1 for a in parts]
     exps = list(parts.values())
     label = [-1] * G.order

@@ -123,7 +123,9 @@ def _point_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int
     else:
         z = cyclic_subgroup_involution(G, p + 1)
     delta = gfproj.all_points(p)[k]
-    fixing = [u for u in G.involutions() if gfproj.act(G.matrix_part(u), delta) == delta]
+    # m = 1, so an element's index is its matrix's position in the columns
+    A, B, C, D = G.matrix_columns()
+    fixing = [u for u in G.involutions() if gfproj.act((A[u], B[u], C[u], D[u], p), delta) == delta]
     _, face1, face2 = pattern
     xs = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == face1]
     ys = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == face2]

@@ -109,8 +109,9 @@ def check_pgl_action(p: int) -> bool:
     """The projective-line action of PGL(2,p), each property proved once.
 
     Computed: the points each element sends to 0, infinity and 1 (point
-    indices 0, p and 1), read off its entries by ``gfproj.preimage_points``,
-    are all (p+1)p(p-1) = |PGL(2,p)| ordered triples of distinct points (so
+    indices 0, p and 1), read off the entry columns by
+    ``gfproj.preimage_points``, are all (p+1)p(p-1) = |PGL(2,p)| ordered
+    triples of distinct points, told apart by one integer code each (so
     are the images of those points, the same triples for g^-1), the
     stabilizer of 0 and infinity holds an element of order p-1, and the
     involutions inside and outside PSL each form a single conjugacy class.
@@ -128,8 +129,11 @@ def check_pgl_action(p: int) -> bool:
         n-2 points lie in an orbit of size n, which is all of them.
     """
     G = build_group(PGL2, p)
-    zero, inf, one = gfproj.preimage_points(list(map(G.matrix_part, range(G.order))))
-    if len(set(zip(zero, inf, one))) != G.order:
+    # the store's own points and point index are what this certifies, so
+    # they are recomputed from its entries, not read
+    zero, inf, one = gfproj.preimage_points(G.matrix_columns(), p)
+    n = p + 1
+    if len({(x * n + y) * n + z for x, y, z in zip(zero, inf, one)}) != G.order:
         return False
 
     stab = [g for g, (a, b) in enumerate(zip(zero, inf)) if a == 0 and b == p]

@@ -14,7 +14,9 @@ closed form in ``gfproj.projective_order``: ``mat_multiply`` and
 the library never forms, and ``oracle_matrix_order`` multiplies until the
 identity.
 
-The group part builds the elements of each family as (exponent, matrix)
+The group part lists PGL(2,p) as one ProjMatrix per element
+(``oracle_all_matrices``), where ``revmaps.gfproj.all_matrices`` gives four
+entry columns, builds the elements of each family as (exponent, matrix)
 pairs and multiplies them by the twisted product of the ``revmaps.groups``
 docstring, with no use of the handle's index encoding or its point-code
 table: PSL membership is Euler's criterion, inverses are searched, and
@@ -65,7 +67,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from revmaps import gfproj, triples, verify
-from revmaps.gfproj import GFProjError, ProjMatrix, all_matrices, proj_matrix
+from revmaps.gfproj import GFProjError, ProjMatrix, check_prime, proj_matrix
 from revmaps.groups import (
     PGL2,
     GroupHandle,
@@ -101,6 +103,23 @@ def oracle_matrix_order(g: ProjMatrix) -> int:
     return n
 
 
+def oracle_all_matrices(p: int) -> list[ProjMatrix]:
+    """All of PGL(2,p) as normalized matrices in ascending tuple order, one ProjMatrix each.
+
+    Normalized classes have a = 0, b = 1 (det = -c) or a = 1 (det = d - bc).
+    """
+    check_prime(p)
+    out = [ProjMatrix(0, 1, c, d, p) for c in range(1, p) for d in range(p)]
+    out += [
+        ProjMatrix(1, b, c, d, p)
+        for b in range(p)
+        for c in range(p)
+        for d in range(p)
+        if (d - b * c) % p
+    ]
+    return out
+
+
 def oracle_in_psl(g: ProjMatrix) -> bool:
     """True iff det(g) is a nonzero square mod p, by Euler's criterion."""
     return pow(g.a * g.d - g.b * g.c, (g.p - 1) // 2, g.p) == 1
@@ -115,7 +134,7 @@ def oracle_elements(family: str, p: int, m: int) -> list[Pair]:
     The matrix part runs over PSL(2,p) for psl2 and PGL(2,p) otherwise, the
     exponent over Z_m.
     """
-    mats = [g for g in all_matrices(p) if family != "psl2" or oracle_in_psl(g)]
+    mats = [g for g in oracle_all_matrices(p) if family != "psl2" or oracle_in_psl(g)]
     return sorted((e, g) for e in range(m) for g in mats)
 
 

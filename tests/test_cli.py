@@ -81,9 +81,13 @@ def test_budget_env_override():
     assert r.returncode == 3
 
 
-@pytest.mark.parametrize("env,flag,code", [("10000", "100", 3), ("100", "10000", 0)])
+@pytest.mark.parametrize(
+    "env,flag,code",
+    [("10000", "100", 3), ("100", "10000", 0), ("10000", "0", 1), ("10000", "-1", 1)],
+)
 def test_budget_flag_beats_env(monkeypatch, tmp_path, env, flag, code):
-    # PGL(2,7) has 336 elements: only the flag decides whether it fits
+    # PGL(2,7) has 336 elements: only the flag decides whether it fits, and a
+    # budget below 1 is a usage error
     from revmaps import cli
 
     monkeypatch.setenv("REVMAPS_BUDGET", env)
@@ -256,6 +260,8 @@ def test_run_census_errors_are_one_line(tmp_path):
         (["--out", str(taken)], None, 1),
         (["--out", str(fresh)], "10", 3),
         (["--out", str(fresh)], "abc", 1),
+        (["--budget", "0", "--out", str(fresh)], None, 1),
+        (["--out", str(fresh)], "-1", 1),
     ):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         env.pop("REVMAPS_BUDGET", None)

@@ -1,9 +1,11 @@
 """Field, projective line, and projective matrix arithmetic."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import mat_multiply, oracle_in_psl
+from oracle import mat_multiply, oracle_all_matrices, oracle_in_psl
 
 from revmaps.gfproj import (
     GFProjError,
@@ -11,11 +13,12 @@ from revmaps.gfproj import (
     act,
     all_matrices,
     all_points,
-    element_order,
     fixed_points,
-    point_code,
+    is_prime,
+    point_coder,
     preimage_points,
     proj_matrix,
+    projective_order,
     psl_flags,
 )
 
@@ -87,7 +90,7 @@ def test_multiplication_associative(data):
 
 
 def test_order_of_identity():
-    assert element_order(proj_matrix(1, 0, 0, 1, 5)) == 1
+    assert projective_order(*proj_matrix(1, 0, 0, 1, 5)) == 1
 
 
 def test_order_of_unipotent_is_p():
@@ -98,11 +101,11 @@ def test_order_of_unipotent_is_p():
         acc = mat_multiply(acc, m)
         n += 1
     assert n == 5
-    assert element_order(m) == 5
+    assert projective_order(*m) == 5
 
 
 def test_order_of_antidiagonal_involution():
-    assert element_order(proj_matrix(0, 1, 1, 0, 7)) == 2
+    assert projective_order(*proj_matrix(0, 1, 1, 0, 7)) == 2
 
 
 @given(st.data())
@@ -110,7 +113,7 @@ def test_order_of_antidiagonal_involution():
 def test_order_divides_p_or_p_plus_minus_one(data):
     p = data.draw(st.sampled_from((5, 7)))
     g = data.draw(matrix_strategy(p))
-    n = element_order(g)
+    n = projective_order(*g)
     assert p % n == 0 or (p - 1) % n == 0 or (p + 1) % n == 0
 
 
@@ -128,7 +131,7 @@ def test_translation_moves_zero_to_one():
 
 
 def test_order_six_element_has_one_orbit():
-    six = next(g for g in all_matrices(5) if element_order(g) == 6)
+    six = next(g for g in oracle_all_matrices(5) if projective_order(*g) == 6)
     orbit = {5}
     x = 5  # the point [1:0]
     for _ in range(6):
@@ -150,34 +153,44 @@ def test_action_composes_on_the_right(data):
 # -- PSL membership ------------------------------------------------------------
 
 
+def _columns(*mats):
+    return tuple(array("H", col) for col in zip(*(g[:4] for g in mats)))
+
+
 def test_identity_in_psl():
-    assert psl_flags([proj_matrix(1, 0, 0, 1, 5)]) == b"\1"
+    assert psl_flags(_columns(proj_matrix(1, 0, 0, 1, 5)), 5) == b"\1"
 
 
 def test_nonsquare_determinant_outside_psl():
     # squares mod 5 are {1, 4}; det of diag(2,1) is 2
-    assert psl_flags([proj_matrix(2, 0, 0, 1, 5)]) == b"\0"
+    assert psl_flags(_columns(proj_matrix(2, 0, 0, 1, 5)), 5) == b"\0"
 
 
 def test_square_determinant_inside_psl():
-    assert psl_flags([proj_matrix(4, 0, 0, 1, 5)]) == b"\1"
+    assert psl_flags(_columns(proj_matrix(4, 0, 0, 1, 5)), 5) == b"\1"
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_residue_table_matches_euler_criterion(p):
-    mats = all_matrices(p)
-    assert list(psl_flags(mats)) == [oracle_in_psl(g) for g in mats]
+    assert list(psl_flags(all_matrices(p), p)) == [oracle_in_psl(g) for g in oracle_all_matrices(p)]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_all_matrices_are_the_oracle_list_as_columns(p):
+    cols = all_matrices(p)
+    assert all(isinstance(col, array) and col.typecode == "H" for col in cols)
+    assert list(zip(*cols)) == [g[:4] for g in oracle_all_matrices(p)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_point_code_reads_the_preimage_points_at_any_scale(p):
-    mats = all_matrices(p)
+    cols = all_matrices(p)
     n = p + 1
-    for (a, b, c, d, _), x, y, z in zip(mats, *preimage_points(mats)):
+    for (a, b, c, d), x, y, z in zip(zip(*cols), *preimage_points(cols, p)):
         code = (x * n + y) * n + z
-        assert point_code(a, b, c, d, p) == code
+        assert point_coder(p)(a, b, c, d) == code
         # twice the matrix, its entries moved off [0, p)
-        assert point_code(2 * a - p, 2 * b + p, 2 * c - 3 * p, 2 * d + 5 * p, p) == code
+        assert point_coder(p)(2 * a - p, 2 * b + p, 2 * c - 3 * p, 2 * d + 5 * p) == code
 
 
 # -- the projective line --------------------------------------------------------
@@ -209,7 +222,7 @@ def test_bad_characteristic_rejected(bad):
 @pytest.mark.parametrize("p", [5, 7])
 def test_sharply_three_transitive(p):
     pts = all_points(p)
-    mats = all_matrices(p)
+    mats = oracle_all_matrices(p)
     assert len(mats) == (p + 1) * p * (p - 1)
     seen = {}
     for g in mats:
@@ -221,9 +234,8 @@ def test_sharply_three_transitive(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_involution_fixed_point_counts(p):
-    mats = all_matrices(p)
-    for g, inside in zip(mats, psl_flags(mats)):
-        if element_order(g) != 2:
+    for g, inside in zip(oracle_all_matrices(p), psl_flags(all_matrices(p), p)):
+        if projective_order(*g) != 2:
             continue
         fixed = len(fixed_points(g))
         if p % 4 == 1:
@@ -237,7 +249,7 @@ def test_two_point_stabilizer_sharply_transitive_on_rest(p):
     pts = all_points(p)
     stab = [
         g
-        for g in all_matrices(p)
+        for g in oracle_all_matrices(p)
         if act(g, pts[0]) == pts[0] and act(g, pts[1]) == pts[1]
     ]
     assert len(stab) == p - 1

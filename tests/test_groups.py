@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    oracle_all_matrices,
     oracle_close_maps,
     oracle_closure,
     oracle_conjugacy_class,
@@ -205,10 +206,35 @@ def test_one_store_per_matrix_group():
     keys = (("pgl2", 7), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7))
     G, X3, X5, S = (build_group(*key) for key in keys)
     assert G._store is X3._store is X5._store
-    assert G._mats is X3._mats is X5._mats and G._store.table is X5._store.table
+    assert G._cols is X3._cols is X5._cols and G._store.table is X5._store.table
     assert S._store is not G._store and S._store.table is not G._store.table
-    assert all(g is G.matrix_part(G.element(0, g)) for g in S._mats)
+    assert all(g == G.matrix_part(G.element(0, g)) for g in map(S.matrix_part, range(S.order)))
     assert GroupHandle("pgl2", 7, 1)._store is G._store
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_psl_store_is_the_oracle_list_cut_to_psl(p):
+    cols = build_group("psl2", p).matrix_columns()
+    assert list(zip(*cols)) == [g[:4] for g in oracle_all_matrices(p) if oracle_in_psl(g)]
+
+
+def test_psl2_31_store_retains_under_a_megabyte(monkeypatch):
+    # entry columns, not one ProjMatrix per element of PGL(2,31) (3.25 MB)
+    import tracemalloc
+
+    from revmaps import groups
+
+    for cache in ("_PGL", "_STORES", "_CACHE"):
+        monkeypatch.setattr(groups, cache, {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = build_group("psl2", 31)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G.order == 14880
+    assert retained < 1_000_000, retained
 
 
 def test_store_refuses_a_shared_code(monkeypatch):
@@ -216,8 +242,7 @@ def test_store_refuses_a_shared_code(monkeypatch):
     from revmaps import groups
 
     def repeated(p):
-        mats = all_matrices(p)
-        return mats[:1] * 2 + mats[2:]
+        return tuple(col[:1] * 2 + col[2:] for col in all_matrices(p))
 
     monkeypatch.setattr(groups, "all_matrices", repeated)
     monkeypatch.setattr(groups, "_PGL", {})

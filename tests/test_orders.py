@@ -10,6 +10,7 @@ import random
 import pytest
 from oracle import (
     mat_inverse,
+    oracle_all_matrices,
     oracle_dihedral_table,
     oracle_involutions,
     oracle_matrix_order,
@@ -20,8 +21,6 @@ from oracle import (
 from revmaps import cli, groups
 from revmaps.gfproj import (
     _invariant_orders,
-    all_matrices,
-    element_order,
     is_prime,
     product_orders,
     proj_matrix,
@@ -35,9 +34,9 @@ from revmaps.verify import VERIFY_MATRIX
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_matrix_orders_match_power_loop(p):
     rng = random.Random(p)
-    for g in all_matrices(p):
+    for g in oracle_all_matrices(p):
         n = oracle_matrix_order(g)
-        assert element_order(g) == n
+        assert projective_order(*g) == n
         # any representative of the class, unreduced
         lam = rng.randrange(1, p)
         a, b, c, d, _ = g

@@ -224,8 +224,8 @@ def _classes_not_split_by_psl(split):
 PREIMAGE_POINTS = gfproj.preimage_points
 
 
-def _preimages_with_the_third_as_the_second(mats):
-    zero, inf, _ = PREIMAGE_POINTS(mats)
+def _preimages_with_the_third_as_the_second(cols, p):
+    zero, inf, _ = PREIMAGE_POINTS(cols, p)
     return zero, inf, inf
 
 
@@ -288,9 +288,9 @@ def test_pgl_action_makes_one_sweep_of_point_images(monkeypatch):
         acts.append(x)
         return act(g, x)
 
-    def counted_sweep(mats):
-        sweeps.append(len(mats))
-        return PREIMAGE_POINTS(mats)
+    def counted_sweep(cols, p):
+        sweeps.append(len(cols[0]))
+        return PREIMAGE_POINTS(cols, p)
 
     monkeypatch.setattr(gfproj, "act", counted)
     monkeypatch.setattr(gfproj, "preimage_points", counted_sweep)
