@@ -228,8 +228,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     G = build_group(desc["family"], desc["p"], desc.get("m", 1), budget=args.budget)
     idx = tuple(G.element_from_json(rec["triple"][n]) for n in ("x", "y", "z"))
     fresh = map_record(build_revmap(G, *idx))
-    # the stored record went through JSON, so compare the fresh one in that form
-    same = json.loads(json.dumps(fresh)) == rec
+    # compared as canonical text, where 42.0 is not 42 nor true 1, as they are in Python
+    same = report_json(fresh) == report_json(rec)
     verdict = {"verdict": "pass" if same else "fail", "recomputed": fresh}
     _emit(args, report_json(verdict))
     return EXIT_OK if same else EXIT_FAIL

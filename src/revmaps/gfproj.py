@@ -20,11 +20,12 @@ the three points a matrix sends to 0, infinity and 1 name it; their code
 (``point_coder``) ignores scale, so a product is named with no
 normalizing.  ``all_matrices`` lists PGL(2,p) not as ProjMatrix objects but as four
 ``Columns``, array('H') of the entries a, b, c and d, whose k-th entries are
-the k-th normalized matrix in ascending tuple order.  The bulk kernels read
-entries, with no ProjMatrix per matrix or per result: ``preimage_points``
-reads off each matrix of the columns those three points, ``psl_flags``
-PSL(2,p) membership from a table of squares, and ``sandwich_products`` the
-codes of the products h*g*h.  The points of g*h are those of h moved by the
+the k-th normalized matrix in ascending tuple order; ``psl_matrices`` lists
+PSL(2,p) alike, by its determinants, with no PGL(2,p) built.  The bulk
+kernels read entries, with no ProjMatrix per matrix or per result:
+``preimage_points`` reads off each matrix of the columns those three
+points, ``psl_flags`` PSL(2,p) membership from a table of squares, and
+``sandwich_products`` the codes of the products h*g*h.  The points of g*h are those of h moved by the
 action of g^-1 (``relabelling``): a left product is a relabelling of
 points, with no matrix multiplied.  The one-matrix kernels (``act``,
 ``relabelling``, ``product_orders``) take any 5-tuple (a, b, c, d, p), of
@@ -82,9 +83,12 @@ Columns = tuple[array, array, array, array]
 
 
 def proj_matrix(a: int, b: int, c: int, d: int, p: int) -> ProjMatrix:
-    """Build the normalized projective class of [[a,b],[c,d]]; integer entries, invertible."""
+    """Build the normalized projective class of [[a,b],[c,d]]; integer entries, invertible.
+
+    An entry must be an int proper: a bool, which isinstance counts as one, is refused.
+    """
     check_prime(p)
-    if not all(isinstance(v, int) for v in (a, b, c, d)) or (a * d - b * c) % p == 0:
+    if not all(type(v) is int for v in (a, b, c, d)) or (a * d - b * c) % p == 0:
         raise GFProjError(f"{(a, b, c, d)} is no invertible integer matrix mod {p}")
     lead = next(v for v in (a, b, c, d) if v % p)
     s = _inv_table(p)[lead % p]
@@ -176,10 +180,16 @@ def psl_flags(cols: Columns, p: int) -> bytes:
 
     Well defined on scalar classes: rescaling multiplies det by a square.
     """
+    squares = _squares(p)
+    return bytes([squares[(a * d - b * c) % p] for a, b, c, d in zip(*cols)])
+
+
+def _squares(p: int) -> bytearray:
+    """1 at each nonzero square mod p, else 0."""
     squares = bytearray(p)
     for x in range(1, p):
         squares[x * x % p] = 1
-    return bytes([squares[(a * d - b * c) % p] for a, b, c, d in zip(*cols)])
+    return squares
 
 
 def act(g: Sequence[int], x: int) -> int:
@@ -270,24 +280,47 @@ def all_points(p: int) -> tuple[int, ...]:
     return (0, p) + tuple(range(1, p))
 
 
+def _matrices(p: int, dets: bytes) -> Columns:
+    """The ``Columns`` of the normalized matrices whose determinant r has dets[r], ascending.
+
+    Normalized classes have a = 0, b = 1 (det = -c) or a = 1 (det = d - bc),
+    listed here in that lex order, with no matrix built.  With a = 1, each
+    allowed determinant r gives one d = r + t for t = bc, so every (b, c)
+    takes the k d's of one sorted row per residue t, and with a = 0 the k
+    allowed c take every d.
+    """
+    line = array("H", range(p))
+    rows = [array("H", [y for y in line if dets[(y - t) % p]]) for t in line]
+    k = len(rows[0])
+    # a = 0: c with -c allowed, and any d
+    cs = array("H", [x for x in line if dets[-x % p]])
+    a, b = array("H", [0]) * (k * p), array("H", [1]) * (k * p)
+    c, d = array("H", [x for x in cs for _ in line]), line * k
+    # a = 1: any b and c, and the d's of residue bc
+    a += array("H", [1]) * (k * p * p)
+    c += array("H", [x for x in line for _ in range(k)]) * p
+    for x in line:
+        b += array("H", [x]) * (k * p)
+        for y in line:
+            d += rows[x * y % p]
+    return a, b, c, d
+
+
 def all_matrices(p: int) -> Columns:
     """All of PGL(2,p) as the ``Columns`` of its normalized matrices in ascending tuple order.
 
     The k-th entries of the four arrays are the entries a, b, c, d of the
-    k-th matrix.  Normalized classes have a = 0, b = 1 (det = -c) or a = 1
-    (det = d - bc), listed here in that lex order, with no matrix built.
+    k-th matrix.
     """
     check_prime(p)
-    line = array("H", range(p))
-    # a = 0: c != 0 and any d
-    n = p * (p - 1)
-    a, b = array("H", [0]) * n, array("H", [1]) * n
-    c, d = array("H", [x for x in line[1:] for _ in line]), line * (p - 1)
-    # a = 1: any b and c, and any d but bc
-    a += array("H", [1]) * (n * p)
-    c += array("H", [x for x in line for _ in line[1:]]) * p
-    for x in line:
-        b += array("H", [x]) * n
-        for y in line:
-            d += line[: x * y % p] + line[x * y % p + 1 :]
-    return a, b, c, d
+    return _matrices(p, b"\0" + b"\1" * (p - 1))
+
+
+def psl_matrices(p: int) -> Columns:
+    """PSL(2,p) as the ``Columns`` of its normalized matrices, in the order of ``all_matrices``.
+
+    PSL(2,p) is the classes whose determinant is a nonzero square, which
+    rescaling keeps (Dickson, *Linear Groups*, 1901).
+    """
+    check_prime(p)
+    return _matrices(p, _squares(p))

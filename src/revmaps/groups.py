@@ -15,7 +15,8 @@ that encoding; other modules use ``GroupHandle.element(e, g)``,
 ``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
 for) and ``in_psl_part``.  Handles are immutable once built and are cached
 per (family, p, m); pgl2 and every ext of one p share one ``MatrixStore`` of
-PGL(2,p), and psl2 has its own, the same columns cut to PSL(2,p).
+PGL(2,p), and psl2 has its own, PSL(2,p) listed from its determinants
+(``gfproj.psl_matrices``) in the same order, with no PGL(2,p) built.
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .gfproj import (
@@ -67,6 +68,7 @@ from .gfproj import (
     product_orders,
     projective_order,
     psl_flags,
+    psl_matrices,
     relabelling,
     sandwich_products,
 )
@@ -132,20 +134,18 @@ class MatrixStore:
         return A[a], B[a], C[a], D[a], self.p
 
 
-# by p, the columns of PGL(2,p) and their PSL flags; by (p, M = PSL(2,p)), the stores
-_PGL: dict[int, tuple[Columns, bytes]] = {}
+# by (p, M = PSL(2,p)), the stores
 _STORES: dict[tuple[int, bool], MatrixStore] = {}
 
 
 def _matrix_store(p: int, psl_only: bool) -> MatrixStore:
     if (p, psl_only) not in _STORES:
-        if p not in _PGL:
-            cols = all_matrices(p)
-            _PGL[p] = cols, psl_flags(cols, p)
-        cols, psl = _PGL[p]
         if psl_only:
-            cols = tuple(array("H", compress(col, psl)) for col in cols)
-            psl = b"\1" * psl.count(1)
+            cols = psl_matrices(p)
+            psl = b"\1" * len(cols[0])
+        else:
+            cols = all_matrices(p)
+            psl = psl_flags(cols, p)
         _STORES[p, psl_only] = MatrixStore(p, cols, psl)
     return _STORES[p, psl_only]
 
@@ -372,7 +372,7 @@ class GroupHandle:
         try:
             a, b, c, d = rec["mat"]
             exp = rec.get("exp", 0)
-            if not isinstance(exp, int):
+            if type(exp) is not int:  # a bool is no exponent
                 raise TypeError("exp must be an integer")
             g = proj_matrix(a, b, c, d, self.p)
         except (GFProjError, KeyError, TypeError, ValueError) as exc:

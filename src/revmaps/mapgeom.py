@@ -31,7 +31,7 @@ L_s: g -> s*g of the vertex partner s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import GroupHandle, generates, right_cosets, subgroup_closure
 
@@ -51,8 +51,7 @@ def _cell_generators(kind: str, generators: tuple[int, ...]) -> list[tuple[int, 
     return [(b, c), (a, c), (a, b)]
 
 
-@dataclass(frozen=True)
-class MapGeometry:
+class MapGeometry(NamedTuple):
     group: GroupHandle
     kind: str  # "reversing" or "flag_regular"
     generators: tuple[int, ...]
@@ -154,17 +153,18 @@ def _identity_partners(
     return table
 
 
-@dataclass(frozen=True)
 class FlagSystem:
     """The flags G x {face family} and the partners of their identity flags.
 
     ``partners[l]`` holds the vertex, edge and face partner (s, k) of the
     identity flag of family l; the partner maps are the left
-    multiplications g -> s*g into family k.
+    multiplications g -> s*g into family k.  ``len`` is the number of flags.
     """
 
-    group: GroupHandle
-    partners: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("group", "partners")
+
+    def __init__(self, group: GroupHandle, partners: tuple[tuple[tuple[int, int], ...], ...]):
+        self.group, self.partners = group, partners
 
     def __len__(self) -> int:
         return len(self.partners) * self.group.order
@@ -175,8 +175,7 @@ def flag_system(M: MapGeometry) -> FlagSystem:
     return FlagSystem(M.group, M.partners)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     chi: int
     orientable: bool
     genus: int
@@ -204,8 +203,7 @@ def surface_invariants(M: MapGeometry) -> SurfaceInvariants:
     return SurfaceInvariants(chi, orientable, genus)
 
 
-@dataclass(frozen=True)
-class UnderlyingGraph:
+class UnderlyingGraph(NamedTuple):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]  # endpoint pairs, loops as (v, v)
 

@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import groupby, permutations, product
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import gfproj
 from .groups import (
@@ -249,8 +248,7 @@ def enumerate_reversing_triples(
 # -- blind census over all involution triples ----------------------------------
 
 
-@dataclass(frozen=True)
-class PatternCensus:
+class PatternCensus(NamedTuple):
     """The coprime-qualifying reversing triples sharing one dihedral pattern.
 
     For a slotted pattern ``triples`` holds the scanned fiber triples, x the
@@ -266,8 +264,7 @@ class PatternCensus:
     classes: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class CensusScan:
+class CensusScan(NamedTuple):
     involution_count: int
     combos_scanned: int
     qualifying: tuple[PatternCensus, ...]

@@ -16,9 +16,11 @@ identity.
 
 The group part lists PGL(2,p) as one ProjMatrix per element
 (``oracle_all_matrices``), where ``revmaps.gfproj.all_matrices`` gives four
-entry columns, builds the elements of each family as (exponent, matrix)
-pairs and multiplies them by the twisted product of the ``revmaps.groups``
-docstring, with no use of the handle's index encoding or its point-code
+entry columns, cuts PSL(2,p) out of the PGL(2,p) columns by their
+``psl_flags`` (``oracle_psl_matrices``), where ``revmaps.gfproj.psl_matrices``
+lists it from its determinants, builds the elements of each family as
+(exponent, matrix) pairs and multiplies them by the twisted product of the
+``revmaps.groups`` docstring, with no use of the handle's index encoding or its point-code
 table: PSL membership is Euler's criterion, inverses are searched, and
 ``oracle_conjugate`` conjugates by these products.
 
@@ -63,8 +65,9 @@ as the images under that whole closure.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from revmaps import gfproj, triples, verify
 from revmaps.gfproj import GFProjError, ProjMatrix, check_prime, proj_matrix
@@ -123,6 +126,13 @@ def oracle_all_matrices(p: int) -> list[ProjMatrix]:
 def oracle_in_psl(g: ProjMatrix) -> bool:
     """True iff det(g) is a nonzero square mod p, by Euler's criterion."""
     return pow(g.a * g.d - g.b * g.c, (g.p - 1) // 2, g.p) == 1
+
+
+def oracle_psl_matrices(p: int) -> gfproj.Columns:
+    """The columns of PGL(2,p) cut to the matrices its ``psl_flags`` mark."""
+    cols = gfproj.all_matrices(p)
+    flags = gfproj.psl_flags(cols, p)
+    return tuple(array("H", compress(col, flags)) for col in cols)
 
 
 Pair = tuple[int, ProjMatrix]

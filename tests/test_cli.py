@@ -168,21 +168,40 @@ def test_check_round_trip(tmp_path):
         lambda rec: rec["stabilizer_orders"].update(vertex=2),
         lambda rec: rec["graph"].update(recognized="petersen"),
         lambda rec: rec["face_lengths"].update({"1": 3}),
+        # equal in Python to the recomputed 42, False and 1, but not as JSON
+        lambda rec: rec["counts"].update(V=42.0),
+        lambda rec: rec.update(orientable=0),
+        lambda rec: rec["triple"]["x"].update(mat=[True, 4, 2, 12]),
     ],
-    ids=["untampered", "stabilizer_orders", "graph.recognized", "face_lengths"],
+    ids=[
+        "untampered",
+        "stabilizer_orders",
+        "graph.recognized",
+        "face_lengths",
+        "float_count",
+        "int_orientable",
+        "bool_entry",
+    ],
 )
 def test_check_compares_the_whole_record(tmp_path, capsys, tamper):
     from revmaps import cli
 
     rec_path = tmp_path / "rec.json"
-    assert cli.main(["construct", "--family", "pgl2", "--p", "5", "--output", str(rec_path)]) == 0
+    assert cli.main(["construct", "--family", "psl2", "--p", "13", "--output", str(rec_path)]) == 0
+    rec = json.loads(rec_path.read_text())
+    assert (rec["counts"]["V"], rec["orientable"]) == (42, False)
+    assert rec["triple"]["x"]["mat"] == [1, 4, 2, 12]
     if tamper is not None:
-        rec = json.loads(rec_path.read_text())
         tamper(rec)
         rec_path.write_text(json.dumps(rec))
-    assert cli.main(["check", "--input", str(rec_path)]) == (0 if tamper is None else 2)
-    verdict = json.loads(capsys.readouterr().out)["verdict"]
-    assert verdict == ("pass" if tamper is None else "fail")
+    code = cli.main(["check", "--input", str(rec_path)])
+    out, err = capsys.readouterr()
+    if rec["triple"]["x"]["mat"][0] is True:
+        # a bool is no matrix entry: the record is malformed, not a mismatch
+        assert code == 1 and err.startswith("error: bad element record")
+        return
+    assert code == (0 if tamper is None else 2)
+    assert json.loads(out)["verdict"] == ("pass" if tamper is None else "fail")
 
 
 def test_construction_error_exits_four(monkeypatch, capsys):
@@ -336,6 +355,21 @@ def test_check_rejects_malformed_records(tmp_path):
                 },
             }
         ),
+        # JSON true is no exponent nor entry, though Python counts it the int 1
+        "bool_exp.json": json.dumps(
+            {
+                "group": {"family": "ext", "p": 7, "m": 3},
+                "triple": {
+                    n: {"mat": [1, 0, 0, 1], "p": 7, "exp": True} for n in ("x", "y", "z")
+                },
+            }
+        ),
+        "bool_mat.json": json.dumps(
+            {
+                "group": {"family": "pgl2", "p": 7},
+                "triple": {n: {"mat": [0, True, 1, 0], "p": 7} for n in ("x", "y", "z")},
+            }
+        ),
         # a non-integral entry, after an integral lead entry
         "float_mat.json": json.dumps(
             {
@@ -363,7 +397,7 @@ def test_check_rejects_malformed_records(tmp_path):
         assert r.stderr.startswith("error:"), name
         assert len(r.stderr.strip().splitlines()) == 1, name
         assert "Traceback" not in r.stderr, name
-        if name in ("no_mat.json", "float_mat.json"):
+        if name in ("no_mat.json", "float_mat.json", "bool_mat.json", "bool_exp.json"):
             assert r.stderr.startswith("error: bad element record") and "'mat'" in r.stderr
         if name in not_involutions:
             assert r.stderr == "error: the generators are not three distinct involutions\n"
@@ -396,6 +430,7 @@ def test_every_command_refuses_an_over_budget_group_before_building(monkeypatch,
         raise AssertionError(f"built the elements of PGL(2,{p})")
 
     monkeypatch.setattr(groups, "all_matrices", must_not_build)
+    monkeypatch.setattr(groups, "psl_matrices", must_not_build)
     big = ["--family", "psl2", "--p", "10007"]
     for args in (["construct", *big], ["export", *big], ["enumerate", *big], ["verify", *big]):
         assert cli.main(args) == 3, args

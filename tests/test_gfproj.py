@@ -5,7 +5,7 @@ from array import array
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import mat_multiply, oracle_all_matrices, oracle_in_psl
+from oracle import mat_multiply, oracle_all_matrices, oracle_in_psl, oracle_psl_matrices
 
 from revmaps.gfproj import (
     GFProjError,
@@ -20,6 +20,7 @@ from revmaps.gfproj import (
     proj_matrix,
     projective_order,
     psl_flags,
+    psl_matrices,
 )
 
 PRIMES = (5, 7, 11, 13)
@@ -69,6 +70,13 @@ def test_non_integer_lead_entry_rejected():
     # a float lead entry would index the inverse table
     with pytest.raises(GFProjError, match="integer matrix"):
         proj_matrix(1.0, 0, 0, 1, 7)
+
+
+@pytest.mark.parametrize("entries", [(True, 4, 2, 12), (1, 4, 2, True), (1, 0, 0, False)])
+def test_bool_entry_rejected(entries):
+    # isinstance counts a bool as an int, and True * 12 would reach the matrix
+    with pytest.raises(GFProjError, match="integer matrix"):
+        proj_matrix(*entries, 13)
 
 
 @given(matrices)
@@ -180,6 +188,14 @@ def test_all_matrices_are_the_oracle_list_as_columns(p):
     cols = all_matrices(p)
     assert all(isinstance(col, array) and col.typecode == "H" for col in cols)
     assert list(zip(*cols)) == [g[:4] for g in oracle_all_matrices(p)]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
+def test_psl_matrices_are_the_pgl_columns_cut_to_psl(p):
+    cols = psl_matrices(p)
+    assert all(isinstance(col, array) and col.typecode == "H" for col in cols)
+    assert cols == oracle_psl_matrices(p)
+    assert len(cols[0]) == p * (p * p - 1) // 2
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -20,7 +20,7 @@ from oracle import (
     oracle_twisted_orders,
 )
 
-from revmaps.gfproj import ProjMatrix, act, all_matrices, proj_matrix
+from revmaps.gfproj import ProjMatrix, act, proj_matrix
 from revmaps.groups import (
     GroupError,
     GroupHandle,
@@ -201,8 +201,8 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
 
 
 def test_one_store_per_matrix_group():
-    # pgl2 and every ext of one p read one store; psl2 has its own, cut from
-    # the same PGL(2,p) matrices
+    # pgl2 and every ext of one p read one store; psl2 has its own, the
+    # PSL(2,p) matrices in the same order
     keys = (("pgl2", 7), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7))
     G, X3, X5, S = (build_group(*key) for key in keys)
     assert G._store is X3._store is X5._store
@@ -218,38 +218,53 @@ def test_psl_store_is_the_oracle_list_cut_to_psl(p):
     assert list(zip(*cols)) == [g[:4] for g in oracle_all_matrices(p) if oracle_in_psl(g)]
 
 
-def test_psl2_31_store_retains_under_a_megabyte(monkeypatch):
-    # entry columns, not one ProjMatrix per element of PGL(2,31) (3.25 MB)
+def _psl_retained(monkeypatch, p: int) -> tuple[GroupHandle, int]:
+    """PSL(2,p) built from empty caches, and the bytes tracemalloc sees it keep."""
     import tracemalloc
 
     from revmaps import groups
 
-    for cache in ("_PGL", "_STORES", "_CACHE"):
+    for cache in ("_STORES", "_CACHE"):
         monkeypatch.setattr(groups, cache, {})
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        G = build_group("psl2", 31)
+        G = build_group("psl2", p)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return G, retained
+
+
+def test_psl2_31_store_retains_under_a_megabyte(monkeypatch):
+    # entry columns, not one ProjMatrix per element of PGL(2,31) (3.25 MB)
+    G, retained = _psl_retained(monkeypatch, 31)
     assert G.order == 14880
     assert retained < 1_000_000, retained
 
 
+def test_psl2_61_keeps_no_pgl_columns(monkeypatch):
+    # PSL(2,61) listed from its determinants: no PGL(2,61) columns are kept
+    # beside it (4.6 MiB when the store was cut from them, 2.6 MiB without)
+    G, retained = _psl_retained(monkeypatch, 61)
+    assert G.order == 113460
+    assert retained < 3 * 2**20, retained
+
+
 def test_store_refuses_a_shared_code(monkeypatch):
     # two equal matrices send the same points to 0, infinity and 1
-    from revmaps import groups
+    from revmaps import gfproj, groups
 
-    def repeated(p):
-        return tuple(col[:1] * 2 + col[2:] for col in all_matrices(p))
+    for family, builder in (("pgl2", "all_matrices"), ("psl2", "psl_matrices")):
 
-    monkeypatch.setattr(groups, "all_matrices", repeated)
-    monkeypatch.setattr(groups, "_PGL", {})
-    monkeypatch.setattr(groups, "_STORES", {})
-    monkeypatch.setattr(groups, "_CACHE", {})
-    with pytest.raises(GroupError, match="share a point code"):
-        build_group("pgl2", 5)
+        def repeated(p, build=getattr(gfproj, builder)):
+            return tuple(col[:1] * 2 + col[2:] for col in build(p))
+
+        monkeypatch.setattr(groups, builder, repeated)
+        monkeypatch.setattr(groups, "_STORES", {})
+        monkeypatch.setattr(groups, "_CACHE", {})
+        with pytest.raises(GroupError, match="share a point code"):
+            build_group(family, 5)
 
 
 @given(st.data())

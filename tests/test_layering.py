@@ -50,6 +50,27 @@ def test_map_builder_does_not_import_the_triples():
     assert _relative_imports(SRC / "mapgeom.py") == {"groups"}
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    # every command pays its imports; the records are named tuples, so the
+    # package needs neither dataclasses nor the inspect it pulls in.  Only
+    # what the import adds counts, not what the interpreter's start loaded.
+    code = (
+        "import sys; before = set(sys.modules); import revmaps.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "revmaps.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
 def _bench_tracer_targets() -> set[tuple[str, str]]:
     """The (module, attribute) keys of SPANS and COUNTS in bench/tracer.py, read, not run."""
     tree = ast.parse((SRC.parents[1] / "bench" / "tracer.py").read_text())
