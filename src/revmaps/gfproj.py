@@ -21,11 +21,11 @@ the three points a matrix sends to 0, infinity and 1 name it; their code
 normalizing.  ``all_matrices`` lists PGL(2,p) not as ProjMatrix objects but as four
 ``Columns``, array('H') of the entries a, b, c and d, whose k-th entries are
 the k-th normalized matrix in ascending tuple order; ``psl_matrices`` lists
-PSL(2,p) alike, by its determinants, with no PGL(2,p) built.  The bulk
-kernels read entries, with no ProjMatrix per matrix or per result:
-``preimage_points`` reads off each matrix of the columns those three
-points, ``psl_flags`` PSL(2,p) membership from a table of squares, and
-``sandwich_products`` the codes of the products h*g*h.  The points of g*h are those of h moved by the
+PSL(2,p) alike, by its determinants, with no PGL(2,p) built; both flag
+each matrix in PSL(2,p).  The bulk kernels read entries, with no ProjMatrix
+per matrix or per result: ``preimage_points`` reads off each matrix of the
+columns those three points, and ``sandwich_products`` the codes of the
+products h*g*h.  The points of g*h are those of h moved by the
 action of g^-1 (``relabelling``): a left product is a relabelling of
 points, with no matrix multiplied.  The one-matrix kernels (``act``,
 ``relabelling``, ``product_orders``) take any 5-tuple (a, b, c, d, p), of
@@ -175,15 +175,6 @@ def product_orders(mats: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], l
     return row
 
 
-def psl_flags(cols: Columns, p: int) -> bytes:
-    """1 for each matrix of the columns in PSL(2,p), else 0: whether det is a nonzero square mod p.
-
-    Well defined on scalar classes: rescaling multiplies det by a square.
-    """
-    squares = _squares(p)
-    return bytes([squares[(a * d - b * c) % p] for a, b, c, d in zip(*cols)])
-
-
 def _squares(p: int) -> bytearray:
     """1 at each nonzero square mod p, else 0."""
     squares = bytearray(p)
@@ -280,22 +271,26 @@ def all_points(p: int) -> tuple[int, ...]:
     return (0, p) + tuple(range(1, p))
 
 
-def _matrices(p: int, dets: bytes) -> Columns:
-    """The ``Columns`` of the normalized matrices whose determinant r has dets[r], ascending.
+def _matrices(p: int, dets: bytes) -> tuple[Columns, bytes]:
+    """The ``Columns`` of the normalized matrices whose det r has dets[r], ascending, and PSL flags.
 
     Normalized classes have a = 0, b = 1 (det = -c) or a = 1 (det = d - bc),
     listed here in that lex order, with no matrix built.  With a = 1, each
     allowed determinant r gives one d = r + t for t = bc, so every (b, c)
     takes the k d's of one sorted row per residue t, and with a = 0 the k
-    allowed c take every d.
+    allowed c take every d.  A matrix's flag, squares[det], is 1 iff it lies
+    in PSL(2,p); the flags follow the same blocks, one row per row of d's.
     """
+    squares = _squares(p)
     line = array("H", range(p))
     rows = [array("H", [y for y in line if dets[(y - t) % p]]) for t in line]
+    flag_rows = [bytes([squares[(y - t) % p] for y in row]) for t, row in enumerate(rows)]
     k = len(rows[0])
     # a = 0: c with -c allowed, and any d
     cs = array("H", [x for x in line if dets[-x % p]])
     a, b = array("H", [0]) * (k * p), array("H", [1]) * (k * p)
     c, d = array("H", [x for x in cs for _ in line]), line * k
+    psl = bytearray([squares[-x % p] for x in cs for _ in line])
     # a = 1: any b and c, and the d's of residue bc
     a += array("H", [1]) * (k * p * p)
     c += array("H", [x for x in line for _ in range(k)]) * p
@@ -303,24 +298,25 @@ def _matrices(p: int, dets: bytes) -> Columns:
         b += array("H", [x]) * (k * p)
         for y in line:
             d += rows[x * y % p]
-    return a, b, c, d
+            psl += flag_rows[x * y % p]
+    return (a, b, c, d), bytes(psl)
 
 
-def all_matrices(p: int) -> Columns:
-    """All of PGL(2,p) as the ``Columns`` of its normalized matrices in ascending tuple order.
+def all_matrices(p: int) -> tuple[Columns, bytes]:
+    """All of PGL(2,p) as the ``Columns`` of its normalized matrices, ascending, and PSL flags.
 
     The k-th entries of the four arrays are the entries a, b, c, d of the
-    k-th matrix.
+    k-th matrix, and the k-th flag is 1 iff that matrix lies in PSL(2,p).
     """
     check_prime(p)
     return _matrices(p, b"\0" + b"\1" * (p - 1))
 
 
-def psl_matrices(p: int) -> Columns:
+def psl_matrices(p: int) -> tuple[Columns, bytes]:
     """PSL(2,p) as the ``Columns`` of its normalized matrices, in the order of ``all_matrices``.
 
     PSL(2,p) is the classes whose determinant is a nonzero square, which
-    rescaling keeps (Dickson, *Linear Groups*, 1901).
+    rescaling keeps (Dickson, *Linear Groups*, 1901), so its flags are all 1.
     """
     check_prime(p)
     return _matrices(p, _squares(p))

@@ -14,9 +14,9 @@ the a-th matrix, so the elements ascend as pairs.  Only this module knows
 that encoding; other modules use ``GroupHandle.element(e, g)``,
 ``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
 for) and ``in_psl_part``.  Handles are immutable once built and are cached
-per (family, p, m); pgl2 and every ext of one p share one ``MatrixStore`` of
-PGL(2,p), and psl2 has its own, PSL(2,p) listed from its determinants
-(``gfproj.psl_matrices``) in the same order, with no PGL(2,p) built.
+per (family, p, m) in ``_CACHE``, the one cache.  A pgl2 or psl2 handle
+lists its own ``MatrixStore``, PSL(2,p) from its determinants with no
+PGL(2,p) built, and every ext handle reads that of the pgl2 handle of its p.
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without
@@ -67,7 +67,6 @@ from .gfproj import (
     preimage_points,
     product_orders,
     projective_order,
-    psl_flags,
     psl_matrices,
     relabelling,
     sandwich_products,
@@ -109,45 +108,31 @@ def group_order(family: str, p: int, m: int = 1) -> int:
 
 
 class MatrixStore:
-    """The matrices of M in ascending tuple order, their ``psl_flags`` and their point index.
+    """The matrices of M in ascending tuple order, their PSL flags and their point index.
 
-    ``cols`` holds the matrices as entry columns (``gfproj.Columns``), the
-    a-th matrix at position a of each, and ``code`` is ``point_coder(p)``.
-    ``zero``, ``inf`` and ``one`` are their ``preimage_points``, and
-    ``table`` maps each point code to the position of its matrix,
-    or to -1 where M has none.  Shared by every handle of M; never changed.
+    M is PSL(2,p) if psl_only, else PGL(2,p), listed by ``gfproj.psl_matrices``
+    or ``all_matrices``: ``cols`` holds the matrices as entry columns, the
+    a-th matrix at position a of each, and ``psl`` the listing's PSL flags.
+    ``code`` is ``point_coder(p)``, ``zero``, ``inf`` and ``one`` are the
+    ``preimage_points``, and ``table`` maps each point code to the position
+    of its matrix, or to -1 where M has none.  Never changed.
     """
 
-    def __init__(self, p: int, cols: Columns, psl: bytes):
-        self.p, self.cols, self.psl, self.code = p, cols, psl, point_coder(p)
-        self.zero, self.inf, self.one = preimage_points(cols, p)
+    def __init__(self, p: int, psl_only: bool):
+        self.cols, self.psl = (psl_matrices if psl_only else all_matrices)(p)
+        self.p, self.code = p, point_coder(p)
+        self.zero, self.inf, self.one = preimage_points(self.cols, p)
         q = p + 1
         self.table = array("i", [-1]) * q**3
         for a, (x, y, z) in enumerate(zip(self.zero, self.inf, self.one)):
             self.table[(x * q + y) * q + z] = a
-        if self.table.count(-1) != q**3 - len(psl):
+        if self.table.count(-1) != q**3 - len(self.psl):
             raise GroupError(f"two matrices of PGL(2,{p}) share a point code")
 
     def entries(self, a: int) -> tuple[int, int, int, int, int]:
         """(a, b, c, d, p) of the a-th matrix, the shape of a ProjMatrix."""
         A, B, C, D = self.cols
         return A[a], B[a], C[a], D[a], self.p
-
-
-# by (p, M = PSL(2,p)), the stores
-_STORES: dict[tuple[int, bool], MatrixStore] = {}
-
-
-def _matrix_store(p: int, psl_only: bool) -> MatrixStore:
-    if (p, psl_only) not in _STORES:
-        if psl_only:
-            cols = psl_matrices(p)
-            psl = b"\1" * len(cols[0])
-        else:
-            cols = all_matrices(p)
-            psl = psl_flags(cols, p)
-        _STORES[p, psl_only] = MatrixStore(p, cols, psl)
-    return _STORES[p, psl_only]
 
 
 class GroupHandle:
@@ -164,7 +149,10 @@ class GroupHandle:
         self.family = family
         self.p = p
         self.m = m
-        self._store = _matrix_store(p, family == PSL2)
+        if family == EXT:  # the store of the cached pgl2 handle of p
+            self._store = build_group(PGL2, p)._store
+        else:
+            self._store = MatrixStore(p, family == PSL2)
         self._cols, self._psl = self._store.cols, self._store.psl
         self._table, self._code = self._store.table, self._store.code
         self._width = len(self._psl)
@@ -457,7 +445,7 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
     """
     if family not in FAMILIES:
         raise GroupError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if not isinstance(m, int):
+    if type(m) is not int:  # a bool, which isinstance counts as an int, is refused
         raise GroupError(f"m must be an integer, got {m!r}")
     if isinstance(p, int):
         n = group_order(family, p, m)

@@ -16,9 +16,11 @@ identity.
 
 The group part lists PGL(2,p) as one ProjMatrix per element
 (``oracle_all_matrices``), where ``revmaps.gfproj.all_matrices`` gives four
-entry columns, cuts PSL(2,p) out of the PGL(2,p) columns by their
-``psl_flags`` (``oracle_psl_matrices``), where ``revmaps.gfproj.psl_matrices``
-lists it from its determinants, builds the elements of each family as
+entry columns, flags PSL(2,p) by a sweep of determinants
+(``oracle_psl_flags``), where the listing flags each block of matrices as
+it builds it, cuts PSL(2,p) out of the PGL(2,p) columns by those flags
+(``oracle_psl_matrices``), where ``revmaps.gfproj.psl_matrices`` lists it
+from its determinants, builds the elements of each family as
 (exponent, matrix) pairs and multiplies them by the twisted product of the
 ``revmaps.groups`` docstring, with no use of the handle's index encoding or its point-code
 table: PSL membership is Euler's criterion, inverses are searched, and
@@ -128,10 +130,22 @@ def oracle_in_psl(g: ProjMatrix) -> bool:
     return pow(g.a * g.d - g.b * g.c, (g.p - 1) // 2, g.p) == 1
 
 
+def oracle_psl_flags(cols: gfproj.Columns, p: int) -> bytes:
+    """1 for each matrix of the columns in PSL(2,p), else 0: whether det is a nonzero square mod p.
+
+    One determinant per matrix against a table of squares.  Well defined on
+    scalar classes: rescaling multiplies det by a square.
+    """
+    squares = bytearray(p)
+    for x in range(1, p):
+        squares[x * x % p] = 1
+    return bytes([squares[(a * d - b * c) % p] for a, b, c, d in zip(*cols)])
+
+
 def oracle_psl_matrices(p: int) -> gfproj.Columns:
-    """The columns of PGL(2,p) cut to the matrices its ``psl_flags`` mark."""
-    cols = gfproj.all_matrices(p)
-    flags = gfproj.psl_flags(cols, p)
+    """The columns of PGL(2,p) cut to the matrices ``oracle_psl_flags`` marks."""
+    cols, _ = gfproj.all_matrices(p)
+    flags = oracle_psl_flags(cols, p)
     return tuple(array("H", compress(col, flags)) for col in cols)
 
 

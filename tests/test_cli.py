@@ -333,6 +333,7 @@ def test_check_rejects_malformed_records(tmp_path):
     from revmaps.groups import build_group
     from revmaps.triples import psl_triple
 
+    golden_pgl2_7 = json.loads((ROOT / "tests" / "golden" / "construct_pgl2_7.json").read_text())
     cases = {
         "list.json": "[1, 2]",
         "no_group.json": json.dumps({"triple": {}}),
@@ -370,6 +371,10 @@ def test_check_rejects_malformed_records(tmp_path):
                 "triple": {n: {"mat": [0, True, 1, 0], "p": 7} for n in ("x", "y", "z")},
             }
         ),
+        # the golden pgl2 7 record but for m: true, which Python counts the int 1
+        "bool_m.json": json.dumps(
+            {**golden_pgl2_7, "group": {**golden_pgl2_7["group"], "m": True}}
+        ),
         # a non-integral entry, after an integral lead entry
         "float_mat.json": json.dumps(
             {
@@ -401,6 +406,8 @@ def test_check_rejects_malformed_records(tmp_path):
             assert r.stderr.startswith("error: bad element record") and "'mat'" in r.stderr
         if name in not_involutions:
             assert r.stderr == "error: the generators are not three distinct involutions\n"
+        if name == "bool_m.json":
+            assert r.stderr.startswith("error: m must be an integer")
 
 
 def test_output_identical_across_hash_seeds_and_jobs():

@@ -5,7 +5,13 @@ from array import array
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import mat_multiply, oracle_all_matrices, oracle_in_psl, oracle_psl_matrices
+from oracle import (
+    mat_multiply,
+    oracle_all_matrices,
+    oracle_in_psl,
+    oracle_psl_flags,
+    oracle_psl_matrices,
+)
 
 from revmaps.gfproj import (
     GFProjError,
@@ -19,7 +25,6 @@ from revmaps.gfproj import (
     preimage_points,
     proj_matrix,
     projective_order,
-    psl_flags,
     psl_matrices,
 )
 
@@ -161,46 +166,52 @@ def test_action_composes_on_the_right(data):
 # -- PSL membership ------------------------------------------------------------
 
 
-def _columns(*mats):
-    return tuple(array("H", col) for col in zip(*(g[:4] for g in mats)))
+def _listed_flag(g):
+    """The PSL flag that ``all_matrices`` lists beside the matrix g."""
+    cols, flags = all_matrices(g.p)
+    return flags[list(zip(*cols)).index(g[:4])]
 
 
 def test_identity_in_psl():
-    assert psl_flags(_columns(proj_matrix(1, 0, 0, 1, 5)), 5) == b"\1"
+    assert _listed_flag(proj_matrix(1, 0, 0, 1, 5)) == 1
 
 
 def test_nonsquare_determinant_outside_psl():
     # squares mod 5 are {1, 4}; det of diag(2,1) is 2
-    assert psl_flags(_columns(proj_matrix(2, 0, 0, 1, 5)), 5) == b"\0"
+    assert _listed_flag(proj_matrix(2, 0, 0, 1, 5)) == 0
 
 
 def test_square_determinant_inside_psl():
-    assert psl_flags(_columns(proj_matrix(4, 0, 0, 1, 5)), 5) == b"\1"
+    assert _listed_flag(proj_matrix(4, 0, 0, 1, 5)) == 1
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_residue_table_matches_euler_criterion(p):
-    assert list(psl_flags(all_matrices(p), p)) == [oracle_in_psl(g) for g in oracle_all_matrices(p)]
+    assert list(all_matrices(p)[1]) == [oracle_in_psl(g) for g in oracle_all_matrices(p)]
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
 def test_all_matrices_are_the_oracle_list_as_columns(p):
-    cols = all_matrices(p)
+    cols, _ = all_matrices(p)
     assert all(isinstance(col, array) and col.typecode == "H" for col in cols)
     assert list(zip(*cols)) == [g[:4] for g in oracle_all_matrices(p)]
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
 def test_psl_matrices_are_the_pgl_columns_cut_to_psl(p):
-    cols = psl_matrices(p)
+    # the flags listed block by block beside PGL(2,p)'s columns are the
+    # oracle's, one determinant per matrix, and PSL(2,p) is what they mark
+    pgl, flags = all_matrices(p)
+    assert flags == oracle_psl_flags(pgl, p)
+    cols, psl = psl_matrices(p)
     assert all(isinstance(col, array) and col.typecode == "H" for col in cols)
     assert cols == oracle_psl_matrices(p)
-    assert len(cols[0]) == p * (p * p - 1) // 2
+    assert len(cols[0]) == p * (p * p - 1) // 2 and psl == b"\1" * len(cols[0])
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_point_code_reads_the_preimage_points_at_any_scale(p):
-    cols = all_matrices(p)
+    cols, _ = all_matrices(p)
     n = p + 1
     for (a, b, c, d), x, y, z in zip(zip(*cols), *preimage_points(cols, p)):
         code = (x * n + y) * n + z
@@ -250,7 +261,7 @@ def test_sharply_three_transitive(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_involution_fixed_point_counts(p):
-    for g, inside in zip(oracle_all_matrices(p), psl_flags(all_matrices(p), p)):
+    for g, inside in zip(oracle_all_matrices(p), all_matrices(p)[1]):
         if projective_order(*g) != 2:
             continue
         fixed = len(fixed_points(g))

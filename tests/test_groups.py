@@ -33,7 +33,7 @@ from revmaps.groups import (
     right_cosets,
     subgroup_closure,
 )
-from revmaps.triples import psl_triple
+from revmaps.triples import psl_triple, scan_reversing_census
 from revmaps.verify import VERIFY_MATRIX
 
 
@@ -200,16 +200,23 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
         assert sorted(G.left_perm(h)) == list(range(G.order))
 
 
-def test_one_store_per_matrix_group():
-    # pgl2 and every ext of one p read one store; psl2 has its own, the
-    # PSL(2,p) matrices in the same order
+def test_one_store_per_matrix_group(monkeypatch):
+    # pgl2 and every ext of one p read one store, in either build order, and
+    # the handle cache is the only cache; psl2 has its own, the PSL(2,p)
+    # matrices in the same order
+    from revmaps import groups
+
     keys = (("pgl2", 7), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7))
-    G, X3, X5, S = (build_group(*key) for key in keys)
-    assert G._store is X3._store is X5._store
-    assert G._cols is X3._cols is X5._cols and G._store.table is X5._store.table
-    assert S._store is not G._store and S._store.table is not G._store.table
-    assert all(g == G.matrix_part(G.element(0, g)) for g in map(S.matrix_part, range(S.order)))
-    assert GroupHandle("pgl2", 7, 1)._store is G._store
+    for order in (keys, keys[1:] + keys[:1]):
+        monkeypatch.setattr(groups, "_CACHE", {})
+        built = {key: build_group(*key) for key in order}
+        G, X3, X5, S = (built[key] for key in keys)
+        assert G._store is X3._store is X5._store
+        assert G._cols is X3._cols is X5._cols and G._store.table is X5._store.table
+        assert S._store is not G._store and S._store.table is not G._store.table
+        assert all(g == G.matrix_part(G.element(0, g)) for g in map(S.matrix_part, range(S.order)))
+        assert GroupHandle("ext", 7, 3)._store is G._store
+        assert set(groups._CACHE) == {("pgl2", 7, 1), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7, 1)}
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])
@@ -224,8 +231,7 @@ def _psl_retained(monkeypatch, p: int) -> tuple[GroupHandle, int]:
 
     from revmaps import groups
 
-    for cache in ("_STORES", "_CACHE"):
-        monkeypatch.setattr(groups, cache, {})
+    monkeypatch.setattr(groups, "_CACHE", {})
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -258,10 +264,10 @@ def test_store_refuses_a_shared_code(monkeypatch):
     for family, builder in (("pgl2", "all_matrices"), ("psl2", "psl_matrices")):
 
         def repeated(p, build=getattr(gfproj, builder)):
-            return tuple(col[:1] * 2 + col[2:] for col in build(p))
+            cols, flags = build(p)
+            return tuple(col[:1] * 2 + col[2:] for col in cols), flags
 
         monkeypatch.setattr(groups, builder, repeated)
-        monkeypatch.setattr(groups, "_STORES", {})
         monkeypatch.setattr(groups, "_CACHE", {})
         with pytest.raises(GroupError, match="share a point code"):
             build_group(family, 5)
@@ -288,6 +294,10 @@ def test_inverse_and_product_sampled(data):
         ("psl2", 4, 1),  # not prime
         ("psl2", 3, 1),  # too small
         ("weird", 5, 1),
+        # a bool m, which isinstance counts as an int, cached under the key
+        # of m = 1 would echo "m": true in every later report of the group
+        ("psl2", 5, True),
+        ("pgl2", 7, True),
     ],
 )
 def test_invalid_parameters_rejected(family, p, m):
@@ -815,6 +825,29 @@ def test_generator_search_failure_is_an_internal_error(
     with pytest.raises(groups.ConstructionError, match=message):
         build_group(family, p).involution_generators()
     assert cli.main(["enumerate", "--family", family, "--p", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and len(err.strip().splitlines()) == 1
+
+
+def test_uncertified_centralizer_is_an_internal_error(monkeypatch, capsys):
+    # a span whose order misses |G|/|class| is a bug: a ConstructionError,
+    # exit 4 from the CLI.  A first scan finds the generators and the rows
+    # it reads on true bulk rows, so the CLI's scan reads the patched bulk
+    # row in the centralizer alone
+    import revmaps.groups as groups
+    from revmaps import cli
+
+    monkeypatch.setattr(groups, "_CACHE", {})
+    G = build_group("pgl2", 19)
+    # one pattern, (38, 40, 36), of slotted hits, folded by the centralizer
+    assert len(scan_reversing_census(G).qualifying[0].classes) == 24
+    monkeypatch.setattr(
+        groups.DihedralTable, "products", lambda table, g: [1] * len(table._group.involutions())
+    )
+    message = "has no certified generators"
+    with pytest.raises(groups.ConstructionError, match=message):
+        centralizer_generators(G, G.involution_classes().classes[0])
+    assert cli.main(["enumerate", "--family", "pgl2", "--p", "19"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and len(err.strip().splitlines()) == 1
 

@@ -222,6 +222,12 @@ def _classes_not_split_by_psl(split):
 
 
 PREIMAGE_POINTS = gfproj.preimage_points
+ELEMENT_ORDER = GroupHandle.element_order
+
+
+def _order_with_p_minus_1_hidden(G, g):
+    n = ELEMENT_ORDER(G, g)
+    return 1 if n == G.p - 1 else n
 
 
 def _preimages_with_the_third_as_the_second(cols, p):
@@ -238,6 +244,7 @@ def _preimages_with_the_third_as_the_second(cols, p):
         "no fixed points",
         "one class",
         "two classes, one member swapped",
+        "no order p-1",
     ],
 )
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
@@ -248,6 +255,9 @@ def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, p, mutation):
         monkeypatch.setattr(gfproj, "preimage_points", _preimages_with_the_third_as_the_second)
     elif mutation == "no fixed points":
         monkeypatch.setattr(gfproj, "fixed_points", lambda g: ())
+    elif mutation == "no order p-1":
+        # the stabilizer of 0 and infinity is cyclic of order p-1: hide its generators
+        monkeypatch.setattr(GroupHandle, "element_order", _order_with_p_minus_1_hidden)
     elif mutation is not None:
         monkeypatch.setattr(GroupHandle, "involution_classes", _classes_not_split_by_psl(mutation))
     assert check_pgl_action(p) == (mutation is None)
