@@ -209,7 +209,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _load_record(path: str) -> dict:
     with open(path) as fh:
-        rec = json.load(fh)
+        try:
+            rec = json.load(fh)
+        except RecursionError:
+            raise GroupError(f"{path}: JSON nested too deeply") from None
     if not isinstance(rec, dict):
         raise GroupError(f"{path}: expected a map record object, got {type(rec).__name__}")
     group, triple = rec.get("group"), rec.get("triple")

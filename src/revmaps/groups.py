@@ -6,17 +6,20 @@ M = PSL(2,p) for psl2 and PGL(2,p) otherwise, m = 1 outside ext, and
     (i, g) * (j, h) = (i + eps(g)*j mod m, g*h),   eps(g) = +1 iff g in PSL,
 
 so that every element outside Z_m x PSL(2,p) inverts the cyclic factor.
-Groups at this scale (order <= ~2*10^4) keep M as its normalized matrices
-in ascending tuple order, held as four entry columns (``gfproj.Columns``)
-with no matrix object per element, and every query works on integer
-element indices: element ``e*|M| + a`` is the pair ``(e, mats[a])`` for
-the a-th matrix, so the elements ascend as pairs.  Only this module knows
-that encoding; other modules use ``GroupHandle.element(e, g)``,
+Groups at this scale (CI verifies up to 2.3*10^5 elements, the PGL(2,61) of
+``verify psl2 61``) keep M as its normalized matrices in ascending tuple
+order, held as four entry columns (``gfproj.Columns``) with no matrix object
+per element, and every query works on integer element indices: element
+``e*|M| + a`` is the pair ``(e, mats[a])`` for the a-th matrix, so the
+elements ascend as pairs.  Other modules use ``GroupHandle.element(e, g)``,
 ``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
-for) and ``in_psl_part``.  Handles are immutable once built and are cached
-per (family, p, m) in ``_CACHE``, the one cache.  A pgl2 or psl2 handle
-lists its own ``MatrixStore``, PSL(2,p) from its determinants with no
-PGL(2,p) built, and every ext handle reads that of the pgl2 handle of its p.
+for) and ``in_psl_part``.  The one exception is ``matrix_columns()``:
+``triples._point_candidates`` and ``verify.check_pgl_action`` read its
+store positions as element indices, which they are when m = 1.  Handles are
+immutable once built and are cached per (family, p, m) in ``_CACHE``, the
+one cache.  A pgl2 or psl2 handle lists its own ``MatrixStore``, PSL(2,p)
+from its determinants with no PGL(2,p) built, and every ext handle reads
+that of the pgl2 handle of its p.
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without

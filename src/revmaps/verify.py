@@ -105,8 +105,8 @@ def check_no_rotary(G: GroupHandle) -> bool:
     return True
 
 
-def check_pgl_action(p: int) -> bool:
-    """The projective-line action of PGL(2,p), each property proved once.
+def check_pgl_action(G: GroupHandle) -> bool:
+    """The projective-line action of the PGL(2,p) handle G, each property proved once.
 
     Computed: the points each element sends to 0, infinity and 1 (point
     indices 0, p and 1), read off the entry columns by
@@ -128,7 +128,7 @@ def check_pgl_action(p: int) -> bool:
         orbits, all fixed by g^2 != 1, hold at most two points; the other
         n-2 points lie in an orbit of size n, which is all of them.
     """
-    G = build_group(PGL2, p)
+    p = G.p
     # the store's own points and point index are what this certifies, so
     # they are recomputed from its entries, not read
     zero, inf, one = gfproj.preimage_points(G.matrix_columns(), p)
@@ -150,31 +150,24 @@ def check_pgl_action(p: int) -> bool:
     return len(gfproj.fixed_points(G.matrix_part(constrained[0]))) == 2
 
 
+# the flag-regular triple r0, r1, r2 of PSL(2,5), as normalized entries (a, b, c, d)
+A5_TRIPLE = ((0, 1, 1, 0), (1, 0, 1, 4), (0, 1, 4, 0))
+
+
 def a5_exceptional_case() -> dict:
     """Build and check the two dual flag-regular maps of PSL(2,5).
 
-    Searches the first involution triple (r0, r1, r2) with commuting r0, r2,
-    |r1 r2| = 5 and |r0 r1| = 3; the resulting map and its dual live on the
-    projective plane with underlying graphs K6 and the Petersen graph.
+    The triple ``A5_TRIPLE`` is fixed and certified by |r0 r1| = 3, |r0 r2| = 2
+    and |r1 r2| = 5, else a ConstructionError; the map and its dual live on
+    the projective plane with underlying graphs K6 and the Petersen graph.
     Elements of orders 2, 3 and 5 generate A5, which has no subgroup of order
-    30, so the search does not test generation; ``build_regular_map`` does.
+    30, so the certificate does not test generation; ``build_regular_map`` does.
     """
     G = build_group(PSL2, 5)
-    invs = G.involutions()
-    found = next(
-        (
-            (r0, r1, r2)
-            for r0 in invs
-            for r1 in invs
-            if r1 != r0 and G.pair_order(r0, r1) == 3
-            for r2 in invs
-            if r2 not in (r0, r1) and G.pair_order(r0, r2) == 2 and G.pair_order(r1, r2) == 5
-        ),
-        None,
-    )
-    if found is None:
-        raise ConstructionError("no flag-regular generator triple in PSL(2,5)")
+    found = tuple(G.element(0, gfproj.ProjMatrix(*mat, 5)) for mat in A5_TRIPLE)
     r0, r1, r2 = found
+    if (G.pair_order(r0, r1), G.pair_order(r0, r2), G.pair_order(r1, r2)) != (3, 2, 5):
+        raise ConstructionError(f"the fixed triple {A5_TRIPLE} of PSL(2,5) fails its orders")
 
     maps = []
     checks = True
@@ -271,8 +264,8 @@ def verify_theorem(
     starts.  ``jobs`` is accepted and ignored.
     """
     G = build_group(family, p, m, budget=budget)
-    # the action check builds PGL(2,p), which can exceed a budget the group fits
-    build_group(PGL2, p, budget=budget)
+    # the action check's PGL(2,p) can exceed a budget the group fits
+    pgl = build_group(PGL2, p, budget=budget)
     scan = scan_reversing_census(G)
     predicted = predicted_pattern(family, p, m)
     edges = G.order // 2
@@ -309,7 +302,7 @@ def verify_theorem(
     lemma_checks = {
         "sylow": maps_ok,
         "no_rotary": check_no_rotary(G),
-        "pgl_action": check_pgl_action(p),
+        "pgl_action": check_pgl_action(pgl),
         "membership": _membership_split_ok(G, membership_triples),
         "construction_agreement": (
             predicted is None or _construction_agreement(G, predicted, scan)

@@ -61,7 +61,9 @@ exponent pairs, where ``revmaps.triples`` lifts only those with c1 = 0.
 generators over the class's Schreier vector, where ``revmaps.groups`` reads
 two or three commuting involutions off the dihedral table, and
 ``oracle_fold_classes`` folds triples onto the fibers and takes each orbit
-as the images under that whole closure.
+as the images under that whole closure.  ``oracle_flag_regular_triple`` is
+the nested search over involution triples that ``revmaps.verify`` replaced
+with the fixed, order-certified triple of PSL(2,5).
 """
 
 from __future__ import annotations
@@ -904,3 +906,19 @@ def oracle_pgl_action(p: int) -> bool:
                 return False
     classes = sorted(sorted(invs[u] for u in cls.members) for cls in G.involution_classes().classes)
     return classes == sorted([inside, outside])
+
+
+def oracle_flag_regular_triple(G: GroupHandle) -> tuple[int, int, int] | None:
+    """The first involution triple (r0, r1, r2) with |r0 r1| = 3, |r0 r2| = 2 and |r1 r2| = 5."""
+    invs = G.involutions()
+    return next(
+        (
+            (r0, r1, r2)
+            for r0 in invs
+            for r1 in invs
+            if r1 != r0 and G.pair_order(r0, r1) == 3
+            for r2 in invs
+            if r2 not in (r0, r1) and G.pair_order(r0, r2) == 2 and G.pair_order(r1, r2) == 5
+        ),
+        None,
+    )

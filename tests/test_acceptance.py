@@ -142,7 +142,7 @@ def test_criterion_7_rotary_nonexistence():
 def test_criterion_8_projective_action_suite():
     t0 = time.perf_counter()
     for p in (5, 7, 11, 13):
-        assert check_pgl_action(p)
+        assert check_pgl_action(build_group("pgl2", p))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _announce(8, f"sharply 3-transitive action suite for p in 5,7,11,13 ({elapsed:.1f}s)")

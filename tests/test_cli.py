@@ -33,6 +33,18 @@ def test_construct_text():
     assert "chi=1" in r.stdout
 
 
+def test_verify_text():
+    r = run_cli("verify", "--family", "psl2", "--p", "5", "--format", "text")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "config {'family': 'psl2', 'p': 5, 'm': 1} order=60"
+    assert lines[1] == "patterns found: [[10, 6, 4]] (predicted [10, 6, 4], qualifies=True)"
+    checks = ("sylow", "no_rotary", "pgl_action", "membership", "construction_agreement")
+    assert lines[2] == f"lemma checks: { {k: True for k in checks} }"
+    assert lines[3] == "verdict: pass"
+
+
 def test_construct_rejects_bad_ext_parity():
     r = run_cli("construct", "--family", "ext", "--p", "5", "--m", "3")
     assert r.returncode == 1
@@ -316,6 +328,25 @@ def test_run_census_construction_error_exits_four(monkeypatch, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_run_census_failed_a5_certificate_exits_four(monkeypatch, tmp_path, capsys):
+    import importlib.util
+
+    import revmaps.verify as verify
+
+    r0, r1, r2 = verify.A5_TRIPLE
+    monkeypatch.setattr(verify, "VERIFY_MATRIX", ())
+    monkeypatch.setattr(verify, "A5_TRIPLE", (r0, r2, r1))
+    spec = importlib.util.spec_from_file_location("run_census", ROOT / "scripts" / "run_census.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_census.py", "--out", str(out)])
+    assert script.main() == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: the fixed triple") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_identical_runs_identical_bytes():
     a = run_cli("verify", "--family", "psl2", "--p", "5")
     b = run_cli("verify", "--family", "psl2", "--p", "5")
@@ -375,6 +406,8 @@ def test_check_rejects_malformed_records(tmp_path):
         "bool_m.json": json.dumps(
             {**golden_pgl2_7, "group": {**golden_pgl2_7["group"], "m": True}}
         ),
+        # nested past the decoder's recursion limit
+        "deep.json": "[" * 200_000 + "]" * 200_000,
         # a non-integral entry, after an integral lead entry
         "float_mat.json": json.dumps(
             {
@@ -408,6 +441,8 @@ def test_check_rejects_malformed_records(tmp_path):
             assert r.stderr == "error: the generators are not three distinct involutions\n"
         if name == "bool_m.json":
             assert r.stderr.startswith("error: m must be an integer")
+        if name == "deep.json":
+            assert r.stderr.endswith("deep.json: JSON nested too deeply\n")
 
 
 def test_output_identical_across_hash_seeds_and_jobs():

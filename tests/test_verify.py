@@ -4,7 +4,13 @@ import hashlib
 import math
 
 import pytest
-from oracle import oracle_expand, oracle_no_rotary, oracle_pgl_action, oracle_sylow_lemma
+from oracle import (
+    oracle_expand,
+    oracle_flag_regular_triple,
+    oracle_no_rotary,
+    oracle_pgl_action,
+    oracle_sylow_lemma,
+)
 
 from revmaps import gfproj, verify
 from revmaps.groups import GroupHandle, build_group, conjugacy_class_reps, generates
@@ -187,7 +193,27 @@ def test_no_rotary_runs_under_the_verify_budget():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_pgl_action_small(p):
-    assert check_pgl_action(p)
+    assert check_pgl_action(build_group("pgl2", p))
+
+
+def test_pgl_action_takes_the_handle_verify_built(monkeypatch):
+    # verify_theorem hands over the PGL(2,p) it built under the budget, and
+    # the check builds no group of its own
+    seen = []
+    real = verify.check_pgl_action
+
+    def spy(G):
+        seen.append(G)
+        return real(G)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("check_pgl_action built a group")
+
+    monkeypatch.setattr(verify, "check_pgl_action", spy)
+    assert verify_theorem("psl2", 7)["lemma_checks"]["pgl_action"] is True
+    assert seen == [build_group("pgl2", 7)]
+    monkeypatch.setattr(verify, "build_group", no_build)
+    assert real(build_group("pgl2", 11))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -249,6 +275,7 @@ def _preimages_with_the_third_as_the_second(cols, p):
 )
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
 def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, p, mutation):
+    G = build_group("pgl2", p)
     if mutation == "trivial act":
         monkeypatch.setattr(gfproj, "act", lambda g, x: x)
     elif mutation == "third preimage read as the second":
@@ -260,7 +287,7 @@ def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, p, mutation):
         monkeypatch.setattr(GroupHandle, "element_order", _order_with_p_minus_1_hidden)
     elif mutation is not None:
         monkeypatch.setattr(GroupHandle, "involution_classes", _classes_not_split_by_psl(mutation))
-    assert check_pgl_action(p) == (mutation is None)
+    assert check_pgl_action(G) == (mutation is None)
     # the oracle takes every image by act, so the preimage kernel's fault shows in the check alone
     assert oracle_pgl_action(p) == (mutation in (None, "third preimage read as the second"))
 
@@ -304,7 +331,7 @@ def test_pgl_action_makes_one_sweep_of_point_images(monkeypatch):
 
     monkeypatch.setattr(gfproj, "act", counted)
     monkeypatch.setattr(gfproj, "preimage_points", counted_sweep)
-    assert check_pgl_action(13)
+    assert check_pgl_action(build_group("pgl2", 13))
     assert sweeps == [2184]
     assert len(acts) <= 14
 
@@ -323,6 +350,28 @@ def test_a5_report():
         assert r["genus"] == 1
         assert check_coprime(r["chi"], r["counts"]["E"])
         assert set(r["stabilizer_orders"].values()) == {10, 4, 6, 2}
+
+
+def test_a5_fixed_triple_is_the_first_the_search_finds():
+    G = build_group("psl2", 5)
+    fixed = tuple(G.element(0, gfproj.ProjMatrix(*mat, 5)) for mat in verify.A5_TRIPLE)
+    assert oracle_flag_regular_triple(G) == fixed
+    triple = a5_exceptional_case()["triple"]
+    assert [triple[n] for n in ("r0", "r1", "r2")] == [G.element_json(i) for i in fixed]
+
+
+def test_a5_failed_certificate_is_a_construction_error(monkeypatch, capsys):
+    from revmaps.cli import run_guarded
+    from revmaps.triples import ConstructionError
+
+    # r1 and r2 swapped: the orders read (2, 3, 5), not (3, 2, 5)
+    r0, r1, r2 = verify.A5_TRIPLE
+    monkeypatch.setattr(verify, "A5_TRIPLE", (r0, r2, r1))
+    with pytest.raises(ConstructionError, match="fails its orders"):
+        a5_exceptional_case()
+    assert run_guarded(a5_exceptional_case) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: the fixed triple") and len(err.splitlines()) == 1
 
 
 # -- theorem verification ----------------------------------------------------------------------
@@ -524,4 +573,4 @@ def test_pgl_action_involution_classes_match_conjugacy(p):
         members = tuple(sorted(invs[u] for u in cls.members))
         assert members == conjugacy_class(G, invs[cls.rep])
         assert len({G.in_psl_part(v) for v in members}) == 1
-    assert check_pgl_action(p)
+    assert check_pgl_action(G)
