@@ -41,12 +41,13 @@ keeps them for every matrix, with a table from their code
 ``element``, ``mul``, ``inv`` and ``conjugates`` read that table, with no
 product normalized.  A left product h*g sends there the points g does,
 moved by h^-1, so ``GroupHandle.left_perm`` (g -> h*g on all indices)
-relabels points once per matrix and reads the table, and ``right_cosets``
-lists each right coset Hg as one batch of such reads over the distinct
-matrix parts of H.  Conjugacy classes are the orbits of the conjugation
-permutations g -> s*g*s of a few generating involutions s; a class keeps
-its breadth-first tree as a Schreier vector, and its rep's centralizer is
-spanned by involutions read off the rep's dihedral row.
+relabels points once per matrix and reads the table.  ``right_cosets``
+walks each right coset Hg of a dihedral span H = <u, v> as two cycles of
+one such permutation, that of r = u*v.  Conjugacy classes are the orbits
+of the conjugation permutations g -> s*g*s of a few generating
+involutions s; a class keeps its breadth-first tree as a Schreier vector,
+and its rep's centralizer is spanned by involutions read off the rep's
+dihedral row.
 ``subgroup_closure`` lists the dihedral span of one or two involutions, the
 only subgroups a map's cells need, by powers of their product; the one
 breadth-first closure left is the last step of ``generates``.
@@ -650,6 +651,16 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
     return seen
 
 
+def _dihedral_pair(G: GroupHandle, gens: Iterable[int]) -> tuple[int, int]:
+    """(u, u*v) for the involutions u, v as given (v = u if left out), else a GroupError."""
+    gens = dict.fromkeys(gens)
+    # an involution is an element other than the identity that is its own inverse
+    if not 0 < len(gens) <= 2 or not all(G.inv(g) == g != G.identity for g in gens):
+        raise GroupError(f"not one or two involutions: {sorted(gens)}")
+    u, *rest = gens
+    return u, G.mul(u, rest[0] if rest else u)
+
+
 def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
     """The sorted members of the dihedral group <u, v> of one or two involutions.
 
@@ -659,12 +670,7 @@ def subgroup_closure(G: GroupHandle, gens: Iterable[int]) -> tuple[int, ...]:
     a map is such a span.  Any other generator set raises a GroupError;
     ``generates`` closes those itself.
     """
-    gens = set(gens)
-    # an involution is an element other than the identity that is its own inverse
-    if not 0 < len(gens) <= 2 or not all(G.inv(g) == g != G.identity for g in gens):
-        raise GroupError(f"not one or two involutions: {sorted(gens)}")
-    u, *rest = gens
-    r = G.mul(u, rest[0] if rest else u)
+    u, r = _dihedral_pair(G, gens)
     out = []
     power = G.identity
     while True:
@@ -710,47 +716,26 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     return closed is None or len(closed) == G.order
 
 
-def right_cosets(G: GroupHandle, H: Sequence[int]) -> list[int]:
+def right_cosets(G: GroupHandle, gens: Iterable[int]) -> list[int]:
     """The right coset Hg of every element g as ids numbered by least member.
 
-    H is the member list of a subgroup (as ``subgroup_closure`` returns it).
-    For the least element g not yet placed, Hg is listed as one batch of
-    products h*g: the position of each matrix product A*B is read off the
-    store's point index through the relabelling of A, one per distinct
-    matrix part of H, and each member adds its exponent with its twist
-    sign, (f, A)*(e, B) = (f + eps(A)*e, A*B).  In ext, H holds Z_m, so a
-    sweep takes |M| table reads, not |G|.  A batch that lacks g (H lacks the
-    identity) or batches that overlap (H is not a subgroup, such as a list
-    of generators) raise a GroupError.
+    H = <u, v> is the dihedral span of one or two involutions, taken as
+    ``subgroup_closure`` takes them.  With r = u*v, H = <r> + <r>u, so Hg is
+    two cycles of g -> r*g, the one through g and the one through u*g: one
+    ``left_perm(r)``, then one product per coset.
     """
-    width, m = G._width, G.m
-    parts: dict[int, list[int]] = {}
-    for h in H:
-        f, a = divmod(h, width)
-        parts.setdefault(a, []).append(f)
-    S, table = G._store, G._store.table
-    relabel = [relabelling(S.entries(a)) for a in parts]
-    signs = [1 if G._psl[a] else -1 for a in parts]
-    exps = list(parts.values())
+    u, r = _dihedral_pair(G, gens)
+    left = G.left_perm(r)
     label = [-1] * G.order
     count = 0
     for g in range(G.order):
-        if label[g] >= 0:
-            continue
-        e, b = divmod(g, width)
-        x, y, z = S.zero[b], S.inf[b], S.one[b]
-        batch = [table[r0[x] + r1[y] + r2[z]] for r0, r1, r2 in relabel]
-        if m > 1:  # else every exponent is 0 and the products are the elements
-            batch = [(f + s * e) % m * width + c for c, s, fs in zip(batch, signs, exps) for f in fs]
-        for w in batch:
-            label[w] = count
         # g is the least element not yet placed, hence the least of Hg
-        if label[g] != count:
-            raise GroupError(f"the coset of {g} lacks {g}; H lacks the identity")
-        count += 1
-    # the batches cover G, so they are disjoint iff their sizes sum to |G|
-    if count * len(H) != G.order:
-        raise GroupError("the cosets overlap; H is no subgroup")
+        if label[g] < 0:
+            for w in (g, G.mul(u, g)):
+                while label[w] < 0:
+                    label[w] = count
+                    w = left[w]
+            count += 1
     return label
 
 

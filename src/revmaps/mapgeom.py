@@ -229,11 +229,11 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     every element of the edge cell, and s lies in the edge stabilizer, so
     g -> s*g pairs off the cell's elements: keyed at the lesser of each
     pair, each edge gives |G_e|/2 equal keys, and every |G_e|/2-th sorted
-    key is kept.  This sweeps G and builds the vertex cells and L_s; only
-    DOT export and the Petersen test in ``map_record`` ask for it.
+    key is kept.  This sweeps G twice, for the vertex cells and for L_s;
+    only DOT export and the Petersen test in ``map_record`` ask for it.
     """
     G, count = M.group, M.vertex_count
-    vertex = right_cosets(G, sorted(M.stabilizers[0]))
+    vertex = right_cosets(G, _cell_generators(M.kind, M.generators)[0])
     (s, _), _, _ = flag_system(M).partners[0]
     ends = ((vertex[g], vertex[h]) for g, h in enumerate(G.left_perm(s)) if g < h)
     # each pair a <= b as the integer a*count + b, which sorts alike and faster

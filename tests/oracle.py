@@ -37,10 +37,10 @@ and ``oracle_flag_system`` labels every one of those flags with its coset
 blocks, pairs them by their labels and colours the whole flag graph.
 ``oracle_right_cosets`` finds each right coset as the orbit of the
 generators under left multiplication by ``oracle_product``, where
-``revmaps.groups.right_cosets`` reads one batch per coset off the handle's
-point index, and ``oracle_closure`` closes a subgroup breadth first by the
-same product, where ``revmaps.groups.subgroup_closure`` lists a dihedral
-span by powers.
+``revmaps.groups.right_cosets`` walks two cycles of the left
+multiplication by r = u*v per coset, and ``oracle_closure`` closes a
+subgroup breadth first by the same product, where
+``revmaps.groups.subgroup_closure`` lists a dihedral span by powers.
 ``oracle_graph`` classifies the underlying graph from its edge list, the
 Petersen graph by an explicit isomorphism.  ``oracle_sylow_lemma`` is the
 stabilizer lemma in two parts, the lcm and the full prime powers of |G|,

@@ -527,12 +527,18 @@ CONSTRUCT_DIGESTS = {
 }
 
 
-# SHA-256 of ``verify --budget 30000`` on configs with no golden file:
+# SHA-256 of ``verify --budget <budget>`` on configs with no golden file:
 # psl2 29 has 48 maps, and ext 11 15 has 64 classes, whose construction
-# agreement runs on the ext census of lifts with c1 = 0.
+# agreement runs on the ext census of lifts with c1 = 0.  ext 7 59 has 232
+# maps and the largest ext census within 30000; psl2 61 and pgl2 43 are the
+# largest psl2 and pgl2 rows within 250000, where every kernel runs over
+# the entry columns.
 VERIFY_DIGESTS = {
-    ("psl2", 29, 1): "12bc45d509469b2f7ed9c5f8a12191c783fe2547d7d0773f7875c90eb7c77e35",
-    ("ext", 11, 15): "3dce19bf9842c80bcd557fd7d2ed3d7fcee2b376c9adfb80e7f587dcf11f750d",
+    ("psl2", 29, 1, 30000): "12bc45d509469b2f7ed9c5f8a12191c783fe2547d7d0773f7875c90eb7c77e35",
+    ("ext", 11, 15, 30000): "3dce19bf9842c80bcd557fd7d2ed3d7fcee2b376c9adfb80e7f587dcf11f750d",
+    ("ext", 7, 59, 30000): "4a4107c93d2eab5ece2614c856dfa2d2867990b5658c80ad91558a2f31e4f3e1",
+    ("psl2", 61, 1, 250000): "992928972d74bd8f42498a246f8e50309345b880e7e4d8f0014b0c2fa19ed5e8",
+    ("pgl2", 43, 1, 250000): "f6c627c4781554dc1b8b8116d2bcc73fbb6a9c51d905576a7cbd7ca703b2998f",
 }
 
 
@@ -576,11 +582,11 @@ def test_verify_bytes_are_pinned(tmp_path):
     from revmaps import cli
 
     got = {}
-    for family, p, m in VERIFY_DIGESTS:
+    for family, p, m, budget in VERIFY_DIGESTS:
         out = tmp_path / f"verify_{family}_{p}_{m}.json"
-        args = ["--family", family, "--p", str(p), "--m", str(m), "--budget", "30000"]
+        args = ["--family", family, "--p", str(p), "--m", str(m), "--budget", str(budget)]
         assert cli.main(["verify", *args, "--output", str(out)]) == 0
-        got[(family, p, m)] = hashlib.sha256(out.read_bytes()).hexdigest()
+        got[(family, p, m, budget)] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == VERIFY_DIGESTS
 
 
@@ -596,7 +602,7 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
     def refuse(self, h):
         raise AssertionError("left_perm called")
 
-    def refuse_cosets(G, H):
+    def refuse_cosets(G, gens):
         raise AssertionError("right_cosets called")
 
     monkeypatch.setattr(GroupHandle, "left_perm", refuse)
@@ -614,11 +620,13 @@ def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):
         cli.main(["export", *args, "--output", str(tmp_path / "graph.dot")])
 
 
-def test_export_builds_one_left_multiplication_per_map(tmp_path, monkeypatch):
-    # the vertex cells are batches over the stabilizer and the graph reads
-    # only the vertex partners, so export sweeps G once, for L_z
+def test_export_builds_two_left_multiplications_per_map(tmp_path, monkeypatch):
+    # the vertex cells are cycles of L_r for the vertex rotation r = x*y and
+    # the graph reads only the vertex partners, so export sweeps G twice,
+    # for L_r and L_z, and never for L_x or L_y
     from revmaps import cli
-    from revmaps.groups import GroupHandle
+    from revmaps.groups import GroupHandle, build_group
+    from revmaps.triples import ext_triple, pgl_triple, psl_triple
 
     calls = []
     left_perm = GroupHandle.left_perm
@@ -628,14 +636,19 @@ def test_export_builds_one_left_multiplication_per_map(tmp_path, monkeypatch):
         return left_perm(self, h)
 
     monkeypatch.setattr(GroupHandle, "left_perm", spy)
-    for args in (
-        ["--family", "psl2", "--p", "13"],
-        ["--family", "pgl2", "--p", "11", "--k", "3"],
-        ["--family", "ext", "--p", "7", "--m", "5", "--c1", "2", "--c2", "1"],
+    for args, G, triple in (
+        (["--family", "psl2", "--p", "13"], build_group("psl2", 13), psl_triple(13, 2)),
+        (["--family", "pgl2", "--p", "11", "--k", "3"], build_group("pgl2", 11), pgl_triple(11, 3)),
+        (
+            ["--family", "ext", "--p", "7", "--m", "5", "--c1", "2", "--c2", "1"],
+            build_group("ext", 7, 5),
+            ext_triple(7, 5, 0, 2, 1),
+        ),
     ):
+        x, y, z = triple  # z is the vertex partner of the identity flag
         calls.clear()
         assert cli.main(["export", *args, "--output", str(tmp_path / "graph.dot")]) == 0
-        assert len(calls) == 1, args
+        assert sorted(calls) == sorted((G.mul(x, y), z)), args
 
 
 def test_enumerate_and_verify_write_the_same_census(tmp_path):

@@ -444,21 +444,11 @@ def test_lagrange_on_sampled_closures():
 # -- cosets ------------------------------------------------------------------------
 
 
-def test_cosets_of_whole_group():
-    G = build_group("psl2", 5)
-    assert set(right_cosets(G, range(G.order))) == {0}
-
-
-def test_cosets_of_trivial_subgroup():
-    G = build_group("psl2", 5)
-    assert len(set(right_cosets(G, [G.identity]))) == G.order
-
-
 def test_cosets_of_d10_in_psl25():
     G = build_group("psl2", 5)
     u, v = _pair_with_product_order(G, 5)
     sub = subgroup_closure(G, [u, v])
-    label = right_cosets(G, sub)
+    label = right_cosets(G, [u, v])
     blocks = [[g for g in range(G.order) if label[g] == c] for c in range(max(label) + 1)]
     assert len(blocks) == 6
     assert sorted(g for block in blocks for g in block) == list(range(G.order))
@@ -469,15 +459,47 @@ def test_cosets_of_d10_in_psl25():
     assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
 
 
-def test_cosets_refuse_generators_for_members():
-    # the generators u, v of D10 lack the identity, so the batch of g = 0
-    # lacks 0; adding it leaves a set that is no subgroup, whose batches overlap
+def test_cosets_refuse_what_is_not_one_or_two_involutions():
+    # the contract of subgroup_closure, with its error
     G = build_group("psl2", 5)
     u, v = _pair_with_product_order(G, 5)
-    with pytest.raises(GroupError, match="lacks the identity"):
-        right_cosets(G, [u, v])
-    with pytest.raises(GroupError, match="the cosets overlap"):
-        right_cosets(G, [G.identity, u, v])
+    w = next(g for g in range(G.order) if G.element_order(g) == 5)
+    third = next(t for t in G.involutions() if t not in (u, v))
+    for gens in ([], [u, v, third], [w], [u, w]):
+        with pytest.raises(GroupError, match="not one or two involutions"):
+            right_cosets(G, gens)
+        with pytest.raises(GroupError, match="not one or two involutions"):
+            subgroup_closure(G, gens)
+
+
+@pytest.mark.parametrize(
+    "family,p,m,n", [("psl2", 5, 1, 1), ("pgl2", 19, 1, 20), ("ext", 7, 9, 63), ("ext", 7, 9, 1)]
+)
+def test_cosets_cost_one_left_multiplication_and_a_product_per_coset(monkeypatch, family, p, m, n):
+    # H = <u, v> with |uv| = n (u alone for n = 1): one left_perm, that of
+    # r = u*v, then the product u*g with the least member g of each coset,
+    # which reaches the second cycle of L_r in Hg
+    G = build_group(family, p, m)
+    u, v = _pair_with_product_order(G, n) if n > 1 else (G.involutions()[-1],) * 2
+    lefts, muls = [], []
+    left_perm, mul = GroupHandle.left_perm, GroupHandle.mul
+
+    def spy_left(self, h):
+        lefts.append(h)
+        return left_perm(self, h)
+
+    def spy_mul(self, i, j):
+        muls.append((i, j))
+        return mul(self, i, j)
+
+    monkeypatch.setattr(GroupHandle, "left_perm", spy_left)
+    monkeypatch.setattr(GroupHandle, "mul", spy_mul)
+    label = right_cosets(G, [u, v])
+    monkeypatch.undo()
+    count = G.order // (2 * n)
+    assert max(label) + 1 == count
+    assert muls[0] == (u, v) and lefts == [G.mul(u, v)]
+    assert muls[1:] == [(u, label.index(c)) for c in range(count)]
 
 
 # -- generation ---------------------------------------------------------------------
