@@ -208,11 +208,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _load_record(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             rec = json.load(fh)
         except RecursionError:
             raise GroupError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise GroupError(f"{path}: not a JSON map record: {exc}") from None
     if not isinstance(rec, dict):
         raise GroupError(f"{path}: expected a map record object, got {type(rec).__name__}")
     group, triple = rec.get("group"), rec.get("triple")

@@ -189,13 +189,8 @@ def act(g: Sequence[int], x: int) -> int:
     Satisfies act(g*h, x) == act(h, act(g, x)) for the matrix product g*h.
     """
     a, b, c, d, p = g
-    if x == p:
-        nu, nw = d, c % p
-    else:
-        nu, nw = d * x + b, (c * x + a) % p
-    if nw == 0:
-        return p
-    return (nu * _inv_table(p)[nw]) % p
+    q = _neg_quotients(p)  # q[u][w] = -u/w, so (d*x + b)/(c*x + a) is q[-(d*x + b)][c*x + a]
+    return q[-d % p][c % p] if x == p else q[-(d * x + b) % p][(c * x + a) % p]
 
 
 def fixed_points(g: ProjMatrix) -> tuple[int, ...]:

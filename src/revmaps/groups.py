@@ -15,11 +15,11 @@ elements ascend as pairs.  Other modules use ``GroupHandle.element(e, g)``,
 ``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
 for) and ``in_psl_part``.  The one exception is ``matrix_columns()``:
 ``triples._point_candidates`` and ``verify.check_pgl_action`` read its
-store positions as element indices, which they are when m = 1.  Handles are
+positions as element indices, which they are when m = 1.  Handles are
 immutable once built and are cached per (family, p, m) in ``_CACHE``, the
-one cache.  A pgl2 or psl2 handle lists its own ``MatrixStore``, PSL(2,p)
-from its determinants with no PGL(2,p) built, and every ext handle reads
-that of the pgl2 handle of its p.
+one cache.  A pgl2 or psl2 handle lists its own matrices, PSL(2,p) from
+its determinants with no PGL(2,p) built, and every ext handle shares the
+listing of the pgl2 handle of its p.
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without
@@ -35,7 +35,7 @@ proved by the same orders: two fixed matrices and a third read off three
 bulk rows of the dihedral table's kernel, so no closure finds them.
 
 PGL(2,p) acts sharply 3-transitively on the projective line, so a matrix
-is known by the three points it sends to 0, infinity and 1.  The store
+is known by the three points it sends to 0, infinity and 1.  The handle
 keeps them for every matrix, with a table from their code
 (``gfproj.point_coder``, which ignores scale) back to the matrix, and
 ``element``, ``mul``, ``inv`` and ``conjugates`` read that table, with no
@@ -98,45 +98,10 @@ class ConstructionError(RuntimeError):
     """A construction the theory guarantees failed, in a search or a triple check (a bug)."""
 
 
-def psl_order(p: int) -> int:
-    return p * (p - 1) * (p + 1) // 2
-
-
-def pgl_order(p: int) -> int:
-    return p * (p - 1) * (p + 1)
-
-
 def group_order(family: str, p: int, m: int = 1) -> int:
-    """The order of the family's group, from its formula."""
-    return {PSL2: psl_order(p), PGL2: pgl_order(p), EXT: m * pgl_order(p)}[family]
-
-
-class MatrixStore:
-    """The matrices of M in ascending tuple order, their PSL flags and their point index.
-
-    M is PSL(2,p) if psl_only, else PGL(2,p), listed by ``gfproj.psl_matrices``
-    or ``all_matrices``: ``cols`` holds the matrices as entry columns, the
-    a-th matrix at position a of each, and ``psl`` the listing's PSL flags.
-    ``code`` is ``point_coder(p)``, ``zero``, ``inf`` and ``one`` are the
-    ``preimage_points``, and ``table`` maps each point code to the position
-    of its matrix, or to -1 where M has none.  Never changed.
-    """
-
-    def __init__(self, p: int, psl_only: bool):
-        self.cols, self.psl = (psl_matrices if psl_only else all_matrices)(p)
-        self.p, self.code = p, point_coder(p)
-        self.zero, self.inf, self.one = preimage_points(self.cols, p)
-        q = p + 1
-        self.table = array("i", [-1]) * q**3
-        for a, (x, y, z) in enumerate(zip(self.zero, self.inf, self.one)):
-            self.table[(x * q + y) * q + z] = a
-        if self.table.count(-1) != q**3 - len(self.psl):
-            raise GroupError(f"two matrices of PGL(2,{p}) share a point code")
-
-    def entries(self, a: int) -> tuple[int, int, int, int, int]:
-        """(a, b, c, d, p) of the a-th matrix, the shape of a ProjMatrix."""
-        A, B, C, D = self.cols
-        return A[a], B[a], C[a], D[a], self.p
+    """The order of the family's group: n = p(p-1)(p+1), halved for psl2, m*n for ext."""
+    n = p * (p - 1) * (p + 1)
+    return {PSL2: n // 2, PGL2: n, EXT: m * n}[family]
 
 
 class GroupHandle:
@@ -144,21 +109,30 @@ class GroupHandle:
 
     Element ``e*|M| + a`` is the pair ``(e, mats[a])``: exponent e in Z_m
     and the a-th matrix of M in ascending tuple order (see the module
-    docstring), kept as the a-th entries of the store's columns.
-    ``element(e, g)`` gives the index of a pair, and ``exponent_part``,
-    ``matrix_part`` and ``in_psl_part`` read one back.
+    docstring), the a-th entries of the columns ``_cols``.  ``_psl`` flags
+    PSL, ``_points`` holds the ``preimage_points`` and ``_table`` maps each
+    point code to a position, or to -1 where M has none.  ``element(e, g)``
+    gives the index of a pair, and ``exponent_part``, ``matrix_part`` and
+    ``in_psl_part`` read one back.
     """
 
     def __init__(self, family: str, p: int, m: int):
         self.family = family
         self.p = p
         self.m = m
-        if family == EXT:  # the store of the cached pgl2 handle of p
-            self._store = build_group(PGL2, p)._store
+        self._code = point_coder(p)
+        if family == EXT:  # the listing of the cached pgl2 handle of p
+            M = build_group(PGL2, p)
+            self._cols, self._psl, self._points, self._table = M._cols, M._psl, M._points, M._table
         else:
-            self._store = MatrixStore(p, family == PSL2)
-        self._cols, self._psl = self._store.cols, self._store.psl
-        self._table, self._code = self._store.table, self._store.code
+            self._cols, self._psl = (psl_matrices if family == PSL2 else all_matrices)(p)
+            self._points = preimage_points(self._cols, p)
+            q = p + 1
+            self._table = array("i", [-1]) * q**3
+            for a, (x, y, z) in enumerate(zip(*self._points)):
+                self._table[(x * q + y) * q + z] = a
+            if self._table.count(-1) != q**3 - len(self._psl):
+                raise GroupError(f"two matrices of PGL(2,{p}) share a point code")
         self._width = len(self._psl)
         self.order = m * self._width
         self.identity = self.element(0, ProjMatrix(1, 0, 0, 1, p))
@@ -182,15 +156,20 @@ class GroupHandle:
         return exp % self.m * self._width + pos
 
     def element_from(self, exp: int, G: GroupHandle, i: int) -> int:
-        """``element(exp, G.matrix_part(i))`` by position; G must share the store (pgl2, ext do)."""
-        if G._store is not self._store:
+        """``element(exp, G.matrix_part(i))`` by position; G shares its matrices (pgl2, ext do)."""
+        if G._table is not self._table:
             raise GroupError(f"{G!r} shares no matrix store with {self!r}")
         return exp % self.m * self._width + i % self._width
 
     def matrix_part(self, i: int) -> ProjMatrix:
-        """The matrix part of element i, built on request: the store keeps entries, not matrices."""
+        """The matrix part of element i, built on request: the handle keeps entries only."""
         # tuple.__new__ skips the named tuple's Python constructor
-        return tuple.__new__(ProjMatrix, self._store.entries(i % self._width))
+        return tuple.__new__(ProjMatrix, self._entries(i % self._width))
+
+    def _entries(self, a: int) -> tuple[int, int, int, int, int]:
+        """(a, b, c, d, p) of the a-th matrix, the shape of a ProjMatrix."""
+        A, B, C, D = self._cols
+        return A[a], B[a], C[a], D[a], self.p
 
     def matrix_columns(self) -> Columns:
         """The entry columns of M; element i's matrix part is at position i mod |M|."""
@@ -229,9 +208,9 @@ class GroupHandle:
         """
         e, a = divmod(h, self._width)
         sign = 1 if self._psl[a] else -1
-        S, table = self._store, self._table
-        r0, r1, r2 = relabelling(S.entries(a))
-        prods = [table[r0[x] + r1[y] + r2[z]] for x, y, z in zip(S.zero, S.inf, S.one)]
+        table = self._table
+        r0, r1, r2 = relabelling(self._entries(a))
+        prods = [table[r0[x] + r1[y] + r2[z]] for x, y, z in zip(*self._points)]
         shifts = [(e + sign * f) % self.m * self._width for f in range(self.m)]
         return [s + b for s in shifts for b in prods]
 
@@ -247,7 +226,7 @@ class GroupHandle:
         sign = 1 if self._psl[a_s] else -1
         base = {1: e_s * (1 + sign), 0: e_s * (1 - sign)}
         parts = [divmod(g, self._width) for g in gs]
-        prods = sandwich_products(self._store.entries(a_s), self._cols, [a for _, a in parts])
+        prods = sandwich_products(self._entries(a_s), self._cols, [a for _, a in parts])
         table, psl, m, width = self._table, self._psl, self.m, self._width
         return [(base[psl[a]] + sign * e) % m * width + table[k] for (e, a), k in zip(parts, prods)]
 
@@ -387,13 +366,13 @@ class DihedralTable:
         self._group = G
         invs = G.involutions()
         self._rows: list[array | None] = [None] * len(invs)
-        # the kernel runs over the distinct matrix parts, keyed by store
+        # the kernel runs over the distinct matrix parts, keyed by
         # position: in ext an involution outside PSL has its matrix part
         # under every exponent
         parts: dict[int, int] = {}
         width = G._width
         self._parts = array("i", [parts.setdefault(v % width, len(parts)) for v in invs])
-        self._orders = product_orders([G._store.entries(a) for a in parts])
+        self._orders = product_orders([G._entries(a) for a in parts])
         # the Z_m part of a pair order depends on the exponents and twist
         # signs alone, so it is read once per kind of involution, at the
         # kind's first position
@@ -415,7 +394,7 @@ class DihedralTable:
         the rows of x, y and x*y and ``centralizer_generators`` that of t1.
         """
         G = self._group
-        orders = self._orders(G._store.entries(g % G._width))
+        orders = self._orders(G._entries(g % G._width))
         if G.m == 1:  # no Z_m factor, and the matrix parts are the involutions
             return orders
         invs = G.involutions()
@@ -445,7 +424,7 @@ def build_group(family: str, p: int, m: int = 1, budget: int | None = None) -> G
     BudgetExceeded before anything is built, before even the primality test
     of p (trial division, too slow for a p far over any budget); this is the
     one place the budget is checked, so every caller passes it here.  Handles
-    and their matrix stores are cached and shared; they are immutable.
+    are cached, and share their matrix listings; they are immutable.
     """
     if family not in FAMILIES:
         raise GroupError(f"unknown family {family!r}, expected one of {FAMILIES}")

@@ -24,9 +24,9 @@ partners are checked once, at the identity flag of each family, when the
 map is built, and a degenerate geometry is refused there.  The stabilizers
 are dihedral, spanned by one or two involutions, and ``subgroup_closure``
 lists them by powers.  Only ``underlying_graph`` (DOT export and the
-Petersen test) sweeps G: it labels every element with its vertex cell, one
-batch per cell over the vertex stabilizer, and reads the one permutation
-L_s: g -> s*g of the vertex partner s.
+Petersen test) sweeps G: ``right_cosets`` labels each element's vertex cell,
+walking it as two cycles of g -> r*g for r = x*y (r1*r2 if flag-regular),
+and it reads one permutation L_s: g -> s*g of the vertex partner s.
 """
 
 from __future__ import annotations

@@ -129,11 +129,14 @@ def check_pgl_action(G: GroupHandle) -> bool:
         n-2 points lie in an orbit of size n, which is all of them.
     """
     p = G.p
-    # the store's own points and point index are what this certifies, so
+    # the handle's own points and point index are what this certifies, so
     # they are recomputed from its entries, not read
     zero, inf, one = gfproj.preimage_points(G.matrix_columns(), p)
     n = p + 1
-    if len({(x * n + y) * n + z for x, y, z in zip(zero, inf, one)}) != G.order:
+    seen = bytearray(n**3)  # a mark per point code: a set of |G| codes takes megabytes
+    for x, y, z in zip(zero, inf, one):
+        seen[(x * n + y) * n + z] = 1
+    if seen.count(1) != G.order:
         return False
 
     stab = [g for g, (a, b) in enumerate(zip(zero, inf)) if a == 0 and b == p]

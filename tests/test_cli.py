@@ -408,6 +408,9 @@ def test_check_rejects_malformed_records(tmp_path):
         ),
         # nested past the decoder's recursion limit
         "deep.json": "[" * 200_000 + "]" * 200_000,
+        # no JSON: cut short, and a byte that is no UTF-8
+        "truncated.json": "{",
+        "not_utf8.json": b"\xff",
         # a non-integral entry, after an integral lead entry
         "float_mat.json": json.dumps(
             {
@@ -429,7 +432,7 @@ def test_check_rejects_malformed_records(tmp_path):
         cases[name] = json.dumps({"group": group, "triple": triple})
     for name, text in cases.items():
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         r = run_cli("check", "--input", str(path))
         assert r.returncode == 1, name
         assert r.stderr.startswith("error:"), name
@@ -443,6 +446,8 @@ def test_check_rejects_malformed_records(tmp_path):
             assert r.stderr.startswith("error: m must be an integer")
         if name == "deep.json":
             assert r.stderr.endswith("deep.json: JSON nested too deeply\n")
+        if name in ("truncated.json", "not_utf8.json"):
+            assert r.stderr.startswith(f"error: {path}: not a JSON map record: "), r.stderr
 
 
 def test_output_identical_across_hash_seeds_and_jobs():

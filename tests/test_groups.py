@@ -185,8 +185,7 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
     # the table sends their code back to its position and every other code
     # to -1; the left multiplications read off it are permutations
     G = build_group(family, p, m)
-    store = G._store
-    zero, inf, one, table = store.zero, store.inf, store.one, store.table
+    (zero, inf, one), table = G._points, G._table
     q, width = p + 1, G.order // m
     assert len(zero) == len(inf) == len(one) == width and len(table) == q**3
     codes = [(x * q + y) * q + z for x, y, z in zip(zero, inf, one)]
@@ -201,9 +200,9 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
 
 
 def test_one_store_per_matrix_group(monkeypatch):
-    # pgl2 and every ext of one p read one store, in either build order, and
-    # the handle cache is the only cache; psl2 has its own, the PSL(2,p)
-    # matrices in the same order
+    # pgl2 and every ext of one p share one matrix listing (columns, points
+    # and point table), in either build order, and the handle cache is the
+    # only cache; psl2 has its own, the PSL(2,p) matrices in the same order
     from revmaps import groups
 
     keys = (("pgl2", 7), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7))
@@ -211,11 +210,13 @@ def test_one_store_per_matrix_group(monkeypatch):
         monkeypatch.setattr(groups, "_CACHE", {})
         built = {key: build_group(*key) for key in order}
         G, X3, X5, S = (built[key] for key in keys)
-        assert G._store is X3._store is X5._store
-        assert G._cols is X3._cols is X5._cols and G._store.table is X5._store.table
-        assert S._store is not G._store and S._store.table is not G._store.table
+        assert G._cols is X3._cols is X5._cols
+        assert G._points is X3._points is X5._points and G._table is X3._table is X5._table
+        assert S._cols is not G._cols and S._points is not G._points
+        assert S._table is not G._table
         assert all(g == G.matrix_part(G.element(0, g)) for g in map(S.matrix_part, range(S.order)))
-        assert GroupHandle("ext", 7, 3)._store is G._store
+        X = GroupHandle("ext", 7, 3)
+        assert X._cols is G._cols and X._points is G._points and X._table is G._table
         assert set(groups._CACHE) == {("pgl2", 7, 1), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7, 1)}
 
 
@@ -611,7 +612,7 @@ def test_order_mismatch_raises_group_error(monkeypatch):
     import revmaps.groups as groups
 
     monkeypatch.setattr(groups, "_CACHE", {})
-    monkeypatch.setattr(groups, "psl_order", lambda p: 1)
+    monkeypatch.setattr(groups, "group_order", lambda family, p, m=1: 1)
     with pytest.raises(GroupError):
         build_group("psl2", 5)
 

@@ -336,6 +336,24 @@ def test_pgl_action_makes_one_sweep_of_point_images(monkeypatch):
     assert len(acts) <= 14
 
 
+def test_pgl_action_peaks_under_a_megabyte(monkeypatch):
+    # the distinct-codes test marks a bytearray of (p+1)^3 codes; a set of
+    # the 29760 codes of PGL(2,31) took the check's peak to 3.26 MiB
+    import tracemalloc
+
+    from revmaps import groups
+
+    monkeypatch.setattr(groups, "_CACHE", {})
+    G = build_group("pgl2", 31)
+    tracemalloc.start()
+    try:
+        assert check_pgl_action(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 # -- the exceptional flag-regular pair -------------------------------------------------------
 
 
