@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from itertools import groupby, permutations, product
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -214,8 +213,11 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
 # simultaneous conjugation.  So the engine, ``_fiber_hits``, fixes x to the
 # least member of each class of involutions and scans only the (y, z) that
 # complete it (the class's fiber), for the blind census and the enumeration
-# alike.  Class questions, and the count of all triples, are settled on the
-# fibers (see ``triple_conjugacy_classes``).
+# alike.  Each asks one predicate of an order triple: the census whether its
+# map is coprime (``check_coprime`` of ``pattern_chi``), the enumeration
+# whether it orders the pattern.  The engine plans each order triple once
+# per pass.  Class questions, and the count of all triples, are settled on
+# the fibers (see ``triple_conjugacy_classes``).
 
 
 def pattern_chi(order: int, pattern: Sequence[int]) -> int:
@@ -224,6 +226,11 @@ def pattern_chi(order: int, pattern: Sequence[int]) -> int:
     The cells are |G|/d per dihedral order d of the pattern, and |G|/2 edges.
     """
     return sum(order // d for d in pattern) - order // 2
+
+
+def check_coprime(chi: int, edges: int) -> bool:
+    """gcd(|chi|, edges) == 1, with the usual gcd(0, n) = n convention."""
+    return math.gcd(abs(chi), edges) == 1
 
 
 def enumerate_reversing_triples(
@@ -240,8 +247,7 @@ def enumerate_reversing_triples(
     the engine does not slot as given (tied face orders, say) has none.
     """
     pattern = tuple(pattern)
-    qual = defaultdict(bool, dict.fromkeys(permutations(pattern), True))
-    fibers, _ = _fiber_hits(G, qual)
+    fibers, _ = _fiber_hits(G, set(permutations(pattern)).__contains__)
     return sorted(fibers.get(pattern, []))
 
 
@@ -270,16 +276,9 @@ class CensusScan(NamedTuple):
     qualifying: tuple[PatternCensus, ...]
 
 
-def _qualifying_table(G: GroupHandle, table: Sequence[Sequence[int]]) -> dict:
-    # every pair of involutions is conjugate to one through a class rep, so
-    # the reps' rows hold every dihedral order d, of |G|/d cells in chi
-    values = sorted({d for cls in G.involution_classes().classes for d in table[cls.rep] if d})
-    cells = {d: G.order // d for d in values}
-    edges = G.order // 2
-    return {
-        (u, v, w): math.gcd(cu + cv + cw - edges, edges) == 1
-        for (u, cu), (v, cv), (w, cw) in product(cells.items(), repeat=3)
-    }
+def _coprime_filter(G: GroupHandle):
+    """The census filter: an order triple qualifies when its map's chi is coprime to |E|."""
+    return lambda orders: check_coprime(pattern_chi(G.order, orders), G.order // 2)
 
 
 def _roles(G: GroupHandle, orders: tuple[int, int, int]):
@@ -367,27 +366,6 @@ def _buckets(row: Sequence[int]) -> dict[int, list[int]]:
     return out
 
 
-def _hit_plans(G: GroupHandle, a: int, b: int, values, qual) -> dict:
-    """What a pair (y, z) through the rep r becomes, by the dihedral order c of (y, z).
-
-    a and b are the orders of (r, y) and (r, z).  Only qualifying orders are
-    listed, and a slotted one only where r plays x: slotted roles follow
-    from the three orders alone, and a slotted hit where r is not x is the
-    conjugate of one where it is.  A plan is (slots, spans): slots are the
-    roles and pattern of ``_roles``, or None for an unslotted hit; spans
-    says that the lcm of the orders is |G|.  Dihedral orders are even, so
-    that is the first check of ``generates``, and such a hit generates
-    without the call.
-    """
-    plans = {}
-    for c in values:
-        if qual[(a, b, c)]:
-            slots = _roles(G, (a, b, c))
-            if slots is None or slots[0][0] == 0:
-                plans[c] = (slots, math.lcm(a, b, c) == G.order)
-    return plans
-
-
 def _pairs(table, ys: list[int], zs: list[int], orders):
     """The pairs y < z with y in ys and z in zs whose dihedral order is in orders, as (y, z, order).
 
@@ -410,17 +388,23 @@ def _pairs(table, ys: list[int], zs: list[int], orders):
 def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
     """The census engine: the generating triples through each class rep that qualify.
 
-    ``qual[(a, b, c)]`` says whether a triple (r, y, z) whose pairs (r, y),
+    ``qual((a, b, c))`` says whether a triple (r, y, z) whose pairs (r, y),
     (r, z) and (y, z) have dihedral orders a, b and c counts.  The engine is
-    exhaustive, but it visits only the pairs it may keep.  The other
-    positions are bucketed by their dihedral order with the rep r.  For
-    each pair of orders (a, b) of (r, y) and (r, z), ``_hit_plans`` lists
-    the orders c of (y, z) that qualify, less those whose slotted roles do
-    not put r at x; then only y in bucket a and z in bucket b are visited,
-    and only the table rows of the shorter bucket are read.  A pair never
-    visited fails ``qual`` or is the conjugate of a kept hit.  With nothing
-    qualifying no pair is visited and no row but the reps' is built.  A hit
-    whose orders have lcm |G| is taken without calling ``generates``.
+    exhaustive, but it visits only the pairs it may keep.  Every pair of
+    involutions is conjugate to one through a class rep, so the reps' rows
+    hold every dihedral order, and each order triple over them is planned
+    once per pass.  A plan is kept where the triple qualifies and its
+    slotted roles, read off the three orders alone by ``_roles``, put r at
+    x (a slotted hit where r is not x is the conjugate of one where it is),
+    or where it is unslotted.  It is (slots, spans): the roles and pattern,
+    or None, and whether the lcm of the orders is |G|.  Dihedral orders are
+    even, so that is the first check of ``generates``, and a hit that spans
+    is taken without the call.  Through each rep r the other positions are
+    bucketed by their dihedral order with r; for a planned (a, b) only y in
+    bucket a and z in bucket b are visited, and only the table rows of the
+    shorter bucket are read.  A pair never visited fails ``qual`` or is the
+    conjugate of a kept hit.  With nothing qualifying no pair is visited
+    and no row but the reps' is built.
 
     Returns the slotted fibers by pattern, element triples (x, y, z) with x
     the rep, and the unslotted hits as (class, flat positions y1, z1, ...).
@@ -428,26 +412,30 @@ def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
     invs, table = G.involutions(), G.dihedral_table()
     inv_classes = G.involution_classes().classes
     buckets = [_buckets(table[cls.rep]) for cls in inv_classes]
-    values = sorted(set().union(*buckets))
+    plans: dict[tuple[int, int], dict] = {}
+    for orders in product(sorted(set().union(*buckets)), repeat=3):
+        if qual(orders):
+            slots = _roles(G, orders)
+            if slots is None or slots[0][0] == 0:
+                plan = (slots, math.lcm(*orders) == G.order)
+                plans.setdefault(orders[:2], {})[orders[2]] = plan
     fibers: dict[tuple[int, int, int], list] = {}
     unslotted = []
     for cls, bucket in zip(inv_classes, buckets):
         r = cls.rep
         unordered = []
-        for a, ys in bucket.items():
-            for b, zs in bucket.items():
-                plans = _hit_plans(G, a, b, values, qual)
-                if not plans:
-                    continue
-                for y, z, c in _pairs(table, ys, zs, plans):
-                    slots, spans = plans[c]
-                    t = (invs[r], invs[y], invs[z])
-                    if spans or generates(G, t):
-                        if slots is None:
-                            unordered += (y, z)
-                        else:
-                            roles, pat = slots
-                            fibers.setdefault(pat, []).append(tuple(t[i] for i in roles))
+        for (a, b), hits in plans.items():
+            if a not in bucket or b not in bucket:
+                continue
+            for y, z, c in _pairs(table, bucket[a], bucket[b], hits):
+                slots, spans = hits[c]
+                t = (invs[r], invs[y], invs[z])
+                if spans or generates(G, t):
+                    if slots is None:
+                        unordered += (y, z)
+                    else:
+                        roles, pat = slots
+                        fibers.setdefault(pat, []).append(tuple(t[i] for i in roles))
         if unordered:
             unslotted.append((cls, unordered))
     return fibers, unslotted
@@ -469,7 +457,7 @@ def scan_reversing_census(G: GroupHandle) -> CensusScan:
     """
     invs, table = G.involutions(), G.dihedral_table()
     n = len(invs)
-    fibers, unslotted = _fiber_hits(G, _qualifying_table(G, table))
+    fibers, unslotted = _fiber_hits(G, _coprime_filter(G))
     censuses = {}
     for pat, fiber in fibers.items():
         classes = triple_conjugacy_classes(G, fiber)

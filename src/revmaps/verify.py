@@ -35,6 +35,7 @@ from .mapgeom import (
 from .triples import (
     CensusScan,
     ConstructionError,
+    check_coprime,
     construction_census,
     enumerate_reversing_triples,
     multiset,
@@ -43,11 +44,6 @@ from .triples import (
     scan_reversing_census,
     triple_conjugacy_classes,
 )
-
-
-def check_coprime(chi: int, edges: int) -> bool:
-    """gcd(|chi|, edges) == 1, with the usual gcd(0, n) = n convention."""
-    return math.gcd(abs(chi), edges) == 1
 
 
 def check_sylow_lemma(M: MapGeometry) -> bool:
@@ -89,16 +85,17 @@ def census_json(G: GroupHandle, scan: CensusScan) -> list[dict]:
 def check_no_rotary(G: GroupHandle) -> bool:
     """No generating pair (a, z), z an involution, gives a coprime rotary map.
 
-    A rotary map has chi = |G|/|a| - |G|/2 + |G|/|az|.  a runs over the class
-    reps (everything tested is conjugation invariant), whose orders are all
-    element orders, |az| among them, as conjugates share their order.  The
-    orders l passing the gcd filter with |a| are listed first, and only the
-    involutions z with |az| among them are tried.
+    A rotary map has chi = |G|/|a| - |G|/2 + |G|/|az|, the ``pattern_chi``
+    of the orders (|a|, |az|).  a runs over the class reps (everything
+    tested is conjugation invariant), whose orders are all element orders,
+    |az| among them, as conjugates share their order.  The orders l passing
+    the gcd filter with |a| are listed first, and only the involutions z
+    with |az| among them are tried.
     """
     n = G.order
     orders = {a: G.element_order(a) for a in conjugacy_class_reps(G)}
     for a, k in orders.items():
-        faces = {l for l in set(orders.values()) if check_coprime(n // k - n // 2 + n // l, n // 2)}
+        faces = {l for l in set(orders.values()) if check_coprime(pattern_chi(n, (k, l)), n // 2)}
         hits = (z for z in G.involutions() if G.pair_order(a, z) in faces)
         if k > 1 and faces and any(generates(G, {a, z}) for z in hits):
             return False

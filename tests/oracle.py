@@ -469,15 +469,16 @@ def oracle_scan(G: GroupHandle) -> CensusScan:
     """The census by scanning all n(n-1)(n-2)/6 unordered involution triples."""
     invs = oracle_involutions(G)
     table = oracle_dihedral_table(G)
-    # looked up at call time, so that a test can replace the filter
-    qual = triples._qualifying_table(G, table)
+    # the engine's filter on an order triple, looked up at call time so that
+    # a test can replace it
+    qual = triples._coprime_filter(G)
     n = len(invs)
     by_pattern: dict[tuple[int, int, int], list] = {}
     slot_ok: dict[tuple[int, int, int], bool] = {}
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                if not qual[(table[a][b], table[a][c], table[b][c])]:
+                if not qual((table[a][b], table[a][c], table[b][c])):
                     continue
                 (x, y, z), slotted = oracle_roles(G, (invs[a], invs[b], invs[c]))
                 pat = tuple(2 * oracle_pair_order(G, u, v) for u, v in ((x, y), (x, z), (y, z)))

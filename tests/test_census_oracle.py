@@ -7,8 +7,6 @@ enumeration, like a slotted census, must be the oracle's full enumeration
 cut to the triples whose x is the least member of its involution class.
 """
 
-from collections import defaultdict
-
 import pytest
 from oracle import oracle_class_minima, oracle_classes, oracle_enumerate, oracle_scan
 
@@ -60,9 +58,7 @@ def test_enumeration_and_classes_match_oracle(family, p, m):
 def test_scan_matches_oracle_on_every_pattern(family, monkeypatch):
     # accepting every pattern sends unslotted and tied patterns, whose roles
     # follow element indices, through the engine's fallback
-    monkeypatch.setattr(
-        triples, "_qualifying_table", lambda G, table: defaultdict(lambda: True)
-    )
+    monkeypatch.setattr(triples, "_coprime_filter", lambda G: lambda orders: True)
     G = build_group(family, 5)
     scan = scan_reversing_census(G)
     assert not all(c.classes for c in scan.qualifying)
@@ -72,9 +68,7 @@ def test_scan_matches_oracle_on_every_pattern(family, monkeypatch):
 def test_scan_matches_oracle_on_hits_inside_a_later_class(monkeypatch):
     # the generating (12, 12, 12) triples of pgl2 13 lie wholly in the class
     # outside PSL, which is not the first class: every class must be expanded
-    monkeypatch.setattr(
-        triples, "_qualifying_table", lambda G, table: defaultdict(bool, {(12, 12, 12): True})
-    )
+    monkeypatch.setattr(triples, "_coprime_filter", lambda G: {(12, 12, 12)}.__contains__)
     G = build_group("pgl2", 13)
     scan = scan_reversing_census(G)
     C = G.involution_classes()
@@ -111,6 +105,23 @@ def test_scan_and_enumeration_run_one_engine(entry, monkeypatch):
     else:
         enumerate_reversing_triples(G, predicted_pattern("pgl2", 7))
     assert calls == [G]
+
+
+def test_scan_plans_each_order_triple_once(monkeypatch):
+    # pgl2 7 has two involution classes; the real filter's plans are made
+    # once per pass, not once per class
+    calls = []
+    roles = triples._roles
+
+    def counted(G, orders):
+        calls.append(orders)
+        return roles(G, orders)
+
+    monkeypatch.setattr(triples, "_roles", counted)
+    G = build_group("pgl2", 7)
+    assert len(G.involution_classes().classes) == 2
+    assert scan_reversing_census(G).qualifying
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_classes_reject_non_involutions():

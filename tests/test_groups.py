@@ -514,6 +514,7 @@ def test_full_set_generates():
 def test_identity_does_not_generate():
     G = build_group("psl2", 5)
     assert not generates(G, [G.identity])
+    assert generates(G, []) is False
 
 
 def test_construction_triple_generates():

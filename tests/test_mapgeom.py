@@ -6,6 +6,7 @@ from oracle import oracle_conjugate, oracle_partner_maps
 from revmaps.groups import build_group, generates
 from revmaps.mapgeom import (
     MapError,
+    MapGeometry,
     UnderlyingGraph,
     _assemble,
     build_regular_map,
@@ -142,6 +143,18 @@ def test_orientable_branch():
     assert inv.orientable
     assert inv.chi % 2 == 0
     assert inv.genus == (2 - inv.chi) // 2
+
+
+def test_orientable_odd_chi_is_refused():
+    # a hand-built geometry with every generator outside PSL, so orientable,
+    # and cells V, E, F1, F2 = 3, 2, 1, 1, so chi = 3: no such surface exists
+    G = build_group("pgl2", 5)
+    outside = tuple(i for i in G.involutions() if not G.in_psl_part(i))[:3]
+    stabilizers = tuple(frozenset(range(n)) for n in (40, 60, 120, 120))
+    M = MapGeometry(G, "reversing", outside, stabilizers, ())
+    assert M.chi() == 3
+    with pytest.raises(MapError, match="odd Euler characteristic 3"):
+        surface_invariants(M)
 
 
 def test_duality_rotating_roles_keeps_chi():

@@ -318,6 +318,8 @@ def test_predicted_patterns():
     assert predicted_pattern("psl2", 7) is None
     assert predicted_pattern("pgl2", 7) == (14, 16, 12)
     assert predicted_pattern("ext", 7, 5) == (70, 16, 12)
+    with pytest.raises(GroupError, match="unknown family"):
+        predicted_pattern("sl2", 7)
 
 
 @pytest.fixture

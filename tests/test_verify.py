@@ -15,7 +15,7 @@ from oracle import (
 from revmaps import gfproj, verify
 from revmaps.groups import GroupHandle, build_group, conjugacy_class_reps, generates
 from revmaps.mapgeom import build_revmap
-from revmaps.triples import scan_reversing_census, triple_conjugacy_classes
+from revmaps.triples import predicted_pattern, scan_reversing_census, triple_conjugacy_classes
 from revmaps.verify import (
     VERIFY_MATRIX,
     _membership_split_ok,
@@ -443,6 +443,13 @@ def test_construction_agreement_fails_on_a_tampered_construction(family, p, m, t
     assert rep["predicted_qualifies"] == (family == "pgl2")
     assert rep["lemma_checks"]["construction_agreement"] is False
     assert rep["verdict"] == "fail"
+
+
+def test_construction_agreement_fails_on_an_empty_construction(monkeypatch):
+    G = build_group("pgl2", 7)
+    scan = scan_reversing_census(G)
+    monkeypatch.setattr(verify, "construction_census", lambda G: [])
+    assert verify._construction_agreement(G, predicted_pattern("pgl2", 7), scan) is False
 
 
 @pytest.mark.parametrize(
