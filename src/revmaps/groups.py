@@ -633,8 +633,7 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
 def _dihedral_pair(G: GroupHandle, gens: Iterable[int]) -> tuple[int, int]:
     """(u, u*v) for the involutions u, v as given (v = u if left out), else a GroupError."""
     gens = dict.fromkeys(gens)
-    # an involution is an element other than the identity that is its own inverse
-    if not 0 < len(gens) <= 2 or not all(G.inv(g) == g != G.identity for g in gens):
+    if not 0 < len(gens) <= 2 or not all(G.is_involution(g) for g in gens):
         raise GroupError(f"not one or two involutions: {sorted(gens)}")
     u, *rest = gens
     return u, G.mul(u, rest[0] if rest else u)

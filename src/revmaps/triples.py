@@ -59,24 +59,21 @@ def multiset(pattern: Sequence[int]) -> tuple[int, int, int]:
 # -- building blocks ---------------------------------------------------------
 
 
-def two_point_stabilizer_involution(G: GroupHandle) -> int:
-    """The involution diag(1, -1), the one fixing the canonical points [0:1] and [1:0].
+def _anchor(G: GroupHandle) -> int:
+    """The anchor involution z that every construction over the m = 1 handle G shares.
 
-    Under ``act``, fixing [1:0] forces c = 0, fixing [0:1] forces b = 0, and
-    trace 0 leaves (1, 0, 0, p-1).  It lies in PSL(2,p) iff p = 1 (mod 4).
+    In psl2 it is diag(1, -1), the one fixing the canonical points [0:1] and
+    [1:0]: under ``act``, fixing [1:0] forces c = 0, fixing [0:1] forces
+    b = 0, and trace 0 leaves (1, 0, 0, p-1).  It lies in PSL(2,p) iff
+    p = 1 (mod 4).  In pgl2 it is the involution of the cyclic group of the
+    first element g of order n = p+1: g^(n/2) lies in F_p[g], trace 0, so up
+    to scale g - (tr g/2)I: [[a-d, 2b], [2c, d-a]].
     """
-    return G.element(0, gfproj.ProjMatrix(1, 0, 0, G.p - 1, G.p))
-
-
-def cyclic_subgroup_involution(G: GroupHandle, n: int) -> int:
-    """The involution of the cyclic group of the first element g of even order n.
-
-    For m = 1 handles (the pgl2 anchor is the one caller): g^(n/2) lies in
-    F_p[g], trace 0, so up to scale g - (tr g/2)I: [[a-d, 2b], [2c, d-a]].
-    """
-    g = next((i for i in range(G.order) if G.element_order(i) == n), None)
+    if G.family == PSL2:
+        return G.element(0, gfproj.ProjMatrix(1, 0, 0, G.p - 1, G.p))
+    g = next((i for i in range(G.order) if G.element_order(i) == G.p + 1), None)
     if g is None:
-        raise ConstructionError(f"no element of order {n} in {G!r}")
+        raise ConstructionError(f"no element of order {G.p + 1} in {G!r}")
     a, b, c, d, p = G.matrix_part(g)
     return G.element(0, gfproj.proj_matrix(a - d, 2 * b, 2 * c, d - a, p))
 
@@ -104,37 +101,35 @@ def _point_indices(G: GroupHandle) -> range:
     return range(2 if G.family == PSL2 else 0, G.p + 1)
 
 
-def _point_candidates(G: GroupHandle, k: int) -> tuple[list[int], list[int], int]:
-    """The anchor z and the x, y candidates over the k-th projective point.
+def _point_candidates(G: GroupHandle, z: int, k: int) -> tuple[list[int], list[int]]:
+    """The x and y candidates over the k-th projective point, for the anchor z.
 
-    x and y fix the point and make the predicted face orders with z.
+    x and y fix the point at the predicted face orders face1 and face2 with
+    z.  Those differ and exceed 2, so the lists are disjoint and miss z.
     """
     p = G.p
-    pattern = predicted_pattern(G.family, p)
-    if pattern is None:
-        raise GroupError(f"construction over PSL(2,p) needs p = 1 (mod 4), got {p}")
-    ks = _point_indices(G)
-    if k not in ks:
-        raise GroupError(f"point index k must lie in {ks.start}..{p}, got {k}")
-    if G.family == PSL2:
-        z = two_point_stabilizer_involution(G)
-    else:
-        z = cyclic_subgroup_involution(G, p + 1)
     delta = gfproj.all_points(p)[k]
     # m = 1, so an element's index is its matrix's position in the columns
     A, B, C, D = G.matrix_columns()
     fixing = [u for u in G.involutions() if gfproj.act((A[u], B[u], C[u], D[u], p), delta) == delta]
-    _, face1, face2 = pattern
-    xs = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == face1]
-    ys = [u for u in fixing if u != z and 2 * G.pair_order(z, u) == face2]
+    _, face1, face2 = predicted_pattern(G.family, p)
+    xs = [u for u in fixing if 2 * G.pair_order(z, u) == face1]
+    ys = [u for u in fixing if 2 * G.pair_order(z, u) == face2]
     if not xs or not ys:
         raise ConstructionError(f"no qualifying involutions over point {delta}")
-    return xs, ys, z
+    return xs, ys
 
 
 def _point_triple(G: GroupHandle, k: int) -> tuple[int, int, int]:
-    xs, ys, z = _point_candidates(G, k)
-    return make_triple(G, xs[0], next(v for v in ys if v != xs[0]), z)
+    """The first candidates x, y over the k-th point with the anchor; the inputs checked here."""
+    if predicted_pattern(G.family, G.p) is None:
+        raise GroupError(f"construction over PSL(2,p) needs p = 1 (mod 4), got {G.p}")
+    ks = _point_indices(G)
+    if k not in ks:
+        raise GroupError(f"point index k must lie in {ks.start}..{G.p}, got {k}")
+    z = _anchor(G)
+    xs, ys = _point_candidates(G, z, k)
+    return make_triple(G, xs[0], ys[0], z)
 
 
 def psl_triple(p: int, k: int) -> tuple[int, int, int]:
@@ -200,11 +195,10 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
         )
     if predicted_pattern(G.family, G.p) is None:
         return []
-    out = set()
-    for k in _point_indices(G):
-        xs, ys, z = _point_candidates(G, k)
-        out.update((x, y, z) for x in xs for y in ys if x != y)
-    return sorted(out)
+    z = _anchor(G)
+    return sorted(
+        {(x, y, z) for k in _point_indices(G) for x, y in product(*_point_candidates(G, z, k))}
+    )
 
 
 # -- the census engine -----------------------------------------------------------

@@ -57,12 +57,17 @@ def check_sylow_lemma(M: MapGeometry) -> bool:
     return math.lcm(*M.stabilizer_orders().values()) == M.group.order
 
 
-def _checked_record(M: MapGeometry) -> dict:
-    """The map's record with its coprimality and Sylow-lemma checks."""
+def _checked_record(M: MapGeometry, chi: int) -> tuple[dict, bool]:
+    """The map's record with its coprimality and Sylow-lemma checks, and its verdict.
+
+    The conditions every checked map meets: Euler characteristic chi, no
+    orientation, chi coprime to |E|, the lcm identity, four flags per edge.
+    """
     rec = map_record(M)
     rec["coprime"] = check_coprime(rec["chi"], rec["counts"]["E"])
     rec["lcm_identity"] = check_sylow_lemma(M)
-    return rec
+    ok = rec["chi"] == chi and not rec["orientable"] and rec["flags"] == 4 * rec["counts"]["E"]
+    return rec, ok and rec["coprime"] and rec["lcm_identity"]
 
 
 def census_json(G: GroupHandle, scan: CensusScan) -> list[dict]:
@@ -173,12 +178,11 @@ def a5_exceptional_case() -> dict:
     checks = True
     for gens in ((r0, r1, r2), (r2, r1, r0)):
         M = build_regular_map(G, *gens)
-        rec = _checked_record(M)
+        rec, ok = _checked_record(M, 1)
         # the elements on the vertex and edge through the identity form the arc stabilizer
         V, E, _ = M.stabilizers
         rec["stabilizer_orders"]["arc"] = len(V & E)
-        checks &= rec["chi"] == 1 and not rec["orientable"] and rec["genus"] == 1
-        checks &= rec["coprime"] and rec["lcm_identity"] and rec["flags"] == G.order
+        checks &= ok and rec["genus"] == 1
         maps.append(rec)
 
     counts = [tuple(r["counts"][k] for k in "VEF") for r in maps]
@@ -257,8 +261,8 @@ def verify_theorem(
 
     The verdict is "pass" iff the blind scan finds exactly the patterns the
     classification allows (the predicted pattern when its own map is coprime,
-    nothing otherwise), every rebuilt map checks out (chi, nonorientability,
-    coprimality, stabilizer lcm), and all side checks hold.  No group of
+    nothing otherwise), every rebuilt map passes ``_checked_record`` at its
+    pattern's chi with |G|/2 edges, and all side checks hold.  No group of
     more than ``budget`` elements is built: neither the group nor the
     PGL(2,p) of the action check, and both are refused before the scan
     starts.  ``jobs`` is accepted and ignored.
@@ -270,11 +274,8 @@ def verify_theorem(
     predicted = predicted_pattern(family, p, m)
     edges = G.order // 2
 
-    predicted_chi = None
-    predicted_qualifies = False
-    if predicted is not None:
-        predicted_chi = pattern_chi(G.order, predicted)
-        predicted_qualifies = check_coprime(predicted_chi, edges)
+    predicted_chi = None if predicted is None else pattern_chi(G.order, predicted)
+    predicted_qualifies = predicted_chi is not None and check_coprime(predicted_chi, edges)
 
     expected_multisets = [multiset(predicted)] if predicted_qualifies else []
     found_multisets = sorted(multiset(c.pattern) for c in scan.qualifying)
@@ -283,19 +284,11 @@ def verify_theorem(
     maps = []
     maps_ok = True
     for census in scan.qualifying:
-        reps = census.classes or census.triples[:1]
-        for rep in reps:
+        for rep in census.classes or census.triples[:1]:
             M = build_revmap(G, *rep)
-            rec = _checked_record(M)
+            rec, ok = _checked_record(M, census.chi)
             maps.append(rec)
-            maps_ok &= (
-                rec["chi"] == census.chi
-                and not rec["orientable"]
-                and rec["coprime"]
-                and rec["lcm_identity"]
-                and rec["flags"] == 4 * rec["counts"]["E"]
-                and rec["counts"]["E"] == edges
-            )
+            maps_ok &= ok and rec["counts"]["E"] == edges
 
     # class reps, or every triple of an unslotted pattern (its roles follow element order)
     membership_triples = [t for c in scan.qualifying for t in c.classes or c.triples]

@@ -51,7 +51,7 @@ around the line and counts the fixed points of every involution, where
 comparison leave open.  ``oracle_no_rotary`` tries every involution with
 every class rep, where ``revmaps.verify`` first filters the pairs of element
 orders, and ``oracle_cyclic_subgroup_involution`` takes the power g^(n/2)
-that ``revmaps.triples`` reads off the entries of g.
+that ``revmaps.triples._anchor`` reads off the entries of g, with n = p+1.
 ``oracle_involution_generators`` finds the generating triple by one
 multiplied-out pair order per score, where ``revmaps.groups`` reads three
 bulk rows of the dihedral table's kernel, and
@@ -403,8 +403,8 @@ def oracle_two_point_stabilizer_involution(G: GroupHandle) -> int:
 def oracle_cyclic_subgroup_involution(G: GroupHandle, n: int) -> int:
     """The involution of the cyclic group of the first element g of even order n, as g^(n/2).
 
-    The power loop ``triples.cyclic_subgroup_involution`` replaces by its
-    closed form.
+    The power loop ``triples._anchor`` replaces by its closed form for the
+    pgl2 anchor, n = p+1.
     """
     g = next((i for i in range(G.order) if G.element_order(i) == n), None)
     if g is None:

@@ -223,10 +223,20 @@ def test_construction_error_exits_four(monkeypatch, capsys):
     def no_anchor(G):
         raise triples.ConstructionError("no two-point stabilizer involution")
 
-    monkeypatch.setattr(triples, "two_point_stabilizer_involution", no_anchor)
+    monkeypatch.setattr(triples, "_anchor", no_anchor)
     assert cli.main(["construct", "--family", "psl2", "--p", "5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_a_point_with_no_candidates_exits_four(monkeypatch, capsys):
+    # face orders that no involution makes with the anchor leave point 0
+    # with no candidates: a failed search as well, not a usage error
+    from revmaps import cli, triples
+
+    monkeypatch.setattr(triples, "predicted_pattern", lambda family, p, m=1: (2 * p, 3, 5))
+    assert cli.main(["construct", "--family", "pgl2", "--p", "7"]) == 4
+    assert capsys.readouterr().err == "error: no qualifying involutions over point 0\n"
 
 
 @pytest.mark.parametrize("command", ["construct", "export"])
@@ -593,6 +603,17 @@ def test_verify_bytes_are_pinned(tmp_path):
         assert cli.main(["verify", *args, "--output", str(out)]) == 0
         got[(family, p, m, budget)] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == VERIFY_DIGESTS
+
+
+# SHA-256 of the whole matrix report: every row of VERIFY_MATRIX and the
+# flag-regular pair, where the golden files hold three of the rows.
+MATRIX_DIGEST = "8efae7b589e80cb35fad1f7cf24de5db6c6f3bfb33e808939f3a4137d3374219"
+
+
+def test_matrix_report_bytes_are_pinned():
+    from revmaps.verify import report_json, run_verify_matrix
+
+    assert hashlib.sha256(report_json(run_verify_matrix()).encode()).hexdigest() == MATRIX_DIGEST
 
 
 def test_construct_and_check_never_sweep_the_group(tmp_path, monkeypatch):

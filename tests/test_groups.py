@@ -22,6 +22,7 @@ from oracle import (
 
 from revmaps.gfproj import ProjMatrix, act, proj_matrix
 from revmaps.groups import (
+    ConstructionError,
     GroupError,
     GroupHandle,
     _closure,
@@ -874,6 +875,20 @@ def test_uncertified_centralizer_is_an_internal_error(monkeypatch, capsys):
     assert cli.main(["enumerate", "--family", "pgl2", "--p", "19"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and len(err.strip().splitlines()) == 1
+
+
+def test_a_rep_with_no_commuting_involution_has_no_certified_generators():
+    # with the 4s of the rep's stored row zeroed, no involution commutes
+    # with it, and there is no t1 to start the span from
+    G = GroupHandle("pgl2", 7, 1)
+    cls = G.involution_classes().classes[0]
+    row = G.dihedral_table()[cls.rep]
+    commuting = [y for y, d in enumerate(row) if d == 4]
+    assert commuting
+    for y in commuting:
+        row[y] = 0
+    with pytest.raises(ConstructionError, match="has no certified generators"):
+        centralizer_generators(G, cls)
 
 
 # the kernel branches on the twist sign of s and g and on the exponents, so

@@ -18,7 +18,7 @@ from oracle import (
 )
 
 from revmaps.gfproj import act, all_points, fixed_points
-from revmaps import groups
+from revmaps import groups, triples
 from revmaps.groups import (
     GroupError,
     build_group,
@@ -29,7 +29,6 @@ from revmaps.groups import (
 from revmaps.triples import (
     ConstructionError,
     construction_census,
-    cyclic_subgroup_involution,
     enumerate_reversing_triples,
     ext_triple,
     make_triple,
@@ -38,7 +37,6 @@ from revmaps.triples import (
     psl_triple,
     scan_reversing_census,
     triple_conjugacy_classes,
-    two_point_stabilizer_involution,
 )
 from revmaps.verify import VERIFY_MATRIX
 
@@ -77,17 +75,28 @@ def test_psl_k_range():
 def test_anchor_formula_matches_the_sweep(p):
     # diag(1, -1) in closed form against the sweep over every involution
     G = build_group("psl2", p)
-    assert two_point_stabilizer_involution(G) == oracle_two_point_stabilizer_involution(G)
+    assert triples._anchor(G) == oracle_two_point_stabilizer_involution(G)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
 def test_cyclic_involution_formula_matches_the_power_loop(p):
-    # the pgl2 anchor's closed form against g^(n/2), for every even element order
+    # the pgl2 anchor's closed form against g^((p+1)/2)
     G = build_group("pgl2", p, budget=None)
-    even = sorted({G.element_order(i) for i in range(G.order)} & set(range(2, p + 2, 2)))
-    assert p + 1 in even and p - 1 in even
-    for n in even:
-        assert cyclic_subgroup_involution(G, n) == oracle_cyclic_subgroup_involution(G, n)
+    assert triples._anchor(G) == oracle_cyclic_subgroup_involution(G, p + 1)
+
+
+def test_construction_census_computes_the_anchor_once(monkeypatch):
+    # one anchor serves all twelve points of pgl2 11
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return anchor(G)
+
+    anchor = triples._anchor
+    monkeypatch.setattr(triples, "_anchor", counted)
+    assert construction_census(build_group("pgl2", 11))
+    assert len(calls) == 1
 
 
 def test_psl_members_fix_the_chosen_point():
