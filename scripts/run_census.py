@@ -11,7 +11,8 @@ The size budget is resolved as for ``revmaps``: --budget, else the
 REVMAPS_BUDGET environment variable, else 20000, and at least 1.  Exit
 codes as for ``revmaps``: 0 pass, 2 a failed verdict, and with one ``error:`` line 3 over
 the budget, 4 an internal error (a search the theory guarantees to succeed
-found nothing) and 1 a bad budget or reports that cannot be written.
+found nothing) and 1 a bad budget or reports that cannot be written.  A
+malformed flag exits 1 with argparse's usage message, and --help exits 0.
 """
 
 import argparse
@@ -27,11 +28,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--budget", type=int, default=None)
-    args = ap.parse_args()
-    return run_guarded(lambda: _run(Path(args.out), resolve_budget(args.budget)))
+    return run_guarded(lambda: _run(ap.parse_args()))
 
 
-def _run(out: Path, budget: int) -> int:
+def _run(args: argparse.Namespace) -> int:
+    out, budget = Path(args.out), resolve_budget(args.budget)
     t0 = time.perf_counter()
     matrix = run_verify_matrix(budget)
     elapsed = time.perf_counter() - t0

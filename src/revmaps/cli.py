@@ -253,6 +253,9 @@ def run_guarded(work: Callable[[], int]) -> int:
     """work()'s exit code, or one ``error:`` line on stderr and the code of what it raised."""
     try:
         return work()
+    except SystemExit as exc:
+        # argparse parsing inside work: 2 after its usage message, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     except BudgetExceeded as exc:
         code, message = EXIT_BUDGET, exc
     except ConstructionError as exc:
@@ -264,13 +267,8 @@ def run_guarded(work: Callable[[], int]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; normalize to the documented code
-        return EXIT_USAGE if exc.code else EXIT_OK
-
     def work() -> int:
+        args = _parser().parse_args(argv)
         args.budget = resolve_budget(args.budget)
         # check takes no --jobs
         jobs = getattr(args, "jobs", 1)

@@ -587,9 +587,7 @@ class InvolutionClasses:
     def __init__(self, G: GroupHandle):
         invs = G.involutions()
         self.position = {v: i for i, v in enumerate(invs)}
-        gens = [
-            [self.position[u] for u in G.conjugates(s, invs)] for s in G.involution_generators()
-        ]
+        gens = self.conjugation_maps(G, G.involution_generators())
         self.classes: list[InvolutionClass] = []
         self.class_of: list[InvolutionClass | None] = [None] * len(invs)
         for rep in range(len(invs)):
@@ -606,13 +604,16 @@ class InvolutionClasses:
                         cls.members.append(u)
             self.classes.append(cls)
 
+    def conjugation_maps(self, G: GroupHandle, ts: Iterable[int]) -> list[list[int]]:
+        """For each t of ts, the position of t*u*t at the position of each involution u."""
+        invs = G.involutions()
+        return [[self.position[u] for u in G.conjugates(t, invs)] for t in ts]
 
-def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None) -> set[int] | None:
-    """Right-multiplication closure of the identity under gens.
 
-    With ``stop_above`` set, returns None as soon as the closure is known to
-    exceed that many elements (then it can only be the whole group when
-    stop_above >= the largest proper subgroup order).
+def _closure(G: GroupHandle, gens: Sequence[int]) -> set[int] | None:
+    """Right-multiplication closure of the identity under gens, or None past |G|/2.
+
+    No proper subgroup has more than |G|/2 elements, so then gens generate G.
     """
     seen = {G.identity}
     frontier = [G.identity]
@@ -624,7 +625,7 @@ def _closure(G: GroupHandle, gens: Sequence[int], stop_above: int | None = None)
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
-                    if stop_above is not None and len(seen) > stop_above:
+                    if len(seen) > G.order // 2:
                         return None
         frontier = nxt
     return seen
@@ -690,8 +691,7 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     words = (G.pair_order(G.mul(u, v), w) for u, v, w in combinations(invs, 3))
     if math.lcm(reached, *words) == G.order:
         return True
-    closed = _closure(G, gens, stop_above=G.order // 2)
-    return closed is None or len(closed) == G.order
+    return _closure(G, gens) is None
 
 
 def right_cosets(G: GroupHandle, gens: Iterable[int]) -> list[int]:

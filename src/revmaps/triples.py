@@ -334,8 +334,7 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
         cls = C.class_of[x]
         r = cls.rep
         if r not in maps:
-            gens = centralizer_generators(G, cls)
-            maps[r] = [[C.position[u] for u in G.conjugates(t, invs)] for t in gens]
+            maps[r] = C.conjugation_maps(G, centralizer_generators(G, cls))
         folded = cls.to_rep(x, [v for _, y, z in rows for v in (y, z)])
         for y, z in zip(folded[::2], folded[1::2]):
             if (r, y, z) in seen:

@@ -211,20 +211,17 @@ def _membership_split_ok(G: GroupHandle, triples) -> bool:
     the matrix parts and z must carry exponent 0.  Both are unchanged by
     conjugation, so the class representatives of a pattern settle it.
     """
+    if G.family == PSL2:
+        # every element lies in PSL: nothing to test, so it should read skipped (ROADMAP item 1)
+        return True
     inside_xy = G.p % 4 == 1
-    for x, y, z in triples:
-        if G.family == PSL2:
-            ok = G.in_psl_part(x) and G.in_psl_part(y) and G.in_psl_part(z)
-        else:
-            ok = (
-                G.in_psl_part(x) == inside_xy
-                and G.in_psl_part(y) == inside_xy
-                and G.in_psl_part(z) != inside_xy
-                and G.exponent_part(z) == 0
-            )
-        if not ok:
-            return False
-    return True
+    return all(
+        G.in_psl_part(x) == inside_xy
+        and G.in_psl_part(y) == inside_xy
+        and G.in_psl_part(z) != inside_xy
+        and G.exponent_part(z) == 0
+        for x, y, z in triples
+    )
 
 
 def _construction_agreement(

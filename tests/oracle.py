@@ -5,9 +5,9 @@ replaces: the scan over every unordered involution triple, the x*y*z
 enumeration loop and the conjugation sweep over all |G| elements per class.
 The same sweep gives the element classes that ``revmaps.groups`` reads off
 conjugation orbits.
-They share only the qualifying table and the generation test with the
-engine, and are compared with it at small p; the roles of a hit follow the
-documented rule, written out here on elements.
+They share only the coprimality filter ``triples._coprime_filter`` and the
+generation test with the engine, and are compared with it at small p; the
+roles of a hit follow the documented rule, written out here on elements.
 Element and pair orders come from repeated multiplication, not from the
 closed form in ``gfproj.projective_order``: ``mat_multiply`` and
 ``mat_inverse`` form the normalized product and inverse of matrices, which

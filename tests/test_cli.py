@@ -316,6 +316,23 @@ def test_run_census_errors_are_one_line(tmp_path):
         assert not fresh.exists()
 
 
+def test_run_census_malformed_flags_exit_one_with_usage(tmp_path):
+    # argparse's own exit 2 is the code of a failed verdict, so it reads 1
+    script = [sys.executable, str(ROOT / "scripts" / "run_census.py")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = tmp_path / "out"
+    for args in (["--budget", "abc"], ["--bogus"]):
+        cmd = [*script, *args, "--out", str(fresh)]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+        assert r.returncode == 1, args
+        assert r.stderr.startswith("usage: run_census.py"), args
+        assert "error:" in r.stderr.splitlines()[-1], args
+        assert not fresh.exists()
+    r = subprocess.run([*script, "--help"], capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: run_census.py")
+
+
 def test_run_census_construction_error_exits_four(monkeypatch, tmp_path, capsys):
     import importlib.util
 

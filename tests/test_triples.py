@@ -344,9 +344,9 @@ def generation_path(monkeypatch):
     real_closure, real_generates = groups._closure, groups.generates
     real_mul = groups.GroupHandle.mul
 
-    def closure(G, gens, stop_above=None):
+    def closure(G, gens):
         calls.append(("closure", G.family))
-        return real_closure(G, gens, stop_above)
+        return real_closure(G, gens)
 
     def generates(G, gens):
         calls.append(("generates", G.family))
