@@ -14,8 +14,9 @@ per element, and every query works on integer element indices: element
 elements ascend as pairs.  Other modules use ``GroupHandle.element(e, g)``,
 ``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
 for) and ``in_psl_part``.  The one exception is ``matrix_columns()``:
-``triples._point_candidates`` and ``verify.check_pgl_action`` read its
-positions as element indices, which they are when m = 1.  Handles are
+``triples._point_candidates``, ``triples._orbit_points`` and
+``verify.check_pgl_action`` read its positions as element indices, which
+they are when m = 1.  Handles are
 immutable once built and are cached per (family, p, m) in ``_CACHE``, the
 one cache.  A pgl2 or psl2 handle lists its own matrices, PSL(2,p) from
 its determinants with no PGL(2,p) built, and every ext handle shares the
@@ -581,12 +582,15 @@ class InvolutionClasses:
     The conjugation maps of a few generating involutions give the classes as
     orbits; one breadth-first search from each class's least member records
     the tree edge that first reached every member.  Every later step works
-    with list lookups instead of group multiplications.
+    with list lookups instead of group multiplications.  The maps of each
+    rep's centralizer generators are built once, on first use, and shared
+    by every scan, enumeration and class fold on the handle.
     """
 
     def __init__(self, G: GroupHandle):
         invs = G.involutions()
         self.position = {v: i for i, v in enumerate(invs)}
+        self._centralizers: dict[int, list[list[int]]] = {}
         gens = self.conjugation_maps(G, G.involution_generators())
         self.classes: list[InvolutionClass] = []
         self.class_of: list[InvolutionClass | None] = [None] * len(invs)
@@ -608,6 +612,12 @@ class InvolutionClasses:
         """For each t of ts, the position of t*u*t at the position of each involution u."""
         invs = G.involutions()
         return [[self.position[u] for u in G.conjugates(t, invs)] for t in ts]
+
+    def centralizer_maps(self, G: GroupHandle, cls: InvolutionClass) -> list[list[int]]:
+        """The conjugation maps of ``centralizer_generators(G, cls)``; built once, then kept."""
+        if cls.rep not in self._centralizers:
+            self._centralizers[cls.rep] = self.conjugation_maps(G, centralizer_generators(G, cls))
+        return self._centralizers[cls.rep]
 
 
 def _closure(G: GroupHandle, gens: Sequence[int]) -> set[int] | None:

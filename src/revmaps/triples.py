@@ -35,7 +35,6 @@ from .groups import (
     GroupError,
     GroupHandle,
     build_group,
-    centralizer_generators,
     generates,
 )
 
@@ -120,6 +119,32 @@ def _point_candidates(G: GroupHandle, z: int, k: int) -> tuple[list[int], list[i
     return xs, ys
 
 
+def _orbit_points(G: GroupHandle, z: int) -> list[int]:
+    """The first index in ``_point_indices`` of each orbit of the involutions commuting with z.
+
+    They are the 2s of z's bulk row and act by ``act``; in psl2 they keep
+    the two points z fixes.  Their orbits refine those of C(z): one in
+    PGL(2,p), and the affine squares and non-squares in PSL(2,p) (Dickson).
+    """
+    p, points = G.p, gfproj.all_points(G.p)
+    A, B, C, D = G.matrix_columns()
+    invs = G.involutions()
+    row = G.dihedral_table().products(z)
+    moves = [(A[u], B[u], C[u], D[u], p) for u, n in zip(invs, row) if n == 2]
+    seen: set[int] = set()
+    firsts = []
+    for k in _point_indices(G):
+        if points[k] not in seen:
+            firsts.append(k)
+            orbit = [points[k]]
+            seen.add(points[k])
+            for delta in orbit:
+                images = {gfproj.act(g, delta) for g in moves} - seen
+                seen |= images
+                orbit += images
+    return firsts
+
+
 def _point_triple(G: GroupHandle, k: int) -> tuple[int, int, int]:
     """The first candidates x, y over the k-th point with the anchor; the inputs checked here."""
     if predicted_pattern(G.family, G.p) is None:
@@ -175,16 +200,18 @@ def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> tuple[int, int, int]
 
 
 def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
-    """Every triple the construction can produce over all free choices; in ext, those with c1 = 0.
+    """The construction's triples over one point per orbit of C(z); in ext, those with c1 = 0.
 
     The free choices are the point index k, the qualifying involution pair
     over that point and, in the extended family, the exponent pair (c1, c2)
     with unit difference.  The anchor involution z is fixed once per family;
-    all other triples are conjugates and are compared class-wise.  In ext
-    only the lifts with c1 = 0 are listed, m*phi(m) down to phi(m) per base
-    triple: conjugation by (d, 1) fixes z = (0, z), which lies in the PSL
-    part when p = 3 (mod 4), and sends (c, u) to (c + 2d, u) for x and y,
-    which lie outside it.  m is odd, so d = -c1/2 mod m moves every lift
+    all other triples are conjugates and are compared class-wise.  So k runs
+    over ``_orbit_points``: conjugation by c in C(z) sends the candidates
+    over a point onto those over its image, at the same orders with z.  In
+    ext only the lifts with c1 = 0 are listed, m*phi(m) down to phi(m) per
+    base triple: conjugation by (d, 1) fixes z = (0, z), which lies in the
+    PSL part when p = 3 (mod 4), and sends (c, u) to (c + 2d, u) for x and
+    y, which lie outside it.  m is odd, so d = -c1/2 mod m moves every lift
     (c1, c2) to (0, c2 - c1), and the classes are those of the full lift.
     """
     if G.family == EXT:
@@ -197,7 +224,7 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
         return []
     z = _anchor(G)
     return sorted(
-        {(x, y, z) for k in _point_indices(G) for x, y in product(*_point_candidates(G, z, k))}
+        {(x, y, z) for k in _orbit_points(G, z) for x, y in product(*_point_candidates(G, z, k))}
     )
 
 
@@ -311,8 +338,9 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     class along x's Schreier path, walked once per x for all its (y, z).
     There its orbit is an orbit of the centralizer C(r), so the orbit
     minimum is (r, least pair of that C(r)-orbit) and the orbit size is
-    |class of x| * |C(r)-orbit|, closed breadth first under the conjugation
-    maps of the certified generators of ``groups.centralizer_generators``.
+    |class of x| * |C(r)-orbit|, closed breadth first (``_pair_orbit``)
+    under the conjugation maps of the certified generators of
+    ``groups.centralizer_generators``, which the handle keeps per class.
     The representative is the least member of the full orbit, so two subsets
     of the same orbit report the same representative.  Classes come in the
     order of their least listed member.
@@ -328,26 +356,30 @@ def triple_conjugacy_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, i
     except KeyError as exc:
         raise GroupError(f"element {exc} of a triple is not an involution") from None
     seen: set[tuple[int, int, int]] = set()
-    maps: dict[int, list[list[int]]] = {}
     classes = []
     for x, rows in groupby(listed, key=itemgetter(0)):
         cls = C.class_of[x]
         r = cls.rep
-        if r not in maps:
-            maps[r] = C.conjugation_maps(G, centralizer_generators(G, cls))
         folded = cls.to_rep(x, [v for _, y, z in rows for v in (y, z)])
         for y, z in zip(folded[::2], folded[1::2]):
             if (r, y, z) in seen:
                 continue
-            orbit = [(r, y, z)]
-            seen.add(orbit[0])
-            for _, a, b in orbit:
-                for c in maps[r]:
-                    if (r, c[a], c[b]) not in seen:
-                        seen.add((r, c[a], c[b]))
-                        orbit.append((r, c[a], c[b]))
-            classes.append((tuple(invs[i] for i in min(orbit)), cls.size * len(orbit)))
+            orbit = _pair_orbit(C.centralizer_maps(G, cls), y, z)
+            seen.update((r, a, b) for a, b in orbit)
+            classes.append((tuple(invs[i] for i in (r, *min(orbit))), cls.size * len(orbit)))
     return classes
+
+
+def _pair_orbit(maps: list[list[int]], y: int, z: int) -> list[tuple[int, int]]:
+    """The orbit of the position pair (y, z) under the conjugation maps, breadth first."""
+    orbit = [(y, z)]
+    seen = set(orbit)
+    for a, b in orbit:
+        for c in maps:
+            if (c[a], c[b]) not in seen:
+                seen.add((c[a], c[b]))
+                orbit.append((c[a], c[b]))
+    return orbit
 
 
 def _buckets(row: Sequence[int]) -> dict[int, list[int]]:
@@ -392,7 +424,10 @@ def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
     or where it is unslotted.  It is (slots, spans): the roles and pattern,
     or None, and whether the lcm of the orders is |G|.  Dihedral orders are
     even, so that is the first check of ``generates``, and a hit that spans
-    is taken without the call.  Through each rep r the other positions are
+    is taken without the call.  Generation is invariant under simultaneous
+    conjugation, so a slotted hit that does not span is settled with its
+    whole orbit under C(r) (``_pair_orbit``) by one call; an unslotted hit
+    is tested alone.  Through each rep r the other positions are
     bucketed by their dihedral order with r; for a planned (a, b) only y in
     bucket a and z in bucket b are visited, and only the table rows of the
     shorter bucket are read.  A pair never visited fails ``qual`` or is the
@@ -403,7 +438,8 @@ def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
     the rep, and the unslotted hits as (class, flat positions y1, z1, ...).
     """
     invs, table = G.involutions(), G.dihedral_table()
-    inv_classes = G.involution_classes().classes
+    C = G.involution_classes()
+    inv_classes = C.classes
     buckets = [_buckets(table[cls.rep]) for cls in inv_classes]
     plans: dict[tuple[int, int], dict] = {}
     for orders in product(sorted(set().union(*buckets)), repeat=3):
@@ -417,13 +453,20 @@ def _fiber_hits(G: GroupHandle, qual) -> tuple[dict, list]:
     for cls, bucket in zip(inv_classes, buckets):
         r = cls.rep
         unordered = []
+        # generation by pair, in both orders: the scan may meet a conjugate
+        # of (y, z) as (z', y')
+        settled: dict[tuple[int, int], bool] = {}
         for (a, b), hits in plans.items():
             if a not in bucket or b not in bucket:
                 continue
             for y, z, c in _pairs(table, bucket[a], bucket[b], hits):
                 slots, spans = hits[c]
                 t = (invs[r], invs[y], invs[z])
-                if spans or generates(G, t):
+                if not spans and slots is not None and (y, z) not in settled:
+                    ok = generates(G, t)
+                    for u, v in _pair_orbit(C.centralizer_maps(G, cls), y, z):
+                        settled[u, v] = settled[v, u] = ok
+                if spans or (generates(G, t) if slots is None else settled[y, z]):
                     if slots is None:
                         unordered += (y, z)
                     else:

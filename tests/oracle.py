@@ -55,8 +55,10 @@ that ``revmaps.triples._anchor`` reads off the entries of g, with n = p+1.
 ``oracle_involution_generators`` finds the generating triple by one
 multiplied-out pair order per score, where ``revmaps.groups`` reads three
 bulk rows of the dihedral table's kernel, and
-``oracle_construction_census`` lifts every ext base triple with all m*phi(m)
-exponent pairs, where ``revmaps.triples`` lifts only those with c1 = 0.
+``oracle_construction_census`` lists the construction over every point and
+lifts every ext base triple with all m*phi(m) exponent pairs, where
+``revmaps.triples`` takes one point per orbit of the anchor's commuting
+involutions and lifts only the exponent pairs with c1 = 0.
 ``oracle_centralizer`` closes the centralizer of a class rep from Schreier
 generators over the class's Schreier vector, where ``revmaps.groups`` reads
 two or three commuting involutions off the dihedral table, and
@@ -71,11 +73,12 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 from revmaps import gfproj, triples, verify
 from revmaps.gfproj import GFProjError, ProjMatrix, check_prime, proj_matrix
 from revmaps.groups import (
+    EXT,
     PGL2,
     GroupHandle,
     build_group,
@@ -304,15 +307,26 @@ def oracle_fold_classes(G: GroupHandle, triples) -> list[tuple[tuple[int, int, i
 
 
 def oracle_construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
-    """The ext construction census with every exponent pair (c1, c2) of unit difference."""
-    Gp = build_group(PGL2, G.p)
-    m = G.m
-    pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if math.gcd(c1 - c2, m) == 1]
+    """The construction census over every point and, in ext, every exponent pair (c1, c2)."""
+    if G.family == EXT:
+        Gp = build_group(PGL2, G.p)
+        m = G.m
+        pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if math.gcd(c1 - c2, m) == 1]
+        return sorted(
+            {
+                tuple(G.element_from(c, Gp, u) for c, u in zip((c1, c2, 0), base))
+                for base in oracle_construction_census(Gp)
+                for c1, c2 in pairs
+            }
+        )
+    if triples.predicted_pattern(G.family, G.p) is None:
+        return []
+    z = triples._anchor(G)
     return sorted(
         {
-            tuple(G.element_from(c, Gp, u) for c, u in zip((c1, c2, 0), base))
-            for base in triples.construction_census(Gp)
-            for c1, c2 in pairs
+            (x, y, z)
+            for k in triples._point_indices(G)
+            for x, y in product(*triples._point_candidates(G, z, k))
         }
     )
 

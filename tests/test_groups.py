@@ -868,9 +868,10 @@ def test_generator_search_failure_is_an_internal_error(
 
 def test_uncertified_centralizer_is_an_internal_error(monkeypatch, capsys):
     # a span whose order misses |G|/|class| is a bug: a ConstructionError,
-    # exit 4 from the CLI.  A first scan finds the generators and the rows
-    # it reads on true bulk rows, so the CLI's scan reads the patched bulk
-    # row in the centralizer alone
+    # exit 4 from the CLI.  The handle keeps the centralizer maps of a scan,
+    # so the CLI runs on a fresh cache holding a handle whose generators,
+    # classes and dihedral rows were built on true bulk rows: its scan reads
+    # the patched bulk row in the centralizer alone
     import revmaps.groups as groups
     from revmaps import cli
 
@@ -878,6 +879,12 @@ def test_uncertified_centralizer_is_an_internal_error(monkeypatch, capsys):
     G = build_group("pgl2", 19)
     # one pattern, (38, 40, 36), of slotted hits, folded by the centralizer
     assert len(scan_reversing_census(G).qualifying[0].classes) == 24
+    fresh = GroupHandle("pgl2", 19, 1)
+    fresh.involution_classes()
+    table = fresh.dihedral_table()
+    for x in range(len(fresh.involutions())):
+        table[x]
+    monkeypatch.setattr(groups, "_CACHE", {("pgl2", 19, 1): fresh})
     monkeypatch.setattr(
         groups.DihedralTable, "products", lambda table, g: [1] * len(table._group.involutions())
     )

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from oracle import (
@@ -194,14 +194,13 @@ def _single_constructions(family, p, m):
 )
 def test_each_construction_lies_in_its_construction_census(family, p, m, count):
     # the single constructions and the census share the point search and the
-    # ext lift; the ext census lists only lifts with c1 = 0, so a single ext
-    # construction lies in it up to conjugation
+    # ext lift; the census lists one point per orbit of C(z) and, in ext,
+    # only lifts with c1 = 0, so a single construction lies in it up to
+    # conjugation
     G = build_group(family, p, m)
     made = _single_constructions(family, p, m)
     assert len(made) == count
     census = construction_census(G)
-    if family != "ext":
-        assert set(made) <= set(census)
 
     def minima(triples):
         return {rep for rep, _ in triple_conjugacy_classes(G, triples)}
@@ -213,14 +212,62 @@ def test_each_construction_lies_in_its_construction_census(family, p, m, count):
     "p,m", [(p, m) for family, p, m in VERIFY_MATRIX if family == "ext"] + [(7, 9)]
 )
 def test_ext_construction_census_meets_the_classes_of_the_full_lift(p, m):
-    # conjugation by (d, 1) moves c1 to 0, so the lifts with c1 = 0 meet
-    # every class that all m*phi(m) exponent pairs meet, and no other
+    # conjugation by (d, 1) moves c1 to 0, so the lifts with c1 = 0 of one
+    # point per orbit meet every class that all m*phi(m) exponent pairs over
+    # every point meet, and no other
     G = build_group("ext", p, m)
     census = construction_census(G)
     full = oracle_construction_census(G)
     assert set(census) < set(full)
     assert all(G.exponent_part(x) == 0 for x, _, _ in census)
     assert sorted(triple_conjugacy_classes(G, census)) == sorted(triple_conjugacy_classes(G, full))
+
+
+@pytest.mark.parametrize(
+    "family,p,m",
+    [row for row in VERIFY_MATRIX if row[0] != "ext" and predicted_pattern(*row)]
+    + [("psl2", 17, 1), ("psl2", 29, 1), ("pgl2", 13, 1)],
+)
+def test_orbit_point_census_meets_the_classes_of_every_point(family, p, m):
+    # conjugation by C(z) moves the candidates over one point onto those
+    # over another, so one point per orbit meets every class that all
+    # points meet; the ext rows are compared with the full lift above
+    G = build_group(family, p, m)
+    census = construction_census(G)
+    full = oracle_construction_census(G)
+    assert set(census) < set(full)
+    assert sorted(triple_conjugacy_classes(G, census)) == sorted(triple_conjugacy_classes(G, full))
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37])
+def test_psl_orbit_points_are_one_square_and_one_non_square(p):
+    # positions in all_points, where position k >= 2 is the affine point
+    # k - 1: the least square 1 and the least non-square
+    G = build_group("psl2", p)
+    z = triples._anchor(G)
+    first_non_square = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+    assert triples._orbit_points(G, z) == [2, first_non_square + 1]
+    points = all_points(p)
+    fixed = {
+        delta
+        for x, y, _ in construction_census(G)
+        for delta in set(fixed_points(G.matrix_part(x))) & set(fixed_points(G.matrix_part(y)))
+    }
+    assert fixed == {points[2], points[first_non_square + 1]}
+
+
+@pytest.mark.parametrize(
+    "family,p,m",
+    [("pgl2", 5, 1), ("pgl2", 11, 1), ("pgl2", 19, 1), ("ext", 7, 3), ("ext", 11, 3)],
+)
+def test_pgl_and_ext_orbit_point_is_zero(family, p, m):
+    # C(z) of a nonsplit torus's involution is transitive on the line, and
+    # the ext census lifts the pgl2 one
+    G = build_group(family, p, m)
+    Gp = build_group("pgl2", p)
+    assert triples._orbit_points(Gp, triples._anchor(Gp)) == [0]
+    census = construction_census(G)
+    assert all(act(G.matrix_part(u), 0) == 0 for x, y, _ in census for u in (x, y))
 
 
 # -- enumeration ------------------------------------------------------------------------
@@ -445,38 +492,74 @@ def test_word_orders_match_plain_closure(generation_path):
 @pytest.mark.parametrize("family,p,m", [*VERIFY_MATRIX, ("pgl2", 19, 1)])
 def test_hits_taken_on_the_lcm_generate(family, p, m, monkeypatch):
     # the scan and the enumeration take every hit of a pattern whose lcm is
-    # |G| without calling generates; the plain closure must confirm them
-    from revmaps import triples
-
+    # |G| without calling generates, and settle a slotted hit below it with
+    # its whole class by one call; the plain closure must confirm each answer
     G = build_group(family, p, m)
-    tested = set()
+    answers = {}
+    calls = []
     real = triples.generates
 
     def counted(H, gens):
-        # generates sorts its argument, and the engine passes the scan's order
-        tested.add(tuple(sorted(gens)))
-        return real(H, gens)
+        calls.append(tuple(gens))
+        answers[calls[-1]] = answer = real(H, gens)
+        return answer
 
     monkeypatch.setattr(triples, "generates", counted)
     hits = {t for c in scan_reversing_census(G).qualifying for t in c.triples}
     pattern = predicted_pattern(family, p, m)
     if pattern:
-        hits |= set(enumerate_reversing_triples(G, pattern))
-    settled = {t for t in hits if tuple(sorted(t)) not in tested}
-    assert all(
-        math.lcm(*oracle_pattern(G, t)) == G.order for t in settled
-    ), "a hit was taken without generates on a pattern whose lcm is below |G|"
-    if pattern and math.lcm(*pattern) == G.order:
-        assert settled == hits and not tested
+        calls.clear()
+        fibers = enumerate_reversing_triples(G, pattern)
+        hits |= set(fibers)
+        # one call per class of the pattern, none on the lcm
+        below = math.lcm(*pattern) < G.order
+        assert len(calls) == (len(triple_conjugacy_classes(G, fibers)) if below else 0)
+        if (family, p, m) in (("ext", 7, 3), ("ext", 11, 3)):
+            assert (len(fibers), len(calls)) == {7: (96, 8), 11: (320, 16)}[p]
+
+    def minima(listed):
+        return {rep for rep, _ in triple_conjugacy_classes(G, listed)}
+
+    # the engine passes a triple in its own order; a hit is conjugate to one
+    # of its orderings
+    accepted = [u for t, ok in answers.items() if ok for u in permutations(t)]
+    below_lcm = {t for t in hits if math.lcm(*oracle_pattern(G, t)) < G.order}
+    assert minima(below_lcm) <= minima(accepted)
+    assert all((len(oracle_closure(G, t)) == G.order) == ok for t, ok in answers.items())
     if G.order > 5000:
-        # pgl2 19: 864 hits in 24 orbits.  Generation is invariant under
-        # conjugation, so one closure per orbit minimum (a hit of the same
-        # fiber) stands for its orbit, 36 times fewer closures than one per hit.
-        assert len(settled) == 864
-        classes = triple_conjugacy_classes(G, settled)
-        assert len(classes) == 24 and {t for t, _ in classes} <= settled
-        settled = {t for t, _ in classes}
-    assert all(len(oracle_closure(G, t)) == G.order for t in settled)
+        # pgl2 19: 864 hits in 24 orbits, all on the lcm.  Generation is
+        # invariant under conjugation, so one closure per orbit minimum (a
+        # hit of the same fiber) stands for its orbit
+        assert len(hits) == 864 and not answers
+        classes = triple_conjugacy_classes(G, hits)
+        assert len(classes) == 24 and {t for t, _ in classes} <= hits
+        assert all(len(oracle_closure(G, t)) == G.order for t, _ in classes)
+
+
+def test_one_refusal_drops_exactly_its_class(monkeypatch):
+    # a generates that refuses the first triple the enumeration asks about
+    # drops that triple's whole class of fiber triples and nothing else
+    G = build_group("ext", 7, 3)
+    pattern = predicted_pattern("ext", 7, 3)
+    fibers = enumerate_reversing_triples(G, pattern)
+    asked = []
+    real = triples.generates
+
+    def refuse_first(H, gens):
+        asked.append(tuple(gens))
+        return len(asked) > 1 and real(H, gens)
+
+    monkeypatch.setattr(triples, "generates", refuse_first)
+    kept = enumerate_reversing_triples(G, pattern)
+    assert len(asked) == 8
+
+    def rep(t):
+        return triple_conjugacy_classes(G, [t])[0][0]
+
+    (refused,) = [t for t in fibers if set(t) == set(asked[0])]
+    dropped = [t for t in fibers if rep(t) == rep(refused)]
+    assert 0 < len(dropped) < len(fibers)
+    assert kept == [t for t in fibers if rep(t) != rep(refused)]
 
 
 def test_mid_size_census_pgl2_19(tmp_path):

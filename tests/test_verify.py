@@ -474,6 +474,28 @@ def test_verify_enumerates_only_a_pattern_the_scan_does_not_hold(family, p, m, p
     assert calls == [build_group(family, p, m)] * passes
 
 
+def test_verify_builds_each_centralizer_once(monkeypatch):
+    # the scan, the construction agreement and the enumeration share the
+    # centralizer maps the handle keeps per class rep
+    from collections import Counter
+
+    from revmaps import groups
+
+    monkeypatch.setattr(groups, "_CACHE", {})
+    reps = Counter()
+    real = groups.centralizer_generators
+
+    def counted(G, cls):
+        reps[G.family, G.p, G.m, cls.rep] += 1
+        return real(G, cls)
+
+    monkeypatch.setattr(groups, "centralizer_generators", counted)
+    assert verify_theorem("pgl2", 7)["verdict"] == "pass"
+    G = build_group("pgl2", 7)
+    assert set(reps.values()) == {1}
+    assert {rep for *_, rep in reps} <= {cls.rep for cls in G.involution_classes().classes}
+
+
 def test_report_is_deterministic():
     a = report_json(verify_theorem("pgl2", 5))
     b = report_json(verify_theorem("pgl2", 5))
