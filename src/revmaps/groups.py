@@ -14,9 +14,8 @@ per element, and every query works on integer element indices: element
 elements ascend as pairs.  Other modules use ``GroupHandle.element(e, g)``,
 ``exponent_part``, ``matrix_part`` (which builds the one ProjMatrix asked
 for) and ``in_psl_part``.  The one exception is ``matrix_columns()``:
-``triples._point_candidates``, ``triples._orbit_points`` and
-``verify.check_pgl_action`` read its positions as element indices, which
-they are when m = 1.  Handles are
+``triples._point_candidates`` and ``verify.check_pgl_action`` read its
+positions as element indices, which they are when m = 1.  Handles are
 immutable once built and are cached per (family, p, m) in ``_CACHE``, the
 one cache.  A pgl2 or psl2 handle lists its own matrices, PSL(2,p) from
 its determinants with no PGL(2,p) built, and every ext handle shares the
@@ -582,9 +581,7 @@ class InvolutionClasses:
     The conjugation maps of a few generating involutions give the classes as
     orbits; one breadth-first search from each class's least member records
     the tree edge that first reached every member.  Every later step works
-    with list lookups instead of group multiplications.  The maps of each
-    rep's centralizer generators are built once, on first use, and shared
-    by every scan, enumeration and class fold on the handle.
+    with list lookups instead of group multiplications.
     """
 
     def __init__(self, G: GroupHandle):

@@ -119,30 +119,18 @@ def _point_candidates(G: GroupHandle, z: int, k: int) -> tuple[list[int], list[i
     return xs, ys
 
 
-def _orbit_points(G: GroupHandle, z: int) -> list[int]:
-    """The first index in ``_point_indices`` of each orbit of the involutions commuting with z.
+def _orbit_points(G: GroupHandle) -> list[int]:
+    """The first index in ``_point_indices`` of each orbit of C(z) on the points, z the anchor.
 
-    They are the 2s of z's bulk row and act by ``act``; in psl2 they keep
-    the two points z fixes.  Their orbits refine those of C(z): one in
-    PGL(2,p), and the affine squares and non-squares in PSL(2,p) (Dickson).
+    C(z) is transitive on the line in PGL(2,p); in PSL(2,p) it keeps the two
+    points z fixes and has two orbits on the rest, the affine squares and
+    non-squares (Dickson): positions 2 (the point 1) and v+1, v the least
+    non-square.
     """
-    p, points = G.p, gfproj.all_points(G.p)
-    A, B, C, D = G.matrix_columns()
-    invs = G.involutions()
-    row = G.dihedral_table().products(z)
-    moves = [(A[u], B[u], C[u], D[u], p) for u, n in zip(invs, row) if n == 2]
-    seen: set[int] = set()
-    firsts = []
-    for k in _point_indices(G):
-        if points[k] not in seen:
-            firsts.append(k)
-            orbit = [points[k]]
-            seen.add(points[k])
-            for delta in orbit:
-                images = {gfproj.act(g, delta) for g in moves} - seen
-                seen |= images
-                orbit += images
-    return firsts
+    if G.family == PGL2:
+        return [0]
+    p = G.p
+    return [2, 1 + next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)]
 
 
 def _point_triple(G: GroupHandle, k: int) -> tuple[int, int, int]:
@@ -224,7 +212,7 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
         return []
     z = _anchor(G)
     return sorted(
-        {(x, y, z) for k in _orbit_points(G, z) for x, y in product(*_point_candidates(G, z, k))}
+        {(x, y, z) for k in _orbit_points(G) for x, y in product(*_point_candidates(G, z, k))}
     )
 
 

@@ -57,8 +57,10 @@ multiplied-out pair order per score, where ``revmaps.groups`` reads three
 bulk rows of the dihedral table's kernel, and
 ``oracle_construction_census`` lists the construction over every point and
 lifts every ext base triple with all m*phi(m) exponent pairs, where
-``revmaps.triples`` takes one point per orbit of the anchor's commuting
-involutions and lifts only the exponent pairs with c1 = 0.
+``revmaps.triples`` takes one point per orbit of the anchor's centralizer
+and lifts only the exponent pairs with c1 = 0, and ``oracle_orbit_points``
+finds those orbits by acting with the whole centralizer, where
+``revmaps.triples._orbit_points`` takes their closed form (Dickson).
 ``oracle_centralizer`` closes the centralizer of a class rep from Schreier
 generators over the class's Schreier vector, where ``revmaps.groups`` reads
 two or three commuting involutions off the dihedral table, and
@@ -329,6 +331,30 @@ def oracle_construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
             for x, y in product(*triples._point_candidates(G, z, k))
         }
     )
+
+
+def oracle_orbit_points(G: GroupHandle) -> list[int]:
+    """The first position in ``triples._point_indices`` of each orbit of C(z), z the anchor.
+
+    C(z) is found by multiplying z with every element, and its orbits by
+    acting on the points breadth first.
+    """
+    z = triples._anchor(G)
+    cent = [g for g in range(G.order) if G.mul(g, z) == G.mul(z, g)]
+    moves = [G.matrix_part(g) for g in cent]
+    points = gfproj.all_points(G.p)
+    seen: set[int] = set()
+    firsts = []
+    for k in triples._point_indices(G):
+        if points[k] not in seen:
+            firsts.append(k)
+            orbit = [points[k]]
+            seen.add(points[k])
+            for delta in orbit:
+                images = {gfproj.act(g, delta) for g in moves} - seen
+                seen |= images
+                orbit += images
+    return firsts
 
 
 def oracle_pattern(G: GroupHandle, triple: tuple[int, int, int]) -> tuple[int, int, int]:

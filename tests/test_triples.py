@@ -13,6 +13,7 @@ from oracle import (
     oracle_enumerate,
     oracle_expand,
     oracle_fold_classes,
+    oracle_orbit_points,
     oracle_pattern,
     oracle_two_point_stabilizer_involution,
 )
@@ -242,11 +243,11 @@ def test_orbit_point_census_meets_the_classes_of_every_point(family, p, m):
 @pytest.mark.parametrize("p", [5, 13, 17, 29, 37])
 def test_psl_orbit_points_are_one_square_and_one_non_square(p):
     # positions in all_points, where position k >= 2 is the affine point
-    # k - 1: the least square 1 and the least non-square
+    # k - 1: the least square 1 and the least non-square, as the orbits of
+    # the whole centralizer give them
     G = build_group("psl2", p)
-    z = triples._anchor(G)
     first_non_square = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
-    assert triples._orbit_points(G, z) == [2, first_non_square + 1]
+    assert triples._orbit_points(G) == oracle_orbit_points(G) == [2, first_non_square + 1]
     points = all_points(p)
     fixed = {
         delta
@@ -265,7 +266,7 @@ def test_pgl_and_ext_orbit_point_is_zero(family, p, m):
     # the ext census lifts the pgl2 one
     G = build_group(family, p, m)
     Gp = build_group("pgl2", p)
-    assert triples._orbit_points(Gp, triples._anchor(Gp)) == [0]
+    assert triples._orbit_points(Gp) == oracle_orbit_points(Gp) == [0]
     census = construction_census(G)
     assert all(act(G.matrix_part(u), 0) == 0 for x, y, _ in census for u in (x, y))
 
@@ -493,7 +494,8 @@ def test_word_orders_match_plain_closure(generation_path):
 def test_hits_taken_on_the_lcm_generate(family, p, m, monkeypatch):
     # the scan and the enumeration take every hit of a pattern whose lcm is
     # |G| without calling generates, and settle a slotted hit below it with
-    # its whole class by one call; the plain closure must confirm each answer
+    # its whole class by one call; the plain closure must confirm every hit
+    # on the lcm and every answer below it
     G = build_group(family, p, m)
     answers = {}
     calls = []
@@ -506,34 +508,42 @@ def test_hits_taken_on_the_lcm_generate(family, p, m, monkeypatch):
 
     monkeypatch.setattr(triples, "generates", counted)
     hits = {t for c in scan_reversing_census(G).qualifying for t in c.triples}
+    scan_calls = len(calls)
     pattern = predicted_pattern(family, p, m)
     if pattern:
-        calls.clear()
         fibers = enumerate_reversing_triples(G, pattern)
         hits |= set(fibers)
         # one call per class of the pattern, none on the lcm
         below = math.lcm(*pattern) < G.order
-        assert len(calls) == (len(triple_conjugacy_classes(G, fibers)) if below else 0)
+        enum_calls = len(calls) - scan_calls
+        assert enum_calls == (len(triple_conjugacy_classes(G, fibers)) if below else 0)
         if (family, p, m) in (("ext", 7, 3), ("ext", 11, 3)):
-            assert (len(fibers), len(calls)) == {7: (96, 8), 11: (320, 16)}[p]
+            assert (len(fibers), enum_calls) == {7: (96, 8), 11: (320, 16)}[p]
+    on_lcm = {t for t in hits if math.lcm(*oracle_pattern(G, t)) == G.order}
+    assert all(
+        math.lcm(*oracle_pattern(G, t)) < G.order for t in answers
+    ), "generates was called on a hit whose lcm is |G|"
+    if pattern and math.lcm(*pattern) == G.order:
+        assert on_lcm == hits and scan_calls == 0
 
     def minima(listed):
         return {rep for rep, _ in triple_conjugacy_classes(G, listed)}
 
-    # the engine passes a triple in its own order; a hit is conjugate to one
-    # of its orderings
+    # the engine passes a triple in its own order; a hit below the lcm is
+    # conjugate to an ordering of a triple generates accepted
     accepted = [u for t, ok in answers.items() if ok for u in permutations(t)]
-    below_lcm = {t for t in hits if math.lcm(*oracle_pattern(G, t)) < G.order}
-    assert minima(below_lcm) <= minima(accepted)
+    assert minima(hits - on_lcm) <= minima(accepted)
     assert all((len(oracle_closure(G, t)) == G.order) == ok for t, ok in answers.items())
     if G.order > 5000:
         # pgl2 19: 864 hits in 24 orbits, all on the lcm.  Generation is
         # invariant under conjugation, so one closure per orbit minimum (a
-        # hit of the same fiber) stands for its orbit
-        assert len(hits) == 864 and not answers
-        classes = triple_conjugacy_classes(G, hits)
-        assert len(classes) == 24 and {t for t, _ in classes} <= hits
-        assert all(len(oracle_closure(G, t)) == G.order for t, _ in classes)
+        # hit of the same fiber) stands for its orbit, 36 times fewer
+        # closures than one per hit
+        assert len(on_lcm) == len(hits) == 864 and not answers
+        classes = triple_conjugacy_classes(G, on_lcm)
+        assert len(classes) == 24 and {t for t, _ in classes} <= on_lcm
+        on_lcm = {t for t, _ in classes}
+    assert all(len(oracle_closure(G, t)) == G.order for t in on_lcm)
 
 
 def test_one_refusal_drops_exactly_its_class(monkeypatch):
