@@ -17,8 +17,7 @@ Exit codes: 0 success/pass, 1 usage error, 2 verification failure,
 succeed found nothing, or a constructed triple is malformed or does not
 generate G: a bug, not a usage error).  No command builds a group of more
 elements than the budget (--budget, else the REVMAPS_BUDGET environment
-variable, else 20000; below 1 is a usage error); that includes the PGL(2,p)
-of verify's action check.
+variable, else 20000; below 1 is a usage error).
 A group over it is refused from its order formula, before any work.
 --jobs is accepted and ignored: the scan is serial.
 """

@@ -6,7 +6,7 @@ M = PSL(2,p) for psl2 and PGL(2,p) otherwise, m = 1 outside ext, and
     (i, g) * (j, h) = (i + eps(g)*j mod m, g*h),   eps(g) = +1 iff g in PSL,
 
 so that every element outside Z_m x PSL(2,p) inverts the cyclic factor.
-Groups at this scale (CI verifies up to 2.3*10^5 elements, the PGL(2,61) of
+Groups at this scale (CI verifies up to 1.1*10^5 elements, the PSL(2,61) of
 ``verify psl2 61``) keep M as its normalized matrices in ascending tuple
 order, held as four entry columns (``gfproj.Columns``) with no matrix object
 per element, and every query works on integer element indices: element

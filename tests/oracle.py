@@ -45,13 +45,14 @@ subgroup breadth first by the same product, where
 Petersen graph by an explicit isomorphism.  ``oracle_sylow_lemma`` is the
 stabilizer lemma in two parts, the lcm and the full prime powers of |G|,
 which ``revmaps.verify`` reduces to the lcm.  ``oracle_pgl_action`` is the
-exhaustive projective-action check: it walks every element of order p+1
-around the line and counts the fixed points of every involution, where
-``revmaps.verify`` keeps only what the distinct-images check and the class
-comparison leave open.  ``oracle_no_rotary`` tries every involution with
-every class rep, where ``revmaps.verify`` first filters the pairs of element
-orders, and ``oracle_cyclic_subgroup_involution`` takes the power g^(n/2)
-that ``revmaps.triples._anchor`` reads off the entries of g, with n = p+1.
+exhaustive projective-action check on PGL(2,p) or PSL(2,p): it walks every
+element of order p+1, or (p+1)/2 in PSL(2,p), around the line and counts
+the fixed points of every involution, where ``revmaps.verify`` keeps only
+what the distinct-images check and the class comparison leave open.
+``oracle_no_rotary`` tries every involution with every class rep, where
+``revmaps.verify`` first filters the pairs of element orders, and
+``oracle_cyclic_subgroup_involution`` takes the power g^(n/2) that
+``revmaps.triples._anchor`` reads off the entries of g, with n = p+1.
 ``oracle_involution_generators`` finds the generating triple by one
 multiplied-out pair order per score, where ``revmaps.groups`` reads three
 bulk rows of the dihedral table's kernel, and
@@ -899,18 +900,21 @@ def oracle_conjugate_overlap(G: GroupHandle, s: int, H) -> int:
     return sum(G.mul(G.mul(s, h), s) in H for h in H)
 
 
-def oracle_pgl_action(p: int) -> bool:
-    """Exhaustive check of the projective-line action of PGL(2,p).
+def oracle_pgl_action(family: str, p: int) -> bool:
+    """Exhaustive check of the projective-line action of PGL(2,p) or PSL(2,p).
 
-    Verifies sharp 3-transitivity, a cyclic two-point stabilizer, regularity
-    of every cyclic subgroup of order p+1, the two-fixed-point rule for
-    involutions by the residue of p mod 4, and that the involutions inside
-    and outside PSL each form a single conjugacy class.  Distinct images of
-    three points are all (p+1)p(p-1) = |PGL(2,p)| ordered triples of distinct
-    points, so the two-point stabilizer has p-1 elements and sends the third
-    point to each other point once.
+    G is the family's group, of index i = 1 (pgl2) or 2 (psl2) in PGL(2,p).
+    Verifies |G| distinct images of three points, a cyclic two-point
+    stabilizer of order (p-1)/i, that every cyclic subgroup of order
+    (p+1)/i has orbits of its full size (regular on PGL(2,p)), Dickson's
+    fixed-point rule for every involution (two fixed points if it lies
+    inside PSL exactly when p = 1 (mod 4), else none), and that the
+    involutions inside and outside PSL form one conjugacy class per
+    non-empty side.  The two-point stabilizer of a sharply 3-transitive
+    PGL(2,p) has p-1 elements and sends the third point to each other point
+    once.
     """
-    G = build_group(PGL2, p)
+    G = build_group(family, p)
     pts = gfproj.all_points(p)
     # the images of the first three points, one per element
     images = [tuple(gfproj.act(G.matrix_part(g), pt) for pt in pts[:3]) for g in range(G.order)]
@@ -918,18 +922,19 @@ def oracle_pgl_action(p: int) -> bool:
         return False
 
     stab = [g for g, (a, b, _) in enumerate(images) if a == pts[0] and b == pts[1]]
-    if not any(G.element_order(g) == p - 1 for g in stab):
+    if not any(G.element_order(g) == G.order // (p * (p + 1)) for g in stab):
         return False
 
+    cycle = G.order // (p * (p - 1))
     for g in range(G.order):
-        if G.element_order(g) == p + 1:
+        if G.element_order(g) == cycle:
             mat = G.matrix_part(g)
             orbit = {pts[0]}
             x = pts[0]
-            for _ in range(p + 1):
+            for _ in range(cycle):
                 x = gfproj.act(mat, x)
                 orbit.add(x)
-            if len(orbit) != p + 1:
+            if len(orbit) != cycle:
                 return False
 
     inside = []
@@ -937,16 +942,11 @@ def oracle_pgl_action(p: int) -> bool:
     invs = G.involutions()
     for i in invs:
         fixed = len(gfproj.fixed_points(G.matrix_part(i)))
-        if G.in_psl_part(i):
-            inside.append(i)
-            if p % 4 == 1 and fixed != 2:
-                return False
-        else:
-            outside.append(i)
-            if p % 4 == 3 and fixed != 2:
-                return False
+        if fixed != (2 if G.in_psl_part(i) == (p % 4 == 1) else 0):
+            return False
+        (inside if G.in_psl_part(i) else outside).append(i)
     classes = sorted(sorted(invs[u] for u in cls.members) for cls in G.involution_classes().classes)
-    return classes == sorted([inside, outside])
+    return classes == sorted(side for side in (inside, outside) if side)
 
 
 def oracle_flag_regular_triple(G: GroupHandle) -> tuple[int, int, int] | None:

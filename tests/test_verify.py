@@ -196,23 +196,36 @@ def test_pgl_action_small(p):
 
 
 def test_pgl_action_takes_the_handle_verify_built(monkeypatch):
-    # verify_theorem hands over the PGL(2,p) it built under the budget, and
-    # the check builds no group of its own
-    seen = []
-    real = verify.check_pgl_action
+    # a psl2 row hands over its own handle and an ext row the cached PGL(2,p)
+    # its handle shares (the last lookup): verify looks up no group beyond
+    # those, the check none, and from empty caches only the row's own
+    # handles are built
+    from revmaps import groups
+
+    seen, lookups = [], []
+    real_check, real_build = verify.check_pgl_action, verify.build_group
 
     def spy(G):
         seen.append(G)
-        return real(G)
+        return real_check(G)
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("check_pgl_action built a group")
+    def counted(*args, **kwargs):
+        lookups.append(args)
+        return real_build(*args, **kwargs)
 
     monkeypatch.setattr(verify, "check_pgl_action", spy)
-    assert verify_theorem("psl2", 7)["lemma_checks"]["pgl_action"] is True
-    assert seen == [build_group("pgl2", 7)]
-    monkeypatch.setattr(verify, "build_group", no_build)
-    assert real(build_group("pgl2", 11))
+    monkeypatch.setattr(verify, "build_group", counted)
+    for expected_lookups, built in (
+        ([("psl2", 7, 1)], {("psl2", 7, 1)}),
+        ([("ext", 7, 3), ("pgl2", 7)], {("ext", 7, 3), ("pgl2", 7, 1)}),
+    ):
+        seen.clear()
+        lookups.clear()
+        monkeypatch.setattr(groups, "_CACHE", {})
+        assert verify_theorem(*expected_lookups[0])["lemma_checks"]["pgl_action"] is True
+        assert lookups == expected_lookups
+        assert set(groups._CACHE) == built
+        assert seen == [real_build(*expected_lookups[-1])]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -250,9 +263,9 @@ PREIMAGE_POINTS = gfproj.preimage_points
 ELEMENT_ORDER = GroupHandle.element_order
 
 
-def _order_with_p_minus_1_hidden(G, g):
+def _order_with_the_stabilizer_order_hidden(G, g):
     n = ELEMENT_ORDER(G, g)
-    return 1 if n == G.p - 1 else n
+    return 1 if n == G.order // (G.p * (G.p + 1)) else n
 
 
 def _preimages_with_the_third_as_the_second(cols, p):
@@ -272,9 +285,14 @@ def _preimages_with_the_third_as_the_second(cols, p):
         "no order p-1",
     ],
 )
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
-def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, p, mutation):
-    G = build_group("pgl2", p)
+@pytest.mark.parametrize(
+    "family, p",
+    # the pgl2 cases are named by p alone
+    [pytest.param("pgl2", p, id=str(p)) for p in (5, 7, 11, 13, 17, 19)]
+    + [pytest.param("psl2", p, id=f"psl2-{p}") for p in (5, 7, 11, 13, 17, 19)],
+)
+def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, family, p, mutation):
+    G = build_group(family, p)
     if mutation == "trivial act":
         monkeypatch.setattr(gfproj, "act", lambda g, x: x)
     elif mutation == "third preimage read as the second":
@@ -282,13 +300,22 @@ def test_pgl_action_matches_the_exhaustive_oracle(monkeypatch, p, mutation):
     elif mutation == "no fixed points":
         monkeypatch.setattr(gfproj, "fixed_points", lambda g: ())
     elif mutation == "no order p-1":
-        # the stabilizer of 0 and infinity is cyclic of order p-1: hide its generators
-        monkeypatch.setattr(GroupHandle, "element_order", _order_with_p_minus_1_hidden)
+        # the stabilizer of 0 and infinity is cyclic of order |G|/(p(p+1)),
+        # p-1 in PGL(2,p) and (p-1)/2 in PSL(2,p): hide its generators
+        monkeypatch.setattr(GroupHandle, "element_order", _order_with_the_stabilizer_order_hidden)
     elif mutation is not None:
         monkeypatch.setattr(GroupHandle, "involution_classes", _classes_not_split_by_psl(mutation))
-    assert check_pgl_action(G) == (mutation is None)
+    # PSL(2,p) has one class of involutions, so merging the classes changes
+    # nothing; when p = 3 (mod 4) none of its involutions fixes a point, so
+    # hiding every fixed point changes nothing either
+    harmless = family == "psl2" and (
+        mutation == "one class" or (mutation == "no fixed points" and p % 4 == 3)
+    )
+    assert check_pgl_action(G) == (mutation is None or harmless)
     # the oracle takes every image by act, so the preimage kernel's fault shows in the check alone
-    assert oracle_pgl_action(p) == (mutation in (None, "third preimage read as the second"))
+    assert oracle_pgl_action(family, p) == (
+        mutation in (None, "third preimage read as the second") or harmless
+    )
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -554,34 +581,32 @@ def test_verify_generation_requirement_is_enforced():
             assert generates(G, idx)
 
 
+def _scan_must_not_run(*args, **kwargs):
+    raise AssertionError("the census scan ran before the budget check")
+
+
 def test_verify_refuses_over_budget_before_scanning(monkeypatch):
-    # PSL(2,31) fits the default budget but PGL(2,31), which the action check
-    # builds, does not: the refusal must come before the census scan
-    import revmaps.verify as verify
+    # PSL(2,31), of 14,880 elements, fits the default budget and is scanned;
+    # PSL(2,37), of 25,308, does not, and is refused before the census scan
     from revmaps.groups import BudgetExceeded
 
-    def scan_must_not_run(*args, **kwargs):
-        raise AssertionError("the census scan ran before the budget check")
-
-    monkeypatch.setattr(verify, "scan_reversing_census", scan_must_not_run)
-    with pytest.raises(BudgetExceeded):
-        verify_theorem("psl2", 31)
+    assert verify_theorem("psl2", 31)["verdict"] == "pass"
+    monkeypatch.setattr(verify, "scan_reversing_census", _scan_must_not_run)
+    with pytest.raises(BudgetExceeded, match="psl2 p=37 m=1: group order 25308 exceeds budget 20000"):
+        verify_theorem("psl2", 37)
     with pytest.raises(BudgetExceeded):
         verify_theorem("psl2", 13, budget=1000)
 
 
 def test_verify_refuses_the_action_check_group_over_budget(monkeypatch):
-    # PSL(2,7) has 168 elements and fits; the PGL(2,7) of the action check
-    # has 336 and does not
-    import revmaps.verify as verify
+    # the action check certifies the row's own group, so a budget that PSL(2,7),
+    # of 168 elements, fits is enough, and a refusal names PSL(2,7)
     from revmaps.groups import BudgetExceeded
 
-    def scan_must_not_run(*args, **kwargs):
-        raise AssertionError("the census scan ran before the budget check")
-
-    monkeypatch.setattr(verify, "scan_reversing_census", scan_must_not_run)
-    with pytest.raises(BudgetExceeded, match="pgl2 p=7 m=1: group order 336 exceeds budget 300"):
-        verify_theorem("psl2", 7, budget=300)
+    assert verify_theorem("psl2", 7, budget=300)["verdict"] == "pass"
+    monkeypatch.setattr(verify, "scan_reversing_census", _scan_must_not_run)
+    with pytest.raises(BudgetExceeded, match="psl2 p=7 m=1: group order 168 exceeds budget 100"):
+        verify_theorem("psl2", 7, budget=100)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
