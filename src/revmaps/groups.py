@@ -18,8 +18,9 @@ for) and ``in_psl_part``.  The one exception is ``matrix_columns()``:
 positions as element indices, which they are when m = 1.  Handles are
 immutable once built and are cached per (family, p, m) in ``_CACHE``, the
 one cache.  A pgl2 or psl2 handle lists its own matrices, PSL(2,p) from
-its determinants with no PGL(2,p) built, and every ext handle shares the
-listing of the pgl2 handle of its p.
+its determinants with no PGL(2,p) built, and is its own ``matrix_group``;
+an ext handle holds the pgl2 handle of its p, onto which (e, g) -> g
+projects, as ``matrix_group`` and shares that handle's listing.
 
 Element and pair orders, and so the involutions, are read off the invariant
 tr^2/det of the matrix part (see ``gfproj.projective_order``) without
@@ -111,8 +112,9 @@ class GroupHandle:
     and the a-th matrix of M in ascending tuple order (see the module
     docstring), the a-th entries of the columns ``_cols``.  ``_psl`` flags
     PSL, ``_points`` holds the ``preimage_points`` and ``_table`` maps each
-    point code to a position, or to -1 where M has none.  ``element(e, g)``
-    gives the index of a pair, and ``exponent_part``, ``matrix_part`` and
+    point code to a position, or to -1 where M has none; ``matrix_group``
+    is the m = 1 handle of M (``self`` unless ext).  ``element(e, g)`` gives
+    the index of a pair, and ``exponent_part``, ``matrix_part`` and
     ``in_psl_part`` read one back.
     """
 
@@ -121,8 +123,8 @@ class GroupHandle:
         self.p = p
         self.m = m
         self._code = point_coder(p)
+        self.matrix_group = M = build_group(PGL2, p) if family == EXT else self
         if family == EXT:  # the listing of the cached pgl2 handle of p
-            M = build_group(PGL2, p)
             self._cols, self._psl, self._points, self._table = M._cols, M._psl, M._points, M._table
         else:
             self._cols, self._psl = (psl_matrices if family == PSL2 else all_matrices)(p)
@@ -156,8 +158,8 @@ class GroupHandle:
         return exp % self.m * self._width + pos
 
     def element_from(self, exp: int, G: GroupHandle, i: int) -> int:
-        """``element(exp, G.matrix_part(i))`` by position; G shares its matrices (pgl2, ext do)."""
-        if G._table is not self._table:
+        """``element(exp, G.matrix_part(i))`` by position; G has the same ``matrix_group``."""
+        if G.matrix_group is not self.matrix_group:
             raise GroupError(f"{G!r} shares no matrix store with {self!r}")
         return exp % self.m * self._width + i % self._width
 
@@ -552,8 +554,7 @@ def _generating_triple(G: GroupHandle) -> list[int]:
     with p = 3 mod 4 rests on the run-time certificate, the one ``generates``
     call on each triple; a missing y or w or a refusal is a ConstructionError.
     """
-    p = G.p
-    M = build_group(PGL2, p) if G.family == EXT else G
+    p, M = G.p, G.matrix_group
     invs, table = M.involutions(), M.dihedral_table()
     no_p_pair = G.family == PSL2 and p % 4 == 3
     x = M.element(0, ProjMatrix(0, 1, p - 1, 0, p) if no_p_pair else ProjMatrix(1, 0, 0, p - 1, p))
@@ -693,7 +694,7 @@ def generates(G: GroupHandle, gens: Iterable[int]) -> bool:
     if reached == G.order:
         return True
     if G.family == EXT and G.m * G.p in pairs:
-        Gp = build_group(PGL2, G.p)
+        Gp = G.matrix_group
         return generates(Gp, [Gp.element_from(0, G, g) for g in gens])
     words = (G.pair_order(G.mul(u, v), w) for u, v, w in combinations(invs, 3))
     if math.lcm(reached, *words) == G.order:

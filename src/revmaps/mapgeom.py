@@ -7,8 +7,8 @@ r0, r1, r2 with (r0 r2)^2 = 1 and cells <r1,r2>, <r0,r2>, <r0,r1>, and one
 face family.
 
 The flags of a non-degenerate map are G x {face family}: flag l*|G| + g is
-the element g in face family l, and it lies on the vertex, edge and face
-cosets through g.  A map is its generators, the stabilizers of the cells
+the element g in face family l, on the cells through g, and ``flag_system``
+lists these ids.  A map is its generators, the stabilizers of the cells
 through the identity and the partners of the identity flags.  All cells of
 a kind are right cosets of one stabilizer (Jones & Singerman, Proc. LMS 37,
 1978), and right multiplication g -> g*a keeps every right-coset partition
@@ -153,26 +153,9 @@ def _identity_partners(
     return table
 
 
-class FlagSystem:
-    """The flags G x {face family} and the partners of their identity flags.
-
-    ``partners[l]`` holds the vertex, edge and face partner (s, k) of the
-    identity flag of family l; the partner maps are the left
-    multiplications g -> s*g into family k.  ``len`` is the number of flags.
-    """
-
-    __slots__ = ("group", "partners")
-
-    def __init__(self, group: GroupHandle, partners: tuple[tuple[tuple[int, int], ...], ...]):
-        self.group, self.partners = group, partners
-
-    def __len__(self) -> int:
-        return len(self.partners) * self.group.order
-
-
-def flag_system(M: MapGeometry) -> FlagSystem:
-    """The flags of a map with the partners checked when it was built."""
-    return FlagSystem(M.group, M.partners)
+def flag_system(M: MapGeometry) -> range:
+    """The flag ids of a map: flag l*|G| + g is the element g in face family l."""
+    return range(len(M.partners) * M.group.order)
 
 
 class SurfaceInvariants(NamedTuple):
@@ -234,7 +217,7 @@ def underlying_graph(M: MapGeometry) -> UnderlyingGraph:
     """
     G, count = M.group, M.vertex_count
     vertex = right_cosets(G, _cell_generators(M.kind, M.generators)[0])
-    (s, _), _, _ = flag_system(M).partners[0]
+    (s, _), _, _ = M.partners[0]
     ends = ((vertex[g], vertex[h]) for g, h in enumerate(G.left_perm(s)) if g < h)
     # each pair a <= b as the integer a*count + b, which sorts alike and faster
     keys = sorted(a * count + b if a <= b else b * count + a for a, b in ends)
@@ -314,7 +297,7 @@ def map_record(M: MapGeometry) -> dict:
         "chi": inv.chi,
         "orientable": inv.orientable,
         "genus": inv.genus,
-        "flags": len(faces) * G.order,
+        "flags": len(flag_system(M)),
         "stabilizer_orders": M.stabilizer_orders(),
         "vertex_valency": len(faces) * len(H) // 2,
         "face_lengths": {str(l): len(F) // 2 for l, F in enumerate(faces, 1)},

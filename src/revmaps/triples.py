@@ -183,7 +183,7 @@ def ext_triple(p: int, m: int, k: int, c1: int, c2: int) -> tuple[int, int, int]
     X = build_group(EXT, p, m)
     if math.gcd((c1 - c2) % m, m) != 1:
         raise GroupError(f"c1 - c2 = {(c1 - c2) % m} must generate Z_{m} (be coprime to m)")
-    Gp = build_group(PGL2, p)
+    Gp = X.matrix_group
     return make_triple(X, *_lift(X, Gp, _point_triple(Gp, k), c1, c2))
 
 
@@ -203,7 +203,7 @@ def construction_census(G: GroupHandle) -> list[tuple[int, int, int]]:
     (c1, c2) to (0, c2 - c1), and the classes are those of the full lift.
     """
     if G.family == EXT:
-        Gp = build_group(PGL2, G.p)
+        Gp = G.matrix_group
         units = [c2 for c2 in range(G.m) if math.gcd(c2, G.m) == 1]
         return sorted(
             {_lift(G, Gp, base, 0, c2) for base in construction_census(Gp) for c2 in units}

@@ -260,10 +260,10 @@ def verify_theorem(
     classification allows (the predicted pattern when its own map is coprime,
     nothing otherwise), every rebuilt map passes ``_checked_record`` at its
     pattern's chi with |G|/2 edges, and all side checks hold.  The action
-    check certifies G itself, or on ext the PGL(2,p) it is built on, so no
-    group beyond G's own handle is built; a G of more than ``budget``
-    elements is refused before the scan starts.  ``jobs`` is accepted and
-    ignored.
+    check certifies ``G.matrix_group``, G itself or the PGL(2,p) an ext G
+    holds, so no group beyond G's own handle is built; a G of more than
+    ``budget`` elements is refused before the scan starts.  ``jobs`` is
+    accepted and ignored.
     """
     G = build_group(family, p, m, budget=budget)
     scan = scan_reversing_census(G)
@@ -291,8 +291,8 @@ def verify_theorem(
     lemma_checks = {
         "sylow": maps_ok,
         "no_rotary": check_no_rotary(G),
-        # ext shares the listing of the cached PGL(2,p), whose action it certifies
-        "pgl_action": check_pgl_action(G if m == 1 else build_group(PGL2, p)),
+        # G's own matrix group: G itself, or on ext the PGL(2,p) handle it holds
+        "pgl_action": check_pgl_action(G.matrix_group),
         "membership": _membership_split_ok(G, membership_triples),
         "construction_agreement": (
             predicted is None or _construction_agreement(G, predicted, scan)

@@ -34,7 +34,7 @@ from revmaps.groups import (
     right_cosets,
     subgroup_closure,
 )
-from revmaps.triples import psl_triple, scan_reversing_census
+from revmaps.triples import construction_census, ext_triple, psl_triple, scan_reversing_census
 from revmaps.verify import VERIFY_MATRIX
 
 
@@ -202,8 +202,9 @@ def test_point_index_codes_tell_the_matrices_apart(family, p, m):
 
 def test_one_store_per_matrix_group(monkeypatch):
     # pgl2 and every ext of one p share one matrix listing (columns, points
-    # and point table), in either build order, and the handle cache is the
-    # only cache; psl2 has its own, the PSL(2,p) matrices in the same order
+    # and point table) and hold one pgl2 handle as matrix_group, in either
+    # build order, and the handle cache is the only cache; psl2 has its own,
+    # the PSL(2,p) matrices in the same order
     from revmaps import groups
 
     keys = (("pgl2", 7), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7))
@@ -211,6 +212,7 @@ def test_one_store_per_matrix_group(monkeypatch):
         monkeypatch.setattr(groups, "_CACHE", {})
         built = {key: build_group(*key) for key in order}
         G, X3, X5, S = (built[key] for key in keys)
+        assert X3.matrix_group is X5.matrix_group is G
         assert G._cols is X3._cols is X5._cols
         assert G._points is X3._points is X5._points and G._table is X3._table is X5._table
         assert S._cols is not G._cols and S._points is not G._points
@@ -218,7 +220,38 @@ def test_one_store_per_matrix_group(monkeypatch):
         assert all(g == G.matrix_part(G.element(0, g)) for g in map(S.matrix_part, range(S.order)))
         X = GroupHandle("ext", 7, 3)
         assert X._cols is G._cols and X._points is G._points and X._table is G._table
+        assert X.matrix_group is G
         assert set(groups._CACHE) == {("pgl2", 7, 1), ("ext", 7, 3), ("ext", 7, 5), ("psl2", 7, 1)}
+
+
+@pytest.mark.parametrize("family,p,m", VERIFY_MATRIX)
+def test_each_handle_holds_its_matrix_group(family, p, m):
+    # the m = 1 handle its elements project onto: itself outside ext, and
+    # one pgl2 handle for every ext of a p; a psl2 handle is not the pgl2 one
+    G = build_group(family, p, m)
+    assert G.matrix_group.m == 1
+    assert (G.matrix_group is G) == (family != "ext")
+    if family == "psl2":
+        assert G.matrix_group is not build_group("pgl2", p)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        # the EXT projection: lcm(2, 2*21, 2*8, 2*6) = 336 falls short of
+        # 1008, as gcd(3, 48) = 3
+        lambda X: generates(X, ext_triple(7, 3, 0, 1, 0)) is True,
+        lambda X: len(construction_census(X)) == 16,
+    ],
+    ids=["generates", "construction_census"],
+)
+def test_an_ext_handle_works_after_its_pgl2_handle_left_the_cache(monkeypatch, check):
+    # both read the handle's own matrix group, not whatever the cache holds now
+    from revmaps import groups
+
+    X = build_group("ext", 7, 3)
+    monkeypatch.setattr(groups, "_CACHE", {})
+    assert check(X)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])

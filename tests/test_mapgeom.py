@@ -1,4 +1,4 @@
-"""Coset map geometry, flag systems, surfaces, underlying graphs."""
+"""Coset map geometry, flags, surfaces, underlying graphs."""
 
 import pytest
 from oracle import oracle_conjugate, oracle_partner_maps
@@ -83,14 +83,27 @@ def test_edge_inside_the_vertex_stabilizer_is_rejected():
         _assemble(G, "reversing", (x, y, z))
 
 
-# -- flag systems ------------------------------------------------------------------
+# -- flags ------------------------------------------------------------------------
 
 
 def test_flag_count_reversing():
-    M = build_revmap(build_group("psl2", 5), *psl_triple(5, 2))
-    assert len(flag_system(M)) == 120
+    G = build_group("psl2", 5)
+    M = build_revmap(G, *psl_triple(5, 2))
+    assert flag_system(M) == range(2 * G.order)
+    assert map_record(M)["flags"] == len(flag_system(M)) == 120
     # the benchmark reads this len as the flags built: no tuple of two fields
     assert not isinstance(flag_system(M), tuple)
+
+
+def test_flag_ids_of_the_a5_pair():
+    # one face family: the flags are the elements of A5
+    G = build_group("psl2", 5)
+    triple = a5_exceptional_case()["triple"]
+    r0, r1, r2 = (G.element_from_json(triple[n]) for n in ("r0", "r1", "r2"))
+    for gens in ((r0, r1, r2), (r2, r1, r0)):
+        M = build_regular_map(G, *gens)
+        assert flag_system(M) == range(60)
+        assert map_record(M)["flags"] == len(flag_system(M))
 
 
 def test_flag_count_pgl25():

@@ -196,9 +196,9 @@ def test_pgl_action_small(p):
 
 
 def test_pgl_action_takes_the_handle_verify_built(monkeypatch):
-    # a psl2 row hands over its own handle and an ext row the cached PGL(2,p)
-    # its handle shares (the last lookup): verify looks up no group beyond
-    # those, the check none, and from empty caches only the row's own
+    # a psl2 row hands over its own handle and an ext row the PGL(2,p) its
+    # handle holds as ``matrix_group``: verify looks up only the row's own
+    # group, the check none, and from empty caches only the row's own
     # handles are built
     from revmaps import groups
 
@@ -215,17 +215,17 @@ def test_pgl_action_takes_the_handle_verify_built(monkeypatch):
 
     monkeypatch.setattr(verify, "check_pgl_action", spy)
     monkeypatch.setattr(verify, "build_group", counted)
-    for expected_lookups, built in (
-        ([("psl2", 7, 1)], {("psl2", 7, 1)}),
-        ([("ext", 7, 3), ("pgl2", 7)], {("ext", 7, 3), ("pgl2", 7, 1)}),
+    for row, checked, built in (
+        (("psl2", 7, 1), ("psl2", 7), {("psl2", 7, 1)}),
+        (("ext", 7, 3), ("pgl2", 7), {("ext", 7, 3), ("pgl2", 7, 1)}),
     ):
         seen.clear()
         lookups.clear()
         monkeypatch.setattr(groups, "_CACHE", {})
-        assert verify_theorem(*expected_lookups[0])["lemma_checks"]["pgl_action"] is True
-        assert lookups == expected_lookups
+        assert verify_theorem(*row)["lemma_checks"]["pgl_action"] is True
+        assert lookups == [row]
         assert set(groups._CACHE) == built
-        assert seen == [real_build(*expected_lookups[-1])]
+        assert seen == [real_build(*checked)]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
